@@ -7,12 +7,18 @@ Prediction errors are measured against the raw future pose, pooled by the
 chunk's motion class, and summarized per sweep cell with confidence
 intervals across repeats.
 
-Every cell draws from its own generator seeded by (master_seed, model,
-horizon, drop_rate, repeat), so results never depend on execution order.
+Each trace runs one predictor per (model, drop rate, repeat) and scores
+every horizon from that one rollout: filter state never depends on the
+horizon, and at drop 0 every repeat is identical, so only repeat 0 runs.
+The drop pattern of a (drop rate, repeat) is drawn from a generator
+seeded by (master_seed, drop_rate, repeat), so models and horizons are
+compared under the same losses, and results never depend on execution
+order or on the rest of the grid.
 """
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,12 +65,18 @@ class ExperimentConfig:
         self.models = tuple(canonical_model_name(m) for m in self.models)
         if not self.models:
             raise ValueError("at least one model is required")
+        if not all(float(h).is_integer() for h in self.horizons_ms):
+            raise ValueError(f"horizons must be whole milliseconds, got {self.horizons_ms}")
         self.horizons_ms = tuple(int(h) for h in self.horizons_ms)
         if any(h < 1 for h in self.horizons_ms) or not self.horizons_ms:
             raise ValueError("horizons must be positive and non-empty")
         self.drop_rates = tuple(float(d) for d in self.drop_rates)
         if any(not 0.0 <= d <= 1.0 for d in self.drop_rates) or not self.drop_rates:
             raise ValueError("drop rates must lie in [0, 1]")
+        for name in ("models", "horizons_ms", "drop_rates"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} has duplicates: {values}")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
         if self.master_seed < 0:
@@ -126,14 +138,16 @@ class ExperimentReport:
     chunk_classes: list          # per trace: MotionClass per chunk
     samples: list                # (model, class, h, drop, repeat, trace, tick, e_pos, e_ori)
 
+    @cached_property
+    def _cells(self):
+        return {(r.model, r.motion_class, r.horizon_ms, r.drop_rate): r
+                for r in self.aggregates}
+
     def aggregate(self, model, motion_class, horizon_ms, drop_rate):
         """The single aggregate row matching the given cell, or None."""
-        for row in self.aggregates:
-            if (row.model == model and row.motion_class == motion_class
-                    and row.horizon_ms == horizon_ms
-                    and abs(row.drop_rate - drop_rate) < 1e-12):
-                return row
-        return None
+        drop = next((d for d in self.config.drop_rates
+                     if abs(d - drop_rate) < 1e-12), None)
+        return self._cells.get((model, motion_class, horizon_ms, drop))
 
 
 def classify_chunk(chunk, config=None):
@@ -150,96 +164,166 @@ def _prepare_trace(trace, config):
     return dt, filtered, labels
 
 
-def _cell_rng(config, model, horizon_ms, drop_rate, repeat):
-    key = (config.master_seed, MODEL_NAMES.index(model), int(horizon_ms),
-           int(round(drop_rate * 1e6)), int(repeat))
+def _cell_rng(config, drop_rate, repeat):
+    key = (config.master_seed, int(round(drop_rate * 1e6)), int(repeat))
     return np.random.default_rng(np.random.SeedSequence(key))
+
+
+def _streamed_repeats(config, drop_rate):
+    """Repeats that need a stream of their own: at drop 0 every repeat is repeat 0."""
+    return 1 if drop_rate == 0.0 else config.repeats
+
+
+def _drop_masks(config, prepared):
+    """Received flags of ticks 1..n-1, per (drop rate, repeat) and trace.
+
+    All masks are drawn before any stream runs, trace after trace from one
+    generator per (drop rate, repeat), so every model and horizon sees the
+    same losses and a failed stream shifts no other stream's pattern. At
+    drop 0 every packet arrives, which is what lets the repeats share one
+    stream.
+    """
+    masks = {}
+    for drop in config.drop_rates:
+        for rep in range(_streamed_repeats(config, drop)):
+            rng = _cell_rng(config, drop, rep)
+            masks[drop, rep] = [[drop == 0.0 or simulate_drop(rng, drop)
+                                 for _ in range(1, len(f))]
+                                for _, f, _ in prepared]
+    return masks
+
+
+def _horizon_steps(config, dt):
+    """Tick count of each configured horizon on a trace sampled every dt."""
+    steps = []
+    for h_ms in config.horizons_ms:
+        n_steps = int(round(h_ms / 1000.0 / dt))
+        if n_steps < 1:
+            raise ValueError(
+                f"horizon {h_ms} ms is shorter than one tick of {dt:.9g} s")
+        steps.append(n_steps)
+    return steps
 
 
 def run_experiment(config, traces):
     """Sweep every configured cell over the traces; returns the report.
 
-    A numerically degenerate filter marks the (cell, trace) combination
-    failed and the sweep keeps going; that trace contributes no samples to
-    the failed cell.
+    Each trace runs one predictor per (model, drop rate, repeat), built at
+    the longest horizon; every horizon is scored from its rollout. At drop
+    0 only repeat 0 streams, and the other repeats reuse its errors.
+
+    A numerically degenerate filter marks every (cell, trace) combination
+    its stream feeds failed and the sweep keeps going; that trace
+    contributes no samples to the failed cells.
     """
     traces = list(traces)
     if not traces:
         raise ValueError("at least one trace is required")
     prepared = [_prepare_trace(t, config) for t in traces]
+    steps = [_horizon_steps(config, dt) for dt, _, _ in prepared]
+    masks = _drop_masks(config, prepared)
 
     per_repeat = []
     failures = []
     samples = []
     for model in config.models:
+        cells = {}
+        for drop in config.drop_rates:
+            for rep in range(_streamed_repeats(config, drop)):
+                streams = []
+                for ti, (trace, (dt, filtered, labels)) in enumerate(
+                        zip(traces, prepared)):
+                    fcfg = FilterConfig(model=model, dt=dt,
+                                        horizon_steps=max(steps[ti]),
+                                        diff_window=config.diff_window)
+                    pred = make_predictor(fcfg, filtered.pose(0))
+                    try:
+                        streams.append(_stream_trace(
+                            pred, trace, filtered, labels, config, steps[ti],
+                            masks[drop, rep][ti]))
+                    except DegeneracyError as e:
+                        streams.append(e)
+                for hi, h_ms in enumerate(config.horizons_ms):
+                    cells[h_ms, drop, rep] = _pool_cell(config, streams, hi)
         for h_ms in config.horizons_ms:
             for drop in config.drop_rates:
                 for rep in range(config.repeats):
-                    rng = _cell_rng(config, model, h_ms, drop, rep)
-                    pool = {}
-                    for ti, (trace, (dt, filtered, labels)) in enumerate(
-                            zip(traces, prepared)):
-                        n_steps = int(round(h_ms / 1000.0 / dt))
-                        if n_steps < 1:
-                            raise ValueError(
-                                f"horizon {h_ms} ms is shorter than one tick of {dt:.9g} s")
-                        fcfg = FilterConfig(model=model, dt=dt,
-                                            horizon_steps=n_steps,
-                                            diff_window=config.diff_window)
-                        pred = make_predictor(fcfg, filtered.pose(0))
-                        local = {}
-                        try:
-                            _stream_trace(pred, trace, filtered, labels, config,
-                                          n_steps, rng, drop, local)
-                        except DegeneracyError as e:
-                            failures.append(FailedCell(model, h_ms, drop, rep,
-                                                       ti, str(e)))
-                            continue
-                        for cls, (eps, eos, ticks) in local.items():
-                            dst = pool.setdefault(cls, ([], [], []))
-                            dst[0].extend(eps)
-                            dst[1].extend(eos)
-                            if config.keep_samples:
-                                samples.extend(
-                                    (model, cls, h_ms, drop, rep, ti, k, ep, eo)
-                                    for k, ep, eo in zip(ticks, eps, eos))
-                    for cls in sorted(pool):
-                        eps, eos, _ = pool[cls]
-                        per_repeat.append(PerRepeatRow(
-                            model, cls, h_ms, drop, rep,
-                            float(np.median(eps)), float(np.mean(eps)),
-                            float(np.median(eos)), float(np.mean(eos)),
-                            len(eps)))
+                    # at drop 0 every repeat reads repeat 0's stream
+                    stats, failed, kept = cells[h_ms, drop, min(
+                        rep, _streamed_repeats(config, drop) - 1)]
+                    failures.extend(FailedCell(model, h_ms, drop, rep, ti, reason)
+                                    for ti, reason in failed)
+                    per_repeat.extend(PerRepeatRow(model, cls, h_ms, drop, rep, *row)
+                                      for cls, *row in stats)
+                    samples.extend((model, cls, h_ms, drop, rep, ti, k, ep, eo)
+                                   for cls, ti, k, ep, eo in kept)
 
     aggregates = _aggregate(config, per_repeat)
     return ExperimentReport(config, per_repeat, aggregates, failures,
                             [labels for _, _, labels in prepared], samples)
 
 
-def _stream_trace(pred, trace, filtered, labels, config, n_steps, rng, drop, out):
-    """Run one predictor over one trace, collecting per-tick errors by class."""
+def _stream_trace(pred, trace, filtered, labels, config, steps, mask):
+    """Run one predictor over one trace, collecting per-tick errors by class.
+
+    Returns one {class: (e_pos, e_ori, ticks)} per entry of steps, each
+    horizon read off the predictor's rollout at its step count.
+    """
     usable = len(labels) * config.chunk_len
     n = len(filtered)
+    out = [{} for _ in steps]
     for k in range(1, n):
-        received = simulate_drop(rng, drop)
-        pub = pred.step(filtered.pose(k), received=received)
-        if k + n_steps < n and k < usable:
-            cls = labels[k // config.chunk_len]
-            eps, eos, ticks = out.setdefault(cls, ([], [], []))
-            eps.append(position_error(pub.p, trace.p[k + n_steps]))
-            eos.append(orientation_error(pub.q, trace.q[k + n_steps]))
-            ticks.append(k)
+        pred.step(filtered.pose(k), received=mask[k - 1])
+        if k >= usable:
+            continue
+        cls = labels[k // config.chunk_len]
+        for n_steps, local in zip(steps, out):
+            if k + n_steps < n:
+                p, q = pred.rollout[n_steps - 1]
+                eps, eos, ticks = local.setdefault(cls, ([], [], []))
+                eps.append(position_error(p, trace.p[k + n_steps]))
+                eos.append(orientation_error(q, trace.q[k + n_steps]))
+                ticks.append(k)
+    return out
+
+
+def _pool_cell(config, streams, hi):
+    """Pool horizon hi of one stream per trace into a cell, by class.
+
+    Returns the per-class statistics (class, pos median, pos mean, ori
+    median, ori mean, ticks), the failed traces (trace, reason) and, when
+    samples are kept, the samples (class, trace, tick, e_pos, e_ori).
+    """
+    pool = {}
+    failed = []
+    kept = []
+    for ti, stream in enumerate(streams):
+        if isinstance(stream, DegeneracyError):
+            failed.append((ti, str(stream)))
+            continue
+        for cls, (eps, eos, ticks) in stream[hi].items():
+            dst = pool.setdefault(cls, ([], []))
+            dst[0].extend(eps)
+            dst[1].extend(eos)
+            if config.keep_samples:
+                kept.extend((cls, ti, k, ep, eo) for k, ep, eo in zip(ticks, eps, eos))
+    stats = [(cls, float(np.median(eps)), float(np.mean(eps)),
+              float(np.median(eos)), float(np.mean(eos)), len(eps))
+             for cls, (eps, eos) in sorted(pool.items())]
+    return stats, failed, kept
 
 
 def _aggregate(config, per_repeat):
+    groups = {}
+    for r in per_repeat:
+        groups.setdefault((r.model, r.motion_class, r.horizon_ms, r.drop_rate),
+                          []).append(r)
     rows = []
     for model in config.models:
         for cls in MotionClass:
             for h_ms in config.horizons_ms:
                 for drop in config.drop_rates:
-                    group = [r for r in per_repeat
-                             if r.model == model and r.motion_class == cls
-                             and r.horizon_ms == h_ms and r.drop_rate == drop]
+                    group = groups.get((model, cls, h_ms, drop))
                     if not group:
                         continue
                     pm = summarize([r.pos_mean_mm for r in group], config.ci_level)
@@ -300,13 +384,14 @@ def emit_report(report, out_dir):
 def _write_table(report, fh):
     """Per (horizon, drop) block: models as rows, classes as column groups."""
     config = report.config
+    blocks = {}
+    for r in report.aggregates:
+        blocks.setdefault((r.horizon_ms, r.drop_rate), set()).add(r.motion_class)
     for h_ms in config.horizons_ms:
         for drop in config.drop_rates:
-            block = [r for r in report.aggregates
-                     if r.horizon_ms == h_ms and r.drop_rate == drop]
-            if not block:
+            if (h_ms, drop) not in blocks:
                 continue
-            classes = sorted({r.motion_class for r in block})
+            classes = sorted(blocks[h_ms, drop])
             fh.write(f"horizon {h_ms} ms, drop rate {_fmt(drop)}\n")
             head1 = f"{'':8s}"
             head2 = f"{'model':8s}"
@@ -319,8 +404,7 @@ def _write_table(report, fh):
             for model in config.models:
                 line = f"{model:8s}"
                 for cls in classes:
-                    row = next((r for r in block if r.model == model
-                                and r.motion_class == cls), None)
+                    row = report._cells.get((model, cls, h_ms, drop))
                     if row is None:
                         line += "| " + " " * 38 + " "
                     else:

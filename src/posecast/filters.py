@@ -177,17 +177,24 @@ def propagate_nominal(x, dt, config):
     return y
 
 
-def predict_horizon(x, dt, n, config):
-    """Pose n chained steps of dt ahead of the nominal state."""
+def predict_horizon(x, dt, n, config, rollout=None):
+    """Pose n chained steps of dt ahead of the nominal state.
+
+    When a list is given as `rollout`, the (position, orientation) after
+    each of the n steps is appended to it. Each step replaces y.pos and
+    y.q with new arrays, so no appended entry is overwritten.
+    """
     n = int(n)
     if n < 1:
         raise ValueError("horizon must be at least 1 step")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    poses = [] if rollout is None else rollout
     y = x.copy()
     for _ in range(n):
         _advance(y, dt, config.ord_rot)
-    return Pose(y.t, y.pos[0].copy(), y.q)
+        poses.append((y.pos[0], y.q))
+    return Pose(y.t, *poses[-1])
 
 
 @lru_cache(maxsize=256)
@@ -375,6 +382,9 @@ class EskfPredictor:
     the pseudo-derivatives from the received-pose window; finally publish
     the pose horizon_steps * dt ahead. During drops the window does not
     advance, so the filter coasts open loop on frozen derivatives.
+
+    `rollout[i]` holds the (position, orientation) i + 1 steps ahead of
+    the latest tick, so every shorter horizon is read off the same rollout.
     """
 
     def __init__(self, config, first_pose):
@@ -384,6 +394,7 @@ class EskfPredictor:
         self.x, self.P, self.Q, self.R = init_filter(config, first_pose)
         maxlen = config.diff_window or config.min_window
         self.window = deque([first_pose.copy()], maxlen=maxlen)
+        self.rollout = []
         self.healthy = True
 
     def step(self, z, received=True):
@@ -408,8 +419,9 @@ class EskfPredictor:
             if d is not None:
                 self.x.pos[1:4] = d[0]
                 self.x.wvec[:] = d[1]
+        self.rollout = []
         return predict_horizon(self.x, self.config.dt,
-                               self.config.horizon_steps, self.config)
+                               self.config.horizon_steps, self.config, self.rollout)
 
 
 class KfBaseline:
@@ -419,6 +431,8 @@ class KfBaseline:
     raw 7-vector [p q]. Quaternion components are filtered as independent
     scalars and the quaternion is renormalized after every propagation and
     update, the textbook abuse the error-state filters are built to avoid.
+    `rollout` holds (position, orientation) after every horizon step, as in
+    EskfPredictor.
     """
 
     H = np.zeros((7, 14))
@@ -434,6 +448,7 @@ class KfBaseline:
         self.P = np.eye(14)
         self.Q = np.eye(14)
         self.R = np.eye(7)
+        self.rollout = []
         self.healthy = True
 
     @staticmethod
@@ -478,10 +493,12 @@ class KfBaseline:
         q = self.x[6:10].copy()
         qd = self.x[10:14]
         h = self.config.dt
+        self.rollout = []
         for _ in range(self.config.horizon_steps):
             p = p + v * h
             q = q + qd * h
             q = q / np.linalg.norm(q)
+            self.rollout.append((p, q))
         return Pose(self.t + self.config.horizon_steps * h, p, q)
 
 

@@ -9,12 +9,14 @@ from posecast.experiment import (
     SAMPLES_COLUMNS,
     SUMMARY_COLUMNS,
     ExperimentConfig,
+    _cell_rng,
     classify_chunk,
     emit_report,
     run_experiment,
     simulate_drop,
 )
-from posecast.filters import DegeneracyError
+from posecast.filters import DegeneracyError, FilterConfig, make_predictor
+from posecast.metrics import orientation_error, position_error
 from posecast.preprocess import chunk_trace, design_butterworth_lowpass, filter_trace
 from posecast.traces import Trace, generate_synthetic_trace
 
@@ -323,3 +325,200 @@ class TestEmitReport:
         assert "horizon 50 ms, drop rate 0" in table
         assert "KF" in table
         assert "pos mean" in table and "ori med" in table
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"models": ("KF", "kf")},
+        {"models": ("p3o3", "ESKF", "P3O3")},
+        {"horizons_ms": (20, 20.0)},
+        {"drop_rates": (0.5, 0.50, 0.0)},
+    ])
+    def test_rejects_duplicates_after_canonicalization(self, kwargs):
+        with pytest.raises(ValueError, match="duplicates"):
+            ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("horizons", [(20, 20.7), (20.5,), (float("inf"),),
+                                          (float("nan"),)])
+    def test_rejects_non_integer_horizons(self, horizons):
+        with pytest.raises(ValueError):
+            ExperimentConfig(horizons_ms=horizons)
+
+    def test_whole_float_horizons_accepted(self):
+        cfg = ExperimentConfig(horizons_ms=(20.0, 100.0))
+        assert cfg.horizons_ms == (20, 100)
+        assert all(type(h) is int for h in cfg.horizons_ms)
+
+
+class _RecordingPredictor:
+    """Stands in for a filter: publishes the measurement, records the gate."""
+
+    def __init__(self, config, first_pose, log):
+        self.config = config
+        self.received = []
+        self.rollout = [(first_pose.p, first_pose.q)] * config.horizon_steps
+        log.append(self)
+
+    def step(self, z, received=True):
+        self.received.append(bool(received))
+        self.rollout = [(z.p, z.q)] * self.config.horizon_steps
+        return z
+
+
+def _expected_masks(cfg, trace_lengths):
+    """Per (drop, repeat, trace): the received flags of ticks 1..n-1."""
+    out = {}
+    for drop in cfg.drop_rates:
+        for rep in range(cfg.repeats):
+            rng = _cell_rng(cfg, drop, rep)
+            for ti, n in enumerate(trace_lengths):
+                out[drop, rep, ti] = tuple(
+                    drop == 0.0 or simulate_drop(rng, drop) for _ in range(1, n))
+    return out
+
+
+class TestSharedStreams:
+    def test_one_predictor_per_model_drop_and_repeat(self, monkeypatch):
+        built = []
+
+        def counting(config, first_pose):
+            built.append(config)
+            return make_predictor(config, first_pose)
+
+        monkeypatch.setattr("posecast.experiment.make_predictor", counting)
+        cfg = ExperimentConfig(models=("KF", "p2o2"), horizons_ms=(20, 60, 40),
+                               drop_rates=(0.3, 0.0, 0.5), repeats=3,
+                               keep_samples=False)
+        traces = [_stationary_trace(3.0), _stationary_trace(2.5)]
+        rep = run_experiment(cfg, traces)
+        m, d, r = len(cfg.models), len(cfg.drop_rates), cfg.repeats
+        assert len(built) == len(traces) * m * (1 + (d - 1) * r)
+        # every stream rolls out to the longest horizon
+        assert {c.horizon_steps for c in built} == {6}
+        assert len(rep.per_repeat) == m * 3 * d * r
+
+    def test_without_zero_drop_every_repeat_streams(self, monkeypatch):
+        log = []
+        monkeypatch.setattr("posecast.experiment.make_predictor",
+                            lambda c, p: _RecordingPredictor(c, p, log))
+        cfg = ExperimentConfig(models=("KF", "ESKF"), horizons_ms=(20,),
+                               drop_rates=(0.1, 0.5), repeats=2)
+        run_experiment(cfg, [_stationary_trace(2.5)])
+        assert len(log) == 2 * 2 * 2
+
+    def test_every_model_sees_the_same_losses(self, monkeypatch):
+        log = []
+        monkeypatch.setattr("posecast.experiment.make_predictor",
+                            lambda c, p: _RecordingPredictor(c, p, log))
+        cfg = ExperimentConfig(horizons_ms=(20, 100), drop_rates=(0.0, 0.3, 0.7),
+                               repeats=3, master_seed=9)
+        lengths = (300, 260)
+        traces = [_stationary_trace(n / 100.0) for n in lengths]
+        run_experiment(cfg, traces)
+        want = _expected_masks(cfg, lengths)
+        streamed = {v for (drop, rep, _), v in want.items() if drop or rep == 0}
+        by_model = {}
+        for pred in log:
+            by_model.setdefault(pred.config.model, []).append(tuple(pred.received))
+        assert set(by_model) == set(cfg.models)
+        for masks in by_model.values():
+            assert len(masks) == len(streamed) == len(set(masks))
+            assert set(masks) == streamed
+        # the losses differ between repeats and drop rates
+        assert want[0.3, 0, 0] != want[0.3, 1, 0]
+        assert want[0.3, 0, 0] != want[0.7, 0, 0]
+
+    def test_shared_stream_matches_standalone_cell(self):
+        # a cell read off the shared rollout equals a predictor built for that
+        # cell's horizon alone, streamed under the cell's losses
+        tr = generate_synthetic_trace("hard", 4.5, seed=6)
+        cfg = ExperimentConfig(models=("KF", "p3o3"), horizons_ms=(30, 100),
+                               drop_rates=(0.0, 0.4), repeats=2, master_seed=3)
+        rep = run_experiment(cfg, [tr])
+        dt = tr.median_dt()
+        filtered = filter_trace(tr, design_butterworth_lowpass(2, 5.0, 1.0 / dt))
+        usable = len(tr) // 200 * 200
+        for model in cfg.models:
+            for h_ms, drop, r in ((30, 0.4, 1), (30, 0.0, 1), (100, 0.4, 0)):
+                n_steps = int(round(h_ms / 1000.0 / dt))
+                pred = make_predictor(FilterConfig(model, dt, n_steps), filtered.pose(0))
+                rng = _cell_rng(cfg, drop, r)
+                expect = []
+                for k in range(1, len(tr)):
+                    received = drop == 0.0 or simulate_drop(rng, drop)
+                    pub = pred.step(filtered.pose(k), received=received)
+                    if k + n_steps < len(tr) and k < usable:
+                        expect.append((k, position_error(pub.p, tr.p[k + n_steps]),
+                                       orientation_error(pub.q, tr.q[k + n_steps])))
+                got = sorted((s[6], s[7], s[8]) for s in rep.samples
+                             if s[0] == model and s[2] == h_ms and s[3] == drop
+                             and s[4] == r)
+                assert got == expect, (model, h_ms, drop, r)
+
+    def test_zero_drop_repeats_reuse_samples(self):
+        cfg = ExperimentConfig(models=("ESKF",), horizons_ms=(20, 50),
+                               drop_rates=(0.0,), repeats=3)
+        rep = run_experiment(cfg, [generate_synthetic_trace("medium", 4.0, seed=5)])
+        by_rep = {}
+        for model, cls, h_ms, drop, r, ti, k, ep, eo in rep.samples:
+            by_rep.setdefault(r, []).append((cls, h_ms, ti, k, ep, eo))
+        assert sorted(by_rep) == [0, 1, 2]
+        assert by_rep[0] == by_rep[1] == by_rep[2]
+
+    def test_degenerate_shared_stream_fails_each_cell_it_feeds(self, monkeypatch):
+        # p2o2 breaks at t = 4.5 s, which only the longer trace (index 0) reaches
+        class _Breaks:
+            def __init__(self, inner):
+                self.inner = inner
+
+            @property
+            def rollout(self):
+                return self.inner.rollout
+
+            def step(self, z, received=True):
+                if z.t >= 4.5:
+                    raise DegeneracyError("innovation covariance is degenerate")
+                return self.inner.step(z, received)
+
+        def breaking(config, first_pose):
+            pred = make_predictor(config, first_pose)
+            return _Breaks(pred) if config.model == "p2o2" else pred
+
+        traces = [generate_synthetic_trace("medium", 5.0, seed=1),
+                  generate_synthetic_trace("medium", 4.0, seed=2)]
+        grid = dict(horizons_ms=(20, 60), drop_rates=(0.0, 0.5), repeats=2,
+                    master_seed=4)
+        clean = run_experiment(ExperimentConfig(models=("KF", "p2o2"), **grid), traces)
+        monkeypatch.setattr("posecast.experiment.make_predictor", breaking)
+        cfg = ExperimentConfig(models=("KF", "p2o2"), **grid)
+        rep = run_experiment(cfg, traces)
+
+        cells = [(h, d, r) for h in cfg.horizons_ms for d in cfg.drop_rates
+                 for r in range(cfg.repeats)]
+        assert [(f.model, f.horizon_ms, f.drop_rate, f.repeat, f.trace_index)
+                for f in rep.failures] == [("p2o2", h, d, r, 0) for h, d, r in cells]
+        assert all("degenerate" in f.reason for f in rep.failures)
+
+        def rows(report, model):
+            return [(r.motion_class, r.horizon_ms, r.drop_rate, r.repeat,
+                     r.pos_mean_mm, r.ori_mean_deg, r.n_ticks)
+                    for r in report.per_repeat if r.model == model]
+
+        # the healthy model's streams kept their losses
+        assert rows(rep, "KF") == rows(clean, "KF")
+        # the failing model still scores the other trace, with the same losses
+        kept = sorted(s for s in rep.samples if s[0] == "p2o2")
+        assert kept and {s[5] for s in kept} == {1}
+        assert kept == sorted(s for s in clean.samples if s[0] == "p2o2" and s[5] == 1)
+
+
+class TestAggregateLookup:
+    def test_drop_rate_matched_within_tolerance(self):
+        cfg = ExperimentConfig(models=("KF",), horizons_ms=(50,),
+                               drop_rates=(0.3,), repeats=2)
+        rep = run_experiment(cfg, [_stationary_trace(3.0)])
+        row = rep.aggregate("KF", MotionClass.EASY, 50, 0.1 + 0.2)
+        assert row is rep.aggregates[0]
+        assert rep.aggregate("KF", MotionClass.EASY, 50, 0.31) is None
+        assert rep.aggregate("KF", MotionClass.HARD, 50, 0.3) is None
+        assert rep.aggregate("p3o3", MotionClass.EASY, 50, 0.3) is None

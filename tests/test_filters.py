@@ -563,3 +563,41 @@ class TestKfBaseline:
         kf.step(Pose(0.01, np.zeros(3), QID.copy()))
         with pytest.raises(ValueError, match="does not advance"):
             kf.step(Pose(0.01, np.zeros(3), QID.copy()))
+
+
+# ---------------------------------------------------------------- rollout
+
+@pytest.mark.parametrize("model", ["KF", "ESKF", "p2o2", "p2o3", "p3o3"])
+def test_rollout_prefix_matches_shorter_horizon(model):
+    # filter state never depends on the horizon, so the pose a long-horizon
+    # predictor keeps at step n is, bit for bit, what a horizon-n one publishes
+    trace = generate_synthetic_trace("hard", 3.0, seed=8)
+    mask = np.random.default_rng(3).random(len(trace)) > 0.4
+    long_n = 10
+    preds = {n: make_predictor(FilterConfig(model=model, dt=0.01, horizon_steps=n),
+                               trace.pose(0))
+             for n in (1, 2, 5, long_n)}
+    for k in range(1, len(trace)):
+        pubs = {n: pred.step(trace.pose(k), received=bool(mask[k]))
+                for n, pred in preds.items()}
+        rollout = preds[long_n].rollout
+        assert len(rollout) == long_n
+        for n, pub in pubs.items():
+            p, q = rollout[n - 1]
+            assert np.array_equal(p, pub.p)
+            assert np.array_equal(q, pub.q)
+
+
+def test_predict_horizon_rollout_list():
+    x = NominalState(t=0.0)
+    x.pos[1] = [0.3, -0.1, 0.2]
+    x.wvec[0] = [0.5, 1.0, -0.4]
+    cfg = FilterConfig(model="p2o2")
+    rollout = []
+    pub = predict_horizon(x, 0.01, 4, cfg, rollout)
+    assert len(rollout) == 4
+    assert rollout[-1][0] is pub.p and rollout[-1][1] is pub.q
+    for n, (p, q) in enumerate(rollout, start=1):
+        direct = predict_horizon(x, 0.01, n, cfg)
+        assert np.array_equal(p, direct.p)
+        assert np.array_equal(q, direct.q)
