@@ -179,7 +179,9 @@ def _drop_masks(config, prepared):
 
     All masks are drawn before any stream runs, trace after trace from one
     generator per (drop rate, repeat), so every model and horizon sees the
-    same losses and a failed stream shifts no other stream's pattern. At
+    same losses and a failed stream shifts no other stream's pattern. Every
+    tick gets a flag, also the unscored tail that no stream steps, so the
+    draws for a trace never depend on its labels or the horizons. At
     drop 0 every packet arrives, which is what lets the repeats share one
     stream.
     """
@@ -214,7 +216,8 @@ def run_experiment(config, traces):
 
     A numerically degenerate filter marks every (cell, trace) combination
     its stream feeds failed and the sweep keeps going; that trace
-    contributes no samples to the failed cells.
+    contributes no samples to the failed cells. Streams stop at the last
+    scored tick, so a filter that would break only after it fails nothing.
     """
     traces = list(traces)
     if not traces:
@@ -267,15 +270,16 @@ def _stream_trace(pred, trace, filtered, labels, config, steps, mask):
     """Run one predictor over one trace, collecting per-tick errors by class.
 
     Returns one {class: (e_pos, e_ori, ticks)} per entry of steps, each
-    horizon read off the predictor's rollout at its step count.
+    horizon read off the predictor's rollout at its step count. The stream
+    ends at the last tick any horizon scores: ticks past the labelled
+    chunks, or too close to the end for the shortest horizon, are never
+    filtered, so a degeneracy there fails no cell.
     """
-    usable = len(labels) * config.chunk_len
     n = len(filtered)
+    end = min(len(labels) * config.chunk_len, n - min(steps))
     out = [{} for _ in steps]
-    for k in range(1, n):
+    for k in range(1, end):
         pred.step(filtered.pose(k), received=mask[k - 1])
-        if k >= usable:
-            continue
         cls = labels[k // config.chunk_len]
         for n_steps, local in zip(steps, out):
             if k + n_steps < n:

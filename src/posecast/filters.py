@@ -25,14 +25,25 @@ covariances are identity, the standardization used for all benchmark runs.
 The "KF" baseline is a 14-dimensional linear filter over
 [p v q qdot] that treats quaternion components as independent scalars and
 renormalizes after every step.
+
+Per-tick work on 3- and 4-vectors runs in Python floats, where numpy's
+call overhead would cost more than the arithmetic: the nominal rollout
+(one chained-step core, _chain, behind both propagate_nominal and
+predict_horizon, so a horizon is bit for bit its chained single steps),
+the baseline's rollout, the innovation and the attitude block of the
+error transition. Covariance algebra stays in numpy. Both filter
+families share one Kalman update, _kalman_update: H is never built, HP
+is read off rows of P, and one condition check guards S.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import factorial
 
 import numpy as np
+from scipy.linalg import lapack
 
 from . import so3
 from .traces import Pose
@@ -127,20 +138,8 @@ class NominalState:
         return self.pos[2]
 
     @property
-    def j(self):
-        return self.pos[3]
-
-    @property
     def w(self):
         return self.wvec[0]
-
-    @property
-    def wd(self):
-        return self.wvec[1]
-
-    @property
-    def wdd(self):
-        return self.wvec[2]
 
 
 @lru_cache(maxsize=256)
@@ -154,35 +153,81 @@ def _taylor_chain(dim, dt):
     return T
 
 
-def _advance(x, dt, ord_rot):
-    """One integration step of the nominal state, in place."""
-    w0, wd0, wdd0 = x.wvec
-    if ord_rot >= 3:
-        x.q = so3.zed23_step(x.q, w0, wd0, 0.5 * wdd0, dt)
-    elif ord_rot == 2:
-        x.q = so3.zed12_step(x.q, w0, wd0, dt)
-    else:
-        x.q = so3.zed12_step(x.q, w0, np.zeros(3), dt)
-    x.pos = _taylor_chain(4, dt) @ x.pos
-    x.wvec = _taylor_chain(3, dt) @ x.wvec
-    x.t += dt
+_ZERO3 = (0.0, 0.0, 0.0)
+
+
+def _rollout_arrays(flat):
+    """(position, orientation) array pairs from flat [p(3) q(4)] floats per step.
+
+    Every array is a row view of one array built in a single call, which
+    is cheaper than an array per vector.
+    """
+    A = np.fromiter(flat, float, len(flat)).reshape(-1, 7)
+    return list(zip(A[:, 0:3], A[:, 3:7]))
+
+
+def _chain(x, dt, n, ord_rot, rollout=None):
+    """n chained integration steps of dt from x, in Python floats.
+
+    Each step applies the variant's rotation increment at the rates of
+    the step's start, then the Taylor chains dt^k/k! to the position rows
+    [p v a j] and the rate rows [w wd wdd], one scalar per axis. Returns
+    the end state as (t, position rows, q, rate rows) of float tuples.
+    With a `rollout` list, the (position, orientation) after each step is
+    appended to it as arrays (see _rollout_arrays).
+    """
+    c1, c2, c3 = dt, dt ** 2 / 2, dt ** 3 / 6       # dt^k / k!, as in _taylor_chain
+    (p0, p1, p2), (v0, v1, v2), (a0, a1, a2), j = x.pos.tolist()
+    (w0, w1, w2), (d0, d1, d2), e = x.wvec.tolist()
+    j0, j1, j2 = j
+    e0, e1, e2 = e
+    half_e = (0.5 * e0, 0.5 * e1, 0.5 * e2)
+    q = x.q.tolist()
+    t = x.t
+    poses = []
+    for _ in range(n):
+        w = (w0, w1, w2)
+        if ord_rot >= 3:
+            q = so3._zed23(q, w, (d0, d1, d2), half_e, dt)
+        else:
+            q = so3._zed12(q, w, (d0, d1, d2) if ord_rot == 2 else _ZERO3, dt)
+        p0 = p0 + v0 * c1 + a0 * c2 + j0 * c3
+        p1 = p1 + v1 * c1 + a1 * c2 + j1 * c3
+        p2 = p2 + v2 * c1 + a2 * c2 + j2 * c3
+        v0 = v0 + a0 * c1 + j0 * c2
+        v1 = v1 + a1 * c1 + j1 * c2
+        v2 = v2 + a2 * c1 + j2 * c2
+        a0 = a0 + j0 * c1
+        a1 = a1 + j1 * c1
+        a2 = a2 + j2 * c1
+        w0 = w0 + d0 * c1 + e0 * c2
+        w1 = w1 + d1 * c1 + e1 * c2
+        w2 = w2 + d2 * c1 + e2 * c2
+        d0 = d0 + e0 * c1
+        d1 = d1 + e1 * c1
+        d2 = d2 + e2 * c1
+        t += dt
+        poses += (p0, p1, p2, *q)
+    if rollout is not None:
+        rollout.extend(_rollout_arrays(poses))
+    return t, ((p0, p1, p2), (v0, v1, v2), (a0, a1, a2), j), q, \
+        ((w0, w1, w2), (d0, d1, d2), e)
 
 
 def propagate_nominal(x, dt, config):
     """Advance the nominal state by dt using the variant's kinematic order."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    y = x.copy()
-    _advance(y, dt, config.ord_rot)
-    return y
+    t, pos, q, wvec = _chain(x, dt, 1, config.ord_rot)
+    return NominalState(t, np.array(pos), np.array(q), np.array(wvec))
 
 
 def predict_horizon(x, dt, n, config, rollout=None):
     """Pose n chained steps of dt ahead of the nominal state.
 
     When a list is given as `rollout`, the (position, orientation) after
-    each of the n steps is appended to it. Each step replaces y.pos and
-    y.q with new arrays, so no appended entry is overwritten.
+    each of the n steps is appended to it; the published pose holds the
+    last entry's arrays.
     """
     n = int(n)
     if n < 1:
@@ -190,11 +235,8 @@ def predict_horizon(x, dt, n, config, rollout=None):
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     poses = [] if rollout is None else rollout
-    y = x.copy()
-    for _ in range(n):
-        _advance(y, dt, config.ord_rot)
-        poses.append((y.pos[0], y.q))
-    return Pose(y.t, *poses[-1])
+    t = _chain(x, dt, n, config.ord_rot, poses)[0]
+    return Pose(t, *poses[-1])
 
 
 @lru_cache(maxsize=256)
@@ -222,7 +264,7 @@ def error_transition_matrix(x, dt, config):
     br = 1 + config.ord_rot
     F = _transition_base(bp, br, dt).copy()
     th = 3 * bp
-    F[th:th + 3, th:th + 3] = so3.rotvec_to_matrix(x.w * dt).T
+    F[th:th + 3, th:th + 3] = so3.rotvec_to_matrix([c * dt for c in x.w.tolist()]).T
     return F
 
 
@@ -235,12 +277,42 @@ def propagate_covariance(P, F, Q):
     return 0.5 * (P2 + P2.T)
 
 
-def _innovation(x, z):
-    """Measurement residual [z.p - p; log(q^-1 * z.q)] in R^6."""
-    y = np.empty(6)
-    y[0:3] = z.p - x.pos[0]
-    y[3:6] = so3.quat_log(so3.quat_multiply(so3.quat_conjugate(x.q), z.q))
-    return y
+def _kalman_update(P, y, R, rows, J=None):
+    """One Kalman update for a measurement y of the state entries `rows`.
+
+    H is never built. It reads the state at `rows`, except that with J
+    given the last three readings are J times the state there (the error
+    state's attitude, J = J_r^-T at the residual). HP is therefore the
+    selected rows of P, with J applied to the last three; S = HP H^T + R,
+    K = P H^T S^-1 and P <- P - K HP, symmetrized.
+
+    Returns (dx, P). Raises DegeneracyError when the condition number of
+    S exceeds 1e12.
+    """
+    HP = P[rows]
+    if J is not None:
+        HP[3:6] = J @ HP[3:6]
+    S = HP[:, rows]
+    if J is not None:
+        S[:, 3:6] = S[:, 3:6] @ J.T
+    S = S + R
+    S = 0.5 * (S + S.T)
+    eig = np.linalg.eigvalsh(S)
+    if eig[0] <= 0.0 or eig[-1] / eig[0] > 1e12:
+        raise DegeneracyError(
+            f"innovation covariance condition {eig[-1] / max(eig[0], 1e-300):.3g} "
+            "exceeds 1e12")
+    # LAPACK's LU solve called directly, without np.linalg.solve's
+    # per-call overhead; S passed the check above, so no pivot is zero
+    K = lapack.dgesv(S, HP)[2].T          # P H^T S^-1 for symmetric S
+    P2 = P - K @ HP
+    return K @ y, 0.5 * (P2 + P2.T)
+
+
+@lru_cache(maxsize=8)
+def _pose_rows(th):
+    """Error-state entries a pose measurement reads: dp, then dth at th."""
+    return np.array([0, 1, 2, th, th + 1, th + 2])
 
 
 def correct(x, P, z, R, config):
@@ -255,41 +327,29 @@ def correct(x, P, z, R, config):
     Raises DegeneracyError when the innovation covariance's condition
     number exceeds 1e12.
     """
-    D = config.error_dim
     bp = 1 + config.ord_pos
     th = 3 * bp
-    y = _innovation(x, z)
-    H = np.zeros((6, D))
-    H[0:3, 0:3] = np.eye(3)
-    yr = y[3:6]
-    if np.linalg.norm(yr) < 1e-4:
-        H[3:6, th:th + 3] = np.eye(3)
-    else:
-        H[3:6, th:th + 3] = so3.right_jacobian_inv(yr).T
-    S = H @ P @ H.T + R
-    S = 0.5 * (S + S.T)
-    eig = np.linalg.eigvalsh(S)
-    if eig[0] <= 0.0 or eig[-1] / eig[0] > 1e12:
-        raise DegeneracyError(
-            f"innovation covariance condition {eig[-1] / max(eig[0], 1e-300):.3g} "
-            "exceeds 1e12")
-    K = np.linalg.solve(S, H @ P).T          # P H^T S^-1 for symmetric S
-    dx = K @ y
+    qw, qx, qy, qz = x.q.tolist()
+    yr = so3._log(so3._mul((qw, -qx, -qy, -qz), so3._floats(z.q)))
+    y = np.array([zp - xp for zp, xp in zip(so3._floats(z.p), x.pos[0].tolist())]
+                 + list(yr))
+    J = None
+    if math.sqrt(yr[0] * yr[0] + yr[1] * yr[1] + yr[2] * yr[2]) >= 1e-4:
+        J = so3.right_jacobian_inv(yr).T
+    dx, P2 = _kalman_update(P, y, R, _pose_rows(th), J)
 
     x2 = x.copy()
     x2.pos[0:bp] += dx[0:th].reshape(bp, 3)
     dth = dx[th:th + 3]
-    x2.q = so3.quat_multiply(x2.q, so3.quat_exp(dth))
+    x2.q = np.array(so3._mul((qw, qx, qy, qz), so3._exp(dth.tolist())))
     nrot = config.ord_rot
     if nrot >= 2:
         x2.wvec[0:nrot] += dx[th + 3:].reshape(nrot, 3)
     else:
         x2.wvec[0] += dx[th + 3:th + 6]
 
-    P2 = (np.eye(D) - K @ H) @ P
-    P2 = 0.5 * (P2 + P2.T)
     if config.exact_reset:
-        G = np.eye(D)
+        G = np.eye(config.error_dim)
         G[th:th + 3, th:th + 3] = np.eye(3) - 0.5 * so3.skew(dth)
         P2 = G @ P2 @ G.T
         P2 = 0.5 * (P2 + P2.T)
@@ -374,6 +434,24 @@ def init_filter(config, first_pose):
     return x, np.eye(D), np.eye(D), np.eye(6)
 
 
+def _tick_interval(z, t, received):
+    """Time from t to tick z; ValueError for a tick no filter may take.
+
+    A tick must carry a finite timestamp past t, and a received one a
+    finite pose. A lost packet's pose is never read, so it is not checked.
+    """
+    dt = z.t - t
+    if not math.isfinite(dt):
+        raise ValueError(f"tick timestamp {z.t!r} is not finite")
+    if dt <= 0.0:
+        raise ValueError(
+            f"tick timestamp {z.t:.9g} does not advance past {t:.9g}")
+    if received and not all(map(math.isfinite, [*so3._floats(z.p), *so3._floats(z.q)])):
+        raise ValueError(f"measurement at t = {z.t:.9g} is not finite: "
+                         f"p = {z.p}, q = {z.q}")
+    return dt
+
+
 class EskfPredictor:
     """Streaming error-state predictor.
 
@@ -385,6 +463,8 @@ class EskfPredictor:
 
     `rollout[i]` holds the (position, orientation) i + 1 steps ahead of
     the latest tick, so every shorter horizon is read off the same rollout.
+    A stale or non-finite tick raises ValueError and leaves the filter as
+    it was.
     """
 
     def __init__(self, config, first_pose):
@@ -401,10 +481,7 @@ class EskfPredictor:
         """Advance one tick to measurement z; returns the published pose."""
         if not self.healthy:
             raise DegeneracyError("filter is unhealthy; re-initialize")
-        dt = z.t - self.x.t
-        if dt <= 0.0:
-            raise ValueError(
-                f"tick timestamp {z.t:.9g} does not advance past {self.x.t:.9g}")
+        dt = _tick_interval(z, self.x.t, received)
         F = error_transition_matrix(self.x, dt, self.config)
         self.x = propagate_nominal(self.x, dt, self.config)
         self.P = propagate_covariance(self.P, F, self.Q)
@@ -424,20 +501,45 @@ class EskfPredictor:
                                self.config.horizon_steps, self.config, self.rollout)
 
 
+def _unit(q):
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return (w / n, x / n, y / n, z / n)
+
+
+def _cv_step(p, v, q, qd, h):
+    """The baseline's constant-velocity step over h, quaternion renormalized."""
+    p0, p1, p2 = p
+    v0, v1, v2 = v
+    w, x, y, z = q
+    dw, dx, dy, dz = qd
+    return ((p0 + v0 * h, p1 + v1 * h, p2 + v2 * h),
+            _unit((w + dw * h, x + dx * h, y + dy * h, z + dz * h)))
+
+
+_KF_ROWS = np.array([0, 1, 2, 6, 7, 8, 9])
+
+
+@lru_cache(maxsize=256)
+def _kf_transition(dt):
+    F = np.eye(14)
+    F[0:3, 3:6] = dt * np.eye(3)
+    F[6:10, 10:14] = dt * np.eye(4)
+    F.setflags(write=False)
+    return F
+
+
 class KfBaseline:
     """Linear Kalman baseline over x = [p(3) v(3) q(4) qdot(4)].
 
     Constant-velocity transition for both blocks; the measurement is the
-    raw 7-vector [p q]. Quaternion components are filtered as independent
-    scalars and the quaternion is renormalized after every propagation and
-    update, the textbook abuse the error-state filters are built to avoid.
-    `rollout` holds (position, orientation) after every horizon step, as in
-    EskfPredictor.
+    raw 7-vector [p q], entries _KF_ROWS of the state. Quaternion
+    components are filtered as independent scalars and the quaternion is
+    renormalized after every propagation and update, the textbook abuse
+    the error-state filters are built to avoid. `rollout` holds (position,
+    orientation) after every horizon step, as in EskfPredictor, and
+    stale or non-finite ticks are rejected the same way.
     """
-
-    H = np.zeros((7, 14))
-    H[0:3, 0:3] = np.eye(3)
-    H[3:7, 6:10] = np.eye(4)
 
     def __init__(self, config, first_pose):
         self.config = config
@@ -451,55 +553,36 @@ class KfBaseline:
         self.rollout = []
         self.healthy = True
 
-    @staticmethod
-    def _transition(dt):
-        F = np.eye(14)
-        F[0:3, 3:6] = dt * np.eye(3)
-        F[6:10, 10:14] = dt * np.eye(4)
-        return F
-
     def step(self, z, received=True):
         if not self.healthy:
             raise DegeneracyError("filter is unhealthy; re-initialize")
-        dt = z.t - self.t
-        if dt <= 0.0:
-            raise ValueError(
-                f"tick timestamp {z.t:.9g} does not advance past {self.t:.9g}")
-        F = self._transition(dt)
-        self.x = F @ self.x
-        self.x[6:10] /= np.linalg.norm(self.x[6:10])
-        self.P = propagate_covariance(self.P, F, self.Q)
+        dt = _tick_interval(z, self.t, received)
+        x = self.x.tolist()
+        v, qd = x[3:6], x[10:14]
+        p, q = _cv_step(x[0:3], v, x[6:10], qd, dt)
+        self.x = np.array((*p, *v, *q, *qd))
+        self.P = propagate_covariance(self.P, _kf_transition(dt), self.Q)
         self.t = z.t
         if received:
-            zq = np.asarray(z.q, dtype=float)
-            if np.dot(zq, self.x[6:10]) < 0.0:
-                zq = -zq
-            y = np.concatenate([z.p, zq]) - self.H @ self.x
-            S = self.H @ self.P @ self.H.T + self.R
-            S = 0.5 * (S + S.T)
-            eig = np.linalg.eigvalsh(S)
-            if eig[0] <= 0.0 or eig[-1] / eig[0] > 1e12:
+            zq = so3._floats(z.q)
+            if sum(a * b for a, b in zip(zq, q)) < 0.0:
+                zq = [-c for c in zq]
+            y = np.array([a - b for a, b in zip((*so3._floats(z.p), *zq), (*p, *q))])
+            try:
+                dx, self.P = _kalman_update(self.P, y, self.R, _KF_ROWS)
+            except DegeneracyError:
                 self.healthy = False
-                raise DegeneracyError(
-                    f"innovation covariance condition {eig[-1]:.3g}/{eig[0]:.3g} "
-                    "exceeds 1e12")
-            K = np.linalg.solve(S, self.H @ self.P).T
-            self.x = self.x + K @ y
-            self.x[6:10] /= np.linalg.norm(self.x[6:10])
-            P2 = (np.eye(14) - K @ self.H) @ self.P
-            self.P = 0.5 * (P2 + P2.T)
-        p = self.x[0:3].copy()
-        v = self.x[3:6]
-        q = self.x[6:10].copy()
-        qd = self.x[10:14]
+                raise
+            x = (self.x + dx).tolist()
+            p, v, q, qd = x[0:3], x[3:6], _unit(x[6:10]), x[10:14]
+            self.x = np.array((*p, *v, *q, *qd))
         h = self.config.dt
-        self.rollout = []
+        poses = []
         for _ in range(self.config.horizon_steps):
-            p = p + v * h
-            q = q + qd * h
-            q = q / np.linalg.norm(q)
-            self.rollout.append((p, q))
-        return Pose(self.t + self.config.horizon_steps * h, p, q)
+            p, q = _cv_step(p, v, q, qd, h)
+            poses += (*p, *q)
+        self.rollout = _rollout_arrays(poses)
+        return Pose(self.t + self.config.horizon_steps * h, *self.rollout[-1])
 
 
 def make_predictor(config, first_pose):

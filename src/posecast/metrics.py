@@ -1,5 +1,6 @@
 """Prediction error metrics and summary statistics."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,13 +11,14 @@ from . import so3
 
 def position_error(p_pred, p_true):
     """Euclidean distance between predicted and true position, millimeters."""
-    return 1000.0 * float(np.linalg.norm(np.asarray(p_pred, dtype=float)
-                                         - np.asarray(p_true, dtype=float)))
+    (a0, a1, a2), (b0, b1, b2) = so3._floats(p_pred), so3._floats(p_true)
+    d0, d1, d2 = a0 - b0, a1 - b1, a2 - b2
+    return 1000.0 * math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
 
 
 def orientation_error(q_pred, q_true):
     """Geodesic angle between predicted and true orientation, degrees in [0, 180]."""
-    return float(np.degrees(so3.geodesic_distance(q_pred, q_true)))
+    return math.degrees(so3.geodesic_distance(q_pred, q_true))
 
 
 @dataclass

@@ -9,11 +9,101 @@ Conventions, used by every module in this package:
   vector to a unit quaternion, quat_log inverts it onto angles in [0, pi].
 - Operations that return a quaternion canonicalize the sign so w >= 0.
 - Incremental orientation updates multiply on the right: q <- q * zed(phi).
+
+Every operation is computed once, in Python floats: numpy's per-call
+overhead dwarfs the arithmetic on 3- and 4-vectors. The underscore
+kernels (_mul, _exp, _log, _zed12, _zed23) take and return tuples of
+floats and are what the filters' per-tick loop calls; the public
+functions accept any sequence and wrap the same kernels in ndarrays.
 """
 
 import math
 
 import numpy as np
+
+
+def _floats(v):
+    """Components of a vector as Python numbers (ndarrays via tolist)."""
+    return v.tolist() if isinstance(v, np.ndarray) else v
+
+
+def _mul(p, q):
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (pw * qw - px * qx - py * qy - pz * qz,
+            pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx,
+            pw * qz + px * qy - py * qx + pz * qw)
+
+
+def _exp(v):
+    x, y, z = v
+    angle = math.sqrt(x * x + y * y + z * z)
+    half = 0.5 * angle
+    if angle < 1e-8:
+        # sin(angle/2)/angle = 1/2 - angle^2/48 + O(angle^4)
+        k = 0.5 - angle * angle / 48.0
+    else:
+        k = math.sin(half) / angle
+    w = math.cos(half)
+    if w < 0.0:
+        w, k = -w, -k
+    return (w, k * x, k * y, k * z)
+
+
+def _log(q):
+    w, x, y, z = q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    if abs(n - 1.0) > 1e-6:
+        raise ValueError(f"quaternion norm {n:.9g} is not within 1e-6 of unit")
+    w, x, y, z = w / n, x / n, y / n, z / n
+    if w < 0.0:
+        w, x, y, z = -w, -x, -y, -z
+    s = math.sqrt(x * x + y * y + z * z)
+    if s < 1e-9:
+        # angle/sin(angle/2) -> 2/w as s -> 0
+        k = 2.0 / w
+    else:
+        k = 2.0 * math.atan2(s, w) / s
+    return (k * x, k * y, k * z)
+
+
+def _rotate(q, phi):
+    """q * exp(phi) with w >= 0: the increment every integrator applies."""
+    r = _mul(q, _exp(phi))
+    return (-r[0], -r[1], -r[2], -r[3]) if r[0] < 0.0 else r
+
+
+def _zed12(q, w0, w1, h):
+    a0, a1, a2 = w0
+    b0, b1, b2 = w1
+    k2 = 0.5 * h * h
+    return _rotate(q, (a0 * h + b0 * k2, a1 * h + b1 * k2, a2 * h + b2 * k2))
+
+
+def _zed23(q, w0, w1, w2, h):
+    a0, a1, a2 = w0
+    b0, b1, b2 = w1
+    c0, c1, c2 = w2
+    h2 = h * h
+    k2 = 0.5 * h2
+    k3 = h2 * h / 3.0
+    kc = h2 * h / 12.0
+    return _rotate(q, (
+        a0 * h + b0 * k2 + c0 * k3 + (a1 * b2 - a2 * b1) * kc,
+        a1 * h + b1 * k2 + c1 * k3 + (a2 * b0 - a0 * b2) * kc,
+        a2 * h + b2 * k2 + c2 * k3 + (a0 * b1 - a1 * b0) * kc,
+    ))
+
+
+def _quadratic(v, a, b):
+    """Rows of I + a [v]x + b [v]x^2, written out entry by entry."""
+    x, y, z = v
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz = x * y, x * z, y * z
+    return ((1.0 - b * (yy + zz), -a * z + b * xy, a * y + b * xz),
+            (a * z + b * xy, 1.0 - b * (xx + zz), -a * x + b * yz),
+            (-a * y + b * xz, a * x + b * yz, 1.0 - b * (xx + yy)))
 
 
 def quat_normalize(q):
@@ -30,20 +120,13 @@ def quat_canonical(q):
 
 def quat_multiply(p, q):
     """Hamilton product p * q."""
-    pw, px, py, pz = p.tolist() if isinstance(p, np.ndarray) else p
-    qw, qx, qy, qz = q.tolist() if isinstance(q, np.ndarray) else q
-    return np.array([
-        pw * qw - px * qx - py * qy - pz * qz,
-        pw * qx + px * qw + py * qz - pz * qy,
-        pw * qy - px * qz + py * qw + pz * qx,
-        pw * qz + px * qy - py * qx + pz * qw,
-    ])
+    return np.array(_mul(_floats(p), _floats(q)))
 
 
 def quat_conjugate(q):
     """Conjugate [w, -x, -y, -z]; the inverse for unit quaternions."""
-    q = np.asarray(q, dtype=float)
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    w, x, y, z = _floats(q)
+    return np.array([w, -x, -y, -z], dtype=float)
 
 
 def skew(v):
@@ -61,17 +144,7 @@ def quat_exp(v):
     Returns [cos(|v|/2), sin(|v|/2) * v/|v|] with a series guard below
     1e-8 rad so the map is smooth through zero.
     """
-    x, y, z = np.asarray(v, dtype=float).tolist()
-    angle = math.sqrt(x * x + y * y + z * z)
-    if angle < 1e-8:
-        # sin(angle/2)/angle = 1/2 - angle^2/48 + O(angle^4)
-        k = 0.5 - angle * angle / 48.0
-    else:
-        k = math.sin(0.5 * angle) / angle
-    w = math.cos(0.5 * angle)
-    if w < 0.0:
-        w, k = -w, -k
-    return np.array([w, k * x, k * y, k * z])
+    return np.array(_exp(_floats(v)))
 
 
 def quat_log(q):
@@ -80,19 +153,7 @@ def quat_log(q):
     Raises ValueError when the input norm deviates from 1 by more than
     1e-6; smaller deviations are renormalized away.
     """
-    q = np.asarray(q, dtype=float)
-    n = math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    if abs(n - 1.0) > 1e-6:
-        raise ValueError(f"quaternion norm {n:.9g} is not within 1e-6 of unit")
-    q = q / n
-    if q[0] < 0.0:
-        q = -q
-    s = math.sqrt(q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    if s < 1e-9:
-        # angle/sin(angle/2) -> 2/w as s -> 0
-        return (2.0 / q[0]) * q[1:]
-    angle = 2.0 * math.atan2(s, q[0])
-    return (angle / s) * q[1:]
+    return np.array(_log(_floats(q)))
 
 
 def quat_to_matrix(q):
@@ -106,15 +167,18 @@ def quat_to_matrix(q):
 
 
 def rotvec_to_matrix(v):
-    """Rodrigues formula: rotation vector -> rotation matrix."""
-    v = np.asarray(v, dtype=float)
-    angle = np.linalg.norm(v)
-    S = skew(v)
+    """Rodrigues formula: rotation vector -> rotation matrix.
+
+    I + sin(a)/a [v]x + (1 - cos a)/a^2 [v]x^2 for a = |v|; below 1e-8 rad
+    the coefficients are their limits 1 and 1/2.
+    """
+    v = _floats(v)
+    x, y, z = v
+    angle = math.sqrt(x * x + y * y + z * z)
     if angle < 1e-8:
-        return np.eye(3) + S + 0.5 * (S @ S)
-    a = np.sin(angle) / angle
-    b = (1.0 - np.cos(angle)) / (angle * angle)
-    return np.eye(3) + a * S + b * (S @ S)
+        return np.array(_quadratic(v, 1.0, 0.5))
+    return np.array(_quadratic(v, math.sin(angle) / angle,
+                               (1.0 - math.cos(angle)) / (angle * angle)))
 
 
 def geodesic_distance(q_pred, q_true):
@@ -123,8 +187,10 @@ def geodesic_distance(q_pred, q_true):
     Computed as |quat_log(q_pred * q_true^-1)| folded into [0, pi]; sign
     flips of either argument do not change the result.
     """
-    d = np.linalg.norm(quat_log(quat_multiply(q_pred, quat_conjugate(q_true))))
-    return min(d, 2.0 * np.pi - d)
+    w, x, y, z = _floats(q_true)
+    lx, ly, lz = _log(_mul(_floats(q_pred), (w, -x, -y, -z)))
+    d = math.sqrt(lx * lx + ly * ly + lz * lz)
+    return min(d, 2.0 * math.pi - d)
 
 
 def zed(phi):
@@ -140,11 +206,7 @@ def zed12_step(q, w0, w1, h):
     """
     if h <= 0.0:
         raise ValueError("step size h must be positive")
-    a0, a1, a2 = np.asarray(w0, dtype=float).tolist()
-    b0, b1, b2 = np.asarray(w1, dtype=float).tolist()
-    k2 = 0.5 * h * h
-    phi = np.array([a0 * h + b0 * k2, a1 * h + b1 * k2, a2 * h + b2 * k2])
-    return quat_canonical(quat_multiply(q, zed(phi)))
+    return np.array(_zed12(_floats(q), _floats(w0), _floats(w1), h))
 
 
 def zed23_step(q, w0, w1, w2, h):
@@ -158,19 +220,7 @@ def zed23_step(q, w0, w1, w2, h):
     """
     if h <= 0.0:
         raise ValueError("step size h must be positive")
-    a0, a1, a2 = np.asarray(w0, dtype=float).tolist()
-    b0, b1, b2 = np.asarray(w1, dtype=float).tolist()
-    c0, c1, c2 = np.asarray(w2, dtype=float).tolist()
-    h2 = h * h
-    k2 = 0.5 * h2
-    k3 = h2 * h / 3.0
-    kc = h2 * h / 12.0
-    phi = np.array([
-        a0 * h + b0 * k2 + c0 * k3 + (a1 * b2 - a2 * b1) * kc,
-        a1 * h + b1 * k2 + c1 * k3 + (a2 * b0 - a0 * b2) * kc,
-        a2 * h + b2 * k2 + c2 * k3 + (a0 * b1 - a1 * b0) * kc,
-    ])
-    return quat_canonical(quat_multiply(q, zed(phi)))
+    return np.array(_zed23(_floats(q), _floats(w0), _floats(w1), _floats(w2), h))
 
 
 def right_jacobian_inv(theta):
@@ -181,12 +231,13 @@ def right_jacobian_inv(theta):
     I + [theta]x/2 + [theta]x^2/12 is used. Angles at or beyond pi are
     rejected, the Jacobian is singular there.
     """
-    theta = np.asarray(theta, dtype=float)
-    angle = np.linalg.norm(theta)
-    if angle >= np.pi:
+    theta = _floats(theta)
+    x, y, z = theta
+    angle = math.sqrt(x * x + y * y + z * z)
+    if angle >= math.pi:
         raise ValueError(f"rotation angle {angle:.9g} rad is outside [0, pi)")
-    S = skew(theta)
     if angle < 1e-4:
-        return np.eye(3) + 0.5 * S + (S @ S) / 12.0
-    c = 1.0 / (angle * angle) - (1.0 + np.cos(angle)) / (2.0 * angle * np.sin(angle))
-    return np.eye(3) + 0.5 * S + c * (S @ S)
+        return np.array(_quadratic(theta, 0.5, 1.0 / 12.0))
+    c = (1.0 / (angle * angle)
+         - (1.0 + math.cos(angle)) / (2.0 * angle * math.sin(angle)))
+    return np.array(_quadratic(theta, 0.5, c))

@@ -22,7 +22,7 @@ from posecast.traces import Trace, generate_synthetic_trace
 
 
 def _stationary_trace(duration_s=20.0, hz=100.0):
-    n = int(duration_s * hz)
+    n = int(round(duration_s * hz))
     t = np.arange(n) / hz
     p = np.zeros((n, 3))
     q = np.zeros((n, 4))
@@ -416,14 +416,15 @@ class TestSharedStreams:
         traces = [_stationary_trace(n / 100.0) for n in lengths]
         run_experiment(cfg, traces)
         want = _expected_masks(cfg, lengths)
-        streamed = {v for (drop, rep, _), v in want.items() if drop or rep == 0}
+        # streams step through the last scored tick, 199 on both traces
+        streamed = sorted(v[:199] for (drop, rep, _), v in want.items()
+                          if drop or rep == 0)
         by_model = {}
         for pred in log:
             by_model.setdefault(pred.config.model, []).append(tuple(pred.received))
         assert set(by_model) == set(cfg.models)
         for masks in by_model.values():
-            assert len(masks) == len(streamed) == len(set(masks))
-            assert set(masks) == streamed
+            assert sorted(masks) == streamed
         # the losses differ between repeats and drop rates
         assert want[0.3, 0, 0] != want[0.3, 1, 0]
         assert want[0.3, 0, 0] != want[0.7, 0, 0]
@@ -484,7 +485,7 @@ class TestSharedStreams:
             pred = make_predictor(config, first_pose)
             return _Breaks(pred) if config.model == "p2o2" else pred
 
-        traces = [generate_synthetic_trace("medium", 5.0, seed=1),
+        traces = [generate_synthetic_trace("medium", 7.0, seed=1),
                   generate_synthetic_trace("medium", 4.0, seed=2)]
         grid = dict(horizons_ms=(20, 60), drop_rates=(0.0, 0.5), repeats=2,
                     master_seed=4)
@@ -510,6 +511,50 @@ class TestSharedStreams:
         kept = sorted(s for s in rep.samples if s[0] == "p2o2")
         assert kept and {s[5] for s in kept} == {1}
         assert kept == sorted(s for s in clean.samples if s[0] == "p2o2" and s[5] == 1)
+
+
+class TestScoredTicksOnly:
+    # 457 samples: two 200-sample chunks, the tail of 57 is never scored;
+    # 401 samples: the shortest horizon (2 ticks) ends scoring at tick 398
+    @pytest.mark.parametrize("n, stepped", [(457, 399), (401, 398), (400, 397)])
+    def test_stream_steps_through_the_last_scored_tick(self, monkeypatch, n, stepped):
+        log = []
+        monkeypatch.setattr("posecast.experiment.make_predictor",
+                            lambda c, p: _RecordingPredictor(c, p, log))
+        cfg = ExperimentConfig(models=("KF",), horizons_ms=(20, 60),
+                               drop_rates=(0.0, 0.5), repeats=1)
+        rep = run_experiment(cfg, [_stationary_trace(n / 100.0)])
+        assert [len(pred.received) for pred in log] == [stepped, stepped]
+        # the losses are still drawn for every tick, so the stepped prefix is
+        # the same as on a trace whose every tick is stepped
+        assert tuple(log[1].received) == _expected_masks(cfg, [n])[0.5, 0, 0][:stepped]
+        assert max(s[6] for s in rep.samples) == stepped
+
+    def test_tail_degeneracy_fails_no_cell(self, monkeypatch):
+        # 5 s trace: two chunks end scoring at t = 4 s; the filter would
+        # break at 4.5 s, which no stream reaches
+        class _BreaksLate:
+            def __init__(self, inner):
+                self.inner = inner
+
+            @property
+            def rollout(self):
+                return self.inner.rollout
+
+            def step(self, z, received=True):
+                if z.t >= 4.5:
+                    raise DegeneracyError("innovation covariance is degenerate")
+                return self.inner.step(z, received)
+
+        traces = [generate_synthetic_trace("medium", 5.0, seed=1)]
+        cfg = ExperimentConfig(models=("p2o2",), horizons_ms=(20, 60),
+                               drop_rates=(0.0, 0.5), repeats=2, master_seed=4)
+        clean = run_experiment(cfg, traces)
+        monkeypatch.setattr("posecast.experiment.make_predictor",
+                            lambda c, p: _BreaksLate(make_predictor(c, p)))
+        rep = run_experiment(cfg, traces)
+        assert rep.failures == []
+        assert rep.samples == clean.samples and rep.samples
 
 
 class TestAggregateLookup:

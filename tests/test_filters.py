@@ -601,3 +601,65 @@ def test_predict_horizon_rollout_list():
         direct = predict_horizon(x, 0.01, n, cfg)
         assert np.array_equal(p, direct.p)
         assert np.array_equal(q, direct.q)
+
+
+# ------------------------------------------------------ non-finite input
+
+def _filter_state(pred):
+    if isinstance(pred, KfBaseline):
+        return [pred.t, pred.x.copy(), pred.P.copy()]
+    return [pred.x.t, pred.x.pos.copy(), pred.x.q.copy(), pred.x.wvec.copy(),
+            pred.P.copy(), [(z.t, z.p.copy(), z.q.copy()) for z in pred.window]]
+
+
+def _assert_same(a, b):
+    assert len(a) == len(b)
+    for u, v in zip(a, b):
+        if isinstance(u, list):
+            _assert_same(u, v)
+        elif isinstance(u, tuple):
+            _assert_same(list(u), list(v))
+        else:
+            assert np.array_equal(u, v)
+
+
+@pytest.mark.parametrize("model", ["KF", "p3o3"])
+@pytest.mark.parametrize("field, value", [("p", np.nan), ("q", np.nan),
+                                          ("p", np.inf), ("t", np.nan)])
+def test_non_finite_measurement_is_rejected_before_any_state_changes(model, field, value):
+    trace = generate_synthetic_trace("medium", 1.0, seed=4)
+    cfg = FilterConfig(model=model, dt=0.01, horizon_steps=5)
+    pred = make_predictor(cfg, trace.pose(0))
+    twin = make_predictor(cfg, trace.pose(0))
+    for k in range(1, 20):
+        pred.step(trace.pose(k))
+        twin.step(trace.pose(k))
+    before = _filter_state(pred)
+    bad = trace.pose(20)
+    if field == "t":
+        bad.t = value
+    else:
+        getattr(bad, field)[1] = value
+    with pytest.raises(ValueError, match="not finite"):
+        pred.step(bad)
+    _assert_same(_filter_state(pred), before)
+    assert pred.healthy
+    # the stream continues as if the bad packet had never arrived
+    for k in range(20, 30):
+        pub = pred.step(trace.pose(k))
+        ref = twin.step(trace.pose(k))
+        assert np.array_equal(pub.p, ref.p) and np.array_equal(pub.q, ref.q)
+    _assert_same(_filter_state(pred), _filter_state(twin))
+
+
+@pytest.mark.parametrize("model", ["KF", "p3o3"])
+def test_lost_packet_pose_is_never_read(model):
+    # a dropped tick only advances time, so its pose may be a NaN placeholder
+    trace = generate_synthetic_trace("medium", 1.0, seed=4)
+    cfg = FilterConfig(model=model, dt=0.01, horizon_steps=5)
+    pred = make_predictor(cfg, trace.pose(0))
+    twin = make_predictor(cfg, trace.pose(0))
+    placeholder = Pose(trace.t[1], np.full(3, np.nan), np.full(4, np.nan))
+    pub = pred.step(placeholder, received=False)
+    ref = twin.step(trace.pose(1), received=False)
+    assert np.array_equal(pub.p, ref.p) and np.array_equal(pub.q, ref.q)
