@@ -57,7 +57,6 @@ class ExperimentConfig:
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
     cutoff_hz: float = 5.0
     butter_order: int = 2
-    diff_window: int = 0
     ci_level: float = 0.95
     keep_samples: bool = True
 
@@ -214,10 +213,13 @@ def run_experiment(config, traces):
     the longest horizon; every horizon is scored from its rollout. At drop
     0 only repeat 0 streams, and the other repeats reuse its errors.
 
-    A numerically degenerate filter marks every (cell, trace) combination
-    its stream feeds failed and the sweep keeps going; that trace
-    contributes no samples to the failed cells. Streams stop at the last
-    scored tick, so a filter that would break only after it fails nothing.
+    A stream that stops, on a numerically degenerate filter
+    (DegeneracyError) or on a tick the filter refuses (ValueError: a
+    non-finite or non-unit pose, a stale timestamp), marks every (cell,
+    trace) combination it feeds failed and the sweep keeps going; that
+    trace contributes no samples to the failed cells. Streams stop at the
+    last scored tick, so a filter that would break only after it fails
+    nothing.
     """
     traces = list(traces)
     if not traces:
@@ -237,14 +239,13 @@ def run_experiment(config, traces):
                 for ti, (trace, (dt, filtered, labels)) in enumerate(
                         zip(traces, prepared)):
                     fcfg = FilterConfig(model=model, dt=dt,
-                                        horizon_steps=max(steps[ti]),
-                                        diff_window=config.diff_window)
+                                        horizon_steps=max(steps[ti]))
                     pred = make_predictor(fcfg, filtered.pose(0))
                     try:
                         streams.append(_stream_trace(
                             pred, trace, filtered, labels, config, steps[ti],
                             masks[drop, rep][ti]))
-                    except DegeneracyError as e:
+                    except (DegeneracyError, ValueError) as e:
                         streams.append(e)
                 for hi, h_ms in enumerate(config.horizons_ms):
                     cells[h_ms, drop, rep] = _pool_cell(config, streams, hi)
@@ -302,7 +303,7 @@ def _pool_cell(config, streams, hi):
     failed = []
     kept = []
     for ti, stream in enumerate(streams):
-        if isinstance(stream, DegeneracyError):
+        if isinstance(stream, Exception):
             failed.append((ti, str(stream)))
             continue
         for cls, (eps, eos, ticks) in stream[hi].items():

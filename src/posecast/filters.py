@@ -17,10 +17,14 @@ Variants by (translational, rotational) kinematic order:
     p2o3  (2, 3)   third-order orientation only
     p3o3  (3, 3)   adds jerk and angular jerk
 
-Derivatives are never measured; they are re-estimated each tick from the
-received pose history (derivatives of the interpolating polynomial at the
-newest sample, exact on polynomial motion of the variant's degree). Process, measurement, and initial
-covariances are identity, the standardization used for all benchmark runs.
+Derivatives are never measured; they are re-estimated each received tick
+from the received pose history (derivatives of the interpolating
+polynomial at the newest sample, exact on polynomial motion of the
+variant's degree), replacing whatever the nominal state carried. A
+correction therefore injects only the pose part of the error, dp and
+dth: the derivative rows of the Kalman estimate would be overwritten on
+the same tick. Process, measurement, and initial covariances are
+identity, the standardization used for all benchmark runs.
 
 The "KF" baseline is a 14-dimensional linear filter over
 [p v q qdot] that treats quaternion components as independent scalars and
@@ -30,8 +34,9 @@ Per-tick work on 3- and 4-vectors runs in Python floats, where numpy's
 call overhead would cost more than the arithmetic: the nominal rollout
 (one chained-step core, _chain, behind both propagate_nominal and
 predict_horizon, so a horizon is bit for bit its chained single steps),
-the baseline's rollout, the innovation and the attitude block of the
-error transition. Covariance algebra stays in numpy. Both filter
+the baseline's rollout, the innovation, the pose injection, the
+pseudo-derivatives (Newton divided differences) and the attitude block
+of the error transition. Covariance algebra stays in numpy. Both filter
 families share one Kalman update, _kalman_update: H is never built, HP
 is read off rows of P, and one condition check guards S.
 """
@@ -70,8 +75,6 @@ class FilterConfig:
     model: str = "p3o3"
     dt: float = 0.01
     horizon_steps: int = 10
-    diff_window: int = 0        # 0 = minimal stencil per derivative
-    exact_reset: bool = False
 
     def __post_init__(self):
         self.model = canonical_model_name(self.model)
@@ -79,10 +82,6 @@ class FilterConfig:
             raise ValueError("dt must be positive")
         if self.horizon_steps < 1:
             raise ValueError("horizon_steps must be at least 1")
-        if self.model != "KF":
-            if self.diff_window and self.diff_window < self.min_window:
-                raise ValueError(
-                    f"diff_window must be 0 or >= {self.min_window} for {self.model}")
 
     @property
     def ord_pos(self):
@@ -297,13 +296,14 @@ def _kalman_update(P, y, R, rows, J=None):
         S[:, 3:6] = S[:, 3:6] @ J.T
     S = S + R
     S = 0.5 * (S + S.T)
-    eig = np.linalg.eigvalsh(S)
-    if eig[0] <= 0.0 or eig[-1] / eig[0] > 1e12:
+    # LAPACK called directly, without numpy.linalg's per-call overhead:
+    # the ascending eigenvalues of S, then its LU solve, where no pivot
+    # is zero once S has passed the check
+    eig, _, info = lapack.dsyevd(S, compute_v=0)
+    if info != 0 or eig[0] <= 0.0 or eig[-1] / eig[0] > 1e12:
         raise DegeneracyError(
             f"innovation covariance condition {eig[-1] / max(eig[0], 1e-300):.3g} "
             "exceeds 1e12")
-    # LAPACK's LU solve called directly, without np.linalg.solve's
-    # per-call overhead; S passed the check above, so no pivot is zero
     K = lapack.dgesv(S, HP)[2].T          # P H^T S^-1 for symmetric S
     P2 = P - K @ HP
     return K @ y, 0.5 * (P2 + P2.T)
@@ -319,16 +319,17 @@ def correct(x, P, z, R, config):
     """Measurement update from a received pose; returns (state, covariance).
 
     The orientation residual enters through the transposed inverse right
-    Jacobian at the residual (identity below 1e-4 rad). The error estimate
-    is injected additively, except dth which right-multiplies through the
-    exponential. With exact_reset the attitude covariance is additionally
-    transported by G = I - skew(dth)/2 after injection.
+    Jacobian at the residual (identity below 1e-4 rad). Only the pose part
+    of the error estimate is injected: dp is added to the position, dth
+    right-multiplies the orientation through the exponential. The
+    derivative rows carry over from x unchanged, since EskfPredictor.step
+    replaces them with pseudo-derivatives on every received tick; the
+    covariance update still covers the whole error state.
 
     Raises DegeneracyError when the innovation covariance's condition
     number exceeds 1e12.
     """
-    bp = 1 + config.ord_pos
-    th = 3 * bp
+    th = 3 * (1 + config.ord_pos)
     qw, qx, qy, qz = x.q.tolist()
     yr = so3._log(so3._mul((qw, -qx, -qy, -qz), so3._floats(z.q)))
     y = np.array([zp - xp for zp, xp in zip(so3._floats(z.p), x.pos[0].tolist())]
@@ -339,92 +340,75 @@ def correct(x, P, z, R, config):
     dx, P2 = _kalman_update(P, y, R, _pose_rows(th), J)
 
     x2 = x.copy()
-    x2.pos[0:bp] += dx[0:th].reshape(bp, 3)
-    dth = dx[th:th + 3]
-    x2.q = np.array(so3._mul((qw, qx, qy, qz), so3._exp(dth.tolist())))
-    nrot = config.ord_rot
-    if nrot >= 2:
-        x2.wvec[0:nrot] += dx[th + 3:].reshape(nrot, 3)
-    else:
-        x2.wvec[0] += dx[th + 3:th + 6]
-
-    if config.exact_reset:
-        G = np.eye(config.error_dim)
-        G[th:th + 3, th:th + 3] = np.eye(3) - 0.5 * so3.skew(dth)
-        P2 = G @ P2 @ G.T
-        P2 = 0.5 * (P2 + P2.T)
+    x2.pos[0] += dx[0:3]
+    x2.q = np.array(so3._mul((qw, qx, qy, qz), so3._exp(dx[th:th + 3].tolist())))
     return x2, P2
 
 
-def _node_derivatives(ts, fs, t0, order, lstsq=False):
-    """Derivatives at t0 of the polynomial through (or fitted to) the nodes.
+def _stencil_derivatives(us, fs):
+    """First three derivatives at the newest node of the interpolant.
 
-    Rows [f, f', f'', ...] up to `order`. With len(ts) = degree + 1 this is
-    the one-sided backward-difference formula of that accuracy order:
-    exact whenever fs samples a polynomial of the same degree. With more
-    nodes and lstsq=True it smooths by least squares instead.
+    Nodes come newest first: us are their offsets from the newest node
+    (us[0] = 0), fs their values as 3-vectors of floats, at most four of
+    them. The Newton divided differences c_k = f[u_0 .. u_k], built in
+    place per axis, weigh the basis polynomials s (s - u_1) ... (s - u_{k-1}),
+    whose derivatives at s = 0 give
+
+        f'   = c_1 - u_1 c_2 + u_1 u_2 c_3
+        f''  = 2 (c_2 - (u_1 + u_2) c_3)
+        f''' = 6 c_3
+
+    with c_k = 0 past the stencil: the one-sided backward difference
+    formulas, exact whenever fs samples a polynomial of degree
+    len(us) - 1. Returns the rows [f', f'', f''']; those of an order
+    above that degree are zero.
     """
-    x = np.asarray(ts, dtype=float) - t0
-    fs = np.asarray(fs, dtype=float)
-    ncoef = min(order + 1, len(x))
-    A = np.vander(x, ncoef, increasing=True)
-    if lstsq:
-        coef, *_ = np.linalg.lstsq(A, fs, rcond=None)
-    else:
-        coef = np.linalg.solve(A, fs)
-    out = np.zeros((order + 1,) + fs.shape[1:])
-    for k in range(ncoef):
-        out[k] = factorial(k) * coef[k]
-    return out
+    m = len(us)
+    steps = [(i, us[i] - us[i - k]) for k in range(1, m) for i in range(m - 1, k - 1, -1)]
+    u1 = us[1] if m > 1 else 0.0
+    u2 = us[2] if m > 2 else 0.0
+    cols = []
+    for col in zip(*fs):
+        c = [*col, 0.0, 0.0, 0.0]
+        for i, h in steps:
+            c[i] = (c[i] - c[i - 1]) / h
+        c1, c2, c3 = c[1], c[2], c[3]
+        cols.append((c1 - u1 * c2 + u1 * u2 * c3, 2.0 * (c2 - (u1 + u2) * c3), 6.0 * c3))
+    return list(zip(*cols))
 
 
 def estimate_pseudo_derivatives(window, config):
-    """Derivative estimates from a window of received poses.
+    """Derivative estimates from a window of received poses, oldest first.
 
     Translational derivatives are read off the backward polynomial through
     the last ord_pos+1 window nodes at the newest node: the classical
     one-sided difference formulas, exact on polynomial motion of the
     variant's degree. The angular rate is the pinned backward estimate
     w_k = quat_log(q_{k-1}^-1 * q_k)/dt; its own derivatives come from the
-    same treatment of the rate sequence. With diff_window set above the
-    minimal stencil, a least-squares fit of the variant's degree smooths
-    the whole window instead.
+    same treatment of the last ord_rot rates, each placed at its pair's
+    newer end. Both run in Python floats (_stencil_derivatives).
 
-    Returns (pos_deriv, rot_deriv) with rows [v; a; j] and [w; wd; wdd]
-    (rows beyond the variant's order zeroed), or None when fewer than two
-    poses are available. While ramping up, derivatives whose stencil does
-    not fit yet stay zero.
+    Returns (pos_deriv, rot_deriv), three float rows each, [v, a, j] and
+    [w, wd, wdd] (rows beyond the variant's order zero), or None when
+    fewer than two poses are available. While ramping up, derivatives
+    whose stencil does not fit yet stay zero.
     """
-    poses = list(window)
-    if len(poses) < 2:
+    if len(window) < 2:
         return None
-    ts = np.array([p.t for p in poses])
-    ps = np.array([p.p for p in poses])
-    op, orot = config.ord_pos, config.ord_rot
+    newest = list(window)[::-1]
+    ts = [z.t for z in newest]
+    us = [t - ts[0] for t in ts]
+    m = min(config.ord_pos + 1, len(newest))
+    pos_d = _stencil_derivatives(us[:m], [z.p.tolist() for z in newest[:m]])
 
-    # body-frame rates over consecutive pairs, attributed to the pair's end
-    wts = ts[1:]
-    ws = np.empty((len(poses) - 1, 3))
-    for i in range(1, len(poses)):
-        rel = so3.quat_multiply(so3.quat_conjugate(poses[i - 1].q), poses[i].q)
-        ws[i - 1] = so3.quat_log(rel) / (ts[i] - ts[i - 1])
-
-    pos_d = np.zeros((3, 3))
-    rot_d = np.zeros((3, 3))
-    smoothing = bool(config.diff_window) and len(poses) > config.min_window
-    np_pos = len(ts) if smoothing else min(op + 1, len(ts))
-    d = _node_derivatives(ts[-np_pos:], ps[-np_pos:], ts[-1], op, lstsq=smoothing)
-    pos_d[0:op] = d[1:op + 1]
-
-    rot_d[0] = ws[-1]
-    if orot >= 2 and len(ws) >= 2:
-        np_rot = len(ws) if smoothing else min(orot, len(ws))
-        dw = _node_derivatives(wts[-np_rot:], ws[-np_rot:], wts[-1],
-                               orot - 1, lstsq=smoothing)
-        if smoothing:
-            rot_d[0] = dw[0]
-        rot_d[1:orot] = dw[1:orot]
-    return pos_d, rot_d
+    # body-frame rates over consecutive pairs, newest pair first
+    ws = []
+    for i in range(min(config.ord_rot, len(newest) - 1)):
+        qw, qx, qy, qz = newest[i + 1].q.tolist()
+        h = ts[i] - ts[i + 1]
+        ws.append([c / h for c in so3._log(so3._mul((qw, -qx, -qy, -qz),
+                                                     newest[i].q.tolist()))])
+    return pos_d, [ws[0], *_stencil_derivatives(us[:len(ws)], ws)[:2]]
 
 
 def init_filter(config, first_pose):
@@ -438,7 +422,8 @@ def _tick_interval(z, t, received):
     """Time from t to tick z; ValueError for a tick no filter may take.
 
     A tick must carry a finite timestamp past t, and a received one a
-    finite pose. A lost packet's pose is never read, so it is not checked.
+    finite pose whose quaternion is unit to 1e-6, the tolerance of
+    so3.quat_log. A lost packet's pose is never read, so it is not checked.
     """
     dt = z.t - t
     if not math.isfinite(dt):
@@ -446,9 +431,15 @@ def _tick_interval(z, t, received):
     if dt <= 0.0:
         raise ValueError(
             f"tick timestamp {z.t:.9g} does not advance past {t:.9g}")
-    if received and not all(map(math.isfinite, [*so3._floats(z.p), *so3._floats(z.q)])):
-        raise ValueError(f"measurement at t = {z.t:.9g} is not finite: "
-                         f"p = {z.p}, q = {z.q}")
+    if received:
+        zq = so3._floats(z.q)
+        if not all(map(math.isfinite, [*so3._floats(z.p), *zq])):
+            raise ValueError(f"measurement at t = {z.t:.9g} is not finite: "
+                             f"p = {z.p}, q = {z.q}")
+        n = math.sqrt(sum(c * c for c in zq))
+        if abs(n - 1.0) > 1e-6:
+            raise ValueError(f"measurement at t = {z.t:.9g}: quaternion norm "
+                             f"{n:.9g} is not within 1e-6 of unit")
     return dt
 
 
@@ -463,8 +454,9 @@ class EskfPredictor:
 
     `rollout[i]` holds the (position, orientation) i + 1 steps ahead of
     the latest tick, so every shorter horizon is read off the same rollout.
-    A stale or non-finite tick raises ValueError and leaves the filter as
-    it was.
+    A stale tick, or a received pose that is not finite or whose
+    quaternion is not unit, raises ValueError and leaves the filter as it
+    was.
     """
 
     def __init__(self, config, first_pose):
@@ -472,8 +464,7 @@ class EskfPredictor:
             raise ValueError("use KfBaseline for the linear baseline")
         self.config = config
         self.x, self.P, self.Q, self.R = init_filter(config, first_pose)
-        maxlen = config.diff_window or config.min_window
-        self.window = deque([first_pose.copy()], maxlen=maxlen)
+        self.window = deque([first_pose.copy()], maxlen=config.min_window)
         self.rollout = []
         self.healthy = True
 
@@ -492,10 +483,8 @@ class EskfPredictor:
                 self.healthy = False
                 raise
             self.window.append(z.copy())
-            d = estimate_pseudo_derivatives(self.window, self.config)
-            if d is not None:
-                self.x.pos[1:4] = d[0]
-                self.x.wvec[:] = d[1]
+            self.x.pos[1:4], self.x.wvec[:] = estimate_pseudo_derivatives(
+                self.window, self.config)
         self.rollout = []
         return predict_horizon(self.x, self.config.dt,
                                self.config.horizon_steps, self.config, self.rollout)
@@ -538,7 +527,7 @@ class KfBaseline:
     renormalized after every propagation and update, the textbook abuse
     the error-state filters are built to avoid. `rollout` holds (position,
     orientation) after every horizon step, as in EskfPredictor, and
-    stale or non-finite ticks are rejected the same way.
+    stale, non-finite or non-unit ticks are rejected the same way.
     """
 
     def __init__(self, config, first_pose):

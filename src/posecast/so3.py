@@ -8,7 +8,7 @@ Conventions, used by every module in this package:
 - Rotation vectors are axis * angle in radians. quat_exp maps a rotation
   vector to a unit quaternion, quat_log inverts it onto angles in [0, pi].
 - Operations that return a quaternion canonicalize the sign so w >= 0.
-- Incremental orientation updates multiply on the right: q <- q * zed(phi).
+- Incremental orientation updates multiply on the right: q <- q * quat_exp(phi).
 
 Every operation is computed once, in Python floats: numpy's per-call
 overhead dwarfs the arithmetic on 3- and 4-vectors. The underscore
@@ -191,11 +191,6 @@ def geodesic_distance(q_pred, q_true):
     lx, ly, lz = _log(_mul(_floats(q_pred), (w, -x, -y, -z)))
     d = math.sqrt(lx * lx + ly * ly + lz * lz)
     return min(d, 2.0 * math.pi - d)
-
-
-def zed(phi):
-    """Rotation-vector increment as a unit quaternion (exact exponential)."""
-    return quat_exp(phi)
 
 
 def zed12_step(q, w0, w1, h):

@@ -248,6 +248,25 @@ class TestRunExperiment:
         assert (f.model, f.horizon_ms, f.drop_rate) == ("KF", 50, 0.0)
         assert "degenerate" in f.reason
 
+    def test_refused_tick_fails_its_cells_not_the_sweep(self):
+        # a NaN sample 1.5 s into a 4 s trace: every stream over it meets
+        # the filters' ValueError in scored ticks; it goes last, so the
+        # other traces' drop masks match a sweep without it
+        good = [generate_synthetic_trace("hard", 4.0, seed=s) for s in (1, 2)]
+        raw = generate_synthetic_trace("hard", 4.0, seed=3)
+        p = raw.p.copy()
+        p[150, 1] = np.nan
+        cfg = ExperimentConfig(models=("KF", "p3o3"), horizons_ms=(20, 60),
+                               drop_rates=(0.0, 0.3), repeats=2, master_seed=5)
+        clean = run_experiment(cfg, good)
+        rep = run_experiment(cfg, good + [Trace(raw.t, p, raw.q)])
+        assert len(rep.failures) == 2 * 2 * 2 * 2
+        assert {f.trace_index for f in rep.failures} == {2}
+        assert all("not finite" in f.reason for f in rep.failures)
+        assert rep.per_repeat == clean.per_repeat
+        assert rep.aggregates == clean.aggregates
+        assert rep.samples == clean.samples
+
 
 class TestCalibration:
     def test_easy_and_hard_profiles_classify_to_their_band(self):

@@ -1,6 +1,8 @@
 """The Python-float filter core against its numpy reference, and property
-tests of the float rotation kernels."""
+tests of the float rotation kernels, the pseudo-derivative stencil and
+the filters' long-run health."""
 
+import functools
 import math
 
 import numpy as np
@@ -9,8 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posecast import so3
-from posecast.filters import MODEL_NAMES, FilterConfig, make_predictor
-from posecast.traces import generate_synthetic_trace
+from posecast.filters import (
+    MODEL_NAMES,
+    FilterConfig,
+    estimate_pseudo_derivatives,
+    make_predictor,
+)
+from posecast.traces import Pose, generate_synthetic_trace
 
 import numpy_reference as ref
 
@@ -98,3 +105,135 @@ def test_rodrigues_is_a_rotation(v):
     assert np.abs(R @ R.T - np.eye(3)).max() <= 1e-12
     assert abs(np.linalg.det(R) - 1.0) <= 1e-12
     np.testing.assert_allclose(R, ref.rotvec_to_matrix(np.array(v)), rtol=0, atol=1e-12)
+
+
+# ------------------------------------------------------ pseudo-derivatives
+
+_ESKF_MODELS = ("ESKF", "p2o2", "p2o3", "p3o3")
+
+
+@st.composite
+def node_times(draw, n):
+    """n received-pose times, oldest first: gaps of 1-4 ticks of 10 ms, jittered."""
+    t = draw(st.floats(0.0, 10.0))
+    ts = [t]
+    for _ in range(n - 1):
+        gap = 0.01 * draw(st.integers(1, 4)) + draw(st.floats(-0.002, 0.002))
+        ts.append(ts[-1] + gap)
+    return ts
+
+
+@st.composite
+def windows(draw):
+    """(model, window) with generic poses: 2 to min_window nodes."""
+    model = draw(st.sampled_from(_ESKF_MODELS))
+    n = draw(st.integers(2, FilterConfig(model=model).min_window))
+    ts = draw(node_times(n))
+    q = np.array(draw(unit_quats()))
+    poses = []
+    for i, t in enumerate(ts):
+        if i:
+            q = so3.quat_multiply(q, so3.quat_exp(np.array(draw(_rate)) * (t - ts[i - 1])))
+        p = np.array(draw(st.tuples(*[st.floats(-2.0, 2.0)] * 3)))
+        poses.append(Pose(t, p, q))
+    return model, poses
+
+
+def _rows_close(rows, expect, rel):
+    # each derivative order against its own magnitude
+    for row, ref_row in zip(np.asarray(rows, dtype=float), expect):
+        scale = max(np.abs(ref_row).max(), 1.0)
+        assert np.abs(row - ref_row).max() <= rel * scale
+
+
+@settings(max_examples=400, deadline=None)
+@given(windows())
+def test_newton_stencil_matches_vandermonde_solve(case):
+    model, window = case
+    cfg = FilterConfig(model=model)
+    pos_d, rot_d = estimate_pseudo_derivatives(window, cfg)
+    pos_ref, rot_ref = ref.pseudo_derivatives(window, cfg.ord_pos, cfg.ord_rot)
+    _rows_close(pos_d, pos_ref, 1e-9)
+    _rows_close(rot_d, rot_ref, 1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_ESKF_MODELS), st.data())
+def test_newton_stencil_is_exact_on_polynomials(model, data):
+    # positions on a polynomial of degree ord_pos, and poses whose
+    # pairwise rates sample a polynomial rate of degree ord_rot - 1 at the
+    # pair ends: every derivative the variant keeps is recovered
+    cfg = FilterConfig(model=model)
+    ts = data.draw(node_times(cfg.min_window))
+    coef = st.tuples(*[st.floats(-3.0, 3.0)] * 3)
+    cp = np.array([data.draw(coef) for _ in range(cfg.ord_pos + 1)])
+    cw = np.array([data.draw(coef) for _ in range(cfg.ord_rot)])
+    t0 = ts[-1]
+
+    def poly(c, t, k=0):
+        """k-th derivative of sum_j c_j (t - t0)^j."""
+        return sum(math.perm(j, k) * c[j] * (t - t0) ** (j - k) for j in range(k, len(c)))
+
+    q = np.array(data.draw(unit_quats()))
+    window = [Pose(ts[0], poly(cp, ts[0]), q)]
+    for a, b in zip(ts, ts[1:]):
+        q = so3.quat_multiply(q, so3.quat_exp(poly(cw, b) * (b - a)))
+        window.append(Pose(b, poly(cp, b), q))
+    pos_d, rot_d = estimate_pseudo_derivatives(window, cfg)
+    expect_pos = [poly(cp, t0, k) if k <= cfg.ord_pos else np.zeros(3) for k in (1, 2, 3)]
+    expect_rot = [poly(cw, t0, k) if k < cfg.ord_rot else np.zeros(3) for k in (0, 1, 2)]
+    _rows_close(pos_d, expect_pos, 1e-7)
+    _rows_close(rot_d, expect_rot, 1e-7)
+
+
+# ------------------------------------------------------- long-run health
+
+@functools.lru_cache(maxsize=1)
+def _hard_trace():
+    return generate_synthetic_trace("hard", 1.5, seed=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MODEL_NAMES), st.data())
+def test_random_drops_keep_covariance_psd_and_quaternions_unit(model, data):
+    trace = _hard_trace()
+    mask = data.draw(st.lists(st.booleans(), min_size=len(trace) - 1,
+                              max_size=len(trace) - 1))
+    pred = make_predictor(FilterConfig(model=model, dt=0.01, horizon_steps=10),
+                          trace.pose(0))
+    for k, received in enumerate(mask, start=1):
+        pred.step(trace.pose(k), received=received)
+        P = pred.P
+        assert np.array_equal(P, P.T)
+        assert np.linalg.eigvalsh(P)[0] >= -1e-12 * np.abs(P).max()
+        q = pred.x[6:10] if model == "KF" else pred.x.q
+        for u in (q, *(r[1] for r in pred.rollout)):
+            assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+
+
+# ------------------------------------------- inverse right Jacobian near pi
+
+@st.composite
+def unit_axes(draw):
+    v = np.array(draw(_vec))
+    n = np.linalg.norm(v)
+    return v / n if n > 1e-3 else np.array([0.0, 0.0, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_axes(), st.one_of(st.floats(1e-3, math.pi - 1e-6),
+                              st.floats(math.pi - 1e-3, math.pi - 1e-6),
+                              st.just(math.pi - 1e-6)))
+def test_right_jacobian_inv_finite_below_pi(axis, angle):
+    theta = axis * angle
+    J = so3.right_jacobian_inv(theta)
+    assert np.isfinite(J).all()
+    np.testing.assert_allclose(J, ref.right_jacobian_inv(theta), rtol=0, atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_axes(), st.floats(math.pi * (1.0 + 1e-12), 4.0 * math.pi))
+def test_right_jacobian_inv_raises_at_or_beyond_pi(axis, angle):
+    for theta in (axis * angle, np.roll([math.pi, 0.0, 0.0], int(angle) % 3)):
+        with pytest.raises(ValueError, match="outside"):
+            so3.right_jacobian_inv(theta)

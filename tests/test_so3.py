@@ -112,10 +112,12 @@ def test_geodesic_matches_matrix_trace_angle():
         assert abs(d - matrix_angle(R)) < 1e-7
 
 
-def test_zed_equals_exp():
+def test_exp_matches_half_angle_formula():
     rng = np.random.default_rng(8)
     for v in random_rotvecs(rng, 100):
-        assert np.abs(so3.zed(v) - so3.quat_exp(v)).max() <= 1e-12
+        a = np.linalg.norm(v)
+        expect = np.concatenate([[np.cos(a / 2)], np.sin(a / 2) * v / a])
+        assert np.abs(so3.quat_exp(v) - expect).max() <= 1e-12
 
 
 def test_zed12_pure_z_rotation():
