@@ -49,8 +49,12 @@ def discretize_chunk(chunk, config=None):
     The cell key is floor(p / cell_size_pos) per axis together with
     floor(quat_log(q) / cell_size_rot) per axis; ids are assigned in order
     of first appearance, so the alphabet is dense in [0, n_distinct).
+    A pose with a NaN or infinite component has no cell: ValueError.
     """
     config = config or ClassifierConfig()
+    bad = np.flatnonzero(~np.isfinite(np.hstack([chunk.p, chunk.q])).all(axis=1))
+    if bad.size:
+        raise ValueError(f"chunk pose {bad[0]} at t = {chunk.t[bad[0]]:.9g} is not finite")
     cells = np.empty((len(chunk), 6), dtype=np.int64)
     cells[:, 0:3] = np.floor(chunk.p / config.cell_size_pos)
     for i in range(len(chunk)):

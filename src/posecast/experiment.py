@@ -155,11 +155,16 @@ def classify_chunk(chunk, config=None):
 
 
 def _prepare_trace(trace, config):
+    """(dt, filtered trace, chunk labels), the labels replaced by the
+    classifier's ValueError when a chunk holds a non-finite pose."""
     dt = trace.median_dt()
     sos = design_butterworth_lowpass(config.butter_order, config.cutoff_hz, 1.0 / dt)
     filtered = filter_trace(trace, sos)
-    labels = [classify_chunk(c, config.classifier)
-              for c in chunk_trace(filtered, config.chunk_len)]
+    try:
+        labels = [classify_chunk(c, config.classifier)
+                  for c in chunk_trace(filtered, config.chunk_len)]
+    except ValueError as e:
+        labels = e
     return dt, filtered, labels
 
 
@@ -217,9 +222,10 @@ def run_experiment(config, traces):
     (DegeneracyError) or on a tick the filter refuses (ValueError: a
     non-finite or non-unit pose, a stale timestamp), marks every (cell,
     trace) combination it feeds failed and the sweep keeps going; that
-    trace contributes no samples to the failed cells. Streams stop at the
-    last scored tick, so a filter that would break only after it fails
-    nothing.
+    trace contributes no samples to the failed cells. A trace with a
+    chunk the classifier refuses (a non-finite pose) fails them all with
+    that error and reports no labels. Streams stop at the last scored
+    tick, so a filter that would break only after it fails nothing.
     """
     traces = list(traces)
     if not traces:
@@ -238,6 +244,9 @@ def run_experiment(config, traces):
                 streams = []
                 for ti, (trace, (dt, filtered, labels)) in enumerate(
                         zip(traces, prepared)):
+                    if isinstance(labels, ValueError):
+                        streams.append(labels)
+                        continue
                     fcfg = FilterConfig(model=model, dt=dt,
                                         horizon_steps=max(steps[ti]))
                     pred = make_predictor(fcfg, filtered.pose(0))
@@ -264,7 +273,8 @@ def run_experiment(config, traces):
 
     aggregates = _aggregate(config, per_repeat)
     return ExperimentReport(config, per_repeat, aggregates, failures,
-                            [labels for _, _, labels in prepared], samples)
+                            [[] if isinstance(labels, ValueError) else labels
+                             for _, _, labels in prepared], samples)
 
 
 def _stream_trace(pred, trace, filtered, labels, config, steps, mask):

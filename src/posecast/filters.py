@@ -6,46 +6,45 @@ rotation-increment steps, and a minimal-coordinate error state
     dx = [dp dv (da) (dj) | dth dw (dalpha) (dwdd)]
 
 whose orientation component dth lives in the tangent space, injected
-multiplicatively on the right: q <- q * exp(dth). The error dimension is
-D = 3 (1 + ord_pos) + 3 (1 + ord_rot); parenthesized blocks exist only
-for the higher-order variants.
-
-Variants by (translational, rotational) kinematic order:
+multiplicatively on the right: q <- q * exp(dth). Parenthesized blocks
+exist only for the higher-order variants, by (translational,
+rotational) kinematic order:
 
     ESKF  (1, 1)   constant velocity / constant rate
     p2o2  (2, 2)   adds acceleration and angular acceleration
     p2o3  (2, 3)   third-order orientation only
     p3o3  (3, 3)   adds jerk and angular jerk
 
-Derivatives are never measured; they are re-estimated each received tick
+Derivatives are never measured; each received tick re-estimates them
 from the received pose history (derivatives of the interpolating
 polynomial at the newest sample, exact on polynomial motion of the
-variant's degree), replacing whatever the nominal state carried. A
-correction therefore injects only the pose part of the error, dp and
-dth: the derivative rows of the Kalman estimate would be overwritten on
-the same tick. Process, measurement, and initial covariances are
-identity, the standardization used for all benchmark runs.
+variant's degree). A correction therefore injects only dp and dth.
 
-The "KF" baseline is a 14-dimensional linear filter over
-[p v q qdot] that treats quaternion components as independent scalars and
-renormalizes after every step.
+Process, measurement and initial covariances are identity, and under
+them the covariance has an exact block structure; the filters store
+only the blocks. Position and attitude never correlate. The position
+block is kron(P_s, I3) for a scalar chain P_s of size 1 + ord_pos that
+depends on the tick intervals and the drop pattern only; its update is
+a scalar one with S = s00 + 1 (_chain_propagate, _chain_update, in
+Python floats). The attitude block alone sees the data, through
+exp(w dt)^T and J_r^-T, and is the only covariance in numpy, with the
+one condition-checked Kalman update, _kalman_update.
 
-Per-tick work on 3- and 4-vectors runs in Python floats, where numpy's
-call overhead would cost more than the arithmetic: the nominal rollout
-(one chained-step core, _chain, behind both propagate_nominal and
-predict_horizon, so a horizon is bit for bit its chained single steps),
-the baseline's rollout, the innovation, the pose injection, the
-pseudo-derivatives (Newton divided differences) and the attitude block
-of the error transition. Covariance algebra stays in numpy. Both filter
-families share one Kalman update, _kalman_update: H is never built, HP
-is read off rows of P, and one condition check guards S.
+The "KF" baseline is a 14-dimensional linear filter over [p v q qdot]
+that treats quaternion components as independent scalars and
+renormalizes after every step. Its covariance is kron(P_s, I3) (+)
+kron(P_s, I4) for the order-1 chain, so S = (s00 + 1) I7 never
+degenerates.
+
+Other per-tick work on 3- and 4-vectors runs in Python floats too, where
+numpy's call overhead would cost more than the arithmetic; one core,
+_chain, serves propagate_nominal and predict_horizon alike.
 """
 
 import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import factorial
 
 import numpy as np
 from scipy.linalg import lapack
@@ -92,10 +91,6 @@ class FilterConfig:
         return _ORDERS[self.model][1]
 
     @property
-    def error_dim(self):
-        return 3 * (1 + self.ord_pos) + 3 * (1 + self.ord_rot)
-
-    @property
     def min_window(self):
         return max(self.ord_pos, self.ord_rot) + 1
 
@@ -123,34 +118,6 @@ class NominalState:
     def copy(self):
         return NominalState(self.t, self.pos.copy(), self.q.copy(), self.wvec.copy())
 
-    # row views, named
-    @property
-    def p(self):
-        return self.pos[0]
-
-    @property
-    def v(self):
-        return self.pos[1]
-
-    @property
-    def a(self):
-        return self.pos[2]
-
-    @property
-    def w(self):
-        return self.wvec[0]
-
-
-@lru_cache(maxsize=256)
-def _taylor_chain(dim, dt):
-    """Upper-triangular integrator matrix: T[i, j] = dt^(j-i) / (j-i)!."""
-    T = np.eye(dim)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            T[i, j] = dt ** (j - i) / factorial(j - i)
-    T.setflags(write=False)
-    return T
-
 
 _ZERO3 = (0.0, 0.0, 0.0)
 
@@ -175,7 +142,7 @@ def _chain(x, dt, n, ord_rot, rollout=None):
     With a `rollout` list, the (position, orientation) after each step is
     appended to it as arrays (see _rollout_arrays).
     """
-    c1, c2, c3 = dt, dt ** 2 / 2, dt ** 3 / 6       # dt^k / k!, as in _taylor_chain
+    c1, c2, c3 = dt, dt ** 2 / 2, dt ** 3 / 6       # dt^k / k!
     (p0, p1, p2), (v0, v1, v2), (a0, a1, a2), j = x.pos.tolist()
     (w0, w1, w2), (d0, d1, d2), e = x.wvec.tolist()
     j0, j1, j2 = j
@@ -238,64 +205,97 @@ def predict_horizon(x, dt, n, config, rollout=None):
     return Pose(t, *poses[-1])
 
 
+def _chain_propagate(s, n, dt):
+    """T P_s T^T + I for a scalar covariance chain P_s of size n <= 4.
+
+    T[i, j] = dt^(j-i) / (j-i)! is the chain's integrator. P_s is held as
+    the upper triangle of a 4-square matrix, row by row, (s00 s01 .. s33);
+    rows past n are zero and stay zero, so one unrolled U = T P_s, U T^T
+    serves every size.
+    """
+    c1, c2, c3 = dt, dt ** 2 / 2, dt ** 3 / 6
+    a, b, c, d, e, f, g, h, i, j = s
+    u00 = a + b * c1 + c * c2 + d * c3
+    u01 = b + e * c1 + f * c2 + g * c3
+    u02 = c + f * c1 + h * c2 + i * c3
+    u03 = d + g * c1 + i * c2 + j * c3
+    u11 = e + f * c1 + g * c2
+    u12 = f + h * c1 + i * c2
+    u13 = g + i * c1 + j * c2
+    u22 = h + i * c1
+    u23 = i + j * c1
+    return (u00 + u01 * c1 + u02 * c2 + u03 * c3 + 1.0, u01 + u02 * c1 + u03 * c2,
+            u02 + u03 * c1, u03,
+            u11 + u12 * c1 + u13 * c2 + 1.0, u12 + u13 * c1, u13,
+            u22 + u23 * c1 + (n > 2), u23, j + (n > 3))
+
+
+def _chain_update(s):
+    """Unit-noise measurement of a chain's first entry: S = s00 + 1.
+
+    Returns P_s - K P_s[0, :] for K = P_s[:, 0] / S, and the gains K[0], K[1]."""
+    a, b, c, d, e, f, g, h, i, j = s
+    S = a + 1.0
+    k0, k1, k2, k3 = a / S, b / S, c / S, d / S
+    return (a - k0 * a, b - k0 * b, c - k0 * c, d - k0 * d, e - k1 * b,
+            f - k1 * c, g - k1 * d, h - k2 * c, i - k2 * d, j - k3 * d), k0, k1
+
+
+def _chain_eye(n):
+    return (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, float(n > 2), 0.0, float(n > 3))
+
+
+def _chain_matrix(s, n, k=1):
+    """kron(P_s, I_k) for a chain P_s of size n held as in _chain_propagate."""
+    a, b, c, d, e, f, g, h, i, j = s
+    S = np.array(((a, b, c, d), (b, e, f, g), (c, f, h, i), (d, g, i, j)))[:n, :n]
+    return (S[:, None, :, None] * np.eye(k)[:, None]).reshape(n * k, n * k)
+
+
 @lru_cache(maxsize=256)
-def _transition_base(bp, br, dt):
-    """Constant part of F: Kronecker lift of the scalar Taylor chains."""
-    D = 3 * (bp + br)
-    F = np.eye(D)
-    F[0:3 * bp, 0:3 * bp] = np.kron(_taylor_chain(bp, dt), np.eye(3))
-    F[3 * bp:D, 3 * bp:D] = np.kron(_taylor_chain(br, dt), np.eye(3))
+def _transition_base(br, dt):
+    """kron(T, I3) for the rate chain's integrator T[i, j] = dt^(j-i) / (j-i)!."""
+    c = (1.0, dt, dt ** 2 / 2, dt ** 3 / 6)
+    F = np.kron(sum(c[k] * np.eye(br, k=k) for k in range(br)), np.eye(3))
     F.setflags(write=False)
     return F
 
 
 def error_transition_matrix(x, dt, config):
-    """Error-state transition for one tick of dt.
+    """Transition of the attitude error block [dth dw (dalpha) (dwdd)] over dt.
 
-    Block upper-triangular: each error derivative chain integrates with
-    dt, dt^2/2, dt^3/6 couplings; the attitude-error diagonal block is the
-    transposed rotation of the nominal increment, exp(w dt)^T. dt = 0
-    yields the identity.
+    Block upper-triangular: the rate chain integrates into dth with dt,
+    dt^2/2, dt^3/6 couplings, and dth's own diagonal block is exp(w dt)^T,
+    the transposed rotation of the nominal increment. dt = 0 yields the
+    identity. (The position error's transition is _chain_propagate's.)
     """
     if dt < 0.0:
         raise ValueError("dt must be non-negative")
-    bp = 1 + config.ord_pos
-    br = 1 + config.ord_rot
-    F = _transition_base(bp, br, dt).copy()
-    th = 3 * bp
-    F[th:th + 3, th:th + 3] = so3.rotvec_to_matrix([c * dt for c in x.w.tolist()]).T
+    F = _transition_base(1 + config.ord_rot, dt).copy()
+    F[0:3, 0:3] = so3.rotvec_to_matrix([c * dt for c in x.wvec[0].tolist()]).T
     return F
 
 
-def propagate_covariance(P, F, Q):
-    """P <- F P F^T + Q, symmetrized."""
-    P = np.asarray(P, dtype=float)
-    if P.shape != F.shape or P.shape != Q.shape:
-        raise ValueError(f"dimension mismatch: P{P.shape} F{F.shape} Q{Q.shape}")
-    P2 = F @ P @ F.T + Q
+def propagate_covariance(P, F):
+    """P <- F P F^T + I, symmetrized."""
+    P2 = F @ P @ F.T + np.eye(len(P))
     return 0.5 * (P2 + P2.T)
 
 
-def _kalman_update(P, y, R, rows, J=None):
-    """One Kalman update for a measurement y of the state entries `rows`.
+def _kalman_update(P, y, J=None):
+    """Update of the attitude block P by an attitude residual y.
 
-    H is never built. It reads the state at `rows`, except that with J
-    given the last three readings are J times the state there (the error
-    state's attitude, J = J_r^-T at the residual). HP is therefore the
-    selected rows of P, with J applied to the last three; S = HP H^T + R,
-    K = P H^T S^-1 and P <- P - K HP, symmetrized.
+    The measurement reads J dth, with J = J_r^-T at the residual (the
+    identity when None), and unit noise. H is never built: HP is the
+    first three rows of P with J applied, S = HP H^T + I, K = P H^T S^-1
+    and P <- P - K HP, symmetrized.
 
-    Returns (dx, P). Raises DegeneracyError when the condition number of
-    S exceeds 1e12.
+    Returns (dth, P), dth being the first three entries of K y. Raises
+    DegeneracyError when the condition number of S exceeds 1e12.
     """
-    HP = P[rows]
-    if J is not None:
-        HP[3:6] = J @ HP[3:6]
-    S = HP[:, rows]
-    if J is not None:
-        S[:, 3:6] = S[:, 3:6] @ J.T
-    S = S + R
-    S = 0.5 * (S + S.T)
+    HP = P[0:3] if J is None else J @ P[0:3]
+    S = HP[:, 0:3] if J is None else HP[:, 0:3] @ J.T
+    S = 0.5 * (S + S.T) + np.eye(3)
     # LAPACK called directly, without numpy.linalg's per-call overhead:
     # the ascending eigenvalues of S, then its LU solve, where no pivot
     # is zero once S has passed the check
@@ -306,43 +306,33 @@ def _kalman_update(P, y, R, rows, J=None):
             "exceeds 1e12")
     K = lapack.dgesv(S, HP)[2].T          # P H^T S^-1 for symmetric S
     P2 = P - K @ HP
-    return K @ y, 0.5 * (P2 + P2.T)
+    return (K[0:3] @ y).tolist(), 0.5 * (P2 + P2.T)
 
 
-@lru_cache(maxsize=8)
-def _pose_rows(th):
-    """Error-state entries a pose measurement reads: dp, then dth at th."""
-    return np.array([0, 1, 2, th, th + 1, th + 2])
+def correct(x, chain, P_att, z):
+    """Measurement update from a received pose; returns (state, chain, P_att).
 
-
-def correct(x, P, z, R, config):
-    """Measurement update from a received pose; returns (state, covariance).
-
-    The orientation residual enters through the transposed inverse right
-    Jacobian at the residual (identity below 1e-4 rad). Only the pose part
-    of the error estimate is injected: dp is added to the position, dth
-    right-multiplies the orientation through the exponential. The
-    derivative rows carry over from x unchanged, since EskfPredictor.step
-    replaces them with pseudo-derivatives on every received tick; the
-    covariance update still covers the whole error state.
-
-    Raises DegeneracyError when the innovation covariance's condition
-    number exceeds 1e12.
+    The position residual updates the scalar position chain; the
+    orientation residual enters the attitude block through the transposed
+    inverse right Jacobian at the residual (identity below 1e-4 rad).
+    Only dp and dth are injected, dth on the right through the
+    exponential: EskfPredictor.step replaces the derivative rows with
+    pseudo-derivatives on every received tick. The covariance update
+    covers the whole error state. Raises DegeneracyError as
+    _kalman_update does.
     """
-    th = 3 * (1 + config.ord_pos)
     qw, qx, qy, qz = x.q.tolist()
     yr = so3._log(so3._mul((qw, -qx, -qy, -qz), so3._floats(z.q)))
-    y = np.array([zp - xp for zp, xp in zip(so3._floats(z.p), x.pos[0].tolist())]
-                 + list(yr))
     J = None
     if math.sqrt(yr[0] * yr[0] + yr[1] * yr[1] + yr[2] * yr[2]) >= 1e-4:
         J = so3.right_jacobian_inv(yr).T
-    dx, P2 = _kalman_update(P, y, R, _pose_rows(th), J)
+    dth, P_att = _kalman_update(P_att, yr, J)
+    chain, g, _ = _chain_update(chain)
 
     x2 = x.copy()
-    x2.pos[0] += dx[0:3]
-    x2.q = np.array(so3._mul((qw, qx, qy, qz), so3._exp(dx[th:th + 3].tolist())))
-    return x2, P2
+    x2.pos[0] = [xp + g * (zp - xp) for zp, xp in zip(so3._floats(z.p), x.pos[0].tolist())]
+    x2.q = np.array(so3._mul((qw, qx, qy, qz), so3._exp(dth)))
+    return x2, chain, P_att
 
 
 def _stencil_derivatives(us, fs):
@@ -411,13 +401,6 @@ def estimate_pseudo_derivatives(window, config):
     return pos_d, [ws[0], *_stencil_derivatives(us[:len(ws)], ws)[:2]]
 
 
-def init_filter(config, first_pose):
-    """Initial nominal state and identity covariances for a pose stream."""
-    x = NominalState.at_pose(first_pose)
-    D = config.error_dim
-    return x, np.eye(D), np.eye(D), np.eye(6)
-
-
 def _tick_interval(z, t, received):
     """Time from t to tick z; ValueError for a tick no filter may take.
 
@@ -463,10 +446,20 @@ class EskfPredictor:
         if config.model == "KF":
             raise ValueError("use KfBaseline for the linear baseline")
         self.config = config
-        self.x, self.P, self.Q, self.R = init_filter(config, first_pose)
+        self.x = NominalState.at_pose(first_pose)
+        self.chain = _chain_eye(1 + config.ord_pos)   # position block: kron(chain, I3)
+        self.P_att = np.eye(3 * (1 + config.ord_rot))
         self.window = deque([first_pose.copy()], maxlen=config.min_window)
         self.rollout = []
         self.healthy = True
+
+    @property
+    def P(self):
+        """The whole error covariance, assembled from its two blocks."""
+        m = 3 * (1 + self.config.ord_pos)
+        P = np.zeros((m + len(self.P_att),) * 2)
+        P[:m, :m], P[m:, m:] = _chain_matrix(self.chain, m // 3, 3), self.P_att
+        return P
 
     def step(self, z, received=True):
         """Advance one tick to measurement z; returns the published pose."""
@@ -475,10 +468,12 @@ class EskfPredictor:
         dt = _tick_interval(z, self.x.t, received)
         F = error_transition_matrix(self.x, dt, self.config)
         self.x = propagate_nominal(self.x, dt, self.config)
-        self.P = propagate_covariance(self.P, F, self.Q)
+        self.chain = _chain_propagate(self.chain, 1 + self.config.ord_pos, dt)
+        self.P_att = propagate_covariance(self.P_att, F)
         if received:
             try:
-                self.x, self.P = correct(self.x, self.P, z, self.R, self.config)
+                self.x, self.chain, self.P_att = correct(self.x, self.chain,
+                                                         self.P_att, z)
             except DegeneracyError:
                 self.healthy = False
                 raise
@@ -506,29 +501,19 @@ def _cv_step(p, v, q, qd, h):
             _unit((w + dw * h, x + dx * h, y + dy * h, z + dz * h)))
 
 
-_KF_ROWS = np.array([0, 1, 2, 6, 7, 8, 9])
-
-
-@lru_cache(maxsize=256)
-def _kf_transition(dt):
-    F = np.eye(14)
-    F[0:3, 3:6] = dt * np.eye(3)
-    F[6:10, 10:14] = dt * np.eye(4)
-    F.setflags(write=False)
-    return F
-
-
 class KfBaseline:
     """Linear Kalman baseline over x = [p(3) v(3) q(4) qdot(4)].
 
     Constant-velocity transition for both blocks; the measurement is the
-    raw 7-vector [p q], entries _KF_ROWS of the state. Quaternion
-    components are filtered as independent scalars and the quaternion is
-    renormalized after every propagation and update, the textbook abuse
-    the error-state filters are built to avoid. `rollout` holds (position,
-    orientation) after every horizon step, as in EskfPredictor, and
-    stale, non-finite or non-unit ticks are rejected the same way.
+    raw 7-vector [p q] with unit noise. Quaternion components are
+    filtered as independent scalars and the quaternion is renormalized
+    after every propagation and update, the textbook abuse the
+    error-state filters are built to avoid. The covariance is one
+    2-square scalar chain (see the module notes), so an update is two
+    scalar gains. `rollout` and the ticks rejected are as in EskfPredictor.
     """
+
+    healthy = True          # S = (s00 + 1) I7 is never degenerate
 
     def __init__(self, config, first_pose):
         self.config = config
@@ -536,35 +521,35 @@ class KfBaseline:
         self.x = np.zeros(14)
         self.x[0:3] = first_pose.p
         self.x[6:10] = first_pose.q
-        self.P = np.eye(14)
-        self.Q = np.eye(14)
-        self.R = np.eye(7)
+        self.chain = _chain_eye(2)
         self.rollout = []
-        self.healthy = True
+
+    @property
+    def P(self):
+        """The 14-square covariance, assembled from the chain."""
+        P = np.zeros((14, 14))
+        P[:6, :6], P[6:, 6:] = _chain_matrix(self.chain, 2, 3), _chain_matrix(self.chain, 2, 4)
+        return P
 
     def step(self, z, received=True):
-        if not self.healthy:
-            raise DegeneracyError("filter is unhealthy; re-initialize")
         dt = _tick_interval(z, self.t, received)
         x = self.x.tolist()
         v, qd = x[3:6], x[10:14]
         p, q = _cv_step(x[0:3], v, x[6:10], qd, dt)
-        self.x = np.array((*p, *v, *q, *qd))
-        self.P = propagate_covariance(self.P, _kf_transition(dt), self.Q)
+        self.chain = _chain_propagate(self.chain, 2, dt)
         self.t = z.t
         if received:
             zq = so3._floats(z.q)
             if sum(a * b for a, b in zip(zq, q)) < 0.0:
                 zq = [-c for c in zq]
-            y = np.array([a - b for a, b in zip((*so3._floats(z.p), *zq), (*p, *q))])
-            try:
-                dx, self.P = _kalman_update(self.P, y, self.R, _KF_ROWS)
-            except DegeneracyError:
-                self.healthy = False
-                raise
-            x = (self.x + dx).tolist()
-            p, v, q, qd = x[0:3], x[3:6], _unit(x[6:10]), x[10:14]
-            self.x = np.array((*p, *v, *q, *qd))
+            self.chain, g0, g1 = _chain_update(self.chain)
+            yp = [a - b for a, b in zip(so3._floats(z.p), p)]
+            yq = [a - b for a, b in zip(zq, q)]
+            p = [a + g0 * e for a, e in zip(p, yp)]
+            v = [a + g1 * e for a, e in zip(v, yp)]
+            q = _unit([a + g0 * e for a, e in zip(q, yq)])
+            qd = [a + g1 * e for a, e in zip(qd, yq)]
+        self.x = np.array((*p, *v, *q, *qd))
         h = self.config.dt
         poses = []
         for _ in range(self.config.horizon_steps):

@@ -106,36 +106,9 @@ def _quadratic(v, a, b):
             (-a * y + b * xz, a * x + b * yz, 1.0 - b * (xx + yy)))
 
 
-def quat_normalize(q):
-    """Scale q to unit norm."""
-    q = np.asarray(q, dtype=float)
-    return q / np.linalg.norm(q)
-
-
-def quat_canonical(q):
-    """Flip sign so the scalar part is non-negative."""
-    q = np.asarray(q, dtype=float)
-    return -q if q[0] < 0.0 else q
-
-
 def quat_multiply(p, q):
     """Hamilton product p * q."""
     return np.array(_mul(_floats(p), _floats(q)))
-
-
-def quat_conjugate(q):
-    """Conjugate [w, -x, -y, -z]; the inverse for unit quaternions."""
-    w, x, y, z = _floats(q)
-    return np.array([w, -x, -y, -z], dtype=float)
-
-
-def skew(v):
-    """Cross-product matrix [v]x with [v]x @ u = v x u."""
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
 
 
 def quat_exp(v):
@@ -154,16 +127,6 @@ def quat_log(q):
     1e-6; smaller deviations are renormalized away.
     """
     return np.array(_log(_floats(q)))
-
-
-def quat_to_matrix(q):
-    """Rotation matrix of a unit quaternion."""
-    w, x, y, z = q
-    return np.array([
-        [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
-        [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
-        [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
-    ])
 
 
 def rotvec_to_matrix(v):

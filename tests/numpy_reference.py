@@ -6,7 +6,9 @@ products (T @ pos), the measurement matrix H is built explicitly, the
 covariance update is (I - K H) P, and the rotation algebra uses numpy
 trigonometry and matrix products. The library computes the same algebra
 in Python floats and from rows of P, so the two routes agree to rounding
-only; tests compare them with tolerances.
+only; tests compare them with tolerances. The rotation helpers here
+(normalize, canonical sign, conjugate, skew, quaternion to matrix) are
+also the ones other tests use: the package itself has no need of them.
 """
 
 from collections import deque
@@ -35,6 +37,20 @@ def quat_multiply(p, q):
 
 def quat_conjugate(q):
     return np.asarray(q, dtype=float) * np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def quat_normalize(q):
+    q = np.asarray(q, dtype=float)
+    return q / np.linalg.norm(q)
+
+
+def quat_to_matrix(q):
+    w, x, y, z = q
+    return np.array([
+        [1.0 - 2.0 * (y * y + z * z), 2.0 * (x * y - w * z), 2.0 * (x * z + w * y)],
+        [2.0 * (x * y + w * z), 1.0 - 2.0 * (x * x + z * z), 2.0 * (y * z - w * x)],
+        [2.0 * (x * z - w * y), 2.0 * (y * z + w * x), 1.0 - 2.0 * (x * x + y * y)],
+    ])
 
 
 def quat_exp(v):

@@ -6,7 +6,8 @@ import pytest
 from posecast import so3
 from posecast.classifier import (ClassifierConfig, MotionClass, classify,
                                  discretize_chunk, lz_entropy)
-from posecast.traces import Trace
+from posecast.preprocess import chunk_trace
+from posecast.traces import Trace, generate_synthetic_trace
 
 from conftest import lz_entropy_bruteforce
 
@@ -98,6 +99,16 @@ def test_discretize_position_only_mode():
     chunk = Trace(np.arange(n) * 0.01, p, q)
     cfg = ClassifierConfig(cell_size_rot=np.inf)
     assert list(discretize_chunk(chunk, cfg)) == [0, 0]
+
+
+@pytest.mark.parametrize("field", ["p", "q"])
+def test_discretize_rejects_a_non_finite_pose(field):
+    # one NaN sample in a hard chunk has no cell; cast to an integer it
+    # would become one, and the chunk would get a label
+    chunk = chunk_trace(generate_synthetic_trace("hard", 2.0, seed=0), 200)[0]
+    getattr(chunk, field)[57, 1] = np.nan
+    with pytest.raises(ValueError, match="chunk pose 57 at t = 0.57 is not finite"):
+        discretize_chunk(chunk)
 
 
 def test_classify_bands_and_boundaries():

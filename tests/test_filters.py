@@ -3,6 +3,7 @@ pseudo-derivatives, the streaming predictors, and the linear baseline."""
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from posecast import so3
 from posecast.filters import (
@@ -11,10 +12,12 @@ from posecast.filters import (
     FilterConfig,
     KfBaseline,
     NominalState,
+    _chain_eye,
+    _chain_matrix,
+    _chain_propagate,
     correct,
     error_transition_matrix,
     estimate_pseudo_derivatives,
-    init_filter,
     make_predictor,
     predict_horizon,
     propagate_covariance,
@@ -22,11 +25,18 @@ from posecast.filters import (
 )
 from posecast.traces import Pose, generate_synthetic_trace
 
+import numpy_reference as ref
+
 QID = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def random_unit_quat(rng):
-    return so3.quat_normalize(rng.normal(size=4))
+    return ref.quat_normalize(rng.normal(size=4))
+
+
+def scaled_chain(k, n):
+    """The identity chain of size n times k."""
+    return tuple(k * c for c in _chain_eye(n))
 
 
 def cubic_position(c, t):
@@ -38,11 +48,15 @@ def cubic_position(c, t):
 
 class TestFilterConfig:
     def test_variant_orders_and_error_dims(self):
-        expect = {"KF": (1, 1, 12), "ESKF": (1, 1, 12), "p2o2": (2, 2, 18),
+        # the covariance dimension: the baseline's 14-dim linear state,
+        # the error states' 3 (1 + ord_pos) + 3 (1 + ord_rot)
+        expect = {"KF": (1, 1, 14), "ESKF": (1, 1, 12), "p2o2": (2, 2, 18),
                   "p2o3": (2, 3, 21), "p3o3": (3, 3, 24)}
+        first = Pose(0.0, np.zeros(3), QID.copy())
         for name, (op, orot, dim) in expect.items():
             cfg = FilterConfig(model=name)
-            assert (cfg.ord_pos, cfg.ord_rot, cfg.error_dim) == (op, orot, dim)
+            P = make_predictor(cfg, first).P
+            assert (cfg.ord_pos, cfg.ord_rot, P.shape) == (op, orot, (dim, dim))
 
     def test_model_names_canonicalize_case_insensitively(self):
         assert FilterConfig(model="P3O3").model == "p3o3"
@@ -140,78 +154,99 @@ class TestErrorTransition:
         for name in ("ESKF", "p2o2", "p2o3", "p3o3"):
             cfg = FilterConfig(model=name)
             F = error_transition_matrix(x, 0.0, cfg)
-            np.testing.assert_array_equal(F, np.eye(cfg.error_dim))
+            np.testing.assert_array_equal(F, np.eye(3 * (1 + cfg.ord_rot)))
+            # the position chain at dt = 0: T = I, so T S T^T + I = S + I
+            n = 1 + cfg.ord_pos
+            np.testing.assert_array_equal(
+                _chain_matrix(_chain_propagate(_chain_eye(n), n, 0.0), n), 2 * np.eye(n))
 
     def test_block_structure(self):
+        # the attitude block: exp(w dt)^T on dth, Taylor couplings from the
+        # rate chain, nothing below the diagonal blocks
         cfg = FilterConfig(model="p3o3")
         x = NominalState(0.0)
         x.wvec[0] = [0.3, -0.6, 0.9]
         dt = 0.02
         F = error_transition_matrix(x, dt, cfg)
         eye = np.eye(3)
+        np.testing.assert_allclose(
+            F[0:3, 0:3], so3.rotvec_to_matrix(x.wvec[0] * dt).T, atol=1e-15)
         np.testing.assert_allclose(F[0:3, 3:6], dt * eye, atol=1e-18)
         np.testing.assert_allclose(F[0:3, 6:9], dt * dt / 2 * eye, atol=1e-18)
         np.testing.assert_allclose(F[0:3, 9:12], dt ** 3 / 6 * eye, atol=1e-18)
-        np.testing.assert_allclose(
-            F[12:15, 12:15], so3.rotvec_to_matrix(x.wvec[0] * dt).T, atol=1e-15)
-        np.testing.assert_allclose(F[15:18, 18:21], dt * eye, atol=1e-18)
-        np.testing.assert_allclose(F[15:18, 21:24], dt * dt / 2 * eye, atol=1e-18)
-        assert np.all(F[3:6, 0:3] == 0.0) and np.all(F[12:24, 0:12] == 0.0)
-        assert error_transition_matrix(x, dt, FilterConfig(model="ESKF")).shape == (12, 12)
+        np.testing.assert_allclose(F[3:6, 6:9], dt * eye, atol=1e-18)
+        np.testing.assert_allclose(F[3:6, 9:12], dt * dt / 2 * eye, atol=1e-18)
+        assert np.all(F[3:6, 0:3] == 0.0) and np.all(F[6:12, 0:6] == 0.0)
+        assert error_transition_matrix(x, dt, FilterConfig(model="ESKF")).shape == (6, 6)
+        # the position block: each chain size integrates with the Taylor
+        # chain dt^k / k!, the jerk chain included
+        rng = np.random.default_rng(13)
+        for n in (2, 3, 4):
+            A = rng.normal(size=(n, n))
+            S = A @ A.T
+            s = tuple(np.pad(S, (0, 4 - n))[np.triu_indices(4)].tolist())
+            T = ref.taylor_chain(n, dt)
+            np.testing.assert_allclose(_chain_matrix(_chain_propagate(s, n, dt), n),
+                                       T @ S @ T.T + np.eye(n), rtol=1e-14, atol=1e-15)
 
     def test_covariance_propagation_formula(self):
+        # unit process noise, Q = I
         rng = np.random.default_rng(9)
         A = rng.normal(size=(12, 12))
         P = A @ A.T
         F = rng.normal(size=(12, 12))
-        Q = np.eye(12)
-        P2 = propagate_covariance(P, F, Q)
-        expect = F @ P @ F.T + Q
+        P2 = propagate_covariance(P, F)
+        expect = F @ P @ F.T + np.eye(12)
         np.testing.assert_allclose(P2, 0.5 * (expect + expect.T), atol=1e-12)
         np.testing.assert_array_equal(P2, P2.T)
         with pytest.raises(ValueError):
-            propagate_covariance(P, np.eye(6), Q)
+            propagate_covariance(P, np.eye(6))
 
 
 # ------------------------------------------------------------- correction
 
 class TestCorrection:
     def test_identity_prior_halves_measured_variance(self):
-        cfg = FilterConfig(model="p3o3")
+        # blocks of p3o3: a chain of 4, a 12-square attitude block
         x = NominalState.at_pose(Pose(0.0, np.zeros(3), QID.copy()))
         z = Pose(0.0, np.array([1e-3, -2e-3, 3e-3]), QID.copy())
-        x2, P2 = correct(x, np.eye(cfg.error_dim), z, np.eye(6), cfg)
+        x2, chain, P_att = correct(x, _chain_eye(4), np.eye(12), z)
         np.testing.assert_allclose(x2.pos[0], 0.5 * z.p, atol=1e-15)
-        np.testing.assert_allclose(np.diag(P2)[0:3], 0.5, atol=1e-12)
-        np.testing.assert_allclose(np.diag(P2)[12:15], 0.5, atol=1e-12)
+        S = _chain_matrix(chain, 4)
+        np.testing.assert_allclose(S[0, 0], 0.5, atol=1e-12)
+        np.testing.assert_allclose(np.diag(P_att)[0:3], 0.5, atol=1e-12)
         # unmeasured blocks keep their prior variance
-        np.testing.assert_allclose(np.diag(P2)[3:12], 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(S)[1:4], 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.diag(P_att)[3:12], 1.0, atol=1e-12)
 
     def test_infinite_measurement_noise_is_a_no_op(self):
         rng = np.random.default_rng(4)
-        cfg = FilterConfig(model="p2o2")
+        # blocks of p2o2: a chain of 3, a 9-square attitude block
         x = NominalState.at_pose(Pose(0.0, rng.normal(size=3), random_unit_quat(rng)))
-        z = Pose(0.0, x.pos[0] + 0.01, so3.quat_normalize(x.q + 0.01))
-        x2, P2 = correct(x, np.eye(cfg.error_dim), z, 1e15 * np.eye(6), cfg)
+        z = Pose(0.0, x.pos[0] + 0.01, ref.quat_normalize(x.q + 0.01))
+        # the noise is fixed at I, so a prior of 1e-15 I puts it 1e15
+        # times above the prior, the gain of R = 1e15 I over P = I
+        x2, chain, P_att = correct(x, scaled_chain(1e-15, 3), 1e-15 * np.eye(9), z)
         assert np.abs(x2.pos[0] - x.pos[0]).max() < 1e-12
         assert so3.geodesic_distance(x2.q, x.q) < 1e-12
-        np.testing.assert_allclose(P2, np.eye(cfg.error_dim), atol=1e-12)
+        np.testing.assert_allclose(1e15 * _chain_matrix(chain, 3), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(1e15 * P_att, np.eye(9), atol=1e-12)
 
     def test_diffuse_prior_lands_on_the_measurement(self):
         # the rotational residual is an eigenvector of its own right
         # Jacobian, so a full-gain update reaches z.q exactly
         rng = np.random.default_rng(7)
-        cfg = FilterConfig(model="p3o3")
+        # blocks of p3o3: a chain of 4, a 12-square attitude block
         x = NominalState.at_pose(
             Pose(0.0, np.array([0.1, 0.2, 0.3]), random_unit_quat(rng)))
         z = Pose(0.0, np.array([0.4, -0.1, 0.2]), random_unit_quat(rng))
-        x2, _ = correct(x, 1e10 * np.eye(cfg.error_dim), z, np.eye(6), cfg)
+        x2, _, _ = correct(x, scaled_chain(1e10, 4), 1e10 * np.eye(12), z)
         assert np.linalg.norm(x2.pos[0] - z.p) < 1e-8
         assert so3.geodesic_distance(x2.q, z.q) < 1e-8
 
     def test_rotational_innovation_is_left_invariant(self):
         rng = np.random.default_rng(11)
-        cfg = FilterConfig(model="ESKF")
+        # blocks of ESKF: a chain of 2, a 6-square attitude block
         q = random_unit_quat(rng)
         zq = random_unit_quat(rng)
         L = random_unit_quat(rng)
@@ -219,21 +254,22 @@ class TestCorrection:
         x_b = NominalState.at_pose(Pose(0.0, np.zeros(3), so3.quat_multiply(L, q)))
         z_a = Pose(0.0, np.zeros(3), zq)
         z_b = Pose(0.0, np.zeros(3), so3.quat_multiply(L, zq))
-        xa2, _ = correct(x_a, np.eye(12), z_a, np.eye(6), cfg)
-        xb2, _ = correct(x_b, np.eye(12), z_b, np.eye(6), cfg)
+        xa2, _, _ = correct(x_a, _chain_eye(2), np.eye(6), z_a)
+        xb2, _, _ = correct(x_b, _chain_eye(2), np.eye(6), z_b)
         # identical residuals imply identical injected corrections
-        rel_a = so3.quat_multiply(so3.quat_conjugate(x_a.q), xa2.q)
-        rel_b = so3.quat_multiply(so3.quat_conjugate(x_b.q), xb2.q)
+        rel_a = so3.quat_multiply(ref.quat_conjugate(x_a.q), xa2.q)
+        rel_b = so3.quat_multiply(ref.quat_conjugate(x_b.q), xb2.q)
         assert so3.geodesic_distance(rel_a, rel_b) < 1e-10
         np.testing.assert_allclose(xa2.wvec, xb2.wvec, atol=1e-10)
 
     def test_degenerate_innovation_covariance_raises(self):
-        cfg = FilterConfig(model="ESKF")
+        # an ESKF attitude prior diffuse about one axis only: S = J P J^T + I
+        # has a condition number of about 5e12
         x = NominalState.at_pose(Pose(0.0, np.zeros(3), QID.copy()))
         z = Pose(0.0, np.zeros(3), QID.copy())
-        R = np.diag([1.0, 1e-14, 1.0, 1.0, 1.0, 1.0])
+        P_att = np.diag([1e13, 1.0, 1.0, 1.0, 1.0, 1.0])
         with pytest.raises(DegeneracyError, match="condition"):
-            correct(x, 1e-18 * np.eye(12), z, R, cfg)
+            correct(x, _chain_eye(2), P_att, z)
 
 
 # ------------------------------------------------------ pseudo-derivatives
@@ -404,19 +440,22 @@ class TestEskfPredictor:
         pub = pred.step(zs[2], received=False)
         F = error_transition_matrix(x_snap, 0.01, cfg)
         x_ol = propagate_nominal(x_snap, 0.01, cfg)
-        P_ol = propagate_covariance(P_snap, F, pred.Q)
         pub_ol = predict_horizon(x_ol, cfg.dt, cfg.horizon_steps, cfg)
         np.testing.assert_array_equal(pub.p, pub_ol.p)
         np.testing.assert_array_equal(pub.q, pub_ol.q)
-        np.testing.assert_array_equal(pred.P, P_ol)
+        # the whole covariance propagates open loop: F P F^T + I, the
+        # position block by the Taylor chain on every axis
+        T = np.kron(ref.taylor_chain(4, 0.01), np.eye(3))
+        P_ol = block_diag(T @ P_snap[:12, :12] @ T.T + np.eye(12),
+                          propagate_covariance(P_snap[12:, 12:], F))
+        np.testing.assert_allclose(pred.P, P_ol, rtol=1e-14, atol=1e-15)
+        np.testing.assert_array_equal(pred.P[12:, 12:], P_ol[12:, 12:])
         assert len(pred.window) == win_len        # window frozen during drops
 
     def test_degeneracy_marks_the_filter_unhealthy(self):
         zs = self.make_stream(2)
         pred = EskfPredictor(FilterConfig(model="ESKF"), zs[0])
-        pred.P *= 1e-18
-        pred.Q = np.zeros_like(pred.Q)           # keep P collapsed through the tick
-        pred.R = np.diag([1.0, 1e-14, 1.0, 1.0, 1.0, 1.0])
+        pred.P_att[0, 0] = 1e13                  # attitude diffuse about one axis
         with pytest.raises(DegeneracyError):
             pred.step(zs[1])
         assert not pred.healthy
@@ -438,13 +477,17 @@ class TestEskfPredictor:
         assert np.linalg.eigvalsh(pred.P)[0] > 0.0
 
     def test_init_filter_shapes(self):
-        for name, dim in (("ESKF", 12), ("p2o2", 18), ("p2o3", 21), ("p3o3", 24)):
-            cfg = FilterConfig(model=name)
-            x, P, Q, R = init_filter(cfg, Pose(0.0, np.zeros(3), QID.copy()))
-            np.testing.assert_array_equal(P, np.eye(dim))
-            np.testing.assert_array_equal(Q, np.eye(dim))
-            np.testing.assert_array_equal(R, np.eye(6))
-            assert x.t == 0.0
+        # identity initial covariance of the model's dimension; unit
+        # process noise: one coasted tick of a vanishing dt at rest adds I
+        # to the prior
+        first = Pose(0.0, np.zeros(3), QID.copy())
+        for name, dim in (("KF", 14), ("ESKF", 12), ("p2o2", 18), ("p2o3", 21),
+                          ("p3o3", 24)):
+            pred = make_predictor(FilterConfig(model=name), first)
+            np.testing.assert_array_equal(pred.P, np.eye(dim))
+            assert (pred.t if name == "KF" else pred.x.t) == 0.0
+            pred.step(Pose(1e-300, np.zeros(3), QID.copy()), received=False)
+            np.testing.assert_allclose(pred.P, 2 * np.eye(dim), rtol=0, atol=1e-250)
 
     def test_make_predictor_dispatch(self):
         first = Pose(0.0, np.zeros(3), QID.copy())
@@ -566,9 +609,10 @@ def test_predict_horizon_rollout_list():
 
 def _filter_state(pred):
     if isinstance(pred, KfBaseline):
-        return [pred.t, pred.x.copy(), pred.P.copy()]
+        return [pred.t, pred.x.copy(), pred.chain]
     return [pred.x.t, pred.x.pos.copy(), pred.x.q.copy(), pred.x.wvec.copy(),
-            pred.P.copy(), [(z.t, z.p.copy(), z.q.copy()) for z in pred.window]]
+            pred.chain, pred.P_att.copy(),
+            [(z.t, z.p.copy(), z.q.copy()) for z in pred.window]]
 
 
 def _assert_same(a, b):

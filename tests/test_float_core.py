@@ -1,6 +1,7 @@
 """The Python-float filter core against its numpy reference, and property
-tests of the float rotation kernels, the pseudo-derivative stencil and
-the filters' long-run health."""
+tests of the float rotation kernels, the pseudo-derivative stencil, the
+block structure of the reference covariance and the filters' long-run
+health."""
 
 import functools
 import math
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from posecast import so3
 from posecast.filters import (
@@ -209,6 +211,45 @@ def test_random_drops_keep_covariance_psd_and_quaternions_unit(model, data):
         q = pred.x[6:10] if model == "KF" else pred.x.q
         for u in (q, *(r[1] for r in pred.rollout)):
             assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+
+
+# ------------------------------------ block structure of the covariance
+
+@functools.lru_cache(maxsize=1)
+def _easy_and_hard_traces():
+    return (generate_synthetic_trace("easy", 0.6, seed=21),
+            generate_synthetic_trace("hard", 0.6, seed=22))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_reference_covariance_is_a_scalar_chain_and_an_attitude_block(data):
+    # the dense reference, run on two traces under one drop mask, keeps
+    # the structure the filters store instead of P: no position-attitude
+    # cross-covariance, a position block kron(P_s, I3) that depends on
+    # the mask only, and for the baseline kron(P_s, I3) (+) kron(P_s, I4)
+    # with the order-1 chain of the ESKF
+    traces = _easy_and_hard_traces()
+    mask = data.draw(st.lists(st.booleans(), min_size=len(traces[0]) - 1,
+                              max_size=len(traces[0]) - 1))
+    oracles = {(m, i): ref.make_reference(m, tr.pose(0), 0.01, 1)
+               for m in MODEL_NAMES for i, tr in enumerate(traces)}
+    for k, received in enumerate(mask, start=1):
+        for (m, i), oracle in oracles.items():
+            oracle.step(traces[i].pose(k), received)
+        P_s = oracles["ESKF", 0].P[0:6:3, 0:6:3]
+        for i in (0, 1):
+            assert np.array_equal(oracles["KF", i].P, block_diag(
+                np.kron(P_s, np.eye(3)), np.kron(P_s, np.eye(4))))
+        for m in MODEL_NAMES[1:]:
+            th = 3 * (1 + ref.ORDERS[m][0])
+            blocks = []
+            for i in (0, 1):
+                P = oracles[m, i].P
+                assert not P[:th, th:].any() and not P[th:, :th].any()
+                assert np.array_equal(P[:th, :th], np.kron(P[0:th:3, 0:th:3], np.eye(3)))
+                blocks.append(P[:th, :th])
+            assert np.array_equal(*blocks)
 
 
 # ------------------------------------------- inverse right Jacobian near pi

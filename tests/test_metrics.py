@@ -6,6 +6,8 @@ import pytest
 from posecast import so3
 from posecast.metrics import orientation_error, position_error, summarize
 
+import numpy_reference as ref
+
 
 class TestPositionError:
     def test_identity_is_zero(self):
@@ -43,15 +45,15 @@ class TestOrientationError:
 
     def test_double_cover_insensitive(self):
         rng = np.random.default_rng(2)
-        q = so3.quat_normalize(rng.normal(size=4))
+        q = ref.quat_normalize(rng.normal(size=4))
         assert orientation_error(q, -q) == pytest.approx(0.0, abs=1e-9)
 
     def test_left_invariant_under_global_pre_rotation(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            q1 = so3.quat_normalize(rng.normal(size=4))
-            q2 = so3.quat_normalize(rng.normal(size=4))
-            r = so3.quat_normalize(rng.normal(size=4))
+            q1 = ref.quat_normalize(rng.normal(size=4))
+            q2 = ref.quat_normalize(rng.normal(size=4))
+            r = ref.quat_normalize(rng.normal(size=4))
             base = orientation_error(q1, q2)
             rotated = orientation_error(so3.quat_multiply(r, q1),
                                         so3.quat_multiply(r, q2))
@@ -60,8 +62,8 @@ class TestOrientationError:
     def test_range_and_non_unit_rejection(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            e = orientation_error(so3.quat_normalize(rng.normal(size=4)),
-                                  so3.quat_normalize(rng.normal(size=4)))
+            e = orientation_error(ref.quat_normalize(rng.normal(size=4)),
+                                  ref.quat_normalize(rng.normal(size=4)))
             assert 0.0 <= e <= 180.0
         with pytest.raises(ValueError):
             orientation_error(np.array([2.0, 0.0, 0.0, 0.0]),
