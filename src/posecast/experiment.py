@@ -219,13 +219,14 @@ def run_experiment(config, traces):
     0 only repeat 0 streams, and the other repeats reuse its errors.
 
     A stream that stops, on a numerically degenerate filter
-    (DegeneracyError) or on a tick the filter refuses (ValueError: a
-    non-finite or non-unit pose, a stale timestamp), marks every (cell,
-    trace) combination it feeds failed and the sweep keeps going; that
-    trace contributes no samples to the failed cells. A trace with a
-    chunk the classifier refuses (a non-finite pose) fails them all with
-    that error and reports no labels. Streams stop at the last scored
-    tick, so a filter that would break only after it fails nothing.
+    (DegeneracyError) or on a pose the filter refuses (ValueError: a
+    non-finite or non-unit first pose or tick, a stale timestamp), marks
+    every (cell, trace) combination it feeds failed and the sweep keeps
+    going; that trace contributes no samples to the failed cells. A
+    trace with a chunk the classifier refuses (a non-finite pose) fails
+    them all with that error and reports no labels. Streams stop at the
+    last scored tick, so a filter that would break only after it fails
+    nothing.
     """
     traces = list(traces)
     if not traces:
@@ -249,8 +250,8 @@ def run_experiment(config, traces):
                         continue
                     fcfg = FilterConfig(model=model, dt=dt,
                                         horizon_steps=max(steps[ti]))
-                    pred = make_predictor(fcfg, filtered.pose(0))
                     try:
+                        pred = make_predictor(fcfg, filtered.pose(0))
                         streams.append(_stream_trace(
                             pred, trace, filtered, labels, config, steps[ti],
                             masks[drop, rep][ti]))
@@ -289,6 +290,7 @@ def _stream_trace(pred, trace, filtered, labels, config, steps, mask):
     n = len(filtered)
     end = min(len(labels) * config.chunk_len, n - min(steps))
     out = [{} for _ in steps]
+    true_p, true_q = trace.p.tolist(), trace.q.tolist()
     for k in range(1, end):
         pred.step(filtered.pose(k), received=mask[k - 1])
         cls = labels[k // config.chunk_len]
@@ -296,8 +298,8 @@ def _stream_trace(pred, trace, filtered, labels, config, steps, mask):
             if k + n_steps < n:
                 p, q = pred.rollout[n_steps - 1]
                 eps, eos, ticks = local.setdefault(cls, ([], [], []))
-                eps.append(position_error(p, trace.p[k + n_steps]))
-                eos.append(orientation_error(q, trace.q[k + n_steps]))
+                eps.append(position_error(p, true_p[k + n_steps]))
+                eos.append(orientation_error(q, true_q[k + n_steps]))
                 ticks.append(k)
     return out
 
@@ -382,13 +384,17 @@ def emit_report(report, out_dir):
                       str(r.n_repeats), str(r.n_samples)]
             fh.write(",".join(fields) + "\n")
 
+    # the cell and trace prefix is formatted once per run of equal keys
+    lines = [SAMPLES_COLUMNS + "\n"]
+    key = None
+    for model, cls, h_ms, drop, rep, ti, k, ep, eo in report.samples:
+        if key != (model, cls, h_ms, drop, rep, ti):
+            key = (model, cls, h_ms, drop, rep, ti)
+            prefix = f"{model},{cls.label},{h_ms},{_fmt(drop)},{rep},{ti},"
+        lines.append("%s%d,%.9g,%.9g\n" % (prefix, k, ep, eo))
     with open(os.path.join(out_dir, "samples.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
-        fh.write(SAMPLES_COLUMNS + "\n")
-        for model, cls, h_ms, drop, rep, ti, k, ep, eo in report.samples:
-            fh.write(",".join([model, cls.label, str(h_ms), _fmt(drop),
-                               str(rep), str(ti), str(k), _fmt(ep), _fmt(eo)])
-                     + "\n")
+        fh.write("".join(lines))
 
     with open(os.path.join(out_dir, "table.txt"), "w", encoding="utf-8",
               newline="\n") as fh:

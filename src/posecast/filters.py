@@ -16,19 +16,21 @@ rotational) kinematic order:
     p3o3  (3, 3)   adds jerk and angular jerk
 
 Derivatives are never measured; each received tick re-estimates them
-from the received pose history (derivatives of the interpolating
-polynomial at the newest sample, exact on polynomial motion of the
-variant's degree). A correction therefore injects only dp and dth.
+from a window of received nodes (derivatives of the interpolating
+polynomial at the newest node, exact on polynomial motion of the
+variant's degree). A correction therefore injects only dp and dth. The
+window keeps each node's floats and the body rate of the pair it ends,
+so a received tick adds one node and takes one log map.
 
 Process, measurement and initial covariances are identity, and under
 them the covariance has an exact block structure; the filters store
 only the blocks. Position and attitude never correlate. The position
 block is kron(P_s, I3) for a scalar chain P_s of size 1 + ord_pos that
 depends on the tick intervals and the drop pattern only; its update is
-a scalar one with S = s00 + 1 (_chain_propagate, _chain_update, in
-Python floats). The attitude block alone sees the data, through
-exp(w dt)^T and J_r^-T, and is the only covariance in numpy, with the
-one condition-checked Kalman update, _kalman_update.
+a scalar one with S = s00 + 1 (_chain_propagate, _chain_update). The
+attitude block alone sees the data, through exp(w dt)^T and J_r^-T. Its
+update, _kalman_update, forms and inverts the 3x3 innovation covariance
+in floats, with a closed-form condition check.
 
 The "KF" baseline is a 14-dimensional linear filter over [p v q qdot]
 that treats quaternion components as independent scalars and
@@ -36,9 +38,12 @@ renormalizes after every step. Its covariance is kron(P_s, I3) (+)
 kron(P_s, I4) for the order-1 chain, so S = (s00 + 1) I7 never
 degenerates.
 
-Other per-tick work on 3- and 4-vectors runs in Python floats too, where
-numpy's call overhead would cost more than the arithmetic; one core,
-_chain, serves propagate_nominal and predict_horizon alike.
+Everything else per tick runs in Python floats too, where numpy's call
+overhead would cost more than the arithmetic: one core, _chain, serves
+propagate_nominal and predict_horizon alike, and a rollout is a list of
+((px, py, pz), (qw, qx, qy, qz)) float tuples. Numpy is left for the
+attitude block's n x n products only: its transition, F P F^T, and the
+rank-3 update.
 """
 
 import math
@@ -47,7 +52,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import lapack
 
 from . import so3
 from .traces import Pose
@@ -122,25 +126,15 @@ class NominalState:
 _ZERO3 = (0.0, 0.0, 0.0)
 
 
-def _rollout_arrays(flat):
-    """(position, orientation) array pairs from flat [p(3) q(4)] floats per step.
-
-    Every array is a row view of one array built in a single call, which
-    is cheaper than an array per vector.
-    """
-    A = np.fromiter(flat, float, len(flat)).reshape(-1, 7)
-    return list(zip(A[:, 0:3], A[:, 3:7]))
-
-
-def _chain(x, dt, n, ord_rot, rollout=None):
+def _chain(x, dt, n, ord_rot, rollout):
     """n chained integration steps of dt from x, in Python floats.
 
     Each step applies the variant's rotation increment at the rates of
     the step's start, then the Taylor chains dt^k/k! to the position rows
-    [p v a j] and the rate rows [w wd wdd], one scalar per axis. Returns
-    the end state as (t, position rows, q, rate rows) of float tuples.
-    With a `rollout` list, the (position, orientation) after each step is
-    appended to it as arrays (see _rollout_arrays).
+    [p v a j] and the rate rows [w wd wdd], one scalar per axis. The
+    (position, orientation) after each step is appended to the `rollout`
+    list as a pair of float tuples. Returns the end state as (t, position
+    rows, q, rate rows) of float tuples.
     """
     c1, c2, c3 = dt, dt ** 2 / 2, dt ** 3 / 6       # dt^k / k!
     (p0, p1, p2), (v0, v1, v2), (a0, a1, a2), j = x.pos.tolist()
@@ -150,7 +144,7 @@ def _chain(x, dt, n, ord_rot, rollout=None):
     half_e = (0.5 * e0, 0.5 * e1, 0.5 * e2)
     q = x.q.tolist()
     t = x.t
-    poses = []
+    append = rollout.append
     for _ in range(n):
         w = (w0, w1, w2)
         if ord_rot >= 3:
@@ -173,9 +167,7 @@ def _chain(x, dt, n, ord_rot, rollout=None):
         d1 = d1 + e1 * c1
         d2 = d2 + e2 * c1
         t += dt
-        poses += (p0, p1, p2, *q)
-    if rollout is not None:
-        rollout.extend(_rollout_arrays(poses))
+        append(((p0, p1, p2), q))
     return t, ((p0, p1, p2), (v0, v1, v2), (a0, a1, a2), j), q, \
         ((w0, w1, w2), (d0, d1, d2), e)
 
@@ -184,16 +176,16 @@ def propagate_nominal(x, dt, config):
     """Advance the nominal state by dt using the variant's kinematic order."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    t, pos, q, wvec = _chain(x, dt, 1, config.ord_rot)
+    t, pos, q, wvec = _chain(x, dt, 1, config.ord_rot, [])
     return NominalState(t, np.array(pos), np.array(q), np.array(wvec))
 
 
 def predict_horizon(x, dt, n, config, rollout=None):
     """Pose n chained steps of dt ahead of the nominal state.
 
-    When a list is given as `rollout`, the (position, orientation) after
-    each of the n steps is appended to it; the published pose holds the
-    last entry's arrays.
+    When a list is given as `rollout`, the (position, orientation) float
+    tuples after each of the n steps are appended to it; the published
+    pose holds arrays of the last entry's floats.
     """
     n = int(n)
     if n < 1:
@@ -202,7 +194,8 @@ def predict_horizon(x, dt, n, config, rollout=None):
         raise ValueError("dt must be positive")
     poses = [] if rollout is None else rollout
     t = _chain(x, dt, n, config.ord_rot, poses)[0]
-    return Pose(t, *poses[-1])
+    p, q = poses[-1]
+    return Pose(t, np.array(p), np.array(q))
 
 
 def _chain_propagate(s, n, dt):
@@ -276,10 +269,73 @@ def error_transition_matrix(x, dt, config):
     return F
 
 
+@lru_cache(maxsize=8)
+def _identity(n):
+    I = np.eye(n)
+    I.setflags(write=False)
+    return I
+
+
 def propagate_covariance(P, F):
     """P <- F P F^T + I, symmetrized."""
-    P2 = F @ P @ F.T + np.eye(len(P))
-    return 0.5 * (P2 + P2.T)
+    P2 = F @ P @ F.T
+    P2 += _identity(len(P2))
+    P2 += P2.T
+    P2 *= 0.5
+    return P2
+
+
+def _sym3_max_eig(a, b, c, d, e, f):
+    """Largest eigenvalue of the positive definite [[a b c] [b d e] [c e f]].
+
+    Smith's closed form (CACM 4(4), 1961) for A/q - I, q = tr(A)/3: with
+    p^2 its squared Frobenius norm over 6 and B = (A/q - I)/p, the
+    eigenvalues are q (1 + 2p cos(phi + 2 pi k/3)), phi = acos(det(B)/2)/3.
+    Dividing by q and p keeps every product in range. The largest (k = 0)
+    sits where the cosine is flat, so it keeps a relative accuracy near
+    machine precision even where acos is ill-conditioned.
+    """
+    q = (a + d + f) / 3.0
+    a, b, c, d, e, f = a / q - 1.0, b / q, c / q, d / q - 1.0, e / q, f / q - 1.0
+    pp = (a * a + d * d + f * f + 2.0 * (b * b + c * c + e * e)) / 6.0
+    if pp == 0.0:
+        return q
+    p = math.sqrt(pp)
+    a, b, c, d, e, f = a / p, b / p, c / p, d / p, e / p, f / p
+    r = 0.5 * (a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d))
+    return q * (1.0 + 2.0 * p * math.cos(math.acos(max(-1.0, min(1.0, r))) / 3.0))
+
+
+def _cholesky_inverse3(a, b, c, d, e, f):
+    """L^-1 and cond(S) for S = L L^T = [[a b c] [b d e] [c e f]], in floats.
+
+    Returns the lower triangle of L^-1 row by row, (i00, i10, i11, i20,
+    i21, i22), and the 2-norm condition number of S: the product of the
+    largest eigenvalues of S and of S^-1 = L^-T L^-1 (_sym3_max_eig). The
+    Cholesky factor carries S's small eigenvalue to a relative error of
+    order eps cond(S), as LAPACK's eigensolver does. Returns None when a
+    pivot is not positive, S being then not positive definite.
+    """
+    if not a > 0.0:
+        return None
+    l00 = math.sqrt(a)
+    l10, l20 = b / l00, c / l00
+    r = d - l10 * l10
+    if not r > 0.0:
+        return None
+    l11 = math.sqrt(r)
+    l21 = (e - l20 * l10) / l11
+    r = f - l20 * l20 - l21 * l21
+    if not r > 0.0:
+        return None
+    i00, i11, i22 = 1.0 / l00, 1.0 / l11, 1.0 / math.sqrt(r)
+    i10 = -l10 * i00 * i11
+    i21 = -l21 * i11 * i22
+    i20 = -(l20 * i00 + l21 * i10) * i22
+    cond = _sym3_max_eig(a, b, c, d, e, f) * _sym3_max_eig(
+        i00 * i00 + i10 * i10 + i20 * i20, i10 * i11 + i20 * i21, i20 * i22,
+        i11 * i11 + i21 * i21, i21 * i22, i22 * i22)
+    return (i00, i10, i11, i20, i21, i22), cond
 
 
 def _kalman_update(P, y, J=None):
@@ -287,26 +343,46 @@ def _kalman_update(P, y, J=None):
 
     The measurement reads J dth, with J = J_r^-T at the residual (the
     identity when None), and unit noise. H is never built: HP is the
-    first three rows of P with J applied, S = HP H^T + I, K = P H^T S^-1
-    and P <- P - K HP, symmetrized.
+    first three rows of P with J applied. S = HP H^T + I is formed,
+    checked and factored in floats (_cholesky_inverse3). With
+    G = L^-1 HP, numpy does only the rank-3 update P <- P - G^T G, which
+    matmul computes as a symmetric rank-k product, so P stays exactly
+    symmetric.
 
-    Returns (dth, P), dth being the first three entries of K y. Raises
-    DegeneracyError when the condition number of S exceeds 1e12.
+    Returns (dth, P), dth = (J P_thth)^T S^-1 y, the first three entries
+    of K y for K = P H^T S^-1. Raises DegeneracyError when S is not
+    positive definite or its condition number exceeds 1e12.
     """
     HP = P[0:3] if J is None else J @ P[0:3]
-    S = HP[:, 0:3] if J is None else HP[:, 0:3] @ J.T
-    S = 0.5 * (S + S.T) + np.eye(3)
-    # LAPACK called directly, without numpy.linalg's per-call overhead:
-    # the ascending eigenvalues of S, then its LU solve, where no pivot
-    # is zero once S has passed the check
-    eig, _, info = lapack.dsyevd(S, compute_v=0)
-    if info != 0 or eig[0] <= 0.0 or eig[-1] / eig[0] > 1e12:
+    A = HP[:, 0:3].tolist()                    # J P_thth
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = A
+    if J is None:                              # S - I = P_thth
+        s00, s01, s02, s11, s12, s22 = a0, a1, a2, b1, b2, c2
+    else:                                      # S - I = A J^T
+        (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J.tolist()
+        s00 = a0 * j00 + a1 * j01 + a2 * j02
+        s01 = a0 * j10 + a1 * j11 + a2 * j12
+        s02 = a0 * j20 + a1 * j21 + a2 * j22
+        s11 = b0 * j10 + b1 * j11 + b2 * j12
+        s12 = b0 * j20 + b1 * j21 + b2 * j22
+        s22 = c0 * j20 + c1 * j21 + c2 * j22
+    fac = _cholesky_inverse3(s00 + 1.0, s01, s02, s11 + 1.0, s12, s22 + 1.0)
+    cond = math.inf if fac is None else fac[1]
+    if not cond <= 1e12:
         raise DegeneracyError(
-            f"innovation covariance condition {eig[-1] / max(eig[0], 1e-300):.3g} "
-            "exceeds 1e12")
-    K = lapack.dgesv(S, HP)[2].T          # P H^T S^-1 for symmetric S
-    P2 = P - K @ HP
-    return (K[0:3] @ y).tolist(), 0.5 * (P2 + P2.T)
+            f"innovation covariance condition {cond:.3g} exceeds 1e12")
+    (i00, i10, i11, i20, i21, i22), _ = fac
+    y0, y1, y2 = y
+    g0 = i00 * y0                              # L^-1 y, then v = L^-T L^-1 y
+    g1 = i10 * y0 + i11 * y1
+    g2 = i20 * y0 + i21 * y1 + i22 * y2
+    v2 = i22 * g2
+    v1 = i11 * g1 + i21 * g2
+    v0 = i00 * g0 + i10 * g1 + i20 * g2
+    dth = (a0 * v0 + b0 * v1 + c0 * v2, a1 * v0 + b1 * v1 + c1 * v2,
+           a2 * v0 + b2 * v1 + c2 * v2)
+    G = np.array(((i00, 0.0, 0.0), (i10, i11, 0.0), (i20, i21, i22))) @ HP
+    return dth, P - G.T @ G
 
 
 def correct(x, chain, P_att, z):
@@ -341,8 +417,8 @@ def _stencil_derivatives(us, fs):
     Nodes come newest first: us are their offsets from the newest node
     (us[0] = 0), fs their values as 3-vectors of floats, at most four of
     them. The Newton divided differences c_k = f[u_0 .. u_k], built in
-    place per axis, weigh the basis polynomials s (s - u_1) ... (s - u_{k-1}),
-    whose derivatives at s = 0 give
+    place on all three axes at once, weigh the basis polynomials
+    s (s - u_1) ... (s - u_{k-1}), whose derivatives at s = 0 give
 
         f'   = c_1 - u_1 c_2 + u_1 u_2 c_3
         f''  = 2 (c_2 - (u_1 + u_2) c_3)
@@ -354,59 +430,85 @@ def _stencil_derivatives(us, fs):
     above that degree are zero.
     """
     m = len(us)
-    steps = [(i, us[i] - us[i - k]) for k in range(1, m) for i in range(m - 1, k - 1, -1)]
+    c = [*fs, _ZERO3, _ZERO3, _ZERO3]
+    for k in range(1, m):
+        for i in range(m - 1, k - 1, -1):
+            h = us[i] - us[i - k]
+            (a0, a1, a2), (b0, b1, b2) = c[i], c[i - 1]
+            c[i] = ((a0 - b0) / h, (a1 - b1) / h, (a2 - b2) / h)
     u1 = us[1] if m > 1 else 0.0
     u2 = us[2] if m > 2 else 0.0
-    cols = []
-    for col in zip(*fs):
-        c = [*col, 0.0, 0.0, 0.0]
-        for i, h in steps:
-            c[i] = (c[i] - c[i - 1]) / h
-        c1, c2, c3 = c[1], c[2], c[3]
-        cols.append((c1 - u1 * c2 + u1 * u2 * c3, 2.0 * (c2 - (u1 + u2) * c3), 6.0 * c3))
-    return list(zip(*cols))
+    s, r = u1 + u2, u1 * u2
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = c[1], c[2], c[3]
+    return [(x1 - u1 * x2 + r * x3, y1 - u1 * y2 + r * y3, z1 - u1 * z2 + r * z3),
+            (2.0 * (x2 - s * x3), 2.0 * (y2 - s * y3), 2.0 * (z2 - s * z3)),
+            (6.0 * x3, 6.0 * y3, 6.0 * z3)]
+
+
+def _window_node(z, prev):
+    """Received pose z as a derivative-window node (t, p, q, w) of floats.
+
+    w is the body rate over the pair from node `prev`,
+    quat_log(q_prev^-1 * q) / (t - t_prev), or None without a previous
+    node: the one log map a received tick takes for its derivatives.
+    """
+    p, q = so3._floats(z.p), so3._floats(z.q)
+    if prev is None:
+        return z.t, p, q, None
+    t0, _, (qw, qx, qy, qz), _ = prev
+    h = z.t - t0
+    w0, w1, w2 = so3._log(so3._mul((qw, -qx, -qy, -qz), q))
+    return z.t, p, q, (w0 / h, w1 / h, w2 / h)
 
 
 def estimate_pseudo_derivatives(window, config):
-    """Derivative estimates from a window of received poses, oldest first.
+    """Derivative estimates from a window of nodes (_window_node), oldest first.
 
     Translational derivatives are read off the backward polynomial through
     the last ord_pos+1 window nodes at the newest node: the classical
     one-sided difference formulas, exact on polynomial motion of the
     variant's degree. The angular rate is the pinned backward estimate
-    w_k = quat_log(q_{k-1}^-1 * q_k)/dt; its own derivatives come from the
-    same treatment of the last ord_rot rates, each placed at its pair's
-    newer end. Both run in Python floats (_stencil_derivatives).
+    w_k = quat_log(q_{k-1}^-1 * q_k)/dt each node keeps for the pair it
+    ends; its own derivatives come from the same treatment of the last
+    ord_rot rates, each placed at its pair's newer end. Both run in Python
+    floats (_stencil_derivatives).
 
     Returns (pos_deriv, rot_deriv), three float rows each, [v, a, j] and
     [w, wd, wdd] (rows beyond the variant's order zero), or None when
-    fewer than two poses are available. While ramping up, derivatives
+    fewer than two nodes are available. While ramping up, derivatives
     whose stencil does not fit yet stay zero.
     """
     if len(window) < 2:
         return None
     newest = list(window)[::-1]
-    ts = [z.t for z in newest]
-    us = [t - ts[0] for t in ts]
+    t0 = newest[0][0]
+    us = [node[0] - t0 for node in newest]
     m = min(config.ord_pos + 1, len(newest))
-    pos_d = _stencil_derivatives(us[:m], [z.p.tolist() for z in newest[:m]])
-
-    # body-frame rates over consecutive pairs, newest pair first
-    ws = []
-    for i in range(min(config.ord_rot, len(newest) - 1)):
-        qw, qx, qy, qz = newest[i + 1].q.tolist()
-        h = ts[i] - ts[i + 1]
-        ws.append([c / h for c in so3._log(so3._mul((qw, -qx, -qy, -qz),
-                                                     newest[i].q.tolist()))])
+    pos_d = _stencil_derivatives(us[:m], [node[1] for node in newest[:m]])
+    # body-frame rates over the pairs inside the window, newest pair first
+    ws = [node[3] for node in newest[:min(config.ord_rot, len(newest) - 1)]]
     return pos_d, [ws[0], *_stencil_derivatives(us[:len(ws)], ws)[:2]]
+
+
+def _check_pose(z):
+    """ValueError unless pose z is finite with a quaternion unit to 1e-6,
+    the tolerance of so3.quat_log."""
+    zq = so3._floats(z.q)
+    if not all(map(math.isfinite, [z.t, *so3._floats(z.p), *zq])):
+        raise ValueError(f"measurement at t = {z.t:.9g} is not finite: "
+                         f"p = {z.p}, q = {z.q}")
+    n = math.sqrt(sum(c * c for c in zq))
+    if abs(n - 1.0) > 1e-6:
+        raise ValueError(f"measurement at t = {z.t:.9g}: quaternion norm "
+                         f"{n:.9g} is not within 1e-6 of unit")
 
 
 def _tick_interval(z, t, received):
     """Time from t to tick z; ValueError for a tick no filter may take.
 
-    A tick must carry a finite timestamp past t, and a received one a
-    finite pose whose quaternion is unit to 1e-6, the tolerance of
-    so3.quat_log. A lost packet's pose is never read, so it is not checked.
+    A tick must carry a finite timestamp past t, and a received one a pose
+    _check_pose accepts. A lost packet's pose is never read, so it is not
+    checked.
     """
     dt = z.t - t
     if not math.isfinite(dt):
@@ -415,14 +517,7 @@ def _tick_interval(z, t, received):
         raise ValueError(
             f"tick timestamp {z.t:.9g} does not advance past {t:.9g}")
     if received:
-        zq = so3._floats(z.q)
-        if not all(map(math.isfinite, [*so3._floats(z.p), *zq])):
-            raise ValueError(f"measurement at t = {z.t:.9g} is not finite: "
-                             f"p = {z.p}, q = {z.q}")
-        n = math.sqrt(sum(c * c for c in zq))
-        if abs(n - 1.0) > 1e-6:
-            raise ValueError(f"measurement at t = {z.t:.9g}: quaternion norm "
-                             f"{n:.9g} is not within 1e-6 of unit")
+        _check_pose(z)
     return dt
 
 
@@ -436,20 +531,21 @@ class EskfPredictor:
     advance, so the filter coasts open loop on frozen derivatives.
 
     `rollout[i]` holds the (position, orientation) i + 1 steps ahead of
-    the latest tick, so every shorter horizon is read off the same rollout.
-    A stale tick, or a received pose that is not finite or whose
-    quaternion is not unit, raises ValueError and leaves the filter as it
-    was.
+    the latest tick as float tuples, so every shorter horizon is read off
+    the same rollout. A first pose, or a received one, that is not finite
+    or whose quaternion is not unit raises ValueError, as does a stale
+    tick; a refused tick leaves the filter as it was.
     """
 
     def __init__(self, config, first_pose):
         if config.model == "KF":
             raise ValueError("use KfBaseline for the linear baseline")
+        _check_pose(first_pose)
         self.config = config
         self.x = NominalState.at_pose(first_pose)
         self.chain = _chain_eye(1 + config.ord_pos)   # position block: kron(chain, I3)
         self.P_att = np.eye(3 * (1 + config.ord_rot))
-        self.window = deque([first_pose.copy()], maxlen=config.min_window)
+        self.window = deque([_window_node(first_pose, None)], maxlen=config.min_window)
         self.rollout = []
         self.healthy = True
 
@@ -477,7 +573,7 @@ class EskfPredictor:
             except DegeneracyError:
                 self.healthy = False
                 raise
-            self.window.append(z.copy())
+            self.window.append(_window_node(z, self.window[-1]))
             self.x.pos[1:4], self.x.wvec[:] = estimate_pseudo_derivatives(
                 self.window, self.config)
         self.rollout = []
@@ -516,6 +612,7 @@ class KfBaseline:
     healthy = True          # S = (s00 + 1) I7 is never degenerate
 
     def __init__(self, config, first_pose):
+        _check_pose(first_pose)
         self.config = config
         self.t = float(first_pose.t)
         self.x = np.zeros(14)
@@ -551,12 +648,11 @@ class KfBaseline:
             qd = [a + g1 * e for a, e in zip(qd, yq)]
         self.x = np.array((*p, *v, *q, *qd))
         h = self.config.dt
-        poses = []
+        self.rollout = rollout = []
         for _ in range(self.config.horizon_steps):
             p, q = _cv_step(p, v, q, qd, h)
-            poses += (*p, *q)
-        self.rollout = _rollout_arrays(poses)
-        return Pose(self.t + self.config.horizon_steps * h, *self.rollout[-1])
+            rollout.append((p, q))
+        return Pose(self.t + self.config.horizon_steps * h, np.array(p), np.array(q))
 
 
 def make_predictor(config, first_pose):

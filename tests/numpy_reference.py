@@ -9,12 +9,17 @@ in Python floats and from rows of P, so the two routes agree to rounding
 only; tests compare them with tolerances. The rotation helpers here
 (normalize, canonical sign, conjugate, skew, quaternion to matrix) are
 also the ones other tests use: the package itself has no need of them.
+window_nodes is the one exact helper: it builds the filters'
+derivative-window nodes with the package's own rotation kernels, so a
+window grown tick by tick can be compared with it bit for bit.
 """
 
 from collections import deque
 from math import factorial
 
 import numpy as np
+
+from posecast import so3
 
 ORDERS = {"KF": (1, 1), "ESKF": (1, 1),
           "p2o2": (2, 2), "p2o3": (2, 3), "p3o3": (3, 3)}
@@ -123,6 +128,22 @@ def kalman_update(P, y, R, H):
     K = np.linalg.solve(S, H @ P).T
     P2 = (np.eye(len(P)) - K @ H) @ P
     return K @ y, 0.5 * (P2 + P2.T)
+
+
+def window_nodes(poses):
+    """The filters' derivative-window nodes (t, p, q, w) of received poses,
+    oldest first, w being None on the first node. Each pair rate is
+    recomputed with the package's ndarray rotation functions, which run
+    the filters' float kernels, so the nodes match bit for bit."""
+    nodes = []
+    for i, z in enumerate(poses):
+        w = None
+        if i:
+            a = poses[i - 1]
+            rel = so3.quat_multiply(quat_conjugate(a.q), z.q)
+            w = tuple((so3.quat_log(rel) / (z.t - a.t)).tolist())
+        nodes.append((z.t, z.p.tolist(), z.q.tolist(), w))
+    return nodes
 
 
 def pseudo_derivatives(window, op, orot):

@@ -267,6 +267,26 @@ class TestRunExperiment:
         assert rep.aggregates == clean.aggregates
         assert rep.samples == clean.samples
 
+    def test_refused_first_pose_fails_its_cells_not_the_sweep(self):
+        # a trace whose first timestamp is -inf still has a median tick and
+        # classifiable chunks, but its first pose is refused when the
+        # predictor is built; that fails the trace's cells, and the other
+        # traces score as in a sweep without it
+        good = [generate_synthetic_trace("hard", 4.0, seed=s) for s in (1, 2)]
+        raw = generate_synthetic_trace("hard", 4.0, seed=3)
+        t = raw.t.copy()
+        t[0] = -np.inf
+        cfg = ExperimentConfig(models=("KF", "p3o3"), horizons_ms=(20, 60),
+                               drop_rates=(0.0, 0.3), repeats=2, master_seed=5)
+        clean = run_experiment(cfg, good)
+        rep = run_experiment(cfg, good + [Trace(t, raw.p, raw.q)])
+        assert len(rep.failures) == 2 * 2 * 2 * 2
+        assert {f.trace_index for f in rep.failures} == {2}
+        assert all("t = -inf is not finite" in f.reason for f in rep.failures)
+        assert rep.per_repeat == clean.per_repeat
+        assert rep.aggregates == clean.aggregates
+        assert rep.samples == clean.samples
+
 
 class TestCalibration:
     def test_easy_and_hard_profiles_classify_to_their_band(self):

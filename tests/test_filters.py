@@ -279,20 +279,20 @@ class TestPseudoDerivatives:
 
     def test_needs_at_least_two_poses(self):
         w = [Pose(0.0, np.zeros(3), QID.copy())]
-        assert estimate_pseudo_derivatives(w, self.cfg3) is None
+        assert estimate_pseudo_derivatives(ref.window_nodes(w), self.cfg3) is None
 
     def test_stationary_stream_gives_zeros(self):
         p = np.array([0.3, -0.1, 0.2])
         q = so3.quat_exp(np.array([0.1, 0.2, -0.3]))
         w = [Pose(0.01 * k, p.copy(), q.copy()) for k in range(5)]
-        pos_d, rot_d = estimate_pseudo_derivatives(w, self.cfg3)
+        pos_d, rot_d = estimate_pseudo_derivatives(ref.window_nodes(w), self.cfg3)
         assert np.abs(pos_d).max() < 1e-12
         assert np.abs(rot_d).max() < 1e-12
 
     def test_linear_motion_recovers_velocity(self):
         v = np.array([0.5, -0.2, 0.1])
         w = [Pose(0.01 * k, v * 0.01 * k, QID.copy()) for k in range(4)]
-        pos_d, _ = estimate_pseudo_derivatives(w, self.cfg3)
+        pos_d, _ = estimate_pseudo_derivatives(ref.window_nodes(w), self.cfg3)
         np.testing.assert_allclose(pos_d[0], v, atol=1e-12)
         assert np.abs(pos_d[1:]).max() < 1e-9
 
@@ -302,7 +302,7 @@ class TestPseudoDerivatives:
         dts = np.array([0.009, 0.011, 0.0105, 0.0095, 0.01, 0.012])
         ts = np.concatenate([[2.0], 2.0 + np.cumsum(dts)])
         w = [Pose(t, cubic_position(c, t), QID.copy()) for t in ts]
-        pos_d, _ = estimate_pseudo_derivatives(w, self.cfg3)
+        pos_d, _ = estimate_pseudo_derivatives(ref.window_nodes(w), self.cfg3)
         t0 = ts[-1]
         np.testing.assert_allclose(
             pos_d[0], c[1] + 2 * c[2] * t0 + 3 * c[3] * t0 * t0, atol=1e-10)
@@ -314,7 +314,7 @@ class TestPseudoDerivatives:
         rate = 0.8
         w = [Pose(0.01 * k, np.zeros(3), so3.quat_exp(axis * rate * 0.01 * k))
              for k in range(5)]
-        _, rot_d = estimate_pseudo_derivatives(w, self.cfg3)
+        _, rot_d = estimate_pseudo_derivatives(ref.window_nodes(w), self.cfg3)
         np.testing.assert_allclose(rot_d[0], axis * rate, atol=1e-10)
         assert np.abs(rot_d[1:]).max() < 1e-9
 
@@ -327,7 +327,7 @@ class TestPseudoDerivatives:
         poses = [Pose(t, np.zeros(3),
                       so3.quat_exp(axis * (w0 * t + 0.5 * w1 * t * t)))
                  for t in ts]
-        _, rot_d = estimate_pseudo_derivatives(poses, self.cfg3)
+        _, rot_d = estimate_pseudo_derivatives(ref.window_nodes(poses), self.cfg3)
         np.testing.assert_allclose(
             rot_d[0], axis * (w0 + w1 * (ts[-1] - dt / 2)), atol=1e-10)
         np.testing.assert_allclose(rot_d[1], axis * w1, atol=1e-10)
@@ -342,12 +342,12 @@ class TestPseudoDerivatives:
                       so3.quat_exp(axis * (0.4 * t + 0.9 * t * t)))
                  for t in ts]
         pos_d, rot_d = estimate_pseudo_derivatives(
-            poses, FilterConfig(model="p2o2"))
+            ref.window_nodes(poses), FilterConfig(model="p2o2"))
         assert np.abs(pos_d[2]).max() == 0.0     # no jerk row for ord 2
         assert np.abs(rot_d[2]).max() == 0.0
         assert np.abs(pos_d[1]).max() > 0.1      # acceleration is live
         pos_d, rot_d = estimate_pseudo_derivatives(
-            poses, FilterConfig(model="ESKF"))
+            ref.window_nodes(poses), FilterConfig(model="ESKF"))
         assert np.abs(pos_d[1:]).max() == 0.0
         assert np.abs(rot_d[1:]).max() == 0.0
 
@@ -355,7 +355,7 @@ class TestPseudoDerivatives:
         v = np.array([1.0, 0.0, 0.0])
         w = [Pose(0.00, np.zeros(3), QID.copy()),
              Pose(0.01, v * 0.01, QID.copy())]
-        pos_d, _ = estimate_pseudo_derivatives(w, self.cfg3)
+        pos_d, _ = estimate_pseudo_derivatives(ref.window_nodes(w), self.cfg3)
         np.testing.assert_allclose(pos_d[0], v, atol=1e-12)
         assert np.abs(pos_d[1:]).max() == 0.0    # stencil too short, stays zero
 
@@ -598,7 +598,8 @@ def test_predict_horizon_rollout_list():
     rollout = []
     pub = predict_horizon(x, 0.01, 4, cfg, rollout)
     assert len(rollout) == 4
-    assert rollout[-1][0] is pub.p and rollout[-1][1] is pub.q
+    assert np.array_equal(rollout[-1][0], pub.p)
+    assert np.array_equal(rollout[-1][1], pub.q)
     for n, (p, q) in enumerate(rollout, start=1):
         direct = predict_horizon(x, 0.01, n, cfg)
         assert np.array_equal(p, direct.p)
@@ -612,7 +613,7 @@ def _filter_state(pred):
         return [pred.t, pred.x.copy(), pred.chain]
     return [pred.x.t, pred.x.pos.copy(), pred.x.q.copy(), pred.x.wvec.copy(),
             pred.chain, pred.P_att.copy(),
-            [(z.t, z.p.copy(), z.q.copy()) for z in pred.window]]
+            [(t, p, q, w) for t, p, q, w in pred.window]]
 
 
 def _assert_same(a, b):
@@ -669,6 +670,28 @@ def test_non_unit_quaternion_is_rejected_before_any_state_changes(model):
     def spoil(z):
         z.q *= 1.01
     _assert_rejected_before_any_state_changes(model, spoil, "not within 1e-6 of unit")
+
+
+@pytest.mark.parametrize("model", ["KF", "p3o3"])
+@pytest.mark.parametrize("field, value", [("p", np.nan), ("q", np.inf),
+                                          ("t", np.nan), ("t", -np.inf)])
+def test_non_finite_first_pose_is_refused(model, field, value):
+    # a NaN in pose 0 would otherwise reach every later published pose
+    first = generate_synthetic_trace("medium", 0.2, seed=4).pose(0)
+    if field == "t":
+        first.t = value
+    else:
+        getattr(first, field)[1] = value
+    with pytest.raises(ValueError, match="is not finite"):
+        make_predictor(FilterConfig(model=model), first)
+
+
+@pytest.mark.parametrize("model", ["KF", "p3o3"])
+def test_non_unit_first_quaternion_is_refused(model):
+    first = generate_synthetic_trace("medium", 0.2, seed=4).pose(0)
+    first.q *= 1.01
+    with pytest.raises(ValueError, match="not within 1e-6 of unit"):
+        make_predictor(FilterConfig(model=model), first)
 
 
 @pytest.mark.parametrize("model", ["KF", "p3o3"])

@@ -1,6 +1,7 @@
 """The Python-float filter core against its numpy reference, and property
-tests of the float rotation kernels, the pseudo-derivative stencil, the
-block structure of the reference covariance and the filters' long-run
+tests of the float rotation kernels, the pseudo-derivative stencil and
+its incremental window, the closed-form 3x3 innovation kernel, the block
+structure of the reference covariance and the filters' long-run
 health."""
 
 import functools
@@ -10,12 +11,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, lapack
 
 from posecast import so3
 from posecast.filters import (
     MODEL_NAMES,
     FilterConfig,
+    _cholesky_inverse3,
     estimate_pseudo_derivatives,
     make_predictor,
 )
@@ -42,7 +44,9 @@ def test_step_matches_numpy_reference(model):
         for (p, q), (p_ref, q_ref) in zip(pred.rollout, expect):
             assert np.abs(p - p_ref).max() <= 1e-12
             assert np.abs(q - q_ref).max() <= 1e-12
-        assert pub.p is pred.rollout[-1][0] and pub.q is pred.rollout[-1][1]
+        assert isinstance(pub.p, np.ndarray) and isinstance(pub.q, np.ndarray)
+        assert np.array_equal(pub.p, pred.rollout[-1][0])
+        assert np.array_equal(pub.q, pred.rollout[-1][1])
         scale = np.abs(oracle.P).max()
         assert np.abs(pred.P - oracle.P).max() <= 1e-9 * scale
 
@@ -153,7 +157,7 @@ def _rows_close(rows, expect, rel):
 def test_newton_stencil_matches_vandermonde_solve(case):
     model, window = case
     cfg = FilterConfig(model=model)
-    pos_d, rot_d = estimate_pseudo_derivatives(window, cfg)
+    pos_d, rot_d = estimate_pseudo_derivatives(ref.window_nodes(window), cfg)
     pos_ref, rot_ref = ref.pseudo_derivatives(window, cfg.ord_pos, cfg.ord_rot)
     _rows_close(pos_d, pos_ref, 1e-9)
     _rows_close(rot_d, rot_ref, 1e-9)
@@ -181,11 +185,89 @@ def test_newton_stencil_is_exact_on_polynomials(model, data):
     for a, b in zip(ts, ts[1:]):
         q = so3.quat_multiply(q, so3.quat_exp(poly(cw, b) * (b - a)))
         window.append(Pose(b, poly(cp, b), q))
-    pos_d, rot_d = estimate_pseudo_derivatives(window, cfg)
+    pos_d, rot_d = estimate_pseudo_derivatives(ref.window_nodes(window), cfg)
     expect_pos = [poly(cp, t0, k) if k <= cfg.ord_pos else np.zeros(3) for k in (1, 2, 3)]
     expect_rot = [poly(cw, t0, k) if k < cfg.ord_rot else np.zeros(3) for k in (0, 1, 2)]
     _rows_close(pos_d, expect_pos, 1e-7)
     _rows_close(rot_d, expect_rot, 1e-7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_ESKF_MODELS), st.data())
+def test_incremental_window_equals_recomputation(model, data):
+    # the window a filter grows node by node, one log map per received
+    # tick, is bit for bit the last min_window nodes recomputed from all
+    # received poses, and each received tick installs its derivatives
+    trace = _hard_trace()
+    mask = data.draw(st.lists(st.booleans(), min_size=len(trace) - 1,
+                              max_size=len(trace) - 1))
+    cfg = FilterConfig(model=model, dt=0.01, horizon_steps=3)
+    pred = make_predictor(cfg, trace.pose(0))
+    nodes = ref.window_nodes([trace.pose(0)] + [trace.pose(k) for k, received
+                                                in enumerate(mask, start=1) if received])
+    seen = 1
+    for k, received in enumerate(mask, start=1):
+        pred.step(trace.pose(k), received=received)
+        seen += received
+        expect = nodes[:seen][-cfg.min_window:]
+        assert list(pred.window) == expect
+        if received and seen > 1:
+            pos_d, rot_d = estimate_pseudo_derivatives(expect, cfg)
+            assert np.array_equal(pred.x.pos[1:4], pos_d)
+            assert np.array_equal(pred.x.wvec, rot_d)
+
+
+# ------------------------------------------------- 3x3 innovation kernel
+
+_EPS = np.finfo(float).eps
+
+
+@st.composite
+def spd3(draw, log_cond):
+    """A symmetric positive definite 3x3 R diag(lam) R^T at a random scale
+    and rotation, with condition number 10**log_cond; the middle
+    eigenvalue is drawn anywhere between, clustered at either end too."""
+    R = so3.rotvec_to_matrix(draw(rotvecs()))
+    lo = 10.0 ** draw(st.floats(-2.0, 2.0))
+    hi = lo * 10.0 ** draw(log_cond)
+    mid = draw(st.one_of(st.just(lo), st.just(hi),
+                         st.floats(0.0, 1.0).map(lambda s: lo * (hi / lo) ** s)))
+    S = R @ np.diag([lo, mid, hi]) @ R.T
+    return 0.5 * (S + S.T)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(spd3(st.floats(0.0, 6.0)), spd3(st.floats(11.0, 13.0))),
+       st.integers(1, 12), st.randoms(use_true_random=False))
+def test_closed_form_condition_and_solve_match_lapack(S, n, rnd):
+    # LAPACK's own eigenvalues and LU solve, called here only, are the
+    # reference. Both routes are backward stable, so they meet to a few
+    # eps cond(S): the condition numbers agree to that, and to 1e-7 where
+    # Smith's formula meets clustered eigenvalues; the 1e12 rule decides
+    # alike wherever cond(S) lies farther than 16 eps cond(S) from 1e12
+    # (3.6e-3 relative there); the solves agree to 1e-12 relative up to
+    # cond(S) of about 280, and to 16 eps cond(S) beyond
+    eig, _, info = lapack.dsyevd(S, compute_v=0)
+    assert info == 0
+    cond_ref = eig[-1] / eig[0]
+    fac = _cholesky_inverse3(*S[np.triu_indices(3)].tolist())
+    assert fac is not None
+    (i00, i10, i11, i20, i21, i22), cond = fac
+    band = 16.0 * _EPS * cond_ref
+    assert abs(cond / cond_ref - 1.0) <= max(1e-7, band)
+    if abs(cond_ref / 1e12 - 1.0) > band:
+        assert (cond <= 1e12) == (cond_ref <= 1e12)
+    Li = np.array([[i00, 0.0, 0.0], [i10, i11, 0.0], [i20, i21, i22]])
+    B = np.array([[rnd.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(3)])
+    X = Li.T @ (Li @ B)
+    X_ref = lapack.dgesv(S, B)[2]
+    assert np.abs(X - X_ref).max() <= max(1e-12, band) * np.abs(X_ref).max()
+
+
+@pytest.mark.parametrize("S", [np.diag([1.0, 1.0, 0.0]), np.diag([1.0, -1.0, 1.0]),
+                               np.ones((3, 3)), np.full((3, 3), np.nan)])
+def test_closed_form_refuses_what_is_not_positive_definite(S):
+    assert _cholesky_inverse3(*S[np.triu_indices(3)].tolist()) is None
 
 
 # ------------------------------------------------------- long-run health
