@@ -16,6 +16,7 @@ compared under the same losses, and results never depend on execution
 order or on the rest of the grid.
 """
 
+import math
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -26,6 +27,7 @@ from .classifier import ClassifierConfig, MotionClass, classify, discretize_chun
 from .filters import MODEL_NAMES, DegeneracyError, FilterConfig, canonical_model_name, make_predictor
 from .metrics import orientation_error, position_error, summarize
 from .preprocess import chunk_trace, design_butterworth_lowpass, filter_trace
+from .traces import Pose
 
 SUMMARY_COLUMNS = (
     "model,class,horizon_ms,drop_rate,"
@@ -155,17 +157,31 @@ def classify_chunk(chunk, config=None):
 
 
 def _prepare_trace(trace, config):
-    """(dt, filtered trace, chunk labels), the labels replaced by the
-    classifier's ValueError when a chunk holds a non-finite pose."""
+    """(dt, horizon steps, poses, truth, chunk labels) of one trace.
+
+    The poses are the filtered ones as Pose objects with read-only
+    arrays, built once: every stream of the trace steps these same
+    objects. The truth is the raw (positions, orientations) as float
+    lists. The labels are replaced by the classifier's ValueError when a
+    chunk holds a non-finite pose, and by a ValueError of their own, with
+    no poses, when the median tick interval is not finite and positive.
+    """
     dt = trace.median_dt()
+    if not (math.isfinite(dt) and dt > 0.0):
+        return dt, None, None, None, ValueError(
+            f"median tick interval {dt!r} s is not finite and positive")
+    steps = _horizon_steps(config, dt)
     sos = design_butterworth_lowpass(config.butter_order, config.cutoff_hz, 1.0 / dt)
     filtered = filter_trace(trace, sos)
+    p, q = filtered.p.view(), filtered.q.view()
+    p.flags.writeable = q.flags.writeable = False
+    poses = [Pose(t, pk, qk) for t, pk, qk in zip(filtered.t.tolist(), p, q)]
     try:
         labels = [classify_chunk(c, config.classifier)
                   for c in chunk_trace(filtered, config.chunk_len)]
     except ValueError as e:
         labels = e
-    return dt, filtered, labels
+    return dt, steps, poses, (trace.p.tolist(), trace.q.tolist()), labels
 
 
 def _cell_rng(config, drop_rate, repeat):
@@ -178,14 +194,15 @@ def _streamed_repeats(config, drop_rate):
     return 1 if drop_rate == 0.0 else config.repeats
 
 
-def _drop_masks(config, prepared):
+def _drop_masks(config, traces):
     """Received flags of ticks 1..n-1, per (drop rate, repeat) and trace.
 
     All masks are drawn before any stream runs, trace after trace from one
     generator per (drop rate, repeat), so every model and horizon sees the
     same losses and a failed stream shifts no other stream's pattern. Every
-    tick gets a flag, also the unscored tail that no stream steps, so the
-    draws for a trace never depend on its labels or the horizons. At
+    tick gets a flag, also the unscored tail that no stream steps and the
+    ticks of a trace that cannot stream at all, so the draws for a trace
+    never depend on its labels, its timestamps or the horizons. At
     drop 0 every packet arrives, which is what lets the repeats share one
     stream.
     """
@@ -194,8 +211,8 @@ def _drop_masks(config, prepared):
         for rep in range(_streamed_repeats(config, drop)):
             rng = _cell_rng(config, drop, rep)
             masks[drop, rep] = [[drop == 0.0 or simulate_drop(rng, drop)
-                                 for _ in range(1, len(f))]
-                                for _, f, _ in prepared]
+                                 for _ in range(1, len(trace))]
+                                for trace in traces]
     return masks
 
 
@@ -223,17 +240,17 @@ def run_experiment(config, traces):
     non-finite or non-unit first pose or tick, a stale timestamp), marks
     every (cell, trace) combination it feeds failed and the sweep keeps
     going; that trace contributes no samples to the failed cells. A
-    trace with a chunk the classifier refuses (a non-finite pose) fails
-    them all with that error and reports no labels. Streams stop at the
-    last scored tick, so a filter that would break only after it fails
-    nothing.
+    trace with a chunk the classifier refuses (a non-finite pose), or
+    whose median tick interval is not finite and positive (a NaN
+    timestamp), fails them all with that error and reports no labels.
+    Streams stop at the last scored tick, so a filter that would break
+    only after it fails nothing.
     """
     traces = list(traces)
     if not traces:
         raise ValueError("at least one trace is required")
     prepared = [_prepare_trace(t, config) for t in traces]
-    steps = [_horizon_steps(config, dt) for dt, _, _ in prepared]
-    masks = _drop_masks(config, prepared)
+    masks = _drop_masks(config, traces)
 
     per_repeat = []
     failures = []
@@ -243,17 +260,15 @@ def run_experiment(config, traces):
         for drop in config.drop_rates:
             for rep in range(_streamed_repeats(config, drop)):
                 streams = []
-                for ti, (trace, (dt, filtered, labels)) in enumerate(
-                        zip(traces, prepared)):
+                for ti, (dt, steps, poses, truth, labels) in enumerate(prepared):
                     if isinstance(labels, ValueError):
                         streams.append(labels)
                         continue
-                    fcfg = FilterConfig(model=model, dt=dt,
-                                        horizon_steps=max(steps[ti]))
+                    fcfg = FilterConfig(model=model, dt=dt, horizon_steps=max(steps))
                     try:
-                        pred = make_predictor(fcfg, filtered.pose(0))
+                        pred = make_predictor(fcfg, poses[0])
                         streams.append(_stream_trace(
-                            pred, trace, filtered, labels, config, steps[ti],
+                            pred, poses, truth, labels, config, steps,
                             masks[drop, rep][ti]))
                     except (DegeneracyError, ValueError) as e:
                         streams.append(e)
@@ -275,11 +290,11 @@ def run_experiment(config, traces):
     aggregates = _aggregate(config, per_repeat)
     return ExperimentReport(config, per_repeat, aggregates, failures,
                             [[] if isinstance(labels, ValueError) else labels
-                             for _, _, labels in prepared], samples)
+                             for *_, labels in prepared], samples)
 
 
-def _stream_trace(pred, trace, filtered, labels, config, steps, mask):
-    """Run one predictor over one trace, collecting per-tick errors by class.
+def _stream_trace(pred, poses, truth, labels, config, steps, mask):
+    """Run one predictor over one trace's ticks, collecting per-tick errors by class.
 
     Returns one {class: (e_pos, e_ori, ticks)} per entry of steps, each
     horizon read off the predictor's rollout at its step count. The stream
@@ -287,12 +302,12 @@ def _stream_trace(pred, trace, filtered, labels, config, steps, mask):
     chunks, or too close to the end for the shortest horizon, are never
     filtered, so a degeneracy there fails no cell.
     """
-    n = len(filtered)
+    n = len(poses)
     end = min(len(labels) * config.chunk_len, n - min(steps))
     out = [{} for _ in steps]
-    true_p, true_q = trace.p.tolist(), trace.q.tolist()
+    true_p, true_q = truth
     for k in range(1, end):
-        pred.step(filtered.pose(k), received=mask[k - 1])
+        pred.step(poses[k], received=mask[k - 1])
         cls = labels[k // config.chunk_len]
         for n_steps, local in zip(steps, out):
             if k + n_steps < n:

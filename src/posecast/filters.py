@@ -39,8 +39,11 @@ kron(P_s, I4) for the order-1 chain, so S = (s00 + 1) I7 never
 degenerates.
 
 Everything else per tick runs in Python floats too, where numpy's call
-overhead would cost more than the arithmetic: one core, _chain, serves
-propagate_nominal and predict_horizon alike, and a rollout is a list of
+overhead would cost more than the arithmetic. The nominal state the
+filters build holds tuples of floats from one tick to the next;
+propagate_nominal and predict_horizon share one core, _chain, which runs
+the position Taylor chain itself and the orientation and rate rows
+through so3._rotation_chain. A rollout is a list of
 ((px, py, pz), (qw, qx, qy, qz)) float tuples. Numpy is left for the
 attitude block's n x n products only: its transition, F P F^T, and the
 rank-3 update.
@@ -105,7 +108,9 @@ class NominalState:
 
     Position rows are meters and derivatives thereof; angular rates are
     body-frame rad/s and derivatives. Rows above the variant's order stay
-    identically zero.
+    identically zero. The filters build states whose rows and q are
+    tuples of floats; a state built by hand holds ndarrays (the defaults,
+    at_pose, copy), and every function taking a state reads either.
     """
     t: float
     pos: np.ndarray = field(default_factory=lambda: np.zeros((4, 3)))
@@ -120,37 +125,32 @@ class NominalState:
         return x
 
     def copy(self):
-        return NominalState(self.t, self.pos.copy(), self.q.copy(), self.wvec.copy())
+        """A copy with ndarray rows, whatever this state holds."""
+        return NominalState(self.t, np.array(self.pos, dtype=float),
+                            np.array(self.q, dtype=float), np.array(self.wvec, dtype=float))
 
 
-_ZERO3 = (0.0, 0.0, 0.0)
+def _rows(block):
+    """A state's row block as a tuple of float tuples (ndarrays via so3._floats)."""
+    return block if type(block) is tuple else tuple(map(tuple, so3._floats(block)))
 
 
 def _chain(x, dt, n, ord_rot, rollout):
     """n chained integration steps of dt from x, in Python floats.
 
-    Each step applies the variant's rotation increment at the rates of
-    the step's start, then the Taylor chains dt^k/k! to the position rows
-    [p v a j] and the rate rows [w wd wdd], one scalar per axis. The
-    (position, orientation) after each step is appended to the `rollout`
-    list as a pair of float tuples. Returns the end state as (t, position
-    rows, q, rate rows) of float tuples.
+    The orientation and the rate rows [w wd wdd] follow so3._rotation_chain
+    at the variant's rotation order, and the position rows [p v a j] the
+    Taylor chain dt^k/k!, one scalar per axis. The (position, orientation)
+    after each step is appended to the `rollout` list as a pair of float
+    tuples. Returns the end state.
     """
     c1, c2, c3 = dt, dt ** 2 / 2, dt ** 3 / 6       # dt^k / k!
-    (p0, p1, p2), (v0, v1, v2), (a0, a1, a2), j = x.pos.tolist()
-    (w0, w1, w2), (d0, d1, d2), e = x.wvec.tolist()
+    (p0, p1, p2), (v0, v1, v2), (a0, a1, a2), j = _rows(x.pos)
     j0, j1, j2 = j
-    e0, e1, e2 = e
-    half_e = (0.5 * e0, 0.5 * e1, 0.5 * e2)
-    q = x.q.tolist()
+    qs, wvec = so3._rotation_chain(so3._floats(x.q), *_rows(x.wvec), dt, n, ord_rot)
     t = x.t
     append = rollout.append
-    for _ in range(n):
-        w = (w0, w1, w2)
-        if ord_rot >= 3:
-            q = so3._zed23(q, w, (d0, d1, d2), half_e, dt)
-        else:
-            q = so3._zed12(q, w, (d0, d1, d2) if ord_rot == 2 else _ZERO3, dt)
+    for q in qs:
         p0 = p0 + v0 * c1 + a0 * c2 + j0 * c3
         p1 = p1 + v1 * c1 + a1 * c2 + j1 * c3
         p2 = p2 + v2 * c1 + a2 * c2 + j2 * c3
@@ -160,24 +160,18 @@ def _chain(x, dt, n, ord_rot, rollout):
         a0 = a0 + j0 * c1
         a1 = a1 + j1 * c1
         a2 = a2 + j2 * c1
-        w0 = w0 + d0 * c1 + e0 * c2
-        w1 = w1 + d1 * c1 + e1 * c2
-        w2 = w2 + d2 * c1 + e2 * c2
-        d0 = d0 + e0 * c1
-        d1 = d1 + e1 * c1
-        d2 = d2 + e2 * c1
         t += dt
         append(((p0, p1, p2), q))
-    return t, ((p0, p1, p2), (v0, v1, v2), (a0, a1, a2), j), q, \
-        ((w0, w1, w2), (d0, d1, d2), e)
+    return NominalState(t, ((p0, p1, p2), (v0, v1, v2), (a0, a1, a2), j), qs[-1], wvec)
 
 
 def propagate_nominal(x, dt, config):
-    """Advance the nominal state by dt using the variant's kinematic order."""
+    """Advance the nominal state by dt using the variant's kinematic order.
+
+    Returns a new state of float tuples; x is left as it was."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    t, pos, q, wvec = _chain(x, dt, 1, config.ord_rot, [])
-    return NominalState(t, np.array(pos), np.array(q), np.array(wvec))
+    return _chain(x, dt, 1, config.ord_rot, [])
 
 
 def predict_horizon(x, dt, n, config, rollout=None):
@@ -193,7 +187,7 @@ def predict_horizon(x, dt, n, config, rollout=None):
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     poses = [] if rollout is None else rollout
-    t = _chain(x, dt, n, config.ord_rot, poses)[0]
+    t = _chain(x, dt, n, config.ord_rot, poses).t
     p, q = poses[-1]
     return Pose(t, np.array(p), np.array(q))
 
@@ -265,7 +259,8 @@ def error_transition_matrix(x, dt, config):
     if dt < 0.0:
         raise ValueError("dt must be non-negative")
     F = _transition_base(1 + config.ord_rot, dt).copy()
-    F[0:3, 0:3] = so3.rotvec_to_matrix([c * dt for c in x.wvec[0].tolist()]).T
+    w0, w1, w2 = so3._floats(x.wvec[0])
+    F[0:3, 0:3] = so3._rodrigues((-w0 * dt, -w1 * dt, -w2 * dt))   # = R(w dt)^T
     return F
 
 
@@ -397,7 +392,7 @@ def correct(x, chain, P_att, z):
     covers the whole error state. Raises DegeneracyError as
     _kalman_update does.
     """
-    qw, qx, qy, qz = x.q.tolist()
+    qw, qx, qy, qz = q = so3._floats(x.q)
     yr = so3._log(so3._mul((qw, -qx, -qy, -qz), so3._floats(z.q)))
     J = None
     if math.sqrt(yr[0] * yr[0] + yr[1] * yr[1] + yr[2] * yr[2]) >= 1e-4:
@@ -405,10 +400,10 @@ def correct(x, chain, P_att, z):
     dth, P_att = _kalman_update(P_att, yr, J)
     chain, g, _ = _chain_update(chain)
 
-    x2 = x.copy()
-    x2.pos[0] = [xp + g * (zp - xp) for zp, xp in zip(so3._floats(z.p), x.pos[0].tolist())]
-    x2.q = np.array(so3._mul((qw, qx, qy, qz), so3._exp(dth)))
-    return x2, chain, P_att
+    (p0, p1, p2), *derivs = _rows(x.pos)
+    z0, z1, z2 = so3._floats(z.p)
+    pos = ((p0 + g * (z0 - p0), p1 + g * (z1 - p1), p2 + g * (z2 - p2)), *derivs)
+    return NominalState(x.t, pos, so3._mul(q, so3._exp(dth)), _rows(x.wvec)), chain, P_att
 
 
 def _stencil_derivatives(us, fs):
@@ -430,7 +425,7 @@ def _stencil_derivatives(us, fs):
     above that degree are zero.
     """
     m = len(us)
-    c = [*fs, _ZERO3, _ZERO3, _ZERO3]
+    c = [*fs, so3._ZERO3, so3._ZERO3, so3._ZERO3]
     for k in range(1, m):
         for i in range(m - 1, k - 1, -1):
             h = us[i] - us[i - k]
@@ -568,14 +563,13 @@ class EskfPredictor:
         self.P_att = propagate_covariance(self.P_att, F)
         if received:
             try:
-                self.x, self.chain, self.P_att = correct(self.x, self.chain,
-                                                         self.P_att, z)
+                x, self.chain, self.P_att = correct(self.x, self.chain, self.P_att, z)
             except DegeneracyError:
                 self.healthy = False
                 raise
             self.window.append(_window_node(z, self.window[-1]))
-            self.x.pos[1:4], self.x.wvec[:] = estimate_pseudo_derivatives(
-                self.window, self.config)
+            pos_d, rot_d = estimate_pseudo_derivatives(self.window, self.config)
+            self.x = NominalState(x.t, (x.pos[0], *pos_d), x.q, tuple(rot_d))
         self.rollout = []
         return predict_horizon(self.x, self.config.dt,
                                self.config.horizon_steps, self.config, self.rollout)

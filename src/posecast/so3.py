@@ -12,14 +12,20 @@ Conventions, used by every module in this package:
 
 Every operation is computed once, in Python floats: numpy's per-call
 overhead dwarfs the arithmetic on 3- and 4-vectors. The underscore
-kernels (_mul, _exp, _log, _zed12, _zed23) take and return tuples of
-floats and are what the filters' per-tick loop calls; the public
-functions accept any sequence and wrap the same kernels in ndarrays.
+kernels take and return tuples of floats and are what the filters'
+per-tick loop calls: _mul, _exp, _log, _rodrigues, and _rotation_chain,
+which integrates n rotation increments along the rate Taylor chain with
+one exp and an inline canonical Hamilton product per step. The public
+functions accept any sequence and wrap the same kernels in ndarrays;
+zed12_step and zed23_step are _rotation_chain's one-step case.
 """
 
 import math
 
 import numpy as np
+
+
+_ZERO3 = (0.0, 0.0, 0.0)
 
 
 def _floats(v):
@@ -68,32 +74,76 @@ def _log(q):
     return (k * x, k * y, k * z)
 
 
-def _rotate(q, phi):
-    """q * exp(phi) with w >= 0: the increment every integrator applies."""
-    r = _mul(q, _exp(phi))
-    return (-r[0], -r[1], -r[2], -r[3]) if r[0] < 0.0 else r
+def _rotation_chain(q, w, wd, wdd, h, n, order):
+    """n rotation increments of h from q along the rate Taylor chain.
+
+    Step k applies q <- canonical(q * exp(phi_k)) with the increment of
+    the given order at the rates of the step's start,
+
+        order 1   phi = w h                                (constant rate)
+        order 2   phi = w h + wd h^2/2
+        order 3   phi = w h + wd h^2/2 + wdd h^3/6 + (w x wd) h^3/12
+
+    then advances the rates by their Taylor chain cut at the same order:
+    w <- w + wd h at order 2, and w <- w + wd h + wdd h^2/2,
+    wd <- wd + wdd h at order 3. Rate rows above the order are not read
+    and come back as they came; at order 1 the increment is the same on
+    every step, so exp runs once. The cubic term is (wdd/2) h^3/3, the
+    polynomial-coefficient form of zed23_step, and the commutator term
+    makes the step third-order accurate for non-commuting rotations.
+    Returns the n orientations in step order and the end rates
+    (w, wd, wdd), all tuples of floats.
+    """
+    qw, qx, qy, qz = q
+    a0, a1, a2 = w
+    b0, b1, b2 = wd
+    if order == 1:
+        ew, ex, ey, ez = _exp((a0 * h, a1 * h, a2 * h))
+    elif order == 2:
+        k2 = 0.5 * h * h
+        s0, s1, s2 = b0 * k2, b1 * k2, b2 * k2
+    else:
+        h2 = h * h
+        k2 = 0.5 * h2
+        k3 = h2 * h / 3.0
+        kc = h2 * h / 12.0
+        c2 = h ** 2 / 2             # the rate chain rounds h^2/2 as filters._chain does
+        e0, e1, e2 = wdd
+        s0, s1, s2 = 0.5 * e0 * k3, 0.5 * e1 * k3, 0.5 * e2 * k3
+    qs = []
+    for _ in range(n):
+        if order == 2:
+            ew, ex, ey, ez = _exp((a0 * h + s0, a1 * h + s1, a2 * h + s2))
+            a0, a1, a2 = a0 + b0 * h, a1 + b1 * h, a2 + b2 * h
+        elif order == 3:
+            ew, ex, ey, ez = _exp((a0 * h + b0 * k2 + s0 + (a1 * b2 - a2 * b1) * kc,
+                                   a1 * h + b1 * k2 + s1 + (a2 * b0 - a0 * b2) * kc,
+                                   a2 * h + b2 * k2 + s2 + (a0 * b1 - a1 * b0) * kc))
+            a0, a1, a2 = (a0 + b0 * h + e0 * c2, a1 + b1 * h + e1 * c2,
+                          a2 + b2 * h + e2 * c2)
+            b0, b1, b2 = b0 + e0 * h, b1 + e1 * h, b2 + e2 * h
+        rw = qw * ew - qx * ex - qy * ey - qz * ez
+        rx = qw * ex + qx * ew + qy * ez - qz * ey
+        ry = qw * ey - qx * ez + qy * ew + qz * ex
+        rz = qw * ez + qx * ey - qy * ex + qz * ew
+        if rw < 0.0:
+            qw, qx, qy, qz = -rw, -rx, -ry, -rz
+        else:
+            qw, qx, qy, qz = rw, rx, ry, rz
+        qs.append((qw, qx, qy, qz))
+    if order == 1:
+        return qs, (w, wd, wdd)
+    return qs, ((a0, a1, a2), (b0, b1, b2), wdd)
 
 
-def _zed12(q, w0, w1, h):
-    a0, a1, a2 = w0
-    b0, b1, b2 = w1
-    k2 = 0.5 * h * h
-    return _rotate(q, (a0 * h + b0 * k2, a1 * h + b1 * k2, a2 * h + b2 * k2))
-
-
-def _zed23(q, w0, w1, w2, h):
-    a0, a1, a2 = w0
-    b0, b1, b2 = w1
-    c0, c1, c2 = w2
-    h2 = h * h
-    k2 = 0.5 * h2
-    k3 = h2 * h / 3.0
-    kc = h2 * h / 12.0
-    return _rotate(q, (
-        a0 * h + b0 * k2 + c0 * k3 + (a1 * b2 - a2 * b1) * kc,
-        a1 * h + b1 * k2 + c1 * k3 + (a2 * b0 - a0 * b2) * kc,
-        a2 * h + b2 * k2 + c2 * k3 + (a0 * b1 - a1 * b0) * kc,
-    ))
+def _rodrigues(v):
+    """Rows of the rotation matrix of rotation vector v (rotvec_to_matrix)."""
+    x, y, z = v
+    angle = math.sqrt(x * x + y * y + z * z)
+    if angle < 1e-8:
+        return _quadratic(v, 1.0, 0.5)
+    return _quadratic(v, math.sin(angle) / angle,
+                      (1.0 - math.cos(angle)) / (angle * angle))
 
 
 def _quadratic(v, a, b):
@@ -135,13 +185,7 @@ def rotvec_to_matrix(v):
     I + sin(a)/a [v]x + (1 - cos a)/a^2 [v]x^2 for a = |v|; below 1e-8 rad
     the coefficients are their limits 1 and 1/2.
     """
-    v = _floats(v)
-    x, y, z = v
-    angle = math.sqrt(x * x + y * y + z * z)
-    if angle < 1e-8:
-        return np.array(_quadratic(v, 1.0, 0.5))
-    return np.array(_quadratic(v, math.sin(angle) / angle,
-                               (1.0 - math.cos(angle)) / (angle * angle)))
+    return np.array(_rodrigues(_floats(v)))
 
 
 def geodesic_distance(q_pred, q_true):
@@ -164,7 +208,8 @@ def zed12_step(q, w0, w1, h):
     """
     if h <= 0.0:
         raise ValueError("step size h must be positive")
-    return np.array(_zed12(_floats(q), _floats(w0), _floats(w1), h))
+    qs, _ = _rotation_chain(_floats(q), _floats(w0), _floats(w1), _ZERO3, h, 1, 2)
+    return np.array(qs[0])
 
 
 def zed23_step(q, w0, w1, w2, h):
@@ -178,7 +223,10 @@ def zed23_step(q, w0, w1, w2, h):
     """
     if h <= 0.0:
         raise ValueError("step size h must be positive")
-    return np.array(_zed23(_floats(q), _floats(w0), _floats(w1), _floats(w2), h))
+    c0, c1, c2 = _floats(w2)
+    qs, _ = _rotation_chain(_floats(q), _floats(w0), _floats(w1),
+                            (2.0 * c0, 2.0 * c1, 2.0 * c2), h, 1, 3)
+    return np.array(qs[0])
 
 
 def right_jacobian_inv(theta):

@@ -10,6 +10,7 @@ from posecast.experiment import (
     SUMMARY_COLUMNS,
     ExperimentConfig,
     _cell_rng,
+    _prepare_trace,
     classify_chunk,
     emit_report,
     run_experiment,
@@ -286,6 +287,40 @@ class TestRunExperiment:
         assert rep.per_repeat == clean.per_repeat
         assert rep.aggregates == clean.aggregates
         assert rep.samples == clean.samples
+
+    def test_bad_median_tick_fails_its_cells_not_the_sweep(self):
+        # a NaN timestamp makes trace 1's median tick interval NaN, so it
+        # cannot be filtered at all; it sits between two good traces and
+        # its drop masks are still drawn, so trace 2 scores exactly as in
+        # a sweep whose middle trace has clean timestamps
+        tr0, tr1, tr2 = (generate_synthetic_trace("hard", 4.0, seed=s) for s in (1, 2, 3))
+        t = tr1.t.copy()
+        t[150] = np.nan
+        cfg = ExperimentConfig(models=("KF", "p3o3"), horizons_ms=(20, 60),
+                               drop_rates=(0.0, 0.3), repeats=2, master_seed=5)
+        clean = run_experiment(cfg, [tr0, tr1, tr2])
+        rep = run_experiment(cfg, [tr0, Trace(t, tr1.p, tr1.q), tr2])
+        assert len(rep.failures) == 2 * 2 * 2 * 2
+        assert {f.trace_index for f in rep.failures} == {1}
+        assert all(f.reason == "median tick interval nan s is not finite and positive"
+                   for f in rep.failures)
+        assert rep.chunk_classes[1] == []
+        assert rep.chunk_classes[0::2] == clean.chunk_classes[0::2]
+        assert rep.samples == [s for s in clean.samples if s[5] != 1]
+
+    def test_streams_leave_shared_poses_untouched(self):
+        # every stream of a trace steps the same read-only Pose objects;
+        # all five models take them, received and lost, and change nothing
+        trace = generate_synthetic_trace("hard", 2.5, seed=6)
+        dt, steps, poses, _, _ = _prepare_trace(trace, ExperimentConfig())
+        before = [(z.t, z.p.tobytes(), z.q.tobytes()) for z in poses]
+        assert not any(z.p.flags.writeable or z.q.flags.writeable for z in poses)
+        for model in ("KF", "ESKF", "p2o2", "p2o3", "p3o3"):
+            pred = make_predictor(FilterConfig(model=model, dt=dt,
+                                               horizon_steps=max(steps)), poses[0])
+            for k in range(1, len(poses)):
+                pred.step(poses[k], received=k % 3 != 0)
+        assert [(z.t, z.p.tobytes(), z.q.tobytes()) for z in poses] == before
 
 
 class TestCalibration:

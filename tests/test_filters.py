@@ -127,9 +127,10 @@ class TestNominalPropagation:
         np.testing.assert_array_equal(x.pos, snapshot.pos)
         assert x.t == snapshot.t
 
-    def test_horizon_is_chained_single_steps(self):
+    @pytest.mark.parametrize("model", ["ESKF", "p2o2", "p2o3", "p3o3"])
+    def test_horizon_is_chained_single_steps(self, model):
         rng = np.random.default_rng(5)
-        cfg = FilterConfig(model="p3o3")
+        cfg = FilterConfig(model=model)
         x = NominalState(1.0)
         x.pos = rng.normal(size=(4, 3)) * 0.3
         x.q = random_unit_quat(rng)
@@ -611,8 +612,8 @@ def test_predict_horizon_rollout_list():
 def _filter_state(pred):
     if isinstance(pred, KfBaseline):
         return [pred.t, pred.x.copy(), pred.chain]
-    return [pred.x.t, pred.x.pos.copy(), pred.x.q.copy(), pred.x.wvec.copy(),
-            pred.chain, pred.P_att.copy(),
+    x = pred.x.copy()          # ndarray rows, from tuples or arrays alike
+    return [x.t, x.pos, x.q, x.wvec, pred.chain, pred.P_att.copy(),
             [(t, p, q, w) for t, p, q, w in pred.window]]
 
 

@@ -1,6 +1,7 @@
 """The Python-float filter core against its numpy reference, and property
-tests of the float rotation kernels, the pseudo-derivative stencil and
-its incremental window, the closed-form 3x3 innovation kernel, the block
+tests of the float rotation kernels (the rotation chain bit for bit
+against its stepwise definition), the pseudo-derivative stencil and its
+incremental window, the closed-form 3x3 innovation kernel, the block
 structure of the reference covariance and the filters' long-run
 health."""
 
@@ -268,6 +269,51 @@ def test_closed_form_condition_and_solve_match_lapack(S, n, rnd):
                                np.ones((3, 3)), np.full((3, 3), np.nan)])
 def test_closed_form_refuses_what_is_not_positive_definite(S):
     assert _cholesky_inverse3(*S[np.triu_indices(3)].tolist()) is None
+
+
+# ------------------------------------------------ rotation-chain kernel
+
+def _stepwise_rotation_chain(q, w, wd, wdd, h, n, order):
+    """The kernel's definition one step at a time: q <- canonical(q * exp(phi_k)),
+    then the rates along their Taylor chain cut at the order."""
+    qs = []
+    for _ in range(n):
+        if order == 1:
+            phi = [a * h for a in w]
+        elif order == 2:
+            phi = [a * h + b * (0.5 * h * h) for a, b in zip(w, wd)]
+        else:
+            cross = (w[1] * wd[2] - w[2] * wd[1], w[2] * wd[0] - w[0] * wd[2],
+                     w[0] * wd[1] - w[1] * wd[0])
+            phi = [a * h + b * (0.5 * (h * h)) + (0.5 * e) * (h * h * h / 3.0)
+                   + c * (h * h * h / 12.0) for a, b, e, c in zip(w, wd, wdd, cross)]
+        r = so3._mul(q, so3._exp(phi))
+        q = tuple(-c for c in r) if r[0] < 0.0 else r
+        qs.append(q)
+        if order == 2:
+            w = [a + b * h for a, b in zip(w, wd)]
+        elif order == 3:
+            w = [a + b * h + e * (h ** 2 / 2) for a, b, e in zip(w, wd, wdd)]
+            wd = [b + e * h for b, e in zip(wd, wdd)]
+    return qs, (w, wd, wdd)
+
+
+# rates of every size, zero, and small enough that |phi| < 1e-8 takes
+# exp's series branch
+_chain_rate = st.one_of(_rate, st.just((0.0, 0.0, 0.0)),
+                        st.tuples(*[st.floats(-1e-7, 1e-7)] * 3))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(_ESKF_MODELS), unit_quats(), _chain_rate, _chain_rate,
+       _chain_rate, st.floats(1e-4, 0.05), st.integers(1, 12))
+def test_rotation_chain_is_the_stepwise_composition(model, q, w, wd, wdd, h, n):
+    order = FilterConfig(model=model).ord_rot
+    qs, rates = so3._rotation_chain(q, w, wd, wdd, h, n, order)
+    expect, expect_rates = _stepwise_rotation_chain(q, w, wd, wdd, h, n, order)
+    assert len(qs) == n
+    assert np.array(qs).tobytes() == np.array(expect).tobytes()
+    assert np.array(rates).tobytes() == np.array(expect_rates).tobytes()
 
 
 # ------------------------------------------------------- long-run health
