@@ -37,7 +37,7 @@ class ClassifierConfig:
     h_high: float = 2.5
 
     def __post_init__(self):
-        if self.cell_size_pos <= 0.0 or self.cell_size_rot <= 0.0:
+        if not (self.cell_size_pos > 0.0 and self.cell_size_rot > 0.0):
             raise ValueError("cell sizes must be positive")
         if not 0.0 < self.h_low < self.h_high:
             raise ValueError("thresholds must satisfy 0 < h_low < h_high")

@@ -39,8 +39,10 @@ kron(P_s, I4) for the order-1 chain, so S = (s00 + 1) I7 never
 degenerates.
 
 Everything else per tick runs in Python floats too, where numpy's call
-overhead would cost more than the arithmetic. The nominal state the
-filters build holds tuples of floats from one tick to the next;
+overhead would cost more than the arithmetic. Both predictors keep their
+state as tuples of floats: the error-state filters a NominalState, the
+baseline x = (p, v, q, qdot). Only the Poses at the boundary, the first
+pose, each measurement and the published forecast, hold arrays.
 propagate_nominal and predict_horizon share one core, _chain, which runs
 the position Taylor chain itself and the orientation and rate rows
 through so3._rotation_chain. A rollout is a list of
@@ -51,8 +53,9 @@ rank-3 update.
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -84,8 +87,8 @@ class FilterConfig:
 
     def __post_init__(self):
         self.model = canonical_model_name(self.model)
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
         if self.horizon_steps < 1:
             raise ValueError("horizon_steps must be at least 1")
 
@@ -102,37 +105,25 @@ class FilterConfig:
         return max(self.ord_pos, self.ord_rot) + 1
 
 
-@dataclass
-class NominalState:
+class NominalState(NamedTuple):
     """Nominal kinematics: pos rows are [p; v; a; j], wvec rows [w; wd; wdd].
 
     Position rows are meters and derivatives thereof; angular rates are
     body-frame rad/s and derivatives. Rows above the variant's order stay
-    identically zero. The filters build states whose rows and q are
-    tuples of floats; a state built by hand holds ndarrays (the defaults,
-    at_pose, copy), and every function taking a state reads either.
+    identically zero. Every row, and q, is a tuple of Python floats; the
+    state is immutable, so a variant is built with _replace.
     """
     t: float
-    pos: np.ndarray = field(default_factory=lambda: np.zeros((4, 3)))
-    q: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0, 0.0]))
-    wvec: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
+    pos: tuple = (so3._ZERO3,) * 4
+    q: tuple = (1.0, 0.0, 0.0, 0.0)
+    wvec: tuple = (so3._ZERO3,) * 3
 
     @classmethod
     def at_pose(cls, pose):
-        x = cls(t=float(pose.t))
-        x.pos[0] = pose.p
-        x.q = np.asarray(pose.q, dtype=float).copy()
-        return x
-
-    def copy(self):
-        """A copy with ndarray rows, whatever this state holds."""
-        return NominalState(self.t, np.array(self.pos, dtype=float),
-                            np.array(self.q, dtype=float), np.array(self.wvec, dtype=float))
-
-
-def _rows(block):
-    """A state's row block as a tuple of float tuples (ndarrays via so3._floats)."""
-    return block if type(block) is tuple else tuple(map(tuple, so3._floats(block)))
+        """At rest at pose's position and orientation."""
+        zero = so3._ZERO3
+        return cls(float(pose.t), (tuple(so3._floats(pose.p)), zero, zero, zero),
+                   tuple(so3._floats(pose.q)))
 
 
 def _chain(x, dt, n, ord_rot, rollout):
@@ -145,9 +136,9 @@ def _chain(x, dt, n, ord_rot, rollout):
     tuples. Returns the end state.
     """
     c1, c2, c3 = dt, dt ** 2 / 2, dt ** 3 / 6       # dt^k / k!
-    (p0, p1, p2), (v0, v1, v2), (a0, a1, a2), j = _rows(x.pos)
+    (p0, p1, p2), (v0, v1, v2), (a0, a1, a2), j = x.pos
     j0, j1, j2 = j
-    qs, wvec = so3._rotation_chain(so3._floats(x.q), *_rows(x.wvec), dt, n, ord_rot)
+    qs, wvec = so3._rotation_chain(x.q, *x.wvec, dt, n, ord_rot)
     t = x.t
     append = rollout.append
     for q in qs:
@@ -242,8 +233,11 @@ def _chain_matrix(s, n, k=1):
 @lru_cache(maxsize=256)
 def _transition_base(br, dt):
     """kron(T, I3) for the rate chain's integrator T[i, j] = dt^(j-i) / (j-i)!."""
-    c = (1.0, dt, dt ** 2 / 2, dt ** 3 / 6)
-    F = np.kron(sum(c[k] * np.eye(br, k=k) for k in range(br)), np.eye(3))
+    n = 3 * br
+    F = np.eye(n)
+    flat = F.reshape(-1)                      # offset diagonal 3k holds dt^k / k!
+    for k, c in enumerate((dt, dt ** 2 / 2, dt ** 3 / 6)[:br - 1], start=1):
+        flat[3 * k:(n - 3 * k) * n:n + 1] = c
     F.setflags(write=False)
     return F
 
@@ -259,7 +253,7 @@ def error_transition_matrix(x, dt, config):
     if dt < 0.0:
         raise ValueError("dt must be non-negative")
     F = _transition_base(1 + config.ord_rot, dt).copy()
-    w0, w1, w2 = so3._floats(x.wvec[0])
+    w0, w1, w2 = x.wvec[0]
     F[0:3, 0:3] = so3._rodrigues((-w0 * dt, -w1 * dt, -w2 * dt))   # = R(w dt)^T
     return F
 
@@ -392,7 +386,7 @@ def correct(x, chain, P_att, z):
     covers the whole error state. Raises DegeneracyError as
     _kalman_update does.
     """
-    qw, qx, qy, qz = q = so3._floats(x.q)
+    qw, qx, qy, qz = q = x.q
     yr = so3._log(so3._mul((qw, -qx, -qy, -qz), so3._floats(z.q)))
     J = None
     if math.sqrt(yr[0] * yr[0] + yr[1] * yr[1] + yr[2] * yr[2]) >= 1e-4:
@@ -400,10 +394,10 @@ def correct(x, chain, P_att, z):
     dth, P_att = _kalman_update(P_att, yr, J)
     chain, g, _ = _chain_update(chain)
 
-    (p0, p1, p2), *derivs = _rows(x.pos)
+    (p0, p1, p2), *derivs = x.pos
     z0, z1, z2 = so3._floats(z.p)
     pos = ((p0 + g * (z0 - p0), p1 + g * (z1 - p1), p2 + g * (z2 - p2)), *derivs)
-    return NominalState(x.t, pos, so3._mul(q, so3._exp(dth)), _rows(x.wvec)), chain, P_att
+    return NominalState(x.t, pos, so3._mul(q, so3._exp(dth)), x.wvec), chain, P_att
 
 
 def _stencil_derivatives(us, fs):
@@ -435,9 +429,9 @@ def _stencil_derivatives(us, fs):
     u2 = us[2] if m > 2 else 0.0
     s, r = u1 + u2, u1 * u2
     (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = c[1], c[2], c[3]
-    return [(x1 - u1 * x2 + r * x3, y1 - u1 * y2 + r * y3, z1 - u1 * z2 + r * z3),
+    return ((x1 - u1 * x2 + r * x3, y1 - u1 * y2 + r * y3, z1 - u1 * z2 + r * z3),
             (2.0 * (x2 - s * x3), 2.0 * (y2 - s * y3), 2.0 * (z2 - s * z3)),
-            (6.0 * x3, 6.0 * y3, 6.0 * z3)]
+            (6.0 * x3, 6.0 * y3, 6.0 * z3))
 
 
 def _window_node(z, prev):
@@ -468,7 +462,7 @@ def estimate_pseudo_derivatives(window, config):
     ord_rot rates, each placed at its pair's newer end. Both run in Python
     floats (_stencil_derivatives).
 
-    Returns (pos_deriv, rot_deriv), three float rows each, [v, a, j] and
+    Returns (pos_deriv, rot_deriv), three float tuples each, [v, a, j] and
     [w, wd, wdd] (rows beyond the variant's order zero), or None when
     fewer than two nodes are available. While ramping up, derivatives
     whose stencil does not fit yet stay zero.
@@ -482,7 +476,7 @@ def estimate_pseudo_derivatives(window, config):
     pos_d = _stencil_derivatives(us[:m], [node[1] for node in newest[:m]])
     # body-frame rates over the pairs inside the window, newest pair first
     ws = [node[3] for node in newest[:min(config.ord_rot, len(newest) - 1)]]
-    return pos_d, [ws[0], *_stencil_derivatives(us[:len(ws)], ws)[:2]]
+    return pos_d, (ws[0], *_stencil_derivatives(us[:len(ws)], ws)[:2])
 
 
 def _check_pose(z):
@@ -569,7 +563,7 @@ class EskfPredictor:
                 raise
             self.window.append(_window_node(z, self.window[-1]))
             pos_d, rot_d = estimate_pseudo_derivatives(self.window, self.config)
-            self.x = NominalState(x.t, (x.pos[0], *pos_d), x.q, tuple(rot_d))
+            self.x = NominalState(x.t, (x.pos[0], *pos_d), x.q, rot_d)
         self.rollout = []
         return predict_horizon(self.x, self.config.dt,
                                self.config.horizon_steps, self.config, self.rollout)
@@ -592,7 +586,7 @@ def _cv_step(p, v, q, qd, h):
 
 
 class KfBaseline:
-    """Linear Kalman baseline over x = [p(3) v(3) q(4) qdot(4)].
+    """Linear Kalman baseline over x = (p, v, q, qdot), tuples of 3, 3, 4, 4 floats.
 
     Constant-velocity transition for both blocks; the measurement is the
     raw 7-vector [p q] with unit noise. Quaternion components are
@@ -609,9 +603,8 @@ class KfBaseline:
         _check_pose(first_pose)
         self.config = config
         self.t = float(first_pose.t)
-        self.x = np.zeros(14)
-        self.x[0:3] = first_pose.p
-        self.x[6:10] = first_pose.q
+        self.x = (tuple(so3._floats(first_pose.p)), so3._ZERO3,
+                  tuple(so3._floats(first_pose.q)), (0.0, 0.0, 0.0, 0.0))
         self.chain = _chain_eye(2)
         self.rollout = []
 
@@ -624,9 +617,8 @@ class KfBaseline:
 
     def step(self, z, received=True):
         dt = _tick_interval(z, self.t, received)
-        x = self.x.tolist()
-        v, qd = x[3:6], x[10:14]
-        p, q = _cv_step(x[0:3], v, x[6:10], qd, dt)
+        p, v, q, qd = self.x
+        p, q = _cv_step(p, v, q, qd, dt)
         self.chain = _chain_propagate(self.chain, 2, dt)
         self.t = z.t
         if received:
@@ -636,11 +628,11 @@ class KfBaseline:
             self.chain, g0, g1 = _chain_update(self.chain)
             yp = [a - b for a, b in zip(so3._floats(z.p), p)]
             yq = [a - b for a, b in zip(zq, q)]
-            p = [a + g0 * e for a, e in zip(p, yp)]
-            v = [a + g1 * e for a, e in zip(v, yp)]
+            p = tuple([a + g0 * e for a, e in zip(p, yp)])
+            v = tuple([a + g1 * e for a, e in zip(v, yp)])
             q = _unit([a + g0 * e for a, e in zip(q, yq)])
-            qd = [a + g1 * e for a, e in zip(qd, yq)]
-        self.x = np.array((*p, *v, *q, *qd))
+            qd = tuple([a + g1 * e for a, e in zip(qd, yq)])
+        self.x = p, v, q, qd
         h = self.config.dt
         self.rollout = rollout = []
         for _ in range(self.config.horizon_steps):

@@ -109,8 +109,7 @@ def test_3_polynomial_exactness_and_constant_acceleration_lag():
     # reproduce it through a 100 ms horizon to rounding error
     rng = np.random.default_rng(30)
     p0, v0, a0, j0 = (rng.uniform(-1, 1, size=3) for _ in range(4))
-    x = NominalState(t=0.0)
-    x.pos[0], x.pos[1], x.pos[2], x.pos[3] = p0, v0, a0, j0
+    x = NominalState(t=0.0, pos=tuple(tuple(r.tolist()) for r in (p0, v0, a0, j0)))
     cfg = FilterConfig(model="p3o3", dt=0.01, horizon_steps=10)
     pub = predict_horizon(x, cfg.dt, 10, cfg)
     T = 0.1
@@ -123,7 +122,7 @@ def test_3_polynomial_exactness_and_constant_acceleration_lag():
     v_true = np.array([0.3, 0.0, 0.0])
     kf = KfBaseline(FilterConfig(model="KF", dt=0.01, horizon_steps=10),
                     Pose(0.0, np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0])))
-    kf.x[3:6] = v_true
+    kf.x = (kf.x[0], tuple(v_true.tolist()), *kf.x[2:])
     z = Pose(0.01, np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0]))
     pub = kf.step(z, received=False)
     lead = pub.t

@@ -131,6 +131,11 @@ def test_config_validation():
         ClassifierConfig(cell_size_pos=0.0)
     with pytest.raises(ValueError):
         ClassifierConfig(cell_size_rot=-1.0)
+    for field in ("cell_size_pos", "cell_size_rot"):
+        with pytest.raises(ValueError, match="cell sizes"):
+            ClassifierConfig(**{field: float("nan")})
+    # an infinite rotation cell is the documented position-only grid
+    assert ClassifierConfig(cell_size_rot=float("inf")).cell_size_rot == float("inf")
     with pytest.raises(ValueError):
         ClassifierConfig(h_low=2.5, h_high=1.0)
     with pytest.raises(ValueError):

@@ -95,6 +95,16 @@ class TestClassify:
         assert code == 1
         assert "error:" in stderr
 
+    @pytest.mark.parametrize("flag", ["--cell-pos", "--cell-rot"])
+    def test_nan_cell_size_exits_nonzero(self, easy_file, capsys, flag):
+        # NaN compares false to every bound, so a grid of NaN cells would
+        # put each pose in a cell of its own and label every chunk Hard
+        code, stdout, stderr = _run(capsys, "classify", "--input", str(easy_file),
+                                    flag, "nan")
+        assert code != 0
+        assert "cell sizes must be positive" in stderr
+        assert "Hard" not in stdout
+
 
 class TestPredict:
     @pytest.fixture()

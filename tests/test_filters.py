@@ -39,6 +39,16 @@ def scaled_chain(k, n):
     return tuple(k * c for c in _chain_eye(n))
 
 
+def float_rows(a):
+    """The rows of an array-like as a tuple of tuples of Python floats."""
+    return tuple(map(tuple, np.asarray(a, dtype=float).tolist()))
+
+
+def nominal(t, pos=np.zeros((4, 3)), q=QID, wvec=np.zeros((3, 3))):
+    """A NominalState holding the given array rows as tuples of floats."""
+    return NominalState(t, float_rows(pos), float_rows([q])[0], float_rows(wvec))
+
+
 def cubic_position(c, t):
     """p(t) = c0 + c1 t + c2 t^2 + c3 t^3 for coefficient rows c (4, 3)."""
     return c[0] + c[1] * t + c[2] * t * t + c[3] * t ** 3
@@ -72,6 +82,9 @@ class TestFilterConfig:
             FilterConfig(dt=0.0)
         with pytest.raises(ValueError):
             FilterConfig(dt=-0.01)
+        for dt in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite and positive"):
+                FilterConfig(dt=dt)
         with pytest.raises(ValueError):
             FilterConfig(horizon_steps=0)
 
@@ -80,16 +93,14 @@ class TestFilterConfig:
 
 class TestNominalPropagation:
     def test_translation_follows_taylor_chain(self):
-        x = NominalState(0.0)
-        x.pos[0] = [1.0, 2.0, 3.0]
-        x.pos[1] = [0.1, -0.2, 0.3]
-        x.pos[2] = [0.01, 0.02, -0.03]
-        x.pos[3] = [0.001, -0.002, 0.003]
+        pos = np.array([[1.0, 2.0, 3.0], [0.1, -0.2, 0.3],
+                        [0.01, 0.02, -0.03], [0.001, -0.002, 0.003]])
+        x = nominal(0.0, pos=pos)
         dt = 0.1
         y = propagate_nominal(x, dt, FilterConfig(model="p3o3"))
-        p = x.pos[0] + x.pos[1] * dt + x.pos[2] * dt * dt / 2 + x.pos[3] * dt ** 3 / 6
-        v = x.pos[1] + x.pos[2] * dt + x.pos[3] * dt * dt / 2
-        a = x.pos[2] + x.pos[3] * dt
+        p = pos[0] + pos[1] * dt + pos[2] * dt * dt / 2 + pos[3] * dt ** 3 / 6
+        v = pos[1] + pos[2] * dt + pos[3] * dt * dt / 2
+        a = pos[2] + pos[3] * dt
         np.testing.assert_allclose(y.pos[0], p, rtol=0, atol=1e-15)
         np.testing.assert_allclose(y.pos[1], v, rtol=0, atol=1e-15)
         np.testing.assert_allclose(y.pos[2], a, rtol=0, atol=1e-15)
@@ -98,15 +109,12 @@ class TestNominalPropagation:
 
     def test_orientation_matches_rotation_increment_steps(self):
         rng = np.random.default_rng(2)
-        x = NominalState(0.0)
-        x.q = random_unit_quat(rng)
-        x.wvec[0] = [0.4, -0.8, 1.1]
-        x.wvec[1] = [2.0, 0.5, -1.0]
-        x.wvec[2] = [5.0, -3.0, 1.5]
+        wvec = np.array([[0.4, -0.8, 1.1], [2.0, 0.5, -1.0], [5.0, -3.0, 1.5]])
+        x = nominal(0.0, q=random_unit_quat(rng), wvec=wvec)
         dt = 0.01
         y3 = propagate_nominal(x, dt, FilterConfig(model="p3o3"))
         np.testing.assert_array_equal(
-            y3.q, so3.zed23_step(x.q, x.wvec[0], x.wvec[1], 0.5 * x.wvec[2], dt))
+            y3.q, so3.zed23_step(x.q, x.wvec[0], x.wvec[1], 0.5 * wvec[2], dt))
         y2 = propagate_nominal(x, dt, FilterConfig(model="p2o2"))
         np.testing.assert_array_equal(
             y2.q, so3.zed12_step(x.q, x.wvec[0], x.wvec[1], dt))
@@ -115,9 +123,8 @@ class TestNominalPropagation:
             y1.q, so3.zed12_step(x.q, x.wvec[0], np.zeros(3), dt))
 
     def test_propagate_rejects_bad_dt_and_leaves_input_alone(self):
-        x = NominalState(0.0)
-        x.pos[1] = [1.0, 0.0, 0.0]
-        snapshot = x.copy()
+        x = nominal(0.0, pos=[[0.0] * 3, [1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3])
+        snapshot = NominalState(*x)
         cfg = FilterConfig()
         with pytest.raises(ValueError):
             propagate_nominal(x, 0.0, cfg)
@@ -131,10 +138,8 @@ class TestNominalPropagation:
     def test_horizon_is_chained_single_steps(self, model):
         rng = np.random.default_rng(5)
         cfg = FilterConfig(model=model)
-        x = NominalState(1.0)
-        x.pos = rng.normal(size=(4, 3)) * 0.3
-        x.q = random_unit_quat(rng)
-        x.wvec = rng.normal(size=(3, 3))
+        x = nominal(1.0, pos=rng.normal(size=(4, 3)) * 0.3, q=random_unit_quat(rng),
+                    wvec=rng.normal(size=(3, 3)))
         pub = predict_horizon(x, 0.01, 5, cfg)
         y = x
         for _ in range(5):
@@ -150,8 +155,7 @@ class TestNominalPropagation:
 
 class TestErrorTransition:
     def test_identity_at_zero_dt(self):
-        x = NominalState(0.0)
-        x.wvec[0] = [1.0, 2.0, 3.0]
+        x = nominal(0.0, wvec=[[1.0, 2.0, 3.0], [0.0] * 3, [0.0] * 3])
         for name in ("ESKF", "p2o2", "p2o3", "p3o3"):
             cfg = FilterConfig(model=name)
             F = error_transition_matrix(x, 0.0, cfg)
@@ -165,13 +169,13 @@ class TestErrorTransition:
         # the attitude block: exp(w dt)^T on dth, Taylor couplings from the
         # rate chain, nothing below the diagonal blocks
         cfg = FilterConfig(model="p3o3")
-        x = NominalState(0.0)
-        x.wvec[0] = [0.3, -0.6, 0.9]
+        w0 = np.array([0.3, -0.6, 0.9])
+        x = nominal(0.0, wvec=[w0, [0.0] * 3, [0.0] * 3])
         dt = 0.02
         F = error_transition_matrix(x, dt, cfg)
         eye = np.eye(3)
         np.testing.assert_allclose(
-            F[0:3, 0:3], so3.rotvec_to_matrix(x.wvec[0] * dt).T, atol=1e-15)
+            F[0:3, 0:3], so3.rotvec_to_matrix(w0 * dt).T, atol=1e-15)
         np.testing.assert_allclose(F[0:3, 3:6], dt * eye, atol=1e-18)
         np.testing.assert_allclose(F[0:3, 6:9], dt * dt / 2 * eye, atol=1e-18)
         np.testing.assert_allclose(F[0:3, 9:12], dt ** 3 / 6 * eye, atol=1e-18)
@@ -223,12 +227,13 @@ class TestCorrection:
     def test_infinite_measurement_noise_is_a_no_op(self):
         rng = np.random.default_rng(4)
         # blocks of p2o2: a chain of 3, a 9-square attitude block
-        x = NominalState.at_pose(Pose(0.0, rng.normal(size=3), random_unit_quat(rng)))
-        z = Pose(0.0, x.pos[0] + 0.01, ref.quat_normalize(x.q + 0.01))
+        p, q = rng.normal(size=3), random_unit_quat(rng)
+        x = NominalState.at_pose(Pose(0.0, p, q))
+        z = Pose(0.0, p + 0.01, ref.quat_normalize(q + 0.01))
         # the noise is fixed at I, so a prior of 1e-15 I puts it 1e15
         # times above the prior, the gain of R = 1e15 I over P = I
         x2, chain, P_att = correct(x, scaled_chain(1e-15, 3), 1e-15 * np.eye(9), z)
-        assert np.abs(x2.pos[0] - x.pos[0]).max() < 1e-12
+        assert np.abs(x2.pos[0] - p).max() < 1e-12
         assert so3.geodesic_distance(x2.q, x.q) < 1e-12
         np.testing.assert_allclose(1e15 * _chain_matrix(chain, 3), np.eye(3), atol=1e-12)
         np.testing.assert_allclose(1e15 * P_att, np.eye(9), atol=1e-12)
@@ -368,24 +373,19 @@ class TestPolynomialBehavior:
         # with jerk rows zeroed and parallel rate derivatives the
         # third-order rotation increment collapses to the second-order one
         w0 = np.array([0.3, -0.5, 0.8])
-        x = NominalState(0.0)
-        x.pos[0] = [0.1, 0.2, 0.3]
-        x.pos[1] = [0.5, -0.2, 0.1]
-        x.pos[2] = [1.0, 0.4, -0.6]
-        x.wvec[0] = w0
-        x.wvec[1] = 1.7 * w0
+        x = nominal(0.0, pos=[[0.1, 0.2, 0.3], [0.5, -0.2, 0.1], [1.0, 0.4, -0.6],
+                              [0.0] * 3],
+                    wvec=[w0, 1.7 * w0, [0.0] * 3])
         p3 = predict_horizon(x, 0.01, 10, FilterConfig(model="p3o3"))
-        p2 = predict_horizon(x.copy(), 0.01, 10, FilterConfig(model="p2o2"))
+        p2 = predict_horizon(x, 0.01, 10, FilterConfig(model="p2o2"))
         assert np.abs(p3.p - p2.p).max() < 1e-9
         assert so3.geodesic_distance(p3.q, p2.q) < 1e-9
 
     def test_orientation_order_does_not_touch_position(self):
         rng = np.random.default_rng(21)
-        x = NominalState(0.0)
-        x.pos = rng.normal(size=(4, 3))
-        x.wvec = rng.normal(size=(3, 3))
+        x = nominal(0.0, pos=rng.normal(size=(4, 3)), wvec=rng.normal(size=(3, 3)))
         pa = predict_horizon(x, 0.01, 10, FilterConfig(model="p2o3"))
-        pb = predict_horizon(x.copy(), 0.01, 10, FilterConfig(model="p2o2"))
+        pb = predict_horizon(x, 0.01, 10, FilterConfig(model="p2o2"))
         np.testing.assert_array_equal(pa.p, pb.p)
 
     def test_cubic_trajectory_is_predicted_exactly(self):
@@ -395,11 +395,10 @@ class TestPolynomialBehavior:
                       [0.8, -0.5, 0.4], [1.5, 1.0, -0.7]])
         cfg = FilterConfig(model="p3o3", dt=0.01, horizon_steps=10)
         t0 = 0.5
-        x = NominalState(t0)
-        x.pos[0] = cubic_position(c, t0)
-        x.pos[1] = c[1] + 2 * c[2] * t0 + 3 * c[3] * t0 * t0
-        x.pos[2] = 2 * c[2] + 6 * c[3] * t0
-        x.pos[3] = 6 * c[3]
+        x = nominal(t0, pos=[cubic_position(c, t0),
+                             c[1] + 2 * c[2] * t0 + 3 * c[3] * t0 * t0,
+                             2 * c[2] + 6 * c[3] * t0,
+                             6 * c[3]])
         pub = predict_horizon(x, cfg.dt, cfg.horizon_steps, cfg)
         truth = cubic_position(c, t0 + 0.1)
         assert np.linalg.norm(pub.p - truth) < 1e-9
@@ -422,7 +421,7 @@ class TestEskfPredictor:
         zs = self.make_stream(3)
         pred = EskfPredictor(FilterConfig(model="p2o2"), zs[0])
         pred.step(zs[1])
-        x_snap, P_snap = pred.x.copy(), pred.P.copy()
+        x_snap, P_snap = pred.x, pred.P.copy()
         with pytest.raises(ValueError, match="does not advance"):
             pred.step(zs[1])
         with pytest.raises(ValueError, match="does not advance"):
@@ -436,7 +435,7 @@ class TestEskfPredictor:
         cfg = FilterConfig(model="p3o3")
         pred = EskfPredictor(cfg, zs[0])
         pred.step(zs[1], received=True)
-        x_snap, P_snap = pred.x.copy(), pred.P.copy()
+        x_snap, P_snap = pred.x, pred.P.copy()
         win_len = len(pred.window)
         pub = pred.step(zs[2], received=False)
         F = error_transition_matrix(x_snap, 0.01, cfg)
@@ -526,7 +525,7 @@ class TestKfBaseline:
         a = np.array([1.0, 0.0, 0.0])
         t0 = 2.0
         kf = KfBaseline(self.cfg, Pose(t0, 0.5 * a * t0 * t0, QID.copy()))
-        kf.x[3:6] = a * t0
+        kf.x = (kf.x[0], tuple((a * t0).tolist()), *kf.x[2:])
         for k in range(1, 4):
             t = t0 + 0.01 * k
             pub = kf.step(Pose(t, np.zeros(3), QID.copy()), received=False)
@@ -592,9 +591,8 @@ def test_rollout_prefix_matches_shorter_horizon(model):
 
 
 def test_predict_horizon_rollout_list():
-    x = NominalState(t=0.0)
-    x.pos[1] = [0.3, -0.1, 0.2]
-    x.wvec[0] = [0.5, 1.0, -0.4]
+    x = nominal(0.0, pos=[[0.0] * 3, [0.3, -0.1, 0.2], [0.0] * 3, [0.0] * 3],
+                wvec=[[0.5, 1.0, -0.4], [0.0] * 3, [0.0] * 3])
     cfg = FilterConfig(model="p2o2")
     rollout = []
     pub = predict_horizon(x, 0.01, 4, cfg, rollout)
@@ -611,8 +609,8 @@ def test_predict_horizon_rollout_list():
 
 def _filter_state(pred):
     if isinstance(pred, KfBaseline):
-        return [pred.t, pred.x.copy(), pred.chain]
-    x = pred.x.copy()          # ndarray rows, from tuples or arrays alike
+        return [pred.t, pred.x, pred.chain]
+    x = pred.x                 # immutable: a later step rebinds, never edits it
     return [x.t, x.pos, x.q, x.wvec, pred.chain, pred.P_att.copy(),
             [(t, p, q, w) for t, p, q, w in pred.window]]
 

@@ -18,7 +18,9 @@ from posecast import so3
 from posecast.filters import (
     MODEL_NAMES,
     FilterConfig,
+    NominalState,
     _cholesky_inverse3,
+    error_transition_matrix,
     estimate_pseudo_derivatives,
     make_predictor,
 )
@@ -336,9 +338,54 @@ def test_random_drops_keep_covariance_psd_and_quaternions_unit(model, data):
         P = pred.P
         assert np.array_equal(P, P.T)
         assert np.linalg.eigvalsh(P)[0] >= -1e-12 * np.abs(P).max()
-        q = pred.x[6:10] if model == "KF" else pred.x.q
+        q = pred.x[2] if model == "KF" else pred.x.q
         for u in (q, *(r[1] for r in pred.rollout)):
             assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+
+
+def _float_rows(rows, widths):
+    """rows is a tuple of tuples of Python floats of the given lengths."""
+    return (type(rows) is tuple and [len(r) for r in rows] == widths
+            and all(type(r) is tuple and all(type(c) is float for c in r) for r in rows))
+
+
+def _is_float_state(x):
+    """x is a NominalState, or a baseline's (p, v, q, qdot), of float tuples."""
+    if type(x) is NominalState:
+        return (type(x.t) is float and _float_rows(x.pos, [3] * 4)
+                and _float_rows((x.q,), [4]) and _float_rows(x.wvec, [3] * 3))
+    return _float_rows(x, [3, 3, 4, 4])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MODEL_NAMES), st.data())
+def test_state_stays_float_tuples(model, data):
+    # both predictors keep their state as tuples of Python floats through
+    # any mix of received and lost ticks; only the published pose holds arrays
+    trace = _hard_trace()
+    mask = data.draw(st.lists(st.booleans(), min_size=1, max_size=len(trace) - 1))
+    pred = make_predictor(FilterConfig(model=model, dt=0.01, horizon_steps=3),
+                          trace.pose(0))
+    assert _is_float_state(pred.x)
+    for k, received in enumerate(mask, start=1):
+        pred.step(trace.pose(k), received=received)
+        assert _is_float_state(pred.x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_ESKF_MODELS), _rate,
+       st.one_of(st.just(0.0), st.floats(0.0, 0.1), st.floats(1e-9, 1e-3)))
+def test_error_transition_is_the_kron_taylor_chain(model, w, dt):
+    # outside the rotation block, F is kron(T, I3) for the rate chain's
+    # Taylor integrator, bit for bit, on a cache miss and on a hit alike
+    br = 1 + FilterConfig(model=model).ord_rot
+    expect = np.kron(ref.taylor_chain(br, dt), np.eye(3))
+    x = NominalState(0.0, wvec=(w, so3._ZERO3, so3._ZERO3))
+    for _ in range(2):
+        F = error_transition_matrix(x, dt, FilterConfig(model=model))
+        assert F.flags.writeable
+        F[0:3, 0:3] = expect[0:3, 0:3]
+        assert F.tobytes() == expect.tobytes()
 
 
 # ------------------------------------ block structure of the covariance
