@@ -78,6 +78,10 @@ class ExperimentConfig:
             values = getattr(self, name)
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} has duplicates: {values}")
+        keys = [_drop_key(d) for d in self.drop_rates]
+        if len(set(keys)) != len(keys):
+            raise ValueError("drop rates closer than 1e-6 would draw the same "
+                             f"losses: {self.drop_rates}")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
         if self.master_seed < 0:
@@ -163,15 +167,19 @@ def _prepare_trace(trace, config):
     arrays, built once: every stream of the trace steps these same
     objects. The truth is the raw (positions, orientations) as float
     lists. The labels are replaced by the classifier's ValueError when a
-    chunk holds a non-finite pose, and by a ValueError of their own, with
-    no poses, when the median tick interval is not finite and positive.
+    chunk holds a non-finite pose. When the trace's tick interval does
+    not suit the sweep (not finite and positive, longer than a horizon,
+    or too long for the prefilter's cutoff), they are replaced by that
+    ValueError, with no poses.
     """
     dt = trace.median_dt()
-    if not (math.isfinite(dt) and dt > 0.0):
-        return dt, None, None, None, ValueError(
-            f"median tick interval {dt!r} s is not finite and positive")
-    steps = _horizon_steps(config, dt)
-    sos = design_butterworth_lowpass(config.butter_order, config.cutoff_hz, 1.0 / dt)
+    try:
+        if not (math.isfinite(dt) and dt > 0.0):
+            raise ValueError(f"median tick interval {dt!r} s is not finite and positive")
+        steps = _horizon_steps(config, dt)
+        sos = design_butterworth_lowpass(config.butter_order, config.cutoff_hz, 1.0 / dt)
+    except ValueError as e:
+        return dt, None, None, None, e
     filtered = filter_trace(trace, sos)
     p, q = filtered.p.view(), filtered.q.view()
     p.flags.writeable = q.flags.writeable = False
@@ -184,8 +192,13 @@ def _prepare_trace(trace, config):
     return dt, steps, poses, (trace.p.tolist(), trace.q.tolist()), labels
 
 
+def _drop_key(drop_rate):
+    """The drop rate's part of its masks' seed: whole millionths."""
+    return int(round(drop_rate * 1e6))
+
+
 def _cell_rng(config, drop_rate, repeat):
-    key = (config.master_seed, int(round(drop_rate * 1e6)), int(repeat))
+    key = (config.master_seed, _drop_key(drop_rate), int(repeat))
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
@@ -241,15 +254,19 @@ def run_experiment(config, traces):
     every (cell, trace) combination it feeds failed and the sweep keeps
     going; that trace contributes no samples to the failed cells. A
     trace with a chunk the classifier refuses (a non-finite pose), or
-    whose median tick interval is not finite and positive (a NaN
-    timestamp), fails them all with that error and reports no labels.
-    Streams stop at the last scored tick, so a filter that would break
-    only after it fails nothing.
+    whose median tick interval does not suit the sweep (a NaN timestamp,
+    a horizon shorter than one tick, a cutoff at or above its Nyquist
+    rate), fails them all with that error and reports no labels; when no
+    trace suits the sweep, the first trace's error is raised. Streams
+    stop at the last scored tick, so a filter that would break only after
+    it fails nothing.
     """
     traces = list(traces)
     if not traces:
         raise ValueError("at least one trace is required")
     prepared = [_prepare_trace(t, config) for t in traces]
+    if all(poses is None for _, _, poses, _, _ in prepared):
+        raise prepared[0][4]
     masks = _drop_masks(config, traces)
 
     per_repeat = []

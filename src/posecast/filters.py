@@ -22,39 +22,39 @@ variant's degree). A correction therefore injects only dp and dth. The
 window keeps each node's floats and the body rate of the pair it ends,
 so a received tick adds one node and takes one log map.
 
-Process, measurement and initial covariances are identity, and under
-them the covariance has an exact block structure; the filters store
-only the blocks. Position and attitude never correlate. The position
-block is kron(P_s, I3) for a scalar chain P_s of size 1 + ord_pos that
-depends on the tick intervals and the drop pattern only; its update is
-a scalar one with S = s00 + 1 (_chain_propagate, _chain_update). The
-attitude block alone sees the data, through exp(w dt)^T and J_r^-T. Its
-update, _kalman_update, forms and inverts the 3x3 innovation covariance
-in floats, with a closed-form condition check.
+Process, measurement and initial covariances are identity, and every
+covariance is stored as scalar chains: a chain P_s of size 1 + order
+stands for kron(P_s, I3), and with T[i, j] = dt^(j-i) / (j-i)! it
+propagates as T P_s T^T + I (error_transition_matrix gives T's entries,
+propagate_covariance applies them) and is measured through its first
+entry, S = s00 + 1, which never degenerates (_chain_update). Position and
+attitude never correlate. The position block is exactly kron(P_s, I3) for
+a chain of size 1 + ord_pos that depends on the tick intervals and the
+drop pattern only. The attitude block is a second chain of size
+1 + ord_rot: it leaves out the rotation exp(w dt)^T of the dth row in the
+transition and J_r^-T in the measurement, both I + O(|w dt|, |y|), so the
+correction is dth = k0 y for the chain's first gain k0.
 
 The "KF" baseline is a 14-dimensional linear filter over [p v q qdot]
 that treats quaternion components as independent scalars and
 renormalizes after every step. Its covariance is kron(P_s, I3) (+)
-kron(P_s, I4) for the order-1 chain, so S = (s00 + 1) I7 never
-degenerates.
+kron(P_s, I4) for the order-1 chain.
 
-Everything else per tick runs in Python floats too, where numpy's call
-overhead would cost more than the arithmetic. Both predictors keep their
-state as tuples of floats: the error-state filters a NominalState, the
-baseline x = (p, v, q, qdot). Only the Poses at the boundary, the first
-pose, each measurement and the published forecast, hold arrays.
-propagate_nominal and predict_horizon share one core, _chain, which runs
-the position Taylor chain itself and the orientation and rate rows
-through so3._rotation_chain. A rollout is a list of
-((px, py, pz), (qw, qx, qy, qz)) float tuples. Numpy is left for the
-attitude block's n x n products only: its transition, F P F^T, and the
-rank-3 update.
+Everything per tick runs in Python floats, where numpy's call overhead
+would cost more than the arithmetic. Both predictors keep their state as
+tuples of floats: the error-state filters a NominalState, the baseline
+x = (p, v, q, qdot). Only the Poses at the boundary, the first pose, each
+measurement and the published forecast, hold arrays, and so does the
+covariance that `pred.P` assembles on request. propagate_nominal and
+predict_horizon share one core, _chain, which runs the position Taylor
+chain itself and the orientation and rate rows through
+so3._rotation_chain. A rollout is a list of
+((px, py, pz), (qw, qx, qy, qz)) float tuples.
 """
 
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -69,7 +69,11 @@ _ORDERS = {"KF": (1, 1), "ESKF": (1, 1),
 
 
 class DegeneracyError(RuntimeError):
-    """Raised when the innovation covariance is numerically unusable."""
+    """A filter whose innovation covariance is numerically unusable.
+
+    No built-in filter raises it: every update's S = s00 + 1 is at least 1.
+    The sweep still counts it as a stream failure, for a predictor that
+    does."""
 
 
 def canonical_model_name(name):
@@ -183,15 +187,25 @@ def predict_horizon(x, dt, n, config, rollout=None):
     return Pose(t, np.array(p), np.array(q))
 
 
-def _chain_propagate(s, n, dt):
+def error_transition_matrix(dt):
+    """The chains' integrator over dt, T[i, j] = dt^(j-i) / (j-i)!.
+
+    T is unit upper triangular and constant along its diagonals, so it is
+    returned as the entries (dt, dt^2/2, dt^3/6) of its first three
+    superdiagonals; every chain size reads the ones it has.
+    """
+    return dt, dt ** 2 / 2, dt ** 3 / 6
+
+
+def propagate_covariance(s, n, T):
     """T P_s T^T + I for a scalar covariance chain P_s of size n <= 4.
 
-    T[i, j] = dt^(j-i) / (j-i)! is the chain's integrator. P_s is held as
-    the upper triangle of a 4-square matrix, row by row, (s00 s01 .. s33);
-    rows past n are zero and stay zero, so one unrolled U = T P_s, U T^T
-    serves every size.
+    T holds the integrator's entries (error_transition_matrix). P_s is
+    held as the upper triangle of a 4-square matrix, row by row,
+    (s00 s01 .. s33); rows past n are zero and stay zero, so one unrolled
+    U = T P_s, U T^T serves every size.
     """
-    c1, c2, c3 = dt, dt ** 2 / 2, dt ** 3 / 6
+    c1, c2, c3 = T
     a, b, c, d, e, f, g, h, i, j = s
     u00 = a + b * c1 + c * c2 + d * c3
     u01 = b + e * c1 + f * c2 + g * c3
@@ -224,180 +238,32 @@ def _chain_eye(n):
 
 
 def _chain_matrix(s, n, k=1):
-    """kron(P_s, I_k) for a chain P_s of size n held as in _chain_propagate."""
+    """kron(P_s, I_k) for a chain P_s of size n held as in propagate_covariance."""
     a, b, c, d, e, f, g, h, i, j = s
     S = np.array(((a, b, c, d), (b, e, f, g), (c, f, h, i), (d, g, i, j)))[:n, :n]
     return (S[:, None, :, None] * np.eye(k)[:, None]).reshape(n * k, n * k)
 
 
-@lru_cache(maxsize=256)
-def _transition_base(br, dt):
-    """kron(T, I3) for the rate chain's integrator T[i, j] = dt^(j-i) / (j-i)!."""
-    n = 3 * br
-    F = np.eye(n)
-    flat = F.reshape(-1)                      # offset diagonal 3k holds dt^k / k!
-    for k, c in enumerate((dt, dt ** 2 / 2, dt ** 3 / 6)[:br - 1], start=1):
-        flat[3 * k:(n - 3 * k) * n:n + 1] = c
-    F.setflags(write=False)
-    return F
+def correct(x, chain, att_chain, z):
+    """Measurement update from a received pose; returns (state, chain, att_chain).
 
-
-def error_transition_matrix(x, dt, config):
-    """Transition of the attitude error block [dth dw (dalpha) (dwdd)] over dt.
-
-    Block upper-triangular: the rate chain integrates into dth with dt,
-    dt^2/2, dt^3/6 couplings, and dth's own diagonal block is exp(w dt)^T,
-    the transposed rotation of the nominal increment. dt = 0 yields the
-    identity. (The position error's transition is _chain_propagate's.)
-    """
-    if dt < 0.0:
-        raise ValueError("dt must be non-negative")
-    F = _transition_base(1 + config.ord_rot, dt).copy()
-    w0, w1, w2 = x.wvec[0]
-    F[0:3, 0:3] = so3._rodrigues((-w0 * dt, -w1 * dt, -w2 * dt))   # = R(w dt)^T
-    return F
-
-
-@lru_cache(maxsize=8)
-def _identity(n):
-    I = np.eye(n)
-    I.setflags(write=False)
-    return I
-
-
-def propagate_covariance(P, F):
-    """P <- F P F^T + I, symmetrized."""
-    P2 = F @ P @ F.T
-    P2 += _identity(len(P2))
-    P2 += P2.T
-    P2 *= 0.5
-    return P2
-
-
-def _sym3_max_eig(a, b, c, d, e, f):
-    """Largest eigenvalue of the positive definite [[a b c] [b d e] [c e f]].
-
-    Smith's closed form (CACM 4(4), 1961) for A/q - I, q = tr(A)/3: with
-    p^2 its squared Frobenius norm over 6 and B = (A/q - I)/p, the
-    eigenvalues are q (1 + 2p cos(phi + 2 pi k/3)), phi = acos(det(B)/2)/3.
-    Dividing by q and p keeps every product in range. The largest (k = 0)
-    sits where the cosine is flat, so it keeps a relative accuracy near
-    machine precision even where acos is ill-conditioned.
-    """
-    q = (a + d + f) / 3.0
-    a, b, c, d, e, f = a / q - 1.0, b / q, c / q, d / q - 1.0, e / q, f / q - 1.0
-    pp = (a * a + d * d + f * f + 2.0 * (b * b + c * c + e * e)) / 6.0
-    if pp == 0.0:
-        return q
-    p = math.sqrt(pp)
-    a, b, c, d, e, f = a / p, b / p, c / p, d / p, e / p, f / p
-    r = 0.5 * (a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d))
-    return q * (1.0 + 2.0 * p * math.cos(math.acos(max(-1.0, min(1.0, r))) / 3.0))
-
-
-def _cholesky_inverse3(a, b, c, d, e, f):
-    """L^-1 and cond(S) for S = L L^T = [[a b c] [b d e] [c e f]], in floats.
-
-    Returns the lower triangle of L^-1 row by row, (i00, i10, i11, i20,
-    i21, i22), and the 2-norm condition number of S: the product of the
-    largest eigenvalues of S and of S^-1 = L^-T L^-1 (_sym3_max_eig). The
-    Cholesky factor carries S's small eigenvalue to a relative error of
-    order eps cond(S), as LAPACK's eigensolver does. Returns None when a
-    pivot is not positive, S being then not positive definite.
-    """
-    if not a > 0.0:
-        return None
-    l00 = math.sqrt(a)
-    l10, l20 = b / l00, c / l00
-    r = d - l10 * l10
-    if not r > 0.0:
-        return None
-    l11 = math.sqrt(r)
-    l21 = (e - l20 * l10) / l11
-    r = f - l20 * l20 - l21 * l21
-    if not r > 0.0:
-        return None
-    i00, i11, i22 = 1.0 / l00, 1.0 / l11, 1.0 / math.sqrt(r)
-    i10 = -l10 * i00 * i11
-    i21 = -l21 * i11 * i22
-    i20 = -(l20 * i00 + l21 * i10) * i22
-    cond = _sym3_max_eig(a, b, c, d, e, f) * _sym3_max_eig(
-        i00 * i00 + i10 * i10 + i20 * i20, i10 * i11 + i20 * i21, i20 * i22,
-        i11 * i11 + i21 * i21, i21 * i22, i22 * i22)
-    return (i00, i10, i11, i20, i21, i22), cond
-
-
-def _kalman_update(P, y, J=None):
-    """Update of the attitude block P by an attitude residual y.
-
-    The measurement reads J dth, with J = J_r^-T at the residual (the
-    identity when None), and unit noise. H is never built: HP is the
-    first three rows of P with J applied. S = HP H^T + I is formed,
-    checked and factored in floats (_cholesky_inverse3). With
-    G = L^-1 HP, numpy does only the rank-3 update P <- P - G^T G, which
-    matmul computes as a symmetric rank-k product, so P stays exactly
-    symmetric.
-
-    Returns (dth, P), dth = (J P_thth)^T S^-1 y, the first three entries
-    of K y for K = P H^T S^-1. Raises DegeneracyError when S is not
-    positive definite or its condition number exceeds 1e12.
-    """
-    HP = P[0:3] if J is None else J @ P[0:3]
-    A = HP[:, 0:3].tolist()                    # J P_thth
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = A
-    if J is None:                              # S - I = P_thth
-        s00, s01, s02, s11, s12, s22 = a0, a1, a2, b1, b2, c2
-    else:                                      # S - I = A J^T
-        (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J.tolist()
-        s00 = a0 * j00 + a1 * j01 + a2 * j02
-        s01 = a0 * j10 + a1 * j11 + a2 * j12
-        s02 = a0 * j20 + a1 * j21 + a2 * j22
-        s11 = b0 * j10 + b1 * j11 + b2 * j12
-        s12 = b0 * j20 + b1 * j21 + b2 * j22
-        s22 = c0 * j20 + c1 * j21 + c2 * j22
-    fac = _cholesky_inverse3(s00 + 1.0, s01, s02, s11 + 1.0, s12, s22 + 1.0)
-    cond = math.inf if fac is None else fac[1]
-    if not cond <= 1e12:
-        raise DegeneracyError(
-            f"innovation covariance condition {cond:.3g} exceeds 1e12")
-    (i00, i10, i11, i20, i21, i22), _ = fac
-    y0, y1, y2 = y
-    g0 = i00 * y0                              # L^-1 y, then v = L^-T L^-1 y
-    g1 = i10 * y0 + i11 * y1
-    g2 = i20 * y0 + i21 * y1 + i22 * y2
-    v2 = i22 * g2
-    v1 = i11 * g1 + i21 * g2
-    v0 = i00 * g0 + i10 * g1 + i20 * g2
-    dth = (a0 * v0 + b0 * v1 + c0 * v2, a1 * v0 + b1 * v1 + c1 * v2,
-           a2 * v0 + b2 * v1 + c2 * v2)
-    G = np.array(((i00, 0.0, 0.0), (i10, i11, 0.0), (i20, i21, i22))) @ HP
-    return dth, P - G.T @ G
-
-
-def correct(x, chain, P_att, z):
-    """Measurement update from a received pose; returns (state, chain, P_att).
-
-    The position residual updates the scalar position chain; the
-    orientation residual enters the attitude block through the transposed
-    inverse right Jacobian at the residual (identity below 1e-4 rad).
-    Only dp and dth are injected, dth on the right through the
-    exponential: EskfPredictor.step replaces the derivative rows with
-    pseudo-derivatives on every received tick. The covariance update
-    covers the whole error state. Raises DegeneracyError as
-    _kalman_update does.
+    The position residual updates the position chain and the orientation
+    residual y, taken in the tangent space on the right, the attitude
+    chain. Only dp and dth are injected, dth = k0 y on the right through
+    the exponential: EskfPredictor.step replaces the derivative rows with
+    pseudo-derivatives on every received tick. Both chain updates cover
+    their whole block.
     """
     qw, qx, qy, qz = q = x.q
-    yr = so3._log(so3._mul((qw, -qx, -qy, -qz), so3._floats(z.q)))
-    J = None
-    if math.sqrt(yr[0] * yr[0] + yr[1] * yr[1] + yr[2] * yr[2]) >= 1e-4:
-        J = so3.right_jacobian_inv(yr).T
-    dth, P_att = _kalman_update(P_att, yr, J)
+    y0, y1, y2 = so3._log(so3._mul((qw, -qx, -qy, -qz), so3._floats(z.q)))
+    att_chain, k, _ = _chain_update(att_chain)
     chain, g, _ = _chain_update(chain)
 
     (p0, p1, p2), *derivs = x.pos
     z0, z1, z2 = so3._floats(z.p)
     pos = ((p0 + g * (z0 - p0), p1 + g * (z1 - p1), p2 + g * (z2 - p2)), *derivs)
-    return NominalState(x.t, pos, so3._mul(q, so3._exp(dth)), x.wvec), chain, P_att
+    dth = (k * y0, k * y1, k * y2)
+    return NominalState(x.t, pos, so3._mul(q, so3._exp(dth)), x.wvec), chain, att_chain
 
 
 def _stencil_derivatives(us, fs):
@@ -532,41 +398,35 @@ class EskfPredictor:
         _check_pose(first_pose)
         self.config = config
         self.x = NominalState.at_pose(first_pose)
-        self.chain = _chain_eye(1 + config.ord_pos)   # position block: kron(chain, I3)
-        self.P_att = np.eye(3 * (1 + config.ord_rot))
+        self.chain = _chain_eye(1 + config.ord_pos)       # position: kron(chain, I3)
+        self.att_chain = _chain_eye(1 + config.ord_rot)   # attitude: kron(att_chain, I3)
         self.window = deque([_window_node(first_pose, None)], maxlen=config.min_window)
         self.rollout = []
-        self.healthy = True
 
     @property
     def P(self):
-        """The whole error covariance, assembled from its two blocks."""
-        m = 3 * (1 + self.config.ord_pos)
-        P = np.zeros((m + len(self.P_att),) * 2)
-        P[:m, :m], P[m:, m:] = _chain_matrix(self.chain, m // 3, 3), self.P_att
+        """The whole error covariance, assembled from its two chains."""
+        n, m = 1 + self.config.ord_pos, 1 + self.config.ord_rot
+        P = np.zeros((3 * (n + m),) * 2)
+        P[:3 * n, :3 * n] = _chain_matrix(self.chain, n, 3)
+        P[3 * n:, 3 * n:] = _chain_matrix(self.att_chain, m, 3)
         return P
 
     def step(self, z, received=True):
         """Advance one tick to measurement z; returns the published pose."""
-        if not self.healthy:
-            raise DegeneracyError("filter is unhealthy; re-initialize")
+        cfg = self.config
         dt = _tick_interval(z, self.x.t, received)
-        F = error_transition_matrix(self.x, dt, self.config)
-        self.x = propagate_nominal(self.x, dt, self.config)
-        self.chain = _chain_propagate(self.chain, 1 + self.config.ord_pos, dt)
-        self.P_att = propagate_covariance(self.P_att, F)
+        T = error_transition_matrix(dt)
+        self.x = propagate_nominal(self.x, dt, cfg)
+        self.chain = propagate_covariance(self.chain, 1 + cfg.ord_pos, T)
+        self.att_chain = propagate_covariance(self.att_chain, 1 + cfg.ord_rot, T)
         if received:
-            try:
-                x, self.chain, self.P_att = correct(self.x, self.chain, self.P_att, z)
-            except DegeneracyError:
-                self.healthy = False
-                raise
+            x, self.chain, self.att_chain = correct(self.x, self.chain, self.att_chain, z)
             self.window.append(_window_node(z, self.window[-1]))
-            pos_d, rot_d = estimate_pseudo_derivatives(self.window, self.config)
+            pos_d, rot_d = estimate_pseudo_derivatives(self.window, cfg)
             self.x = NominalState(x.t, (x.pos[0], *pos_d), x.q, rot_d)
         self.rollout = []
-        return predict_horizon(self.x, self.config.dt,
-                               self.config.horizon_steps, self.config, self.rollout)
+        return predict_horizon(self.x, cfg.dt, cfg.horizon_steps, cfg, self.rollout)
 
 
 def _unit(q):
@@ -597,8 +457,6 @@ class KfBaseline:
     scalar gains. `rollout` and the ticks rejected are as in EskfPredictor.
     """
 
-    healthy = True          # S = (s00 + 1) I7 is never degenerate
-
     def __init__(self, config, first_pose):
         _check_pose(first_pose)
         self.config = config
@@ -619,7 +477,7 @@ class KfBaseline:
         dt = _tick_interval(z, self.t, received)
         p, v, q, qd = self.x
         p, q = _cv_step(p, v, q, qd, dt)
-        self.chain = _chain_propagate(self.chain, 2, dt)
+        self.chain = propagate_covariance(self.chain, 2, error_transition_matrix(dt))
         self.t = z.t
         if received:
             zq = so3._floats(z.q)

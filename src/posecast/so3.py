@@ -13,7 +13,7 @@ Conventions, used by every module in this package:
 Every operation is computed once, in Python floats: numpy's per-call
 overhead dwarfs the arithmetic on 3- and 4-vectors. The underscore
 kernels take and return tuples of floats and are what the filters'
-per-tick loop calls: _mul, _exp, _log, _rodrigues, and _rotation_chain,
+per-tick loop calls: _mul, _exp, _log, and _rotation_chain,
 which integrates n rotation increments along the rate Taylor chain with
 one exp and an inline canonical Hamilton product per step. The public
 functions accept any sequence and wrap the same kernels in ndarrays;
@@ -136,16 +136,6 @@ def _rotation_chain(q, w, wd, wdd, h, n, order):
     return qs, ((a0, a1, a2), (b0, b1, b2), wdd)
 
 
-def _rodrigues(v):
-    """Rows of the rotation matrix of rotation vector v (rotvec_to_matrix)."""
-    x, y, z = v
-    angle = math.sqrt(x * x + y * y + z * z)
-    if angle < 1e-8:
-        return _quadratic(v, 1.0, 0.5)
-    return _quadratic(v, math.sin(angle) / angle,
-                      (1.0 - math.cos(angle)) / (angle * angle))
-
-
 def _quadratic(v, a, b):
     """Rows of I + a [v]x + b [v]x^2, written out entry by entry."""
     x, y, z = v
@@ -185,7 +175,13 @@ def rotvec_to_matrix(v):
     I + sin(a)/a [v]x + (1 - cos a)/a^2 [v]x^2 for a = |v|; below 1e-8 rad
     the coefficients are their limits 1 and 1/2.
     """
-    return np.array(_rodrigues(_floats(v)))
+    v = _floats(v)
+    x, y, z = v
+    angle = math.sqrt(x * x + y * y + z * z)
+    if angle < 1e-8:
+        return np.array(_quadratic(v, 1.0, 0.5))
+    return np.array(_quadratic(v, math.sin(angle) / angle,
+                               (1.0 - math.cos(angle)) / (angle * angle)))
 
 
 def geodesic_distance(q_pred, q_true):

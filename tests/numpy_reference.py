@@ -6,7 +6,11 @@ products (T @ pos), the measurement matrix H is built explicitly, the
 covariance update is (I - K H) P, and the rotation algebra uses numpy
 trigonometry and matrix products. The library computes the same algebra
 in Python floats and from rows of P, so the two routes agree to rounding
-only; tests compare them with tolerances. The rotation helpers here
+only; tests compare them with tolerances. The error-state reference
+comes in two models: the filters' own, whose attitude block propagates
+and is measured like the position block, and the rotation-coupled one
+with exp(w dt)^T in the transition and J_r^-T in the measurement, which
+tests hold at a measured distance from the filters. The rotation helpers here
 (normalize, canonical sign, conjugate, skew, quaternion to matrix) are
 also the ones other tests use: the package itself has no need of them.
 window_nodes is the one exact helper: it builds the filters'
@@ -176,9 +180,16 @@ def pseudo_derivatives(window, op, orot):
 # ----------------------------------------------------------- predictors
 
 class RefEskf:
-    """Error-state predictor of order (op, orot), minimal stencils, identity noise."""
+    """Error-state predictor of order (op, orot), minimal stencils, identity noise.
 
-    def __init__(self, model, first, dt, horizon_steps):
+    With coupled false (the filters' model) F is kron(T, I3) on both
+    blocks and H reads dp and dth directly; with coupled true the dth
+    block of F is exp(w dt)^T and H reads dth through J_r^-T at the
+    residual (the identity below 1e-4 rad).
+    """
+
+    def __init__(self, model, first, dt, horizon_steps, coupled=False):
+        self.coupled = coupled
         self.op, self.orot = ORDERS[model]
         self.bp, self.br = 1 + self.op, 1 + self.orot
         self.D = 3 * (self.bp + self.br)
@@ -205,7 +216,8 @@ class RefEskf:
         F = np.eye(self.D)
         F[:th, :th] = np.kron(taylor_chain(self.bp, dt), np.eye(3))
         F[th:, th:] = np.kron(taylor_chain(self.br, dt), np.eye(3))
-        F[th:th + 3, th:th + 3] = rotvec_to_matrix(self.wvec[0] * dt).T
+        if self.coupled:
+            F[th:th + 3, th:th + 3] = rotvec_to_matrix(self.wvec[0] * dt).T
         self.pos, self.q, self.wvec = self._advance(self.pos, self.q, self.wvec, dt)
         self.t = z.t
         P = F @ self.P @ F.T + np.eye(self.D)
@@ -215,8 +227,8 @@ class RefEskf:
             y = np.concatenate([z.p - self.pos[0], yr])
             H = np.zeros((6, self.D))
             H[0:3, 0:3] = np.eye(3)
-            H[3:6, th:th + 3] = (np.eye(3) if np.linalg.norm(yr) < 1e-4
-                                 else right_jacobian_inv(yr).T)
+            H[3:6, th:th + 3] = (right_jacobian_inv(yr).T if self.coupled
+                                 and np.linalg.norm(yr) >= 1e-4 else np.eye(3))
             dx, self.P = kalman_update(self.P, y, np.eye(6), H)
             # the derivative rows of dx need no injection: the
             # pseudo-derivatives below overwrite them
@@ -275,7 +287,7 @@ class RefKf:
         return rollout
 
 
-def make_reference(model, first, dt, horizon_steps):
+def make_reference(model, first, dt, horizon_steps, coupled=False):
     if model == "KF":
         return RefKf(first, dt, horizon_steps)
-    return RefEskf(model, first, dt, horizon_steps)
+    return RefEskf(model, first, dt, horizon_steps, coupled)

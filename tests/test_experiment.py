@@ -1,5 +1,7 @@
 """End-to-end checks of the sweep harness: seeding, pooling, reporting."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.signal import butter, group_delay
@@ -94,6 +96,13 @@ class TestExperimentConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    def test_rejects_drop_rates_that_would_share_their_losses(self):
+        # masks are seeded by whole millionths of the drop rate, so 0.1 and
+        # 0.1000004 would draw identical losses under two labels
+        with pytest.raises(ValueError, match="same losses"):
+            ExperimentConfig(drop_rates=(0.0, 0.1, 0.1000004))
+        assert ExperimentConfig(drop_rates=(0.1, 0.100001)).drop_rates == (0.1, 0.100001)
 
 
 class TestRunExperiment:
@@ -307,6 +316,29 @@ class TestRunExperiment:
         assert rep.chunk_classes[1] == []
         assert rep.chunk_classes[0::2] == clean.chunk_classes[0::2]
         assert rep.samples == [s for s in clean.samples if s[5] != 1]
+
+    @pytest.mark.parametrize("hz, reason", [
+        (8.0, "cutoff 5.0 Hz must lie in (0, 4.0) for fs=8.0"),
+        (4.0, "horizon 100 ms is shorter than one tick of 0.25 s"),
+    ])
+    def test_unsuitable_sample_rate_fails_its_cells_not_the_sweep(self, hz, reason):
+        # a trace too coarse for the prefilter's cutoff or for the shortest
+        # horizon fails only its own cells; the 100 Hz trace scores as in a
+        # sweep without it
+        good = generate_synthetic_trace("easy", 4.0, seed=1)
+        coarse = generate_synthetic_trace("easy", 4.0, sample_hz=hz, seed=2)
+        cfg = ExperimentConfig(models=("KF",), horizons_ms=(100, 200),
+                               drop_rates=(0.0,), repeats=1)
+        clean = run_experiment(cfg, [good])
+        rep = run_experiment(cfg, [good, coarse])
+        assert rep.per_repeat == clean.per_repeat and rep.per_repeat
+        assert rep.samples == clean.samples
+        assert len(rep.failures) == 2
+        assert {(f.horizon_ms, f.trace_index) for f in rep.failures} == {(100, 1), (200, 1)}
+        assert all(f.reason == reason for f in rep.failures)
+        assert rep.chunk_classes[1] == []
+        with pytest.raises(ValueError, match=re.escape(reason)):
+            run_experiment(cfg, [coarse])     # nothing left to sweep
 
     def test_streams_leave_shared_poses_untouched(self):
         # every stream of a trace steps the same read-only Pose objects;
