@@ -1,15 +1,18 @@
 """Benchmark harness: the model/class/horizon/drop-rate sweep.
 
 Each trace is causally low-pass filtered, chunked, and classified once;
-every predictor variant then streams over the filtered poses while a
+the predictors then stream over the filtered poses while a
 seeded drop gate decides per tick whether the correction step runs.
 Prediction errors are measured against the raw future pose, pooled by the
 chunk's motion class, and summarized per sweep cell with confidence
 intervals across repeats.
 
-Each trace runs one predictor per (model, drop rate, repeat) and scores
-every horizon from that one rollout: filter state never depends on the
-horizon, and at drop 0 every repeat is identical, so only repeat 0 runs.
+Each trace runs one predictor per (streamed model, drop rate, repeat)
+and scores every horizon from that one rollout: filter state never
+depends on the horizon, and at drop 0 every repeat is identical, so only
+repeat 0 runs. A model is streamed unless earlier streams already hold
+its errors: with p2o2 and p3o3 in the sweep, p2o3 takes the position
+errors of the one and the orientation errors of the other (_stream_plan).
 The drop pattern of a (drop rate, repeat) is drawn from a generator
 seeded by (master_seed, drop_rate, repeat), so models and horizons are
 compared under the same losses, and results never depend on execution
@@ -241,18 +244,56 @@ def _horizon_steps(config, dt):
     return steps
 
 
+def _stream_plan(models):
+    """The order the models run in, each with the streams it is stitched from.
+
+    Returns (model, sources) pairs. sources is None for a model that
+    streams a predictor of its own, or the (position, rotation) models
+    whose streams already hold its position and orientation errors.
+    Error-state models of equal orders stream first, then KF, then the
+    rest; a later error-state model whose position order and rotation
+    order both match models streamed before it builds no predictor. The
+    filters module notes state why that stitch is exact.
+    """
+    orders = {c.model: (c.ord_pos, c.ord_rot)
+              for c in (FilterConfig(model=m) for m in models if m != "KF")}
+
+    def rank(m):
+        if m == "KF":
+            return 1
+        o_pos, o_rot = orders[m]
+        return 0 if o_pos == o_rot else 2
+
+    pos_src, rot_src, plan = {}, {}, []
+    for m in sorted(models, key=rank):
+        sources = None
+        if m in orders:
+            o_pos, o_rot = orders[m]
+            if o_pos in pos_src and o_rot in rot_src:
+                sources = pos_src[o_pos], rot_src[o_rot]
+            else:
+                pos_src.setdefault(o_pos, m)
+                rot_src.setdefault(o_rot, m)
+        plan.append((m, sources))
+    return plan
+
+
 def run_experiment(config, traces):
     """Sweep every configured cell over the traces; returns the report.
 
-    Each trace runs one predictor per (model, drop rate, repeat), built at
-    the longest horizon; every horizon is scored from its rollout. At drop
-    0 only repeat 0 streams, and the other repeats reuse its errors.
+    Each trace runs one predictor per (streamed model, drop rate, repeat),
+    built at the longest horizon; every horizon is scored from its
+    rollout. At drop 0 only repeat 0 streams, and the other repeats reuse
+    its errors. A model stitched from earlier streams (_stream_plan)
+    builds no predictor. Rows, samples and failures still come in the
+    order of config.models.
 
     A stream that stops, on a numerically degenerate filter
     (DegeneracyError) or on a pose the filter refuses (ValueError: a
     non-finite or non-unit first pose or tick, a stale timestamp), marks
     every (cell, trace) combination it feeds failed and the sweep keeps
-    going; that trace contributes no samples to the failed cells. A
+    going; that trace contributes no samples to the failed cells, and a
+    stitched stream fails with the reason of its failed source. A
     trace with a chunk the classifier refuses (a non-finite pose), or
     whose median tick interval does not suit the sweep (a NaN timestamp,
     a horizon shorter than one tick, a cutoff at or above its Nyquist
@@ -269,33 +310,31 @@ def run_experiment(config, traces):
         raise prepared[0][4]
     masks = _drop_masks(config, traces)
 
+    plan = _stream_plan(config.models)
+    cells = {model: {} for model in config.models}
+    for drop in config.drop_rates:
+        for rep in range(_streamed_repeats(config, drop)):
+            streams = {}
+            for model, sources in plan:
+                if sources is None:
+                    streams[model] = [
+                        _stream_trace(model, prep, config, masks[drop, rep][ti])
+                        for ti, prep in enumerate(prepared)]
+                else:
+                    streams[model] = list(map(_stitch, *(streams[s] for s in sources)))
+                for hi, h_ms in enumerate(config.horizons_ms):
+                    cells[model][h_ms, drop, rep] = _pool_cell(config, streams[model], hi)
+
     per_repeat = []
     failures = []
     samples = []
     for model in config.models:
-        cells = {}
-        for drop in config.drop_rates:
-            for rep in range(_streamed_repeats(config, drop)):
-                streams = []
-                for ti, (dt, steps, poses, truth, labels) in enumerate(prepared):
-                    if isinstance(labels, ValueError):
-                        streams.append(labels)
-                        continue
-                    fcfg = FilterConfig(model=model, dt=dt, horizon_steps=max(steps))
-                    try:
-                        pred = make_predictor(fcfg, poses[0])
-                        streams.append(_stream_trace(
-                            pred, poses, truth, labels, config, steps,
-                            masks[drop, rep][ti]))
-                    except (DegeneracyError, ValueError) as e:
-                        streams.append(e)
-                for hi, h_ms in enumerate(config.horizons_ms):
-                    cells[h_ms, drop, rep] = _pool_cell(config, streams, hi)
+        model_cells = cells.pop(model)     # its samples are freed once copied out
         for h_ms in config.horizons_ms:
             for drop in config.drop_rates:
                 for rep in range(config.repeats):
                     # at drop 0 every repeat reads repeat 0's stream
-                    stats, failed, kept = cells[h_ms, drop, min(
+                    stats, failed, kept = model_cells[h_ms, drop, min(
                         rep, _streamed_repeats(config, drop) - 1)]
                     failures.extend(FailedCell(model, h_ms, drop, rep, ti, reason)
                                     for ti, reason in failed)
@@ -310,30 +349,53 @@ def run_experiment(config, traces):
                              for *_, labels in prepared], samples)
 
 
-def _stream_trace(pred, poses, truth, labels, config, steps, mask):
-    """Run one predictor over one trace's ticks, collecting per-tick errors by class.
+def _stream_trace(model, prepared, config, mask):
+    """Stream one model over one prepared trace, collecting per-tick errors by class.
 
-    Returns one {class: (e_pos, e_ori, ticks)} per entry of steps, each
-    horizon read off the predictor's rollout at its step count. The stream
-    ends at the last tick any horizon scores: ticks past the labelled
-    chunks, or too close to the end for the shortest horizon, are never
-    filtered, so a degeneracy there fails no cell.
+    Returns one {class: (e_pos, e_ori, ticks)} per horizon, each read off
+    the predictor's rollout at its step count, or the error that stopped
+    the stream. The stream ends at the last tick any horizon scores:
+    ticks past the labelled chunks, or too close to the end for the
+    shortest horizon, are never filtered, so a degeneracy there fails no
+    cell.
     """
-    n = len(poses)
-    end = min(len(labels) * config.chunk_len, n - min(steps))
-    out = [{} for _ in steps]
-    true_p, true_q = truth
-    for k in range(1, end):
-        pred.step(poses[k], received=mask[k - 1])
-        cls = labels[k // config.chunk_len]
-        for n_steps, local in zip(steps, out):
-            if k + n_steps < n:
-                p, q = pred.rollout[n_steps - 1]
-                eps, eos, ticks = local.setdefault(cls, ([], [], []))
-                eps.append(position_error(p, true_p[k + n_steps]))
-                eos.append(orientation_error(q, true_q[k + n_steps]))
-                ticks.append(k)
+    dt, steps, poses, truth, labels = prepared
+    if isinstance(labels, ValueError):
+        return labels
+    try:
+        pred = make_predictor(FilterConfig(model=model, dt=dt, horizon_steps=max(steps)),
+                              poses[0])
+        n = len(poses)
+        end = min(len(labels) * config.chunk_len, n - min(steps))
+        out = [{} for _ in steps]
+        true_p, true_q = truth
+        for k in range(1, end):
+            pred.step(poses[k], received=mask[k - 1])
+            cls = labels[k // config.chunk_len]
+            for n_steps, local in zip(steps, out):
+                if k + n_steps < n:
+                    p, q = pred.rollout[n_steps - 1]
+                    eps, eos, ticks = local.setdefault(cls, ([], [], []))
+                    eps.append(position_error(p, true_p[k + n_steps]))
+                    eos.append(orientation_error(q, true_q[k + n_steps]))
+                    ticks.append(k)
+    except (DegeneracyError, ValueError) as e:
+        return e
     return out
+
+
+def _stitch(pos_stream, rot_stream):
+    """One trace's stream from the position errors of one stream and the
+    orientation errors of another, or the error of the first that failed.
+
+    Both ran on the same ticks under the same losses, so they scored the
+    same ticks in the same classes.
+    """
+    for stream in (pos_stream, rot_stream):
+        if isinstance(stream, Exception):
+            return stream
+    return [{cls: (eps, rot[cls][1], ticks) for cls, (eps, _, ticks) in pos.items()}
+            for pos, rot in zip(pos_stream, rot_stream)]
 
 
 def _pool_cell(config, streams, hi):

@@ -33,7 +33,21 @@ a chain of size 1 + ord_pos that depends on the tick intervals and the
 drop pattern only. The attitude block is a second chain of size
 1 + ord_rot: it leaves out the rotation exp(w dt)^T of the dth row in the
 transition and J_r^-T in the measurement, both I + O(|w dt|, |y|), so the
-correction is dth = k0 y for the chain's first gain k0.
+correction is dth = k0 y for the chain's first gain k0. The attitude
+chain, too, depends on the tick intervals and the drop pattern only, so
+when ord_pos = ord_rot it is the position chain, and the predictor keeps
+one chain for both.
+
+The two halves never read each other. Published positions depend only
+on ord_pos (the position chain, the position stencil, the Taylor rows),
+and published orientations only on ord_rot (the attitude chain, the rate
+stencil, so3._rotation_chain). So two error-state variants with equal
+ord_pos roll out bit-identical positions on the same ticks and drop
+pattern, and two with equal ord_rot bit-identical orientations; the
+sweep relies on this to stitch p2o3 from p2o2's positions and p3o3's
+orientations (experiment._stream_plan). Per-variant state that enters
+either half other than these orders, such as per-variant noise, must
+extend the stitch key there.
 
 The "KF" baseline is a 14-dimensional linear filter over [p v q qdot]
 that treats quaternion components as independent scalars and
@@ -252,12 +266,17 @@ def correct(x, chain, att_chain, z):
     chain. Only dp and dth are injected, dth = k0 y on the right through
     the exponential: EskfPredictor.step replaces the derivative rows with
     pseudo-derivatives on every received tick. Both chain updates cover
-    their whole block.
+    their whole block; when att_chain is chain (a variant with ord_pos =
+    ord_rot), one update serves both.
     """
     qw, qx, qy, qz = q = x.q
     y0, y1, y2 = so3._log(so3._mul((qw, -qx, -qy, -qz), so3._floats(z.q)))
-    att_chain, k, _ = _chain_update(att_chain)
+    shared = att_chain is chain
     chain, g, _ = _chain_update(chain)
+    if shared:
+        att_chain, k = chain, g
+    else:
+        att_chain, k, _ = _chain_update(att_chain)
 
     (p0, p1, p2), *derivs = x.pos
     z0, z1, z2 = so3._floats(z.p)
@@ -399,7 +418,9 @@ class EskfPredictor:
         self.config = config
         self.x = NominalState.at_pose(first_pose)
         self.chain = _chain_eye(1 + config.ord_pos)       # position: kron(chain, I3)
-        self.att_chain = _chain_eye(1 + config.ord_rot)   # attitude: kron(att_chain, I3)
+        # attitude: kron(att_chain, I3), the position chain itself at equal orders
+        self.att_chain = (self.chain if config.ord_pos == config.ord_rot
+                          else _chain_eye(1 + config.ord_rot))
         self.window = deque([_window_node(first_pose, None)], maxlen=config.min_window)
         self.rollout = []
 
@@ -418,8 +439,10 @@ class EskfPredictor:
         dt = _tick_interval(z, self.x.t, received)
         T = error_transition_matrix(dt)
         self.x = propagate_nominal(self.x, dt, cfg)
+        shared = self.att_chain is self.chain
         self.chain = propagate_covariance(self.chain, 1 + cfg.ord_pos, T)
-        self.att_chain = propagate_covariance(self.att_chain, 1 + cfg.ord_rot, T)
+        self.att_chain = (self.chain if shared
+                          else propagate_covariance(self.att_chain, 1 + cfg.ord_rot, T))
         if received:
             x, self.chain, self.att_chain = correct(self.x, self.chain, self.att_chain, z)
             self.window.append(_window_node(z, self.window[-1]))

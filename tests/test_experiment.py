@@ -1,5 +1,6 @@
 """End-to-end checks of the sweep harness: seeding, pooling, reporting."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -13,12 +14,13 @@ from posecast.experiment import (
     ExperimentConfig,
     _cell_rng,
     _prepare_trace,
+    _stream_plan,
     classify_chunk,
     emit_report,
     run_experiment,
     simulate_drop,
 )
-from posecast.filters import DegeneracyError, FilterConfig, make_predictor
+from posecast.filters import MODEL_NAMES, DegeneracyError, FilterConfig, make_predictor
 from posecast.metrics import orientation_error, position_error
 from posecast.preprocess import chunk_trace, design_butterworth_lowpass, filter_trace
 from posecast.traces import Trace, generate_synthetic_trace
@@ -520,7 +522,7 @@ class TestSharedStreams:
                                repeats=3, master_seed=9)
         lengths = (300, 260)
         traces = [_stationary_trace(n / 100.0) for n in lengths]
-        run_experiment(cfg, traces)
+        report = run_experiment(cfg, traces)
         want = _expected_masks(cfg, lengths)
         # streams step through the last scored tick, 199 on both traces
         streamed = sorted(v[:199] for (drop, rep, _), v in want.items()
@@ -528,9 +530,17 @@ class TestSharedStreams:
         by_model = {}
         for pred in log:
             by_model.setdefault(pred.config.model, []).append(tuple(pred.received))
-        assert set(by_model) == set(cfg.models)
+        # p2o3 builds no predictor: it is stitched from p2o2 and p3o3
+        assert set(by_model) == {m for m, sources in _stream_plan(cfg.models)
+                                 if sources is None}
         for masks in by_model.values():
             assert sorted(masks) == streamed
+        # the stitched model scores as a sweep that streams it, under the same losses
+        log.clear()
+        alone = run_experiment(dataclasses.replace(cfg, models=("p2o3",)), traces)
+        assert sorted(tuple(pred.received) for pred in log) == streamed
+        assert [s for s in report.samples if s[0] == "p2o3"] == alone.samples
+        assert alone.samples
         # the losses differ between repeats and drop rates
         assert want[0.3, 0, 0] != want[0.3, 1, 0]
         assert want[0.3, 0, 0] != want[0.7, 0, 0]
@@ -617,6 +627,65 @@ class TestSharedStreams:
         kept = sorted(s for s in rep.samples if s[0] == "p2o2")
         assert kept and {s[5] for s in kept} == {1}
         assert kept == sorted(s for s in clean.samples if s[0] == "p2o2" and s[5] == 1)
+
+
+class TestStreamPlan:
+    def test_plan_streams_one_model_per_pair_of_orders(self):
+        def streamed(models):
+            return sorted(m for m, sources in _stream_plan(models) if sources is None)
+
+        assert streamed(MODEL_NAMES) == sorted(("KF", "ESKF", "p2o2", "p3o3"))
+        assert dict(_stream_plan(MODEL_NAMES))["p2o3"] == ("p2o2", "p3o3")
+        assert streamed(("p2o3",)) == ["p2o3"]
+        assert streamed(("ESKF", "p2o3")) == ["ESKF", "p2o3"]
+
+    def test_every_model_scores_as_in_a_sweep_of_its_own(self):
+        # trace 2 repeats a timestamp mid-trace, which every filter refuses,
+        # and trace 3 has a non-finite pose mid-trace, which the classifier
+        # refuses; a stitched model must fail them with its own sweep's reasons
+        tr0, tr1, tr2, tr3 = (generate_synthetic_trace(profile, 2.5, seed=s)
+                              for profile, s in (("hard", 1), ("medium", 2),
+                                                 ("hard", 3), ("hard", 4)))
+        t = tr2.t.copy()
+        t[120] = t[119]
+        p = tr3.p.copy()
+        p[120, 1] = np.nan
+        traces = [tr0, tr1, Trace(t, tr2.p, tr2.q), Trace(tr3.t, p, tr3.q)]
+        cfg = ExperimentConfig(horizons_ms=(20, 60), drop_rates=(0.0, 0.5), repeats=2,
+                               master_seed=7)
+
+        def of(report, model):
+            return ([r for r in report.per_repeat if r.model == model],
+                    [s for s in report.samples if s[0] == model],
+                    [f for f in report.failures if f.model == model])
+
+        full = run_experiment(cfg, traces)
+        permuted = run_experiment(dataclasses.replace(
+            cfg, models=("p2o3", "KF", "p3o3", "ESKF", "p2o2")), traces)
+        for model in MODEL_NAMES:
+            alone = run_experiment(dataclasses.replace(cfg, models=(model,)), traces)
+            assert of(full, model) == of(alone, model) == of(permuted, model), model
+        rows, samples, failures = of(full, "p2o3")
+        assert rows and samples
+        assert {(f.trace_index, f.reason) for f in failures} == {
+            (2, "tick timestamp 1.19 does not advance past 1.19"),
+            (3, "chunk pose 120 at t = 1.2 is not finite")}
+
+    def test_stitched_model_fails_with_its_failed_source(self, monkeypatch):
+        def breaking(config, first_pose):
+            if config.model == "p3o3":
+                raise DegeneracyError("innovation covariance is degenerate")
+            return make_predictor(config, first_pose)
+
+        monkeypatch.setattr("posecast.experiment.make_predictor", breaking)
+        cfg = ExperimentConfig(models=("p2o2", "p2o3", "p3o3"), horizons_ms=(20,),
+                               drop_rates=(0.0, 0.5), repeats=2)
+        rep = run_experiment(cfg, [generate_synthetic_trace("medium", 2.5, seed=1)])
+        failed = {m: [(f.horizon_ms, f.drop_rate, f.repeat, f.trace_index, f.reason)
+                      for f in rep.failures if f.model == m] for m in cfg.models}
+        assert failed["p2o3"] == failed["p3o3"] and failed["p2o3"]
+        assert failed["p2o2"] == []
+        assert {s[0] for s in rep.samples} == {"p2o2"}
 
 
 class TestScoredTicksOnly:

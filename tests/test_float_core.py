@@ -6,6 +6,7 @@ window, the covariance chains, the block structure of the reference
 covariance and the filters' long-run health."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -349,6 +350,22 @@ def test_error_transition_is_the_kron_taylor_chain(n, dt):
     assert np.kron(T, np.eye(3)).tobytes() == expect.tobytes()
 
 
+def _jittered_eskf_streams(data, horizon_steps):
+    """Every error-state variant over one hard trace, on a drawn mask and
+    a drawn jitter of the clock; yields the predictors after each tick."""
+    trace = _hard_trace()
+    n = len(trace)
+    mask = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    jitter = data.draw(st.lists(st.floats(-0.004, 0.004), min_size=n, max_size=n))
+    jittered = Trace(trace.t + np.array(jitter), trace.p, trace.q)
+    preds = {m: make_predictor(FilterConfig(model=m, dt=0.01, horizon_steps=horizon_steps),
+                               jittered.pose(0)) for m in _ESKF_MODELS}
+    for k, received in enumerate(mask, start=1):
+        for pred in preds.values():
+            pred.step(jittered.pose(k), received=received)
+        yield preds
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_attitude_chain_is_the_position_chain_of_its_order(data):
@@ -356,20 +373,32 @@ def test_attitude_chain_is_the_position_chain_of_its_order(data):
     # so on any mask and jittered clock the attitude chain of a variant
     # with ord_pos = ord_rot is its own position chain, and p2o3's is
     # p3o3's position chain, bit for bit
-    trace = _hard_trace()
-    n = len(trace)
-    mask = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
-    jitter = data.draw(st.lists(st.floats(-0.004, 0.004), min_size=n, max_size=n))
-    jittered = Trace(trace.t + np.array(jitter), trace.p, trace.q)
-    preds = {m: make_predictor(FilterConfig(model=m, dt=0.01, horizon_steps=2),
-                               jittered.pose(0)) for m in _ESKF_MODELS}
-    for k, received in enumerate(mask, start=1):
-        for pred in preds.values():
-            pred.step(jittered.pose(k), received=received)
+    for preds in _jittered_eskf_streams(data, 2):
         for m in ("ESKF", "p2o2", "p3o3"):
             assert np.array(preds[m].att_chain).tobytes() == np.array(preds[m].chain).tobytes()
         assert (np.array(preds["p2o3"].att_chain).tobytes()
                 == np.array(preds["p3o3"].chain).tobytes())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rollout_halves_depend_on_their_own_order_only(data):
+    # the sweep stitches a variant's errors from the positions of one of
+    # equal ord_pos and the orientations of one of equal ord_rot, which
+    # holds only if those halves of the rollouts agree bit for bit on
+    # every tick, whatever the losses and the clock
+    assert _ESKF_MODELS == tuple(m for m in MODEL_NAMES if m != "KF")
+    cfgs = [FilterConfig(model=m) for m in _ESKF_MODELS]
+    same_pos = [(a.model, b.model) for a, b in itertools.combinations(cfgs, 2)
+                if a.ord_pos == b.ord_pos]
+    same_rot = [(a.model, b.model) for a, b in itertools.combinations(cfgs, 2)
+                if a.ord_rot == b.ord_rot]
+    assert ("p2o2", "p2o3") in same_pos and ("p2o3", "p3o3") in same_rot
+    for preds in _jittered_eskf_streams(data, 5):
+        for half, pairs in ((0, same_pos), (1, same_rot)):
+            for a, b in pairs:
+                assert (np.array([r[half] for r in preds[a].rollout]).tobytes()
+                        == np.array([r[half] for r in preds[b].rollout]).tobytes()), (a, b)
 
 
 # ------------------------------------ block structure of the covariance
