@@ -17,6 +17,11 @@ The drop pattern of a (drop rate, repeat) is drawn from a generator
 seeded by (master_seed, drop_rate, repeat), so models and horizons are
 compared under the same losses, and results never depend on execution
 order or on the rest of the grid.
+
+Errors are held as segments, not one tuple per tick: per stream, horizon
+and class, one (ticks, e_pos, e_ori) triple of lists. Cells pool and keep
+references to them, drop-0 repeats and stitched models share them, and
+emit_report formats each distinct segment once.
 """
 
 import math
@@ -139,12 +144,26 @@ class FailedCell:
 
 @dataclass
 class ExperimentReport:
+    """The rows, failures and labels of one sweep, and its kept errors.
+
+    The errors are held in `segments`, one entry per (cell, repeat, trace,
+    class) whose lists may be shared with other entries; `samples` lists
+    them one tuple per tick, in file order, and is built on each read.
+    """
+
     config: ExperimentConfig
     per_repeat: list
     aggregates: list
     failures: list
     chunk_classes: list          # per trace: MotionClass per chunk
-    samples: list                # (model, class, h, drop, repeat, trace, tick, e_pos, e_ori)
+    segments: list               # (model, class, h, drop, repeat, trace, (ticks, e_pos, e_ori))
+
+    @property
+    def samples(self):
+        """Every kept sample as (model, class, h, drop, repeat, trace, tick,
+        e_pos, e_ori), built from the segments on each read."""
+        return [(*cell, k, ep, eo) for *cell, segment in self.segments
+                for k, ep, eo in zip(*segment)]
 
     @cached_property
     def _cells(self):
@@ -327,9 +346,9 @@ def run_experiment(config, traces):
 
     per_repeat = []
     failures = []
-    samples = []
+    segments = []
     for model in config.models:
-        model_cells = cells.pop(model)     # its samples are freed once copied out
+        model_cells = cells[model]
         for h_ms in config.horizons_ms:
             for drop in config.drop_rates:
                 for rep in range(config.repeats):
@@ -340,45 +359,61 @@ def run_experiment(config, traces):
                                     for ti, reason in failed)
                     per_repeat.extend(PerRepeatRow(model, cls, h_ms, drop, rep, *row)
                                       for cls, *row in stats)
-                    samples.extend((model, cls, h_ms, drop, rep, ti, k, ep, eo)
-                                   for cls, ti, k, ep, eo in kept)
+                    segments.extend((model, cls, h_ms, drop, rep, ti, segment)
+                                    for cls, ti, segment in kept)
 
     aggregates = _aggregate(config, per_repeat)
     return ExperimentReport(config, per_repeat, aggregates, failures,
                             [[] if isinstance(labels, ValueError) else labels
-                             for *_, labels in prepared], samples)
+                             for *_, labels in prepared], segments)
 
 
 def _stream_trace(model, prepared, config, mask):
-    """Stream one model over one prepared trace, collecting per-tick errors by class.
+    """Stream one model over one prepared trace and score it by class.
 
-    Returns one {class: (e_pos, e_ori, ticks)} per horizon, each read off
-    the predictor's rollout at its step count, or the error that stopped
-    the stream. The stream ends at the last tick any horizon scores:
-    ticks past the labelled chunks, or too close to the end for the
-    shortest horizon, are never filtered, so a degeneracy there fails no
-    cell.
+    Returns one {class: (ticks, e_pos, e_ori)} per horizon, each scored
+    off the predictor's rollout at its step count, or the error that
+    stopped the stream. The stream ends at the last tick any horizon
+    scores: ticks past the labelled chunks, or too close to the end for
+    the shortest horizon, are never filtered, so a degeneracy there fails
+    no cell. The tick loop only keeps each horizon's rollout pick; the
+    picks are scored after it, and a horizon's scored ticks (1 up to its
+    last) are split by chunk with one slice per chunk. A class whose
+    chunks recur gets one segment holding them in tick order.
     """
     dt, steps, poses, truth, labels = prepared
     if isinstance(labels, ValueError):
         return labels
+    chunk_len = config.chunk_len
+    n = len(poses)
+    end = min(len(labels) * chunk_len, n - min(steps))
+    true_p, true_q = truth
     try:
         pred = make_predictor(FilterConfig(model=model, dt=dt, horizon_steps=max(steps)),
                               poses[0])
-        n = len(poses)
-        end = min(len(labels) * config.chunk_len, n - min(steps))
-        out = [{} for _ in steps]
-        true_p, true_q = truth
+        picks = [(n_steps, []) for n_steps in steps]
         for k in range(1, end):
             pred.step(poses[k], received=mask[k - 1])
-            cls = labels[k // config.chunk_len]
-            for n_steps, local in zip(steps, out):
-                if k + n_steps < n:
-                    p, q = pred.rollout[n_steps - 1]
-                    eps, eos, ticks = local.setdefault(cls, ([], [], []))
-                    eps.append(position_error(p, true_p[k + n_steps]))
-                    eos.append(orientation_error(q, true_q[k + n_steps]))
-                    ticks.append(k)
+            rollout = pred.rollout
+            for n_steps, picked in picks:
+                picked.append(rollout[n_steps - 1])
+        out = []
+        for n_steps, picked in picks:
+            # picked[j] is tick j + 1, scored against truth j + 1 + n_steps;
+            # map stops at the end of the truth, which drops the ticks too
+            # close to it for this horizon
+            e_pos = list(map(position_error, [p for p, _ in picked], true_p[n_steps + 1:]))
+            e_ori = list(map(orientation_error, [q for _, q in picked], true_q[n_steps + 1:]))
+            segments = {}
+            for c, cls in enumerate(labels):
+                lo, hi = max(c * chunk_len, 1), min((c + 1) * chunk_len, len(e_pos) + 1)
+                if lo >= hi:
+                    break
+                ticks, eps, eos = segments.setdefault(cls, ([], [], []))
+                ticks.extend(range(lo, hi))
+                eps.extend(e_pos[lo - 1:hi - 1])
+                eos.extend(e_ori[lo - 1:hi - 1])
+            out.append(segments)
     except (DegeneracyError, ValueError) as e:
         return e
     return out
@@ -389,12 +424,13 @@ def _stitch(pos_stream, rot_stream):
     orientation errors of another, or the error of the first that failed.
 
     Both ran on the same ticks under the same losses, so they scored the
-    same ticks in the same classes.
+    same ticks in the same classes. The stitched segments share their
+    tick and e_pos lists with the first stream and e_ori with the second.
     """
     for stream in (pos_stream, rot_stream):
         if isinstance(stream, Exception):
             return stream
-    return [{cls: (eps, rot[cls][1], ticks) for cls, (eps, _, ticks) in pos.items()}
+    return [{cls: (ticks, eps, rot[cls][2]) for cls, (ticks, eps, _) in pos.items()}
             for pos, rot in zip(pos_stream, rot_stream)]
 
 
@@ -403,7 +439,8 @@ def _pool_cell(config, streams, hi):
 
     Returns the per-class statistics (class, pos median, pos mean, ori
     median, ori mean, ticks), the failed traces (trace, reason) and, when
-    samples are kept, the samples (class, trace, tick, e_pos, e_ori).
+    samples are kept, the segments (class, trace, (ticks, e_pos, e_ori))
+    the statistics were pooled from, which are shared, not copied.
     """
     pool = {}
     failed = []
@@ -412,15 +449,17 @@ def _pool_cell(config, streams, hi):
         if isinstance(stream, Exception):
             failed.append((ti, str(stream)))
             continue
-        for cls, (eps, eos, ticks) in stream[hi].items():
+        for cls, segment in stream[hi].items():
             dst = pool.setdefault(cls, ([], []))
-            dst[0].extend(eps)
-            dst[1].extend(eos)
+            dst[0].extend(segment[1])
+            dst[1].extend(segment[2])
             if config.keep_samples:
-                kept.extend((cls, ti, k, ep, eo) for k, ep, eo in zip(ticks, eps, eos))
-    stats = [(cls, float(np.median(eps)), float(np.mean(eps)),
-              float(np.median(eos)), float(np.mean(eos)), len(eps))
-             for cls, (eps, eos) in sorted(pool.items())]
+                kept.append((cls, ti, segment))
+    stats = []
+    for cls, (eps, eos) in sorted(pool.items()):
+        eps, eos = np.array(eps), np.array(eos)
+        stats.append((cls, float(np.median(eps)), float(np.mean(eps)),
+                      float(np.median(eos)), float(np.mean(eos)), len(eps)))
     return stats, failed, kept
 
 
@@ -478,17 +517,20 @@ def emit_report(report, out_dir):
                       str(r.n_repeats), str(r.n_samples)]
             fh.write(",".join(fields) + "\n")
 
-    # the cell and trace prefix is formatted once per run of equal keys
-    lines = [SAMPLES_COLUMNS + "\n"]
-    key = None
-    for model, cls, h_ms, drop, rep, ti, k, ep, eo in report.samples:
-        if key != (model, cls, h_ms, drop, rep, ti):
-            key = (model, cls, h_ms, drop, rep, ti)
-            prefix = f"{model},{cls.label},{h_ms},{_fmt(drop)},{rep},{ti},"
-        lines.append("%s%d,%.9g,%.9g\n" % (prefix, k, ep, eo))
+    # a segment's rows are formatted once: the drop-0 repeats share repeat
+    # 0's segments. A stitched segment shares its e_pos list with one stream
+    # and its e_ori list with another, so only all three lists identify it.
+    bodies = {}
     with open(os.path.join(out_dir, "samples.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
-        fh.write("".join(lines))
+        fh.write(SAMPLES_COLUMNS + "\n")
+        for model, cls, h_ms, drop, rep, ti, segment in report.segments:
+            key = tuple(map(id, segment))
+            rows = bodies.get(key)
+            if rows is None:
+                rows = bodies[key] = list(map("%d,%.9g,%.9g".__mod__, zip(*segment)))
+            prefix = f"{model},{cls.label},{h_ms},{_fmt(drop)},{rep},{ti},"
+            fh.write(prefix + ("\n" + prefix).join(rows) + "\n")
 
     with open(os.path.join(out_dir, "table.txt"), "w", encoding="utf-8",
               newline="\n") as fh:

@@ -426,6 +426,29 @@ class TestEmitReport:
         emit_report(rep, tmp_path)
         assert (tmp_path / "samples.csv").read_text() == SAMPLES_COLUMNS + "\n"
 
+    def test_samples_csv_lines_match_the_per_sample_format(self, tmp_path):
+        # p2o3 is stitched: its rows share p2o2's e_pos lists and p3o3's
+        # e_ori lists, so a segment's formatted body is only reusable under
+        # all three of its lists, never under one of them
+        traces = [generate_synthetic_trace("hard", 2.5, seed=s) for s in (1, 2)]
+        cfg = ExperimentConfig(models=("p2o2", "p2o3", "p3o3"), horizons_ms=(20, 60),
+                               drop_rates=(0.0,), repeats=3)
+        rep = run_experiment(cfg, traces)
+        emit_report(rep, tmp_path)
+        lines = (tmp_path / "samples.csv").read_text().splitlines()
+        assert lines[1:] == ["%s,%s,%d,%.9g,%d,%d,%d,%.9g,%.9g" % (
+            model, cls.label, h_ms, drop, r, ti, k, ep, eo)
+            for model, cls, h_ms, drop, r, ti, k, ep, eo in rep.samples]
+
+        by_model = {}
+        for model, *cell, ep, eo in rep.samples:
+            by_model.setdefault(model, {})[tuple(cell)] = ep, eo
+        p2o2, p2o3, p3o3 = (by_model[m] for m in cfg.models)
+        assert p2o3.keys() == p2o2.keys() == p3o3.keys()
+        assert all(p2o3[c] == (p2o2[c][0], p3o3[c][1]) for c in p2o3)
+        assert any(p2o3[c] != p3o3[c] for c in p2o3)
+        assert any(p2o3[c] != p2o2[c] for c in p2o3)
+
     def test_table_names_each_cell(self, tmp_path):
         rep = self._small_report()
         emit_report(rep, tmp_path)
@@ -742,3 +765,43 @@ class TestAggregateLookup:
         assert rep.aggregate("KF", MotionClass.EASY, 50, 0.31) is None
         assert rep.aggregate("KF", MotionClass.HARD, 50, 0.3) is None
         assert rep.aggregate("p3o3", MotionClass.EASY, 50, 0.3) is None
+
+
+class TestSampleSegments:
+    @staticmethod
+    def _recurring_trace():
+        # Easy, Hard, Easy chunks and a 57-sample tail shorter than a chunk
+        pieces = [generate_synthetic_trace(profile, duration, seed=s)
+                  for profile, duration, s in (("easy", 2.0, 1), ("hard", 2.0, 2),
+                                               ("easy", 2.0, 3), ("easy", 0.57, 4))]
+        n = sum(len(piece) for piece in pieces)
+        return Trace(np.arange(n) / 100.0, np.concatenate([piece.p for piece in pieces]),
+                     np.concatenate([piece.q for piece in pieces]))
+
+    def test_samples_and_rows_follow_recurring_chunk_labels(self):
+        traces = [self._recurring_trace(), generate_synthetic_trace("medium", 4.3, seed=5)]
+        cfg = ExperimentConfig(models=("KF", "p2o2", "p2o3", "p3o3"),
+                               horizons_ms=(20, 100), drop_rates=(0.0, 0.5), repeats=2,
+                               master_seed=9)
+        rep = run_experiment(cfg, traces)
+        assert rep.chunk_classes[0] == [MotionClass.EASY, MotionClass.HARD, MotionClass.EASY]
+        assert not rep.failures
+
+        pooled = {}
+        for model, cls, h_ms, drop, r, ti, k, ep, eo in rep.samples:
+            assert cls == rep.chunk_classes[ti][k // cfg.chunk_len]
+            pooled.setdefault((model, cls, h_ms, drop, r), []).append((ep, eo))
+        # no tick of the 57-sample tail past the last chunk is scored
+        assert max(s[6] for s in rep.samples if s[5] == 0) == 599
+        assert {(r.model, r.motion_class, r.horizon_ms, r.drop_rate, r.repeat)
+                for r in rep.per_repeat} == pooled.keys()
+        for row in rep.per_repeat:
+            eps, eos = map(list, zip(*pooled[row.model, row.motion_class, row.horizon_ms,
+                                             row.drop_rate, row.repeat]))
+            assert row.n_ticks == len(eps)
+            assert (row.pos_mean_mm, row.pos_median_mm) == (np.mean(eps), np.median(eps))
+            assert (row.ori_mean_deg, row.ori_median_deg) == (np.mean(eos), np.median(eos))
+
+        lean = run_experiment(dataclasses.replace(cfg, keep_samples=False), traces)
+        assert lean.per_repeat == rep.per_repeat
+        assert lean.samples == []

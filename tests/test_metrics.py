@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from posecast import so3
 from posecast.metrics import orientation_error, position_error, summarize
@@ -124,6 +125,17 @@ class TestSummarize:
             s = summarize(rng.normal(size=n))
             assert s.ci_low <= s.mean <= s.ci_high
 
+    def test_cached_quantile_matches_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for level in (0.9, 0.95, 0.99):
+            for n in (2, 3, 10):
+                x = rng.normal(size=n)
+                sem = float(np.std(x, ddof=1)) / np.sqrt(n)
+                half = float(stats.t.ppf(0.5 + 0.5 * level, n - 1)) * sem
+                for _ in range(2):      # the second call reads the cached quantile
+                    s = summarize(x, level)
+                    assert (s.ci_low, s.ci_high) == (s.mean - half, s.mean + half)
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="empty"):
             summarize([])
@@ -131,3 +143,5 @@ class TestSummarize:
             summarize([1.0, 2.0], level=1.0)
         with pytest.raises(ValueError, match="level"):
             summarize([1.0, 2.0], level=0.0)
+        with pytest.raises(ValueError, match="level"):
+            summarize([1.0, 2.0], level=float("nan"))
