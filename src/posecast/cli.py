@@ -17,16 +17,18 @@ import sys
 import numpy as np
 
 from .classifier import ClassifierConfig, classify, discretize_chunk, lz_entropy
-from .experiment import ExperimentConfig, emit_report, run_experiment
-from .filters import MODEL_NAMES, FilterConfig, make_predictor
+from .experiment import ExperimentConfig, emit_report, horizon_steps, run_experiment
+from .filters import FilterConfig, make_predictor
 from .metrics import orientation_error, position_error
-from .preprocess import chunk_trace
+from .preprocess import CHUNK_LEN, chunk_trace
 from .traces import PROFILES, generate_synthetic_trace, load_trace, save_trace
 
 _F = "%.9g"
 
 
 def build_parser():
+    classifier = ClassifierConfig()
+    sweep = ExperimentConfig()
     parser = argparse.ArgumentParser(
         prog="posecast",
         description="6-DoF pose prediction filters and benchmark")
@@ -40,11 +42,11 @@ def build_parser():
 
     p = sub.add_parser("classify", help="label each chunk of a trace")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--h-low", type=float, default=None, metavar="X")
-    p.add_argument("--h-high", type=float, default=None, metavar="Y")
-    p.add_argument("--cell-pos", type=float, default=None, metavar="M")
-    p.add_argument("--cell-rot", type=float, default=None, metavar="R")
-    p.add_argument("--chunk-len", type=int, default=200, metavar="L")
+    p.add_argument("--h-low", type=float, default=classifier.h_low, metavar="X")
+    p.add_argument("--h-high", type=float, default=classifier.h_high, metavar="Y")
+    p.add_argument("--cell-pos", type=float, default=classifier.cell_size_pos, metavar="M")
+    p.add_argument("--cell-rot", type=float, default=classifier.cell_size_rot, metavar="R")
+    p.add_argument("--chunk-len", type=int, default=CHUNK_LEN, metavar="L")
 
     p = sub.add_parser("predict", help="stream a filter over a trace")
     p.add_argument("--input", required=True, metavar="FILE")
@@ -55,14 +57,14 @@ def build_parser():
 
     p = sub.add_parser("bench", help="run the model/horizon/drop sweep")
     p.add_argument("--input", required=True, nargs="+", metavar="FILE")
-    p.add_argument("--models", default=",".join(MODEL_NAMES), metavar="LIST")
-    p.add_argument("--horizons", default="20,40,60,80,100", metavar="LIST")
-    p.add_argument("--drop-rates", default="0,0.1,0.3,0.5", metavar="LIST")
-    p.add_argument("--repeats", type=int, default=10, metavar="K")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
+    p.add_argument("--models", default=",".join(sweep.models), metavar="LIST")
+    p.add_argument("--horizons", default=",".join(map(str, sweep.horizons_ms)),
+                   metavar="LIST")
+    p.add_argument("--drop-rates", default=",".join(map(str, sweep.drop_rates)),
+                   metavar="LIST")
+    p.add_argument("--repeats", type=int, default=sweep.repeats, metavar="K")
+    p.add_argument("--seed", type=int, default=sweep.master_seed, metavar="N")
     p.add_argument("--out", required=True, metavar="DIR")
-    p.add_argument("--cutoff-hz", type=float, default=5.0, metavar="F")
-    p.add_argument("--order", type=int, default=2, choices=(2, 4))
     return parser
 
 
@@ -73,18 +75,10 @@ def _cmd_synth(args):
     return 0
 
 
-def _classifier_config(args):
-    defaults = ClassifierConfig()
-    return ClassifierConfig(
-        cell_size_pos=defaults.cell_size_pos if args.cell_pos is None else args.cell_pos,
-        cell_size_rot=defaults.cell_size_rot if args.cell_rot is None else args.cell_rot,
-        h_low=defaults.h_low if args.h_low is None else args.h_low,
-        h_high=defaults.h_high if args.h_high is None else args.h_high)
-
-
 def _cmd_classify(args):
     trace = load_trace(args.input)
-    config = _classifier_config(args)
+    config = ClassifierConfig(cell_size_pos=args.cell_pos, cell_size_rot=args.cell_rot,
+                              h_low=args.h_low, h_high=args.h_high)
     print("chunk,t_start,entropy_bits,label")
     for i, chunk in enumerate(chunk_trace(trace, args.chunk_len)):
         h = lz_entropy(discretize_chunk(chunk, config))
@@ -96,10 +90,7 @@ def _cmd_classify(args):
 def _cmd_predict(args):
     trace = load_trace(args.input)
     dt = trace.median_dt()
-    n_steps = int(round(args.horizon_ms / 1000.0 / dt))
-    if n_steps < 1:
-        raise ValueError(
-            f"horizon {args.horizon_ms} ms is shorter than one tick of {dt:.9g} s")
+    (n_steps,) = horizon_steps((args.horizon_ms,), dt)
     config = FilterConfig(model=args.model, dt=dt, horizon_steps=n_steps)
     pred = make_predictor(config, trace.pose(0))
     rng = np.random.default_rng(args.seed)
@@ -132,15 +123,17 @@ def _parse_floats(text, flag):
         raise ValueError(f"{flag} expects a comma-separated number list, got '{text}'")
 
 
-def _cmd_bench(args):
-    config = ExperimentConfig(
+def _experiment_config(args):
+    return ExperimentConfig(
         models=tuple(m for m in args.models.split(",") if m.strip() != ""),
         horizons_ms=_parse_floats(args.horizons, "--horizons"),
         drop_rates=_parse_floats(args.drop_rates, "--drop-rates"),
         repeats=args.repeats,
-        master_seed=args.seed,
-        cutoff_hz=args.cutoff_hz,
-        butter_order=args.order)
+        master_seed=args.seed)
+
+
+def _cmd_bench(args):
+    config = _experiment_config(args)
     traces = [load_trace(path) for path in args.input]
     report = run_experiment(config, traces)
     summary_path = emit_report(report, args.out)

@@ -26,15 +26,15 @@ emit_report formats each distinct segment once.
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .classifier import ClassifierConfig, MotionClass, classify, discretize_chunk, lz_entropy
+from .classifier import MotionClass, classify, discretize_chunk, lz_entropy
 from .filters import MODEL_NAMES, DegeneracyError, FilterConfig, canonical_model_name, make_predictor
 from .metrics import orientation_error, position_error, summarize
-from .preprocess import chunk_trace, design_butterworth_lowpass, filter_trace
+from .preprocess import CHUNK_LEN, chunk_trace, design_butterworth_lowpass, filter_trace
 from .traces import Pose
 
 SUMMARY_COLUMNS = (
@@ -63,11 +63,6 @@ class ExperimentConfig:
     drop_rates: tuple = (0.0, 0.1, 0.3, 0.5)
     repeats: int = 10
     master_seed: int = 0
-    chunk_len: int = 200
-    classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
-    cutoff_hz: float = 5.0
-    butter_order: int = 2
-    ci_level: float = 0.95
     keep_samples: bool = True
 
     def __post_init__(self):
@@ -177,9 +172,9 @@ class ExperimentReport:
         return self._cells.get((model, motion_class, horizon_ms, drop))
 
 
-def classify_chunk(chunk, config=None):
+def classify_chunk(chunk):
     """Entropy-band label for one chunk of poses."""
-    return classify(lz_entropy(discretize_chunk(chunk, config)), config)
+    return classify(lz_entropy(discretize_chunk(chunk)))
 
 
 def _prepare_trace(trace, config):
@@ -188,18 +183,17 @@ def _prepare_trace(trace, config):
     The poses are the filtered ones as Pose objects with read-only
     arrays, built once: every stream of the trace steps these same
     objects. The truth is the raw (positions, orientations) as float
-    lists. The labels are replaced by the classifier's ValueError when a
-    chunk holds a non-finite pose. When the trace's tick interval does
-    not suit the sweep (not finite and positive, longer than a horizon,
-    or too long for the prefilter's cutoff), they are replaced by that
-    ValueError, with no poses.
+    lists. The labels are replaced by a ValueError when the trace is
+    shorter than one chunk, or by the classifier's when a chunk holds a
+    non-finite pose. When the trace's tick interval does not suit the
+    sweep (not finite and positive, longer than a horizon, or too long
+    for the prefilter's cutoff), they are replaced by that ValueError,
+    with no poses.
     """
     dt = trace.median_dt()
     try:
-        if not (math.isfinite(dt) and dt > 0.0):
-            raise ValueError(f"median tick interval {dt!r} s is not finite and positive")
-        steps = _horizon_steps(config, dt)
-        sos = design_butterworth_lowpass(config.butter_order, config.cutoff_hz, 1.0 / dt)
+        steps = horizon_steps(config.horizons_ms, dt)
+        sos = design_butterworth_lowpass(sample_hz=1.0 / dt)
     except ValueError as e:
         return dt, None, None, None, e
     filtered = filter_trace(trace, sos)
@@ -207,8 +201,11 @@ def _prepare_trace(trace, config):
     p.flags.writeable = q.flags.writeable = False
     poses = [Pose(t, pk, qk) for t, pk, qk in zip(filtered.t.tolist(), p, q)]
     try:
-        labels = [classify_chunk(c, config.classifier)
-                  for c in chunk_trace(filtered, config.chunk_len)]
+        chunks = chunk_trace(filtered)
+        if not chunks:
+            raise ValueError(f"trace has {len(trace)} samples, "
+                             f"fewer than one chunk of {CHUNK_LEN}")
+        labels = [classify_chunk(c) for c in chunks]
     except ValueError as e:
         labels = e
     return dt, steps, poses, (trace.p.tolist(), trace.q.tolist()), labels
@@ -251,11 +248,16 @@ def _drop_masks(config, traces):
     return masks
 
 
-def _horizon_steps(config, dt):
-    """Tick count of each configured horizon on a trace sampled every dt."""
+def horizon_steps(horizons_ms, dt):
+    """Tick count of each horizon, in ms, on a trace sampled every dt seconds."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValueError(f"median tick interval {dt!r} s is not finite and positive")
     steps = []
-    for h_ms in config.horizons_ms:
-        n_steps = int(round(h_ms / 1000.0 / dt))
+    for h_ms in horizons_ms:
+        ticks = h_ms / 1000.0 / dt
+        if not math.isfinite(ticks):
+            raise ValueError(f"horizon {h_ms} ms is not a finite number of ticks")
+        n_steps = int(round(ticks))
         if n_steps < 1:
             raise ValueError(
                 f"horizon {h_ms} ms is shorter than one tick of {dt:.9g} s")
@@ -313,11 +315,12 @@ def run_experiment(config, traces):
     every (cell, trace) combination it feeds failed and the sweep keeps
     going; that trace contributes no samples to the failed cells, and a
     stitched stream fails with the reason of its failed source. A
-    trace with a chunk the classifier refuses (a non-finite pose), or
-    whose median tick interval does not suit the sweep (a NaN timestamp,
-    a horizon shorter than one tick, a cutoff at or above its Nyquist
-    rate), fails them all with that error and reports no labels; when no
-    trace suits the sweep, the first trace's error is raised. Streams
+    trace shorter than one chunk, with a chunk the classifier refuses (a
+    non-finite pose), or whose median tick interval does not suit the
+    sweep (a NaN timestamp, a horizon shorter than one tick, a cutoff at
+    or above its Nyquist rate), fails them all with that error and
+    reports no labels; when no trace can be prefiltered, the first
+    trace's error is raised. Streams
     stop at the last scored tick, so a filter that would break only after
     it fails nothing.
     """
@@ -337,7 +340,7 @@ def run_experiment(config, traces):
             for model, sources in plan:
                 if sources is None:
                     streams[model] = [
-                        _stream_trace(model, prep, config, masks[drop, rep][ti])
+                        _stream_trace(model, prep, masks[drop, rep][ti])
                         for ti, prep in enumerate(prepared)]
                 else:
                     streams[model] = list(map(_stitch, *(streams[s] for s in sources)))
@@ -368,7 +371,7 @@ def run_experiment(config, traces):
                              for *_, labels in prepared], segments)
 
 
-def _stream_trace(model, prepared, config, mask):
+def _stream_trace(model, prepared, mask):
     """Stream one model over one prepared trace and score it by class.
 
     Returns one {class: (ticks, e_pos, e_ori)} per horizon, each scored
@@ -384,9 +387,8 @@ def _stream_trace(model, prepared, config, mask):
     dt, steps, poses, truth, labels = prepared
     if isinstance(labels, ValueError):
         return labels
-    chunk_len = config.chunk_len
     n = len(poses)
-    end = min(len(labels) * chunk_len, n - min(steps))
+    end = min(len(labels) * CHUNK_LEN, n - min(steps))
     true_p, true_q = truth
     try:
         pred = make_predictor(FilterConfig(model=model, dt=dt, horizon_steps=max(steps)),
@@ -406,7 +408,7 @@ def _stream_trace(model, prepared, config, mask):
             e_ori = list(map(orientation_error, [q for _, q in picked], true_q[n_steps + 1:]))
             segments = {}
             for c, cls in enumerate(labels):
-                lo, hi = max(c * chunk_len, 1), min((c + 1) * chunk_len, len(e_pos) + 1)
+                lo, hi = max(c * CHUNK_LEN, 1), min((c + 1) * CHUNK_LEN, len(e_pos) + 1)
                 if lo >= hi:
                     break
                 ticks, eps, eos = segments.setdefault(cls, ([], [], []))
@@ -476,10 +478,10 @@ def _aggregate(config, per_repeat):
                     group = groups.get((model, cls, h_ms, drop))
                     if not group:
                         continue
-                    pm = summarize([r.pos_mean_mm for r in group], config.ci_level)
-                    pq = summarize([r.pos_median_mm for r in group], config.ci_level)
-                    om = summarize([r.ori_mean_deg for r in group], config.ci_level)
-                    oq = summarize([r.ori_median_deg for r in group], config.ci_level)
+                    pm = summarize([r.pos_mean_mm for r in group])
+                    pq = summarize([r.pos_median_mm for r in group])
+                    om = summarize([r.ori_mean_deg for r in group])
+                    oq = summarize([r.ori_median_deg for r in group])
                     rows.append(AggregateRow(
                         model, cls, h_ms, drop,
                         pm.mean, pm.ci_low, pm.ci_high,

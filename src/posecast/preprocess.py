@@ -12,6 +12,8 @@ from scipy import signal
 
 from .traces import Pose, Trace
 
+CHUNK_LEN = 200  # poses per classified chunk
+
 
 def design_butterworth_lowpass(order=2, cutoff_hz=5.0, sample_hz=100.0):
     """Design a discrete Butterworth low-pass as second-order sections.
@@ -73,7 +75,7 @@ def filter_trace(trace, sos):
     return Trace(trace.t.copy(), p, q)
 
 
-def chunk_trace(trace, chunk_len=200):
+def chunk_trace(trace, chunk_len=CHUNK_LEN):
     """Split a trace into consecutive non-overlapping chunks.
 
     The tail shorter than chunk_len is dropped. chunk_len below 16 is

@@ -169,21 +169,6 @@ def quat_log(q):
     return np.array(_log(_floats(q)))
 
 
-def rotvec_to_matrix(v):
-    """Rodrigues formula: rotation vector -> rotation matrix.
-
-    I + sin(a)/a [v]x + (1 - cos a)/a^2 [v]x^2 for a = |v|; below 1e-8 rad
-    the coefficients are their limits 1 and 1/2.
-    """
-    v = _floats(v)
-    x, y, z = v
-    angle = math.sqrt(x * x + y * y + z * z)
-    if angle < 1e-8:
-        return np.array(_quadratic(v, 1.0, 0.5))
-    return np.array(_quadratic(v, math.sin(angle) / angle,
-                               (1.0 - math.cos(angle)) / (angle * angle)))
-
-
 def geodesic_distance(q_pred, q_true):
     """Rotation angle, in radians, taking q_true to q_pred.
 

@@ -6,6 +6,7 @@ a scalar-first unit quaternion. On load, quaternions are renormalized and
 sign-aligned so consecutive samples sit in the same hemisphere.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,6 @@ class Pose:
     t: float
     p: np.ndarray
     q: np.ndarray
-
-    def copy(self):
-        return Pose(self.t, self.p.copy(), self.q.copy())
 
 
 class Trace:
@@ -48,6 +46,9 @@ class Trace:
         return Pose(float(self.t[i]), self.p[i].copy(), self.q[i].copy())
 
     def median_dt(self):
+        """Median tick interval in seconds; NaN with fewer than two samples."""
+        if len(self.t) < 2:
+            return math.nan
         return float(np.median(np.diff(self.t)))
 
 
@@ -175,11 +176,13 @@ def generate_synthetic_trace(profile, duration_s, sample_hz=100.0, seed=0):
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile '{profile}', expected one of {PROFILES}")
-    if duration_s <= 0 or sample_hz <= 0:
-        raise ValueError("duration and sample rate must be positive")
+    if not (0.0 < duration_s < math.inf and 0.0 < sample_hz < math.inf):
+        raise ValueError("duration and sample rate must be positive and finite")
     pid = PROFILES.index(profile)
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 71, pid)))
     n = int(round(duration_s * sample_hz))
+    if n < 1:
+        raise ValueError(f"{duration_s} s at {sample_hz} Hz holds no sample")
     dt = 1.0 / sample_hz
     t = np.arange(n) * dt
 

@@ -1,10 +1,15 @@
 """Subcommand behavior through the in-process entry point."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from posecast.cli import main
-from posecast.traces import load_trace
+from posecast.classifier import ClassifierConfig
+from posecast.cli import _experiment_config, build_parser, main
+from posecast.experiment import ExperimentConfig
+from posecast.preprocess import CHUNK_LEN
+from posecast.traces import TRACE_HEADER, load_trace
 
 
 def _run(capsys, *argv):
@@ -25,10 +30,56 @@ class TestParser:
                   "--out", "x.csv"])
         assert e.value.code != 0
 
-    def test_rejects_unknown_order(self, capsys):
-        with pytest.raises(SystemExit) as e:
-            main(["bench", "--input", "x.csv", "--out", "d", "--order", "3"])
-        assert e.value.code != 0
+    def test_defaults_come_from_the_configs(self):
+        parser = build_parser()
+        bench = parser.parse_args(["bench", "--input", "x", "--out", "d"])
+        assert _experiment_config(bench) == ExperimentConfig()
+        classify = parser.parse_args(["classify", "--input", "x"])
+        assert ClassifierConfig(cell_size_pos=classify.cell_pos,
+                                cell_size_rot=classify.cell_rot,
+                                h_low=classify.h_low,
+                                h_high=classify.h_high) == ClassifierConfig()
+        assert classify.chunk_len == CHUNK_LEN
+
+
+class TestDegenerateNumbers:
+    """Each input ends in one diagnostic line: no traceback, no warning."""
+
+    @pytest.fixture()
+    def one_row_file(self, tmp_path):
+        path = tmp_path / "one.csv"
+        path.write_text(f"{TRACE_HEADER}\n0,0,0,0,1,0,0,0\n")
+        return str(path)
+
+    @pytest.fixture()
+    def hard_file(self, tmp_path, capsys):
+        path = tmp_path / "hard.csv"
+        _run(capsys, "synth", "--profile", "hard", "--duration", "3",
+             "--seed", "1", "--out", str(path))
+        return str(path)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("synth", "--profile", "easy", "--duration", "inf", "--out", "{tmp}/x.csv"),
+         "duration and sample rate must be positive and finite"),
+        (("synth", "--profile", "easy", "--duration", "0.001", "--out", "{tmp}/x.csv"),
+         "0.001 s at 100.0 Hz holds no sample"),
+        (("predict", "--input", "{hard}", "--model", "p3o3", "--horizon-ms", "inf"),
+         "horizon inf ms is not a finite number of ticks"),
+        (("predict", "--input", "{hard}", "--model", "p3o3", "--horizon-ms", "nan"),
+         "horizon nan ms is not a finite number of ticks"),
+        (("predict", "--input", "{one}", "--model", "p3o3", "--horizon-ms", "100"),
+         "median tick interval nan s is not finite and positive"),
+        (("bench", "--input", "{one}", "--out", "{tmp}/r"),
+         "median tick interval nan s is not finite and positive"),
+    ])
+    def test_one_error_line(self, tmp_path, capsys, one_row_file, hard_file, argv, message):
+        argv = [a.format(tmp=tmp_path, one=one_row_file, hard=hard_file) for a in argv]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = _run(capsys, *argv)
+        assert code == 1
+        assert stderr.splitlines() == [f"error: {message}"]
+        assert stdout == ""
 
 
 class TestSynth:

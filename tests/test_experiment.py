@@ -22,7 +22,7 @@ from posecast.experiment import (
 )
 from posecast.filters import MODEL_NAMES, DegeneracyError, FilterConfig, make_predictor
 from posecast.metrics import orientation_error, position_error
-from posecast.preprocess import chunk_trace, design_butterworth_lowpass, filter_trace
+from posecast.preprocess import CHUNK_LEN, chunk_trace, design_butterworth_lowpass, filter_trace
 from posecast.traces import Trace, generate_synthetic_trace
 
 
@@ -341,6 +341,25 @@ class TestRunExperiment:
         assert rep.chunk_classes[1] == []
         with pytest.raises(ValueError, match=re.escape(reason)):
             run_experiment(cfg, [coarse])     # nothing left to sweep
+
+    def test_trace_shorter_than_a_chunk_fails_its_cells_not_the_sweep(self):
+        # a 1.5 s trace has no whole chunk to classify, so it fails its own
+        # cells, as a chunk the classifier refuses does; it goes last, so
+        # the 4 s trace scores as in a sweep without it
+        good = generate_synthetic_trace("hard", 4.0, seed=1)
+        short = generate_synthetic_trace("hard", 1.5, seed=2)
+        cfg = ExperimentConfig(models=("KF", "p3o3"), horizons_ms=(20, 60),
+                               drop_rates=(0.0, 0.3), repeats=2, master_seed=5)
+        clean = run_experiment(cfg, [good])
+        rep = run_experiment(cfg, [good, short])
+        reason = f"trace has 150 samples, fewer than one chunk of {CHUNK_LEN}"
+        assert len(rep.failures) == 2 * 2 * 2 * 2
+        assert {f.trace_index for f in rep.failures} == {1}
+        assert all(f.reason == reason for f in rep.failures)
+        assert rep.chunk_classes == clean.chunk_classes + [[]]
+        assert rep.per_repeat == clean.per_repeat and rep.per_repeat
+        assert rep.aggregates == clean.aggregates
+        assert rep.samples == clean.samples
 
     def test_streams_leave_shared_poses_untouched(self):
         # every stream of a trace steps the same read-only Pose objects;
@@ -789,7 +808,7 @@ class TestSampleSegments:
 
         pooled = {}
         for model, cls, h_ms, drop, r, ti, k, ep, eo in rep.samples:
-            assert cls == rep.chunk_classes[ti][k // cfg.chunk_len]
+            assert cls == rep.chunk_classes[ti][k // CHUNK_LEN]
             pooled.setdefault((model, cls, h_ms, drop, r), []).append((ep, eo))
         # no tick of the 57-sample tail past the last chunk is scored
         assert max(s[6] for s in rep.samples if s[5] == 0) == 599

@@ -125,15 +125,6 @@ def test_geodesic_symmetric_and_sign_blind(qa, qb):
         assert abs(other - d) <= 1e-9
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(rotvecs(), _rate))
-def test_rodrigues_is_a_rotation(v):
-    R = so3.rotvec_to_matrix(v)
-    assert np.abs(R @ R.T - np.eye(3)).max() <= 1e-12
-    assert abs(np.linalg.det(R) - 1.0) <= 1e-12
-    np.testing.assert_allclose(R, ref.rotvec_to_matrix(np.array(v)), rtol=0, atol=1e-12)
-
-
 # ------------------------------------------------------ pseudo-derivatives
 
 _ESKF_MODELS = ("ESKF", "p2o2", "p2o3", "p3o3")

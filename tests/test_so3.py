@@ -71,7 +71,6 @@ def test_matrix_against_scipy():
         R_mine = ref.quat_to_matrix(q)
         R_ref = Rotation.from_quat([q[1], q[2], q[3], q[0]]).as_matrix()
         assert np.abs(R_mine - R_ref).max() < 1e-12
-        assert np.abs(so3.rotvec_to_matrix(v) - R_ref).max() < 1e-12
 
 
 def test_geodesic_basic():

@@ -1,5 +1,8 @@
 """Trace container, file round-trip, and synthetic profile tests."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,13 @@ class TestTraceContainer:
         pose.p[0] += 1.0                         # copies, not views
         assert tr.p[5, 0] != pose.p[0]
         assert tr.median_dt() == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_median_dt_of_fewer_than_two_samples_is_nan(self, n):
+        tr = Trace(np.zeros(n), np.zeros((n, 3)), np.tile([1.0, 0, 0, 0], (n, 1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isnan(tr.median_dt())
 
     def test_hemisphere_align(self):
         q = np.array([[1.0, 0, 0, 0], [-0.99, 0, 0, -0.1], [0.98, 0, 0.1, 0.1]])
@@ -157,3 +167,13 @@ class TestSyntheticProfiles:
             generate_synthetic_trace("easy", 0.0)
         with pytest.raises(ValueError):
             generate_synthetic_trace("easy", 1.0, sample_hz=0.0)
+
+    @pytest.mark.parametrize("duration_s, sample_hz", [
+        (math.inf, 100.0), (math.nan, 100.0), (1.0, math.inf), (1.0, math.nan),
+        (0.001, 100.0),
+    ])
+    def test_non_finite_or_empty_arguments_rejected(self, duration_s, sample_hz):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite|no sample"):
+                generate_synthetic_trace("easy", duration_s, sample_hz=sample_hz)
