@@ -5,7 +5,8 @@ classify prints per-chunk entropy and motion class for a trace file.
 predict  streams one filter over a trace and prints horizon predictions
          with their errors against the raw future pose.
 bench    runs the full sweep over one or more trace files and writes
-         summary.csv, samples.csv, and table.txt.
+         summary.csv, samples.csv, and table.txt; it exits 1 when every
+         cell failed.
 
 All output tables are CSV with 9-significant-digit floats. Errors exit
 nonzero with a one-line diagnostic on stderr.
@@ -142,6 +143,10 @@ def _cmd_bench(args):
               f"repeat={f.repeat} trace={f.trace_index} failed: {f.reason}",
               file=sys.stderr)
     print(f"wrote {summary_path}")
+    if not report.aggregates:
+        print("error: every cell of the sweep failed; summary.csv has no rows",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -82,7 +82,7 @@ def load_trace(path):
             vals = [float(f) for f in fields]
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: non-numeric field") from None
-        if not all(np.isfinite(vals)):
+        if not all(map(math.isfinite, vals)):
             raise ValueError(f"{path}: line {lineno}: non-finite value")
         if t and vals[0] <= t[-1]:
             raise ValueError(f"{path}: line {lineno}: timestamp not strictly increasing")
@@ -102,9 +102,8 @@ def save_trace(trace, path):
     """Write a trace CSV with 9-significant-digit floats."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(TRACE_HEADER + "\n")
-        for i in range(len(trace)):
-            row = [trace.t[i], *trace.p[i], *trace.q[i]]
-            fh.write(",".join("%.9g" % v for v in row) + "\n")
+        for t, p, q in zip(trace.t.tolist(), trace.p.tolist(), trace.q.tolist()):
+            fh.write(",".join("%.9g" % v for v in (t, *p, *q)) + "\n")
 
 
 def _triangle(t, freq, phase):

@@ -16,6 +16,9 @@ also the ones other tests use: the package itself has no need of them.
 window_nodes is the one exact helper: it builds the filters'
 derivative-window nodes with the package's own rotation kernels, so a
 window grown tick by tick can be compared with it bit for bit.
+RefStreamFilter is the pose prefilter's former array code: its biquads
+match the float prefilter bit for bit, while its np.linalg.norm (a BLAS
+dot product) and np.dot sign check may round differently.
 """
 
 from collections import deque
@@ -24,6 +27,7 @@ from math import factorial
 import numpy as np
 
 from posecast import so3
+from posecast.traces import Pose
 
 ORDERS = {"KF": (1, 1), "ESKF": (1, 1),
           "p2o2": (2, 2), "p2o3": (2, 3), "p3o3": (3, 3)}
@@ -291,3 +295,30 @@ def make_reference(model, first, dt, horizon_steps, coupled=False):
     if model == "KF":
         return RefKf(first, dt, horizon_steps)
     return RefEskf(model, first, dt, horizon_steps, coupled)
+
+
+# ------------------------------------------------------------ prefilter
+
+class RefStreamFilter:
+    """The streaming pose prefilter on numpy 7-vectors, section by section."""
+
+    def __init__(self, sos):
+        self.sos = np.asarray(sos, dtype=float)
+        self.z = np.zeros((len(self.sos), 2, 7))
+        self._prev_q = None
+
+    def filter_sample(self, pose):
+        q = np.asarray(pose.q, dtype=float)
+        if self._prev_q is not None and np.dot(q, self._prev_q) < 0.0:
+            q = -q
+        self._prev_q = q
+        x = np.concatenate([pose.p, q])
+        for si in range(len(self.sos)):
+            b0, b1, b2, _, a1, a2 = self.sos[si]
+            y = b0 * x + self.z[si, 0]
+            self.z[si, 0] = b1 * x - a1 * y + self.z[si, 1]
+            self.z[si, 1] = b2 * x - a2 * y
+            x = y
+        qf = x[3:7]
+        qf = qf / np.linalg.norm(qf)
+        return Pose(pose.t, x[0:3].copy(), qf)

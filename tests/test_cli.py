@@ -245,6 +245,36 @@ class TestBench:
         assert ((tmp_path / "a" / "summary.csv").read_bytes()
                 == (tmp_path / "b" / "summary.csv").read_bytes())
 
+    _GRID = ("--models", "KF,p3o3", "--horizons", "20", "--drop-rates", "0,0.5",
+             "--repeats", "2", "--seed", "0")
+
+    def test_every_cell_failing_exits_one(self, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        _run(capsys, "synth", "--profile", "hard", "--duration", "1.5", "--out", str(short))
+        out = tmp_path / "r"
+        code, stdout, stderr = _run(capsys, "bench", "--input", str(short), *self._GRID,
+                                    "--out", str(out))
+        assert code == 1
+        lines = stderr.splitlines()
+        # one warning per (model, horizon, drop rate, repeat): 2 x 1 x 2 x 2
+        assert len(lines) == 9
+        assert all("fewer than one chunk of 200" in line for line in lines[:-1])
+        assert [line for line in lines if line.startswith("error:")] == [lines[-1]]
+        assert "summary.csv" in stdout
+        assert (out / "summary.csv").read_text().count("\n") == 1
+        assert (out / "samples.csv").exists() and (out / "table.txt").exists()
+
+    def test_some_cells_failing_exits_zero(self, tmp_path, capsys):
+        short = tmp_path / "short.csv"
+        _run(capsys, "synth", "--profile", "hard", "--duration", "1.5", "--out", str(short))
+        good = self._synth(capsys, tmp_path)
+        code, _, stderr = _run(capsys, "bench", "--input", str(good), str(short),
+                               *self._GRID, "--out", str(tmp_path / "r"))
+        assert code == 0
+        lines = stderr.splitlines()
+        assert len(lines) == 8
+        assert all(line.startswith("warning:") and "trace=1" in line for line in lines)
+
     @pytest.mark.parametrize("flags", [
         ("--models", "nope"),
         ("--drop-rates", "2"),

@@ -1,7 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sps
 
+import numpy_reference as ref
 from posecast import so3
 from posecast.preprocess import (StreamFilter, chunk_trace,
                                  design_butterworth_lowpass, filter_trace)
@@ -152,3 +158,109 @@ def test_chunking_partition():
 def test_chunking_short_trace_gives_no_chunks():
     trace = generate_synthetic_trace("easy", 1.0, seed=7)
     assert chunk_trace(trace, 200) == []
+
+
+# ------------------------------------------- float prefilter against numpy
+
+def _sign_flipped(trace):
+    """The trace with every third quaternion negated, as a sender may send it."""
+    q = trace.q.copy()
+    q[::3] = -q[::3]
+    return Trace(trace.t.copy(), trace.p.copy(), q)
+
+
+def _assert_matches_reference(sos, poses):
+    # the biquads keep numpy's operation order; only the norm (a BLAS dot
+    # product there, math.sqrt here) and the sign check's dot may round apart
+    mine, oracle = StreamFilter(sos), ref.RefStreamFilter(sos)
+    for pose in poses:
+        a, b = mine.filter_sample(pose), oracle.filter_sample(pose)
+        assert isinstance(a.p, np.ndarray) and isinstance(a.q, np.ndarray)
+        assert a.t == b.t
+        assert np.array_equal(a.p, b.p)
+        assert np.all(np.abs(a.q - b.q) <= 2 * np.spacing(np.abs(b.q)))
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("flip", [False, True])
+def test_matches_numpy_reference(order, flip):
+    sos = design_butterworth_lowpass(order=order)
+    assert len(sos) == order // 2
+    for profile, seed in (("easy", 1), ("medium", 2), ("hard", 3)):
+        trace = generate_synthetic_trace(profile, 3.0, seed=seed)
+        if flip:
+            trace = _sign_flipped(trace)
+        _assert_matches_reference(sos, [trace.pose(i) for i in range(len(trace))])
+
+
+def test_list_fields_filter_like_arrays():
+    trace = _sign_flipped(generate_synthetic_trace("hard", 2.0, seed=8))
+    sos = design_butterworth_lowpass(order=4)
+    arrays, lists = StreamFilter(sos), StreamFilter(sos)
+    for i in range(len(trace)):
+        pose = trace.pose(i)
+        a = arrays.filter_sample(pose)
+        b = lists.filter_sample(Pose(pose.t, pose.p.tolist(), pose.q.tolist()))
+        assert np.array_equal(a.p, b.p) and np.array_equal(a.q, b.q)
+    _assert_matches_reference(sos, [Pose(float(t), p, q) for t, p, q in
+                                    zip(trace.t, trace.p.tolist(), trace.q.tolist())])
+
+
+def test_nan_input_gives_nan_output_quietly():
+    f = StreamFilter(design_butterworth_lowpass())
+    f.filter_sample(Pose(0.0, np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = f.filter_sample(Pose(0.01, np.array([math.nan, 0.0, 0.0]),
+                                   np.array([math.nan, 0.0, 0.0, 0.0])))
+    assert math.isnan(out.p[0]) and np.isnan(out.q).all()
+    assert out.p[1] == out.p[2] == 0.0
+
+
+def test_zero_norm_quaternion_gives_nan():
+    # the first output is b0 times the input, so a zero quaternion stays zero
+    f = StreamFilter(design_butterworth_lowpass())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = f.filter_sample(Pose(0.0, [0.1, 0.2, 0.3], [0.0, 0.0, 0.0, 0.0]))
+    assert np.isfinite(out.p).all()
+    assert np.isnan(out.q).all()
+
+
+def test_sos_shape_is_checked():
+    with pytest.raises(ValueError, match="n_sections, 6"):
+        StreamFilter(np.zeros(6))
+    with pytest.raises(ValueError, match="n_sections, 6"):
+        StreamFilter(np.zeros((1, 5)))
+
+
+_step = st.floats(-0.3, 0.3, allow_nan=False)
+
+
+@st.composite
+def pose_streams(draw):
+    """Short random-walk pose traces whose quaternion signs flip at random."""
+    n = draw(st.integers(1, 60))
+    steps = draw(st.lists(st.tuples(_step, _step, _step, _step, _step, _step,
+                                    st.booleans()), min_size=n, max_size=n))
+    p, q = np.zeros((n, 3)), np.empty((n, 4))
+    pos, rot = np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0])
+    for i, (*d, flip) in enumerate(steps):
+        pos = pos + d[:3]
+        rot = so3.quat_multiply(rot, so3.quat_exp(np.array(d[3:])))
+        p[i], q[i] = pos, -rot if flip else rot
+    return Trace(np.arange(n) * 0.01, p, q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pose_streams(), st.sampled_from([2, 4]), st.data())
+def test_streamed_prefix_is_the_batch_prefix(trace, order, data):
+    sos = design_butterworth_lowpass(order=order)
+    full = filter_trace(trace, sos)
+    k = data.draw(st.integers(1, len(trace)))
+    f = StreamFilter(sos)
+    for i in range(k):
+        out = f.filter_sample(trace.pose(i))
+        assert np.array_equal(out.p, full.p[i]) and np.array_equal(out.q, full.q[i])
+    norms = np.sqrt(np.sum(full.q * full.q, axis=1))
+    assert np.abs(norms - 1.0).max() <= 1e-15

@@ -75,6 +75,29 @@ class TestTraceFileIO:
         np.testing.assert_allclose(back.p, orig.p, rtol=0, atol=1e-8)
         np.testing.assert_allclose(back.q, orig.q, rtol=0, atol=1e-8)
 
+    def test_saved_bytes_are_the_9g_join_of_the_arrays(self, tmp_path):
+        orig = generate_synthetic_trace("hard", 2.0, seed=4)
+        path = tmp_path / "rt.csv"
+        save_trace(orig, str(path))
+        rows = [[orig.t[i], *orig.p[i], *orig.q[i]] for i in range(len(orig))]
+        expected = "".join(",".join("%.9g" % v for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == (TRACE_HEADER + "\n" + expected).encode()
+
+    def test_load_after_save_gives_the_normalized_aligned_rows(self, tmp_path):
+        # the arrays built the direct way from the saved text: numpy norm
+        # per row, then sign alignment. On this hard trace a math.sqrt norm
+        # would round 15 of the 200 rows differently.
+        orig = generate_synthetic_trace("hard", 2.0, seed=5)
+        path = tmp_path / "rt.csv"
+        save_trace(orig, str(path))
+        vals = np.array([[float(f) for f in line.split(",")]
+                         for line in path.read_text().splitlines()[1:]])
+        q = np.array([row / np.linalg.norm(row) for row in vals[:, 4:8]])
+        back = load_trace(str(path))
+        assert np.array_equal(back.t, vals[:, 0])
+        assert np.array_equal(back.p, vals[:, 1:4])
+        assert np.array_equal(back.q, hemisphere_align(q))
+
     def test_blank_lines_are_skipped(self, tmp_path):
         tr = load_trace(write(tmp_path, [TRACE_HEADER, GOOD_ROWS[0], "", GOOD_ROWS[1]]))
         assert len(tr) == 2
