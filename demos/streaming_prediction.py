@@ -1,44 +1,35 @@
-"""Per-tick prediction loop on a single trace, outside the harness.
+"""Per-tick prediction on a single trace, outside the harness.
 
 Feeds a low-pass filtered medium trace to a first-order baseline and the
-full third-order variant at a 100 ms horizon, scoring each published
-pose against the raw trace at the target time. This is the loop the
-benchmark runs per cell, spelled out.
+full third-order variant at a 100 ms horizon, scoring each forecast
+against the raw trace at the target time. It streams and scores through
+the same two functions the benchmark runs per cell, with no packet lost.
 """
 
 import numpy as np
 
-from posecast.filters import FilterConfig, make_predictor
-from posecast.metrics import orientation_error, position_error
+from posecast.experiment import score_picks, stream_picks
 from posecast.preprocess import design_butterworth_lowpass, filter_trace
 from posecast.traces import generate_synthetic_trace
 
 
-def stream(model, trace, filtered, horizon_steps):
-    cfg = FilterConfig(model=model, dt=trace.median_dt(),
-                       horizon_steps=horizon_steps)
-    pred = make_predictor(cfg, filtered.pose(0))
-    e_pos, e_ori = [], []
-    for k in range(1, len(trace) - horizon_steps):
-        pub = pred.step(filtered.pose(k))
-        target = trace.pose(k + horizon_steps)
-        e_pos.append(position_error(pub.p, target.p))
-        e_ori.append(orientation_error(pub.q, target.q))
-    return np.array(e_pos), np.array(e_ori)
-
-
 def main():
     trace = generate_synthetic_trace("medium", duration_s=30.0, seed=3)
-    sos = design_butterworth_lowpass(2, 5.0, 1.0 / trace.median_dt())
-    filtered = filter_trace(trace, sos)
-    horizon_steps = 10
+    dt = trace.median_dt()
+    filtered = filter_trace(trace, design_butterworth_lowpass(2, 5.0, 1.0 / dt))
+    poses = [filtered.pose(k) for k in range(len(filtered))]
+    truth = trace.p.tolist(), trace.q.tolist()
+    received = [True] * (len(trace) - 1)
+    steps = (10,)
 
     print(f"medium trace, {len(trace)} ticks, horizon "
-          f"{horizon_steps * trace.median_dt() * 1e3:.0f} ms\n")
+          f"{steps[0] * dt * 1e3:.0f} ms\n")
     print(f"{'model':>6} {'pos mean':>9} {'pos p95':>9} "
           f"{'ori mean':>9} {'ori p95':>9}")
     for model in ("KF", "ESKF", "p3o3"):
-        e_pos, e_ori = stream(model, trace, filtered, horizon_steps)
+        picks = stream_picks(model, dt, steps, poses, received, len(trace) - steps[0])
+        ((e_pos, e_ori),) = score_picks(picks, steps, truth)
+        e_pos, e_ori = np.array(e_pos), np.array(e_ori)
         print(f"{model:>6} {e_pos.mean():7.2f}mm {np.percentile(e_pos, 95):7.2f}mm "
               f"{e_ori.mean():6.2f}deg {np.percentile(e_ori, 95):6.2f}deg")
 

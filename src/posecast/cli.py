@@ -1,9 +1,9 @@
 """Command-line entry point: synth, classify, predict, and bench.
 
 synth    writes a synthetic trace file.
-classify prints per-chunk entropy and motion class for a trace file.
-predict  streams one filter over a trace and prints horizon predictions
-         with their errors against the raw future pose.
+classify prints per-chunk entropy and motion class of the chunks bench scores.
+predict  streams one filter as bench does (repeat 0 of its losses) and prints
+         horizon predictions with their errors against the raw future pose.
 bench    runs the full sweep over one or more trace files and writes
          summary.csv, samples.csv, and table.txt; it exits 1 when every
          cell failed.
@@ -18,9 +18,8 @@ import sys
 import numpy as np
 
 from .classifier import ClassifierConfig, classify, discretize_chunk, lz_entropy
-from .experiment import ExperimentConfig, emit_report, horizon_steps, run_experiment
-from .filters import FilterConfig, make_predictor
-from .metrics import orientation_error, position_error
+from .experiment import (ExperimentConfig, _drop_masks, _prefilter, _prepare_trace, emit_report,
+                         run_experiment, score_picks, stream_picks)
 from .preprocess import CHUNK_LEN, chunk_trace
 from .traces import PROFILES, generate_synthetic_trace, load_trace, save_trace
 
@@ -80,8 +79,9 @@ def _cmd_classify(args):
     trace = load_trace(args.input)
     config = ClassifierConfig(cell_size_pos=args.cell_pos, cell_size_rot=args.cell_rot,
                               h_low=args.h_low, h_high=args.h_high)
+    _, _, filtered = _prefilter(trace, ())
     print("chunk,t_start,entropy_bits,label")
-    for i, chunk in enumerate(chunk_trace(trace, args.chunk_len)):
+    for i, chunk in enumerate(chunk_trace(filtered, args.chunk_len)):
         h = lz_entropy(discretize_chunk(chunk, config))
         label = classify(h, config).label
         print(f"{i},{_F % chunk.t[0]},{_F % h},{label}")
@@ -90,26 +90,19 @@ def _cmd_classify(args):
 
 def _cmd_predict(args):
     trace = load_trace(args.input)
-    dt = trace.median_dt()
-    (n_steps,) = horizon_steps((args.horizon_ms,), dt)
-    config = FilterConfig(model=args.model, dt=dt, horizon_steps=n_steps)
-    pred = make_predictor(config, trace.pose(0))
-    rng = np.random.default_rng(args.seed)
-    if not 0.0 <= args.drop_rate <= 1.0:
-        raise ValueError(f"drop rate must be in [0, 1], got {args.drop_rate}")
+    config = ExperimentConfig(models=(args.model,), drop_rates=(args.drop_rate,),
+                              repeats=1, master_seed=args.seed)
+    dt, steps, poses, truth, error = _prepare_trace(trace, (args.horizon_ms,))
+    if poses is None:
+        raise error
+    (masks,) = _drop_masks(config, [trace]).values()
+    (n_steps,) = steps
+    (picks,) = stream_picks(config.models[0], dt, steps, poses, masks[0], len(poses) - n_steps)
+    ((errs_p, errs_o),) = score_picks([picks], steps, truth)
 
     print("t_target,px,py,pz,qw,qx,qy,qz,e_pos_mm,e_ori_deg")
-    errs_p, errs_o = [], []
-    for k in range(1, len(trace) - n_steps):
-        received = bool(rng.random() > args.drop_rate)
-        pub = pred.step(trace.pose(k), received=received)
-        target = trace.pose(k + n_steps)
-        ep = position_error(pub.p, target.p)
-        eo = orientation_error(pub.q, target.q)
-        errs_p.append(ep)
-        errs_o.append(eo)
-        row = [target.t, *pub.p, *pub.q, ep, eo]
-        print(",".join(_F % v for v in row))
+    for t, (p, q), ep, eo in zip(trace.t[n_steps + 1:].tolist(), picks, errs_p, errs_o):
+        print(",".join(_F % v for v in (t, *p, *q, ep, eo)))
     if errs_p:
         print(f"{len(errs_p)} ticks: pos mean {np.mean(errs_p):.3f} mm, "
               f"median {np.median(errs_p):.3f} mm; ori mean {np.mean(errs_o):.3f} deg, "

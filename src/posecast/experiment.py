@@ -7,8 +7,10 @@ Prediction errors are measured against the raw future pose, pooled by the
 chunk's motion class, and summarized per sweep cell with confidence
 intervals across repeats.
 
-Each trace runs one predictor per (streamed model, drop rate, repeat)
-and scores every horizon from that one rollout: filter state never
+Every stream, also in `posecast predict` and the demos, runs through
+stream_picks and score_picks. Each trace runs one predictor per
+(streamed model, drop rate, repeat) and scores every horizon from that
+one rollout: filter state never
 depends on the horizon, and at drop 0 every repeat is identical, so only
 repeat 0 runs. A model is streamed unless earlier streams already hold
 its errors: with p2o2 and p3o3 in the sweep, p2o3 takes the position
@@ -32,7 +34,8 @@ from functools import cached_property
 import numpy as np
 
 from .classifier import MotionClass, classify, discretize_chunk, lz_entropy
-from .filters import MODEL_NAMES, DegeneracyError, FilterConfig, canonical_model_name, make_predictor
+from .filters import (_MODELS, MODEL_NAMES, DegeneracyError, FilterConfig, canonical_model_name,
+                      make_predictor)
 from .metrics import orientation_error, position_error, summarize
 from .preprocess import CHUNK_LEN, chunk_trace, design_butterworth_lowpass, filter_trace
 from .traces import Pose
@@ -177,26 +180,29 @@ def classify_chunk(chunk):
     return classify(lz_entropy(discretize_chunk(chunk)))
 
 
-def _prepare_trace(trace, config):
+def _prefilter(trace, horizons_ms):
+    """(dt, horizon steps, prefiltered trace); ValueError when the median
+    tick interval dt does not suit the horizons or the prefilter's cutoff."""
+    dt = trace.median_dt()
+    steps = horizon_steps(horizons_ms, dt)
+    return dt, steps, filter_trace(trace, design_butterworth_lowpass(sample_hz=1.0 / dt))
+
+
+def _prepare_trace(trace, horizons_ms):
     """(dt, horizon steps, poses, truth, chunk labels) of one trace.
 
-    The poses are the filtered ones as Pose objects with read-only
+    The poses are the prefiltered ones as Pose objects with read-only
     arrays, built once: every stream of the trace steps these same
     objects. The truth is the raw (positions, orientations) as float
     lists. The labels are replaced by a ValueError when the trace is
     shorter than one chunk, or by the classifier's when a chunk holds a
-    non-finite pose. When the trace's tick interval does not suit the
-    sweep (not finite and positive, longer than a horizon, or too long
-    for the prefilter's cutoff), they are replaced by that ValueError,
-    with no poses.
+    non-finite pose. When _prefilter refuses the trace, they are replaced
+    by its ValueError, with no poses.
     """
-    dt = trace.median_dt()
     try:
-        steps = horizon_steps(config.horizons_ms, dt)
-        sos = design_butterworth_lowpass(sample_hz=1.0 / dt)
+        dt, steps, filtered = _prefilter(trace, horizons_ms)
     except ValueError as e:
-        return dt, None, None, None, e
-    filtered = filter_trace(trace, sos)
+        return None, None, None, None, e
     p, q = filtered.p.view(), filtered.q.view()
     p.flags.writeable = q.flags.writeable = False
     poses = [Pose(t, pk, qk) for t, pk, qk in zip(filtered.t.tolist(), p, q)]
@@ -271,30 +277,21 @@ def _stream_plan(models):
     Returns (model, sources) pairs. sources is None for a model that
     streams a predictor of its own, or the (position, rotation) models
     whose streams already hold its position and orientation errors.
-    Error-state models of equal orders stream first, then KF, then the
-    rest; a later error-state model whose position order and rotation
-    order both match models streamed before it builds no predictor. The
-    filters module notes state why that stitch is exact.
+    Models of equal orders stream first. Each half is keyed on the
+    predictor class and its order (filters._MODELS); a later model whose
+    two keys both match earlier streams builds no predictor. The filters
+    module notes state why that stitch is exact.
     """
-    orders = {c.model: (c.ord_pos, c.ord_rot)
-              for c in (FilterConfig(model=m) for m in models if m != "KF")}
-
-    def rank(m):
-        if m == "KF":
-            return 1
-        o_pos, o_rot = orders[m]
-        return 0 if o_pos == o_rot else 2
-
     pos_src, rot_src, plan = {}, {}, []
-    for m in sorted(models, key=rank):
+    for m in sorted(models, key=lambda m: _MODELS[m][1] != _MODELS[m][2]):
+        cls, o_pos, o_rot = _MODELS[m]
+        key_pos, key_rot = (cls, o_pos), (cls, o_rot)
         sources = None
-        if m in orders:
-            o_pos, o_rot = orders[m]
-            if o_pos in pos_src and o_rot in rot_src:
-                sources = pos_src[o_pos], rot_src[o_rot]
-            else:
-                pos_src.setdefault(o_pos, m)
-                rot_src.setdefault(o_rot, m)
+        if key_pos in pos_src and key_rot in rot_src:
+            sources = pos_src[key_pos], rot_src[key_rot]
+        else:
+            pos_src.setdefault(key_pos, m)
+            rot_src.setdefault(key_rot, m)
         plan.append((m, sources))
     return plan
 
@@ -327,7 +324,7 @@ def run_experiment(config, traces):
     traces = list(traces)
     if not traces:
         raise ValueError("at least one trace is required")
-    prepared = [_prepare_trace(t, config) for t in traces]
+    prepared = [_prepare_trace(t, config.horizons_ms) for t in traces]
     if all(poses is None for _, _, poses, _, _ in prepared):
         raise prepared[0][4]
     masks = _drop_masks(config, traces)
@@ -371,53 +368,62 @@ def run_experiment(config, traces):
                              for *_, labels in prepared], segments)
 
 
+def stream_picks(model, dt, steps, poses, mask, end):
+    """Each horizon's rollout picks of a fresh predictor over poses[1:end].
+
+    Tick k is received iff mask[k - 1]. Horizon i picks rollout entry
+    steps[i] - 1, a (position, orientation) pair of float tuples, per tick.
+    """
+    pred = make_predictor(FilterConfig(model=model, dt=dt, horizon_steps=max(steps)),
+                          poses[0])
+    picks = [(n_steps, []) for n_steps in steps]
+    for k in range(1, end):
+        pred.step(poses[k], received=mask[k - 1])
+        rollout = pred.rollout
+        for n_steps, picked in picks:
+            picked.append(rollout[n_steps - 1])
+    return [picked for _, picked in picks]
+
+
+def score_picks(picks, steps, truth):
+    """(e_pos, e_ori) of each horizon's picks against the raw truth: picks[i][j]
+    is tick j + 1, scored against truth j + 1 + steps[i] while there is one."""
+    true_p, true_q = truth
+    return [(list(map(position_error, [p for p, _ in picked], true_p[n_steps + 1:])),
+             list(map(orientation_error, [q for _, q in picked], true_q[n_steps + 1:])))
+            for n_steps, picked in zip(steps, picks)]
+
+
 def _stream_trace(model, prepared, mask):
     """Stream one model over one prepared trace and score it by class.
 
-    Returns one {class: (ticks, e_pos, e_ori)} per horizon, each scored
-    off the predictor's rollout at its step count, or the error that
-    stopped the stream. The stream ends at the last tick any horizon
+    Returns one {class: (ticks, e_pos, e_ori)} per horizon, or the error
+    that stopped the stream. The stream ends at the last tick any horizon
     scores: ticks past the labelled chunks, or too close to the end for
     the shortest horizon, are never filtered, so a degeneracy there fails
-    no cell. The tick loop only keeps each horizon's rollout pick; the
-    picks are scored after it, and a horizon's scored ticks (1 up to its
-    last) are split by chunk with one slice per chunk. A class whose
-    chunks recur gets one segment holding them in tick order.
+    no cell. Each horizon's errors are split with one slice per chunk; a
+    class whose chunks recur gets one segment holding them in tick order.
     """
     dt, steps, poses, truth, labels = prepared
     if isinstance(labels, ValueError):
         return labels
-    n = len(poses)
-    end = min(len(labels) * CHUNK_LEN, n - min(steps))
-    true_p, true_q = truth
+    end = min(len(labels) * CHUNK_LEN, len(poses) - min(steps))
     try:
-        pred = make_predictor(FilterConfig(model=model, dt=dt, horizon_steps=max(steps)),
-                              poses[0])
-        picks = [(n_steps, []) for n_steps in steps]
-        for k in range(1, end):
-            pred.step(poses[k], received=mask[k - 1])
-            rollout = pred.rollout
-            for n_steps, picked in picks:
-                picked.append(rollout[n_steps - 1])
-        out = []
-        for n_steps, picked in picks:
-            # picked[j] is tick j + 1, scored against truth j + 1 + n_steps;
-            # map stops at the end of the truth, which drops the ticks too
-            # close to it for this horizon
-            e_pos = list(map(position_error, [p for p, _ in picked], true_p[n_steps + 1:]))
-            e_ori = list(map(orientation_error, [q for _, q in picked], true_q[n_steps + 1:]))
-            segments = {}
-            for c, cls in enumerate(labels):
-                lo, hi = max(c * CHUNK_LEN, 1), min((c + 1) * CHUNK_LEN, len(e_pos) + 1)
-                if lo >= hi:
-                    break
-                ticks, eps, eos = segments.setdefault(cls, ([], [], []))
-                ticks.extend(range(lo, hi))
-                eps.extend(e_pos[lo - 1:hi - 1])
-                eos.extend(e_ori[lo - 1:hi - 1])
-            out.append(segments)
+        scored = score_picks(stream_picks(model, dt, steps, poses, mask, end), steps, truth)
     except (DegeneracyError, ValueError) as e:
         return e
+    out = []
+    for e_pos, e_ori in scored:
+        segments = {}
+        for c, cls in enumerate(labels):
+            lo, hi = max(c * CHUNK_LEN, 1), min((c + 1) * CHUNK_LEN, len(e_pos) + 1)
+            if lo >= hi:
+                break
+            ticks, eps, eos = segments.setdefault(cls, ([], [], []))
+            ticks.extend(range(lo, hi))
+            eps.extend(e_pos[lo - 1:hi - 1])
+            eos.extend(e_ori[lo - 1:hi - 1])
+        out.append(segments)
     return out
 
 

@@ -45,9 +45,9 @@ stencil, so3._rotation_chain). So two error-state variants with equal
 ord_pos roll out bit-identical positions on the same ticks and drop
 pattern, and two with equal ord_rot bit-identical orientations; the
 sweep relies on this to stitch p2o3 from p2o2's positions and p3o3's
-orientations (experiment._stream_plan). Per-variant state that enters
-either half other than these orders, such as per-variant noise, must
-extend the stitch key there.
+orientations (experiment._stream_plan, keyed on the class and orders in
+_MODELS). Per-variant state that enters either half other than these
+orders, such as per-variant noise, must extend that key.
 
 The "KF" baseline is a 14-dimensional linear filter over [p v q qdot]
 that treats quaternion components as independent scalars and
@@ -75,12 +75,6 @@ import numpy as np
 
 from . import so3
 from .traces import Pose
-
-MODEL_NAMES = ("KF", "ESKF", "p2o2", "p2o3", "p3o3")
-
-_ORDERS = {"KF": (1, 1), "ESKF": (1, 1),
-           "p2o2": (2, 2), "p2o3": (2, 3), "p3o3": (3, 3)}
-
 
 class DegeneracyError(RuntimeError):
     """A filter whose innovation covariance is numerically unusable.
@@ -112,11 +106,11 @@ class FilterConfig:
 
     @property
     def ord_pos(self):
-        return _ORDERS[self.model][0]
+        return _MODELS[self.model][1]
 
     @property
     def ord_rot(self):
-        return _ORDERS[self.model][1]
+        return _MODELS[self.model][2]
 
     @property
     def min_window(self):
@@ -412,7 +406,7 @@ class EskfPredictor:
     """
 
     def __init__(self, config, first_pose):
-        if config.model == "KF":
+        if _MODELS[config.model][0] is not EskfPredictor:
             raise ValueError("use KfBaseline for the linear baseline")
         _check_pose(first_pose)
         self.config = config
@@ -522,8 +516,14 @@ class KfBaseline:
         return Pose(self.t + self.config.horizon_steps * h, np.array(p), np.array(q))
 
 
+# name -> (predictor class, ord_pos, ord_rot)
+_MODELS = {"KF": (KfBaseline, 1, 1), "ESKF": (EskfPredictor, 1, 1),
+           "p2o2": (EskfPredictor, 2, 2), "p2o3": (EskfPredictor, 2, 3),
+           "p3o3": (EskfPredictor, 3, 3)}
+
+MODEL_NAMES = tuple(_MODELS)
+
+
 def make_predictor(config, first_pose):
     """Instantiate the model named by the config at the stream's first pose."""
-    if config.model == "KF":
-        return KfBaseline(config, first_pose)
-    return EskfPredictor(config, first_pose)
+    return _MODELS[config.model][0](config, first_pose)

@@ -7,7 +7,7 @@ import pytest
 
 from posecast.classifier import ClassifierConfig
 from posecast.cli import _experiment_config, build_parser, main
-from posecast.experiment import ExperimentConfig
+from posecast.experiment import ExperimentConfig, run_experiment
 from posecast.preprocess import CHUNK_LEN
 from posecast.traces import TRACE_HEADER, load_trace
 
@@ -70,6 +70,8 @@ class TestDegenerateNumbers:
         (("predict", "--input", "{one}", "--model", "p3o3", "--horizon-ms", "100"),
          "median tick interval nan s is not finite and positive"),
         (("bench", "--input", "{one}", "--out", "{tmp}/r"),
+         "median tick interval nan s is not finite and positive"),
+        (("classify", "--input", "{one}"),
          "median tick interval nan s is not finite and positive"),
     ])
     def test_one_error_line(self, tmp_path, capsys, one_row_file, hard_file, argv, message):
@@ -157,6 +159,21 @@ class TestClassify:
         assert "Hard" not in stdout
 
 
+    def test_labels_the_chunks_bench_scores(self, tmp_path, capsys):
+        # the raw trace reads MMMMMMMMMM here; bench prefilters it first
+        path = tmp_path / "med.csv"
+        _run(capsys, "synth", "--profile", "medium", "--duration", "20",
+             "--seed", "901", "--out", str(path))
+        code, stdout, _ = _run(capsys, "classify", "--input", str(path))
+        assert code == 0
+        labels = [line.split(",")[3] for line in stdout.splitlines()[1:]]
+        config = ExperimentConfig(models=("ESKF",), horizons_ms=(20,), drop_rates=(0.0,),
+                                  repeats=1)
+        report = run_experiment(config, [load_trace(path)])
+        assert labels == [c.label for c in report.chunk_classes[0]]
+        assert "Easy" in labels
+
+
 class TestPredict:
     @pytest.fixture()
     def medium_file(self, tmp_path, capsys):
@@ -204,6 +221,39 @@ class TestPredict:
                                "--horizon-ms", "40")
         assert code == 1
         assert "error:" in stderr
+
+    def test_errors_match_the_bench_samples(self, tmp_path, capsys):
+        path = tmp_path / "med.csv"
+        _run(capsys, "synth", "--profile", "medium", "--duration", "4",
+             "--seed", "3", "--out", str(path))
+        code, _, _ = _run(capsys, "bench", "--input", str(path), "--models", "KF,p3o3",
+                          "--horizons", "100", "--drop-rates", "0,0.3", "--repeats", "2",
+                          "--seed", "4", "--out", str(tmp_path / "r"))
+        assert code == 0
+        samples = [line.split(",") for line in
+                   (tmp_path / "r" / "samples.csv").read_text().splitlines()[1:]]
+        for model in ("KF", "p3o3"):
+            for drop in ("0", "0.3"):
+                code, stdout, _ = _run(capsys, "predict", "--input", str(path),
+                                       "--model", model, "--horizon-ms", "100",
+                                       "--drop-rate", drop, "--seed", "4")
+                assert code == 0
+                rows = [line.split(",")[8:] for line in stdout.splitlines()[1:]]
+                bench = sorted((int(r[6]), r[7:]) for r in samples
+                               if r[0] == model and r[3] == drop and r[4] == "0")
+                assert len(rows) == len(bench) == 400 - 1 - 10
+                assert rows == [errors for _, errors in bench]
+                assert [k for k, _ in bench] == list(range(1, len(rows) + 1))
+
+    def test_trace_shorter_than_a_chunk_still_streams(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        _run(capsys, "synth", "--profile", "hard", "--duration", "1.5",
+             "--seed", "1", "--out", str(path))
+        code, stdout, stderr = _run(capsys, "predict", "--input", str(path),
+                                    "--model", "p3o3", "--horizon-ms", "100")
+        assert code == 0
+        assert len(stdout.splitlines()) == 1 + (150 - 1 - 10)
+        assert stderr.startswith("139 ticks:")
 
     def test_bad_drop_rate_exits_nonzero(self, medium_file, capsys):
         code, _, stderr = _run(capsys, "predict", "--input",

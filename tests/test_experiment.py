@@ -365,7 +365,7 @@ class TestRunExperiment:
         # every stream of a trace steps the same read-only Pose objects;
         # all five models take them, received and lost, and change nothing
         trace = generate_synthetic_trace("hard", 2.5, seed=6)
-        dt, steps, poses, _, _ = _prepare_trace(trace, ExperimentConfig())
+        dt, steps, poses, _, _ = _prepare_trace(trace, ExperimentConfig().horizons_ms)
         before = [(z.t, z.p.tobytes(), z.q.tobytes()) for z in poses]
         assert not any(z.p.flags.writeable or z.q.flags.writeable for z in poses)
         for model in ("KF", "ESKF", "p2o2", "p2o3", "p3o3"):
@@ -680,6 +680,8 @@ class TestStreamPlan:
         assert dict(_stream_plan(MODEL_NAMES))["p2o3"] == ("p2o2", "p3o3")
         assert streamed(("p2o3",)) == ["p2o3"]
         assert streamed(("ESKF", "p2o3")) == ["ESKF", "p2o3"]
+        # equal orders, different predictors: neither holds the other's errors
+        assert streamed(("ESKF", "KF")) == ["ESKF", "KF"]
 
     def test_every_model_scores_as_in_a_sweep_of_its_own(self):
         # trace 2 repeats a timestamp mid-trace, which every filter refuses,
