@@ -3,17 +3,17 @@
 First shows the entropy of hand-built symbol streams: a constant stream
 costs almost nothing, each extra well-separated transition adds roughly
 half a bit less than the last, and fresh symbols every tick push the
-score to its log2(T) ceiling. Then classifies the synthetic profiles
-chunk by chunk with the default thresholds.
+score to its log2(T) ceiling. Then labels the synthetic profiles chunk
+by chunk, after the low-pass prefilter, as the benchmark does.
 """
 
 import collections
 
 import numpy as np
 
-from posecast.classifier import (ClassifierConfig, classify, discretize_chunk,
-                                 lz_entropy)
-from posecast.preprocess import chunk_trace
+from posecast.classifier import H_HIGH, H_LOW, lz_entropy
+from posecast.experiment import label_chunks
+from posecast.preprocess import design_butterworth_lowpass, filter_trace
 from posecast.traces import PROFILES, generate_synthetic_trace
 
 
@@ -34,17 +34,12 @@ def main():
     for name, s in streams.items():
         print(f"  {name:>16}: {lz_entropy(s):5.2f}")
 
-    config = ClassifierConfig()
-    print(f"\nchunk labels with thresholds "
-          f"({config.h_low}, {config.h_high}) bits:")
+    print(f"\nchunk labels with thresholds ({H_LOW}, {H_HIGH}) bits:")
     for profile in PROFILES:
         trace = generate_synthetic_trace(profile, duration_s=30.0, seed=0)
-        counts = collections.Counter()
-        entropies = []
-        for chunk in chunk_trace(trace):
-            h = lz_entropy(discretize_chunk(chunk, config))
-            entropies.append(h)
-            counts[classify(h, config).name] += 1
+        labels = label_chunks(filter_trace(trace, design_butterworth_lowpass()))
+        entropies = [h for h, _ in labels]
+        counts = collections.Counter(cls.name for _, cls in labels)
         dist = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
         print(f"  {profile:>6}: median H {np.median(entropies):4.2f}  ({dist})")
 

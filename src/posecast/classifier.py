@@ -7,7 +7,6 @@ window has been seen before contribute little, genuinely new movement
 contributes log2(T / 1). Low entropy means repetitive, predictable motion.
 """
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -25,40 +24,27 @@ class MotionClass(IntEnum):
         return self.name.title()
 
 
-@dataclass
-class ClassifierConfig:
-    """Grid cell sizes (meters, radians) and entropy thresholds (bits).
-
-    cell_size_rot of inf discretizes position only.
-    """
-    cell_size_pos: float = 0.05
-    cell_size_rot: float = 0.1
-    h_low: float = 1.0
-    h_high: float = 2.5
-
-    def __post_init__(self):
-        if not (self.cell_size_pos > 0.0 and self.cell_size_rot > 0.0):
-            raise ValueError("cell sizes must be positive")
-        if not 0.0 < self.h_low < self.h_high:
-            raise ValueError("thresholds must satisfy 0 < h_low < h_high")
+CELL_POS = 0.05  # grid cell edge of a position axis, meters
+CELL_ROT = 0.1   # grid cell edge of a rotation-vector axis, radians
+H_LOW = 1.0      # entropy below which a chunk is Easy, bits per symbol
+H_HIGH = 2.5     # entropy from which a chunk is Hard, bits per symbol
 
 
-def discretize_chunk(chunk, config=None):
+def discretize_chunk(chunk):
     """Map each pose of a chunk to a symbol id.
 
-    The cell key is floor(p / cell_size_pos) per axis together with
-    floor(quat_log(q) / cell_size_rot) per axis; ids are assigned in order
+    The cell key is floor(p / CELL_POS) per axis together with
+    floor(quat_log(q) / CELL_ROT) per axis; ids are assigned in order
     of first appearance, so the alphabet is dense in [0, n_distinct).
     A pose with a NaN or infinite component has no cell: ValueError.
     """
-    config = config or ClassifierConfig()
     bad = np.flatnonzero(~np.isfinite(np.hstack([chunk.p, chunk.q])).all(axis=1))
     if bad.size:
         raise ValueError(f"chunk pose {bad[0]} at t = {chunk.t[bad[0]]:.9g} is not finite")
     cells = np.empty((len(chunk), 6), dtype=np.int64)
-    cells[:, 0:3] = np.floor(chunk.p / config.cell_size_pos)
+    cells[:, 0:3] = np.floor(chunk.p / CELL_POS)
     for i in range(len(chunk)):
-        cells[i, 3:6] = np.floor(so3.quat_log(chunk.q[i]) / config.cell_size_rot)
+        cells[i, 3:6] = np.floor(so3.quat_log(chunk.q[i]) / CELL_ROT)
     ids = {}
     symbols = np.empty(len(chunk), dtype=np.int64)
     for i, key in enumerate(map(tuple, cells)):
@@ -91,11 +77,10 @@ def lz_entropy(symbols):
     return float(np.mean(np.log2(T / lam)))
 
 
-def classify(entropy, config=None):
+def classify(entropy):
     """Band an entropy value into a motion class."""
-    config = config or ClassifierConfig()
-    if entropy < config.h_low:
+    if entropy < H_LOW:
         return MotionClass.EASY
-    if entropy < config.h_high:
+    if entropy < H_HIGH:
         return MotionClass.MEDIUM
     return MotionClass.HARD

@@ -17,17 +17,15 @@ import sys
 
 import numpy as np
 
-from .classifier import ClassifierConfig, classify, discretize_chunk, lz_entropy
 from .experiment import (ExperimentConfig, _drop_masks, _prefilter, _prepare_trace, emit_report,
-                         run_experiment, score_picks, stream_picks)
-from .preprocess import CHUNK_LEN, chunk_trace
+                         label_chunks, run_experiment, score_picks, stream_picks)
+from .preprocess import CHUNK_LEN
 from .traces import PROFILES, generate_synthetic_trace, load_trace, save_trace
 
 _F = "%.9g"
 
 
 def build_parser():
-    classifier = ClassifierConfig()
     sweep = ExperimentConfig()
     parser = argparse.ArgumentParser(
         prog="posecast",
@@ -42,11 +40,6 @@ def build_parser():
 
     p = sub.add_parser("classify", help="label each chunk of a trace")
     p.add_argument("--input", required=True, metavar="FILE")
-    p.add_argument("--h-low", type=float, default=classifier.h_low, metavar="X")
-    p.add_argument("--h-high", type=float, default=classifier.h_high, metavar="Y")
-    p.add_argument("--cell-pos", type=float, default=classifier.cell_size_pos, metavar="M")
-    p.add_argument("--cell-rot", type=float, default=classifier.cell_size_rot, metavar="R")
-    p.add_argument("--chunk-len", type=int, default=CHUNK_LEN, metavar="L")
 
     p = sub.add_parser("predict", help="stream a filter over a trace")
     p.add_argument("--input", required=True, metavar="FILE")
@@ -76,15 +69,11 @@ def _cmd_synth(args):
 
 
 def _cmd_classify(args):
-    trace = load_trace(args.input)
-    config = ClassifierConfig(cell_size_pos=args.cell_pos, cell_size_rot=args.cell_rot,
-                              h_low=args.h_low, h_high=args.h_high)
-    _, _, filtered = _prefilter(trace, ())
+    _, _, filtered = _prefilter(load_trace(args.input), ())
+    labels = label_chunks(filtered)
     print("chunk,t_start,entropy_bits,label")
-    for i, chunk in enumerate(chunk_trace(filtered, args.chunk_len)):
-        h = lz_entropy(discretize_chunk(chunk, config))
-        label = classify(h, config).label
-        print(f"{i},{_F % chunk.t[0]},{_F % h},{label}")
+    for i, (h, cls) in enumerate(labels):
+        print(f"{i},{_F % filtered.t[i * CHUNK_LEN]},{_F % h},{cls.label}")
     return 0
 
 

@@ -175,16 +175,30 @@ class ExperimentReport:
         return self._cells.get((model, motion_class, horizon_ms, drop))
 
 
-def classify_chunk(chunk):
-    """Entropy-band label for one chunk of poses."""
-    return classify(lz_entropy(discretize_chunk(chunk)))
+def label_chunks(filtered):
+    """(entropy, MotionClass) of each chunk of a prefiltered trace.
+
+    ValueError when the trace is shorter than one chunk, or the
+    classifier's when a chunk holds a non-finite pose.
+    """
+    chunks = chunk_trace(filtered)
+    if not chunks:
+        raise ValueError(f"trace has {len(filtered)} samples, "
+                         f"fewer than one chunk of {CHUNK_LEN}")
+    entropies = [lz_entropy(discretize_chunk(c)) for c in chunks]
+    return [(h, classify(h)) for h in entropies]
 
 
 def _prefilter(trace, horizons_ms):
     """(dt, horizon steps, prefiltered trace); ValueError when the median
-    tick interval dt does not suit the horizons or the prefilter's cutoff."""
+    tick interval dt does not suit the horizons or the prefilter's cutoff,
+    or when the longest horizon leaves no tick with a target in the trace."""
     dt = trace.median_dt()
     steps = horizon_steps(horizons_ms, dt)
+    if steps and max(steps) >= len(trace) - 1:
+        h_ms = horizons_ms[steps.index(max(steps))]
+        raise ValueError(f"horizon {h_ms} ms reaches past the end of a "
+                         f"{len(trace)}-sample trace")
     return dt, steps, filter_trace(trace, design_butterworth_lowpass(sample_hz=1.0 / dt))
 
 
@@ -194,10 +208,9 @@ def _prepare_trace(trace, horizons_ms):
     The poses are the prefiltered ones as Pose objects with read-only
     arrays, built once: every stream of the trace steps these same
     objects. The truth is the raw (positions, orientations) as float
-    lists. The labels are replaced by a ValueError when the trace is
-    shorter than one chunk, or by the classifier's when a chunk holds a
-    non-finite pose. When _prefilter refuses the trace, they are replaced
-    by its ValueError, with no poses.
+    lists. The labels are replaced by label_chunks' ValueError when it
+    refuses the trace. When _prefilter refuses the trace, they are
+    replaced by its ValueError, with no poses.
     """
     try:
         dt, steps, filtered = _prefilter(trace, horizons_ms)
@@ -207,11 +220,7 @@ def _prepare_trace(trace, horizons_ms):
     p.flags.writeable = q.flags.writeable = False
     poses = [Pose(t, pk, qk) for t, pk, qk in zip(filtered.t.tolist(), p, q)]
     try:
-        chunks = chunk_trace(filtered)
-        if not chunks:
-            raise ValueError(f"trace has {len(trace)} samples, "
-                             f"fewer than one chunk of {CHUNK_LEN}")
-        labels = [classify_chunk(c) for c in chunks]
+        labels = [cls for _, cls in label_chunks(filtered)]
     except ValueError as e:
         labels = e
     return dt, steps, poses, (trace.p.tolist(), trace.q.tolist()), labels
@@ -314,8 +323,9 @@ def run_experiment(config, traces):
     stitched stream fails with the reason of its failed source. A
     trace shorter than one chunk, with a chunk the classifier refuses (a
     non-finite pose), or whose median tick interval does not suit the
-    sweep (a NaN timestamp, a horizon shorter than one tick, a cutoff at
-    or above its Nyquist rate), fails them all with that error and
+    sweep (a NaN timestamp, a horizon shorter than one tick or reaching
+    past the trace's end, a cutoff at or above its Nyquist rate), fails
+    them all with that error and
     reports no labels; when no trace can be prefiltered, the first
     trace's error is raised. Streams
     stop at the last scored tick, so a filter that would break only after

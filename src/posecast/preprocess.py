@@ -96,14 +96,8 @@ def filter_trace(trace, sos):
                  np.array([o.q for o in out]).reshape(-1, 4))
 
 
-def chunk_trace(trace, chunk_len=CHUNK_LEN):
-    """Split a trace into consecutive non-overlapping chunks.
-
-    The tail shorter than chunk_len is dropped. chunk_len below 16 is
-    rejected: entropy estimates on shorter windows are meaningless.
-    """
-    chunk_len = int(chunk_len)
-    if chunk_len < 16:
-        raise ValueError(f"chunk_len must be at least 16, got {chunk_len}")
-    n = len(trace) // chunk_len
-    return [trace[i * chunk_len:(i + 1) * chunk_len] for i in range(n)]
+def chunk_trace(trace):
+    """Split a trace into consecutive non-overlapping CHUNK_LEN-pose chunks;
+    the shorter tail is dropped."""
+    n = len(trace) // CHUNK_LEN
+    return [trace[i * CHUNK_LEN:(i + 1) * CHUNK_LEN] for i in range(n)]

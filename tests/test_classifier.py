@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from posecast import so3
-from posecast.classifier import (ClassifierConfig, MotionClass, classify,
-                                 discretize_chunk, lz_entropy)
+from posecast.classifier import MotionClass, classify, discretize_chunk, lz_entropy
 from posecast.preprocess import chunk_trace
 from posecast.traces import Trace, generate_synthetic_trace
 
@@ -89,54 +88,25 @@ def test_discretize_orientation_cells():
     assert list(discretize_chunk(chunk)) == [0, 1, 0]
 
 
-def test_discretize_position_only_mode():
-    n = 2
-    p = np.zeros((n, 3))
-    q = np.stack([
-        so3.quat_exp(np.array([0.0, 0.0, 0.0])),
-        so3.quat_exp(np.array([1.2, 0.0, 0.0])),
-    ])
-    chunk = Trace(np.arange(n) * 0.01, p, q)
-    cfg = ClassifierConfig(cell_size_rot=np.inf)
-    assert list(discretize_chunk(chunk, cfg)) == [0, 0]
-
-
 @pytest.mark.parametrize("field", ["p", "q"])
 def test_discretize_rejects_a_non_finite_pose(field):
     # one NaN sample in a hard chunk has no cell; cast to an integer it
     # would become one, and the chunk would get a label
-    chunk = chunk_trace(generate_synthetic_trace("hard", 2.0, seed=0), 200)[0]
+    chunk = chunk_trace(generate_synthetic_trace("hard", 2.0, seed=0))[0]
     getattr(chunk, field)[57, 1] = np.nan
     with pytest.raises(ValueError, match="chunk pose 57 at t = 0.57 is not finite"):
         discretize_chunk(chunk)
 
 
 def test_classify_bands_and_boundaries():
-    cfg = ClassifierConfig()
-    assert classify(0.2, cfg) is MotionClass.EASY
-    assert classify(0.999, cfg) is MotionClass.EASY
-    assert classify(1.0, cfg) is MotionClass.MEDIUM
-    assert classify(2.4999, cfg) is MotionClass.MEDIUM
-    assert classify(2.5, cfg) is MotionClass.HARD
-    assert classify(6.0, cfg) is MotionClass.HARD
+    assert classify(0.2) is MotionClass.EASY
+    assert classify(0.999) is MotionClass.EASY
+    assert classify(1.0) is MotionClass.MEDIUM
+    assert classify(2.4999) is MotionClass.MEDIUM
+    assert classify(2.5) is MotionClass.HARD
+    assert classify(6.0) is MotionClass.HARD
 
 
 def test_class_ordering_and_labels():
     assert MotionClass.EASY < MotionClass.MEDIUM < MotionClass.HARD
     assert MotionClass.MEDIUM.label == "Medium"
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        ClassifierConfig(cell_size_pos=0.0)
-    with pytest.raises(ValueError):
-        ClassifierConfig(cell_size_rot=-1.0)
-    for field in ("cell_size_pos", "cell_size_rot"):
-        with pytest.raises(ValueError, match="cell sizes"):
-            ClassifierConfig(**{field: float("nan")})
-    # an infinite rotation cell is the documented position-only grid
-    assert ClassifierConfig(cell_size_rot=float("inf")).cell_size_rot == float("inf")
-    with pytest.raises(ValueError):
-        ClassifierConfig(h_low=2.5, h_high=1.0)
-    with pytest.raises(ValueError):
-        ClassifierConfig(h_low=0.0)

@@ -5,10 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from posecast.classifier import ClassifierConfig
 from posecast.cli import _experiment_config, build_parser, main
 from posecast.experiment import ExperimentConfig, run_experiment
-from posecast.preprocess import CHUNK_LEN
 from posecast.traces import TRACE_HEADER, load_trace
 
 
@@ -34,12 +32,6 @@ class TestParser:
         parser = build_parser()
         bench = parser.parse_args(["bench", "--input", "x", "--out", "d"])
         assert _experiment_config(bench) == ExperimentConfig()
-        classify = parser.parse_args(["classify", "--input", "x"])
-        assert ClassifierConfig(cell_size_pos=classify.cell_pos,
-                                cell_size_rot=classify.cell_rot,
-                                h_low=classify.h_low,
-                                h_high=classify.h_high) == ClassifierConfig()
-        assert classify.chunk_len == CHUNK_LEN
 
 
 class TestDegenerateNumbers:
@@ -58,6 +50,13 @@ class TestDegenerateNumbers:
              "--seed", "1", "--out", str(path))
         return str(path)
 
+    @pytest.fixture()
+    def short_file(self, tmp_path, capsys):
+        path = tmp_path / "short.csv"
+        _run(capsys, "synth", "--profile", "hard", "--duration", "1.5",
+             "--seed", "1", "--out", str(path))
+        return str(path)
+
     @pytest.mark.parametrize("argv, message", [
         (("synth", "--profile", "easy", "--duration", "inf", "--out", "{tmp}/x.csv"),
          "duration and sample rate must be positive and finite"),
@@ -73,9 +72,18 @@ class TestDegenerateNumbers:
          "median tick interval nan s is not finite and positive"),
         (("classify", "--input", "{one}"),
          "median tick interval nan s is not finite and positive"),
+        (("classify", "--input", "{short}"),
+         "trace has 150 samples, fewer than one chunk of 200"),
+        (("predict", "--input", "{hard}", "--model", "p3o3", "--horizon-ms", "20000"),
+         "horizon 20000.0 ms reaches past the end of a 300-sample trace"),
+        (("bench", "--input", "{hard}", "--models", "p3o3", "--horizons", "20,20000",
+          "--drop-rates", "0", "--repeats", "1", "--out", "{tmp}/r"),
+         "horizon 20000 ms reaches past the end of a 300-sample trace"),
     ])
-    def test_one_error_line(self, tmp_path, capsys, one_row_file, hard_file, argv, message):
-        argv = [a.format(tmp=tmp_path, one=one_row_file, hard=hard_file) for a in argv]
+    def test_one_error_line(self, tmp_path, capsys, one_row_file, hard_file, short_file,
+                            argv, message):
+        argv = [a.format(tmp=tmp_path, one=one_row_file, hard=hard_file, short=short_file)
+                for a in argv]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, stdout, stderr = _run(capsys, *argv)
@@ -130,34 +138,10 @@ class TestClassify:
         assert all(r[3] == "Easy" for r in rows)
         assert [int(r[0]) for r in rows] == list(range(15))
 
-    def test_thresholds_change_labels(self, easy_file, capsys):
-        code, stdout, _ = _run(capsys, "classify", "--input", str(easy_file),
-                               "--h-low", "0.001", "--h-high", "0.002")
-        assert code == 0
-        rows = [line.split(",") for line in stdout.splitlines()[1:]]
-        assert all(r[3] == "Hard" for r in rows)
-
-    def test_chunk_len_controls_row_count(self, easy_file, capsys):
-        code, stdout, _ = _run(capsys, "classify", "--input", str(easy_file),
-                               "--chunk-len", "100")
-        assert code == 0
-        assert len(stdout.splitlines()) == 1 + 30
-
     def test_missing_file_exits_nonzero(self, capsys):
         code, _, stderr = _run(capsys, "classify", "--input", "no-such.csv")
         assert code == 1
         assert "error:" in stderr
-
-    @pytest.mark.parametrize("flag", ["--cell-pos", "--cell-rot"])
-    def test_nan_cell_size_exits_nonzero(self, easy_file, capsys, flag):
-        # NaN compares false to every bound, so a grid of NaN cells would
-        # put each pose in a cell of its own and label every chunk Hard
-        code, stdout, stderr = _run(capsys, "classify", "--input", str(easy_file),
-                                    flag, "nan")
-        assert code != 0
-        assert "cell sizes must be positive" in stderr
-        assert "Hard" not in stdout
-
 
     def test_labels_the_chunks_bench_scores(self, tmp_path, capsys):
         # the raw trace reads MMMMMMMMMM here; bench prefilters it first

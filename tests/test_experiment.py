@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.signal import butter, group_delay
 
-from posecast.classifier import MotionClass
+from posecast.classifier import MotionClass, classify, discretize_chunk, lz_entropy
 from posecast.experiment import (
     SAMPLES_COLUMNS,
     SUMMARY_COLUMNS,
@@ -15,7 +15,6 @@ from posecast.experiment import (
     _cell_rng,
     _prepare_trace,
     _stream_plan,
-    classify_chunk,
     emit_report,
     run_experiment,
     simulate_drop,
@@ -361,6 +360,24 @@ class TestRunExperiment:
         assert rep.aggregates == clean.aggregates
         assert rep.samples == clean.samples
 
+    def test_horizon_past_the_end_fails_its_trace_not_the_sweep(self):
+        # on a 1 s trace a 1000 ms horizon has no tick whose target lies in
+        # the trace; the trace fails its cells with that reason, ahead of
+        # having no whole chunk, and the 4 s trace scores as without it
+        good = generate_synthetic_trace("hard", 4.0, seed=1)
+        short = generate_synthetic_trace("hard", 1.0, seed=2)
+        cfg = ExperimentConfig(models=("KF", "p3o3"), horizons_ms=(20, 1000),
+                               drop_rates=(0.0,), repeats=1)
+        clean = run_experiment(cfg, [good])
+        rep = run_experiment(cfg, [good, short])
+        reason = "horizon 1000 ms reaches past the end of a 100-sample trace"
+        assert len(rep.failures) == 2 * 2
+        assert {f.trace_index for f in rep.failures} == {1}
+        assert all(f.reason == reason for f in rep.failures)
+        assert rep.chunk_classes == clean.chunk_classes + [[]]
+        assert rep.per_repeat == clean.per_repeat and rep.per_repeat
+        assert rep.samples == clean.samples
+
     def test_streams_leave_shared_poses_untouched(self):
         # every stream of a trace steps the same read-only Pose objects;
         # all five models take them, received and lost, and change nothing
@@ -385,8 +402,8 @@ class TestCalibration:
             for seed in (0, 1):
                 tr = generate_synthetic_trace(profile, 60.0, seed=seed)
                 filtered = filter_trace(tr, sos)
-                for chunk in chunk_trace(filtered, 200):
-                    hits += classify_chunk(chunk) == want
+                for chunk in chunk_trace(filtered):
+                    hits += classify(lz_entropy(discretize_chunk(chunk))) == want
                     total += 1
             assert total == 60
             assert hits / total >= 0.9
@@ -398,8 +415,8 @@ class TestCalibration:
                                keep_samples=False)
         rep = run_experiment(cfg, [tr])
         sos = design_butterworth_lowpass(2, 5.0, 100.0)
-        expected = [classify_chunk(c)
-                    for c in chunk_trace(filter_trace(tr, sos), 200)]
+        expected = [classify(lz_entropy(discretize_chunk(c)))
+                    for c in chunk_trace(filter_trace(tr, sos))]
         assert rep.chunk_classes[0] == expected
 
 

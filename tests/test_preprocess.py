@@ -147,17 +147,15 @@ def test_order4_step_settles_monotonically_enough():
 
 def test_chunking_partition():
     trace = generate_synthetic_trace("easy", 5.5, seed=6)  # 550 samples
-    chunks = chunk_trace(trace, 200)
+    chunks = chunk_trace(trace)
     assert len(chunks) == 2
     assert all(len(c) == 200 for c in chunks)
     assert np.array_equal(chunks[1].t, trace.t[200:400])
-    with pytest.raises(ValueError):
-        chunk_trace(trace, 15)
 
 
 def test_chunking_short_trace_gives_no_chunks():
     trace = generate_synthetic_trace("easy", 1.0, seed=7)
-    assert chunk_trace(trace, 200) == []
+    assert chunk_trace(trace) == []
 
 
 # ------------------------------------------- float prefilter against numpy
