@@ -28,7 +28,7 @@ emit_report formats each distinct segment once.
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -39,15 +39,6 @@ from .filters import (_MODELS, MODEL_NAMES, DegeneracyError, FilterConfig, canon
 from .metrics import orientation_error, position_error, summarize
 from .preprocess import CHUNK_LEN, chunk_trace, design_butterworth_lowpass, filter_trace
 from .traces import Pose
-
-SUMMARY_COLUMNS = (
-    "model,class,horizon_ms,drop_rate,"
-    "pos_mean_mm,pos_mean_ci_low,pos_mean_ci_high,"
-    "pos_median_mm,pos_median_ci_low,pos_median_ci_high,"
-    "ori_mean_deg,ori_mean_ci_low,ori_mean_ci_high,"
-    "ori_median_deg,ori_median_ci_low,ori_median_ci_high,"
-    "n_repeats,n_samples"
-)
 
 SAMPLES_COLUMNS = "model,class,horizon_ms,drop_rate,repeat,trace,tick,e_pos_mm,e_ori_deg"
 
@@ -110,6 +101,12 @@ class PerRepeatRow:
 
 @dataclass
 class AggregateRow:
+    """One summary.csv row: its fields are the columns in order, with
+    motion_class as class. Statistics are across repeats: a median is the
+    mean of the repeats' pooled medians, and _ci_low/_ci_high bound a 95%
+    Student-t interval. A horizon is whole ticks of each trace's median
+    interval; two horizons that round to the same count fail that trace."""
+
     model: str
     motion_class: MotionClass
     horizon_ms: int
@@ -128,6 +125,10 @@ class AggregateRow:
     ori_median_ci_high: float
     n_repeats: int
     n_samples: int
+
+
+SUMMARY_COLUMNS = ",".join({"motion_class": "class"}.get(f.name, f.name)
+                           for f in fields(AggregateRow))
 
 
 @dataclass
@@ -192,13 +193,18 @@ def label_chunks(filtered):
 def _prefilter(trace, horizons_ms):
     """(dt, horizon steps, prefiltered trace); ValueError when the median
     tick interval dt does not suit the horizons or the prefilter's cutoff,
-    or when the longest horizon leaves no tick with a target in the trace."""
+    when two horizons round to the same tick count, or when the longest
+    horizon leaves no tick with a target in the trace."""
     dt = trace.median_dt()
     steps = horizon_steps(horizons_ms, dt)
     if steps and max(steps) >= len(trace) - 1:
         h_ms = horizons_ms[steps.index(max(steps))]
         raise ValueError(f"horizon {h_ms} ms reaches past the end of a "
                          f"{len(trace)}-sample trace")
+    for i, n_steps in enumerate(steps):
+        if n_steps in steps[:i]:
+            raise ValueError(f"horizons {horizons_ms[steps.index(n_steps)]} and "
+                             f"{horizons_ms[i]} ms both round to {n_steps} ticks of {dt:.9g} s")
     return dt, steps, filter_trace(trace, design_butterworth_lowpass(sample_hz=1.0 / dt))
 
 
@@ -324,8 +330,8 @@ def run_experiment(config, traces):
     trace shorter than one chunk, with a chunk the classifier refuses (a
     non-finite pose), or whose median tick interval does not suit the
     sweep (a NaN timestamp, a horizon shorter than one tick or reaching
-    past the trace's end, a cutoff at or above its Nyquist rate), fails
-    them all with that error and
+    past the trace's end, two horizons on one tick count, a cutoff at or
+    above its Nyquist rate), fails them all with that error and
     reports no labels; when no trace can be prefiltered, the first
     trace's error is raised. Streams
     stop at the last scored tick, so a filter that would break only after
@@ -355,24 +361,29 @@ def run_experiment(config, traces):
                     cells[model][h_ms, drop, rep] = _pool_cell(config, streams[model], hi)
 
     per_repeat = []
+    aggregates = []
     failures = []
     segments = []
     for model in config.models:
         model_cells = cells[model]
         for h_ms in config.horizons_ms:
             for drop in config.drop_rates:
+                by_class = {}
                 for rep in range(config.repeats):
                     # at drop 0 every repeat reads repeat 0's stream
                     stats, failed, kept = model_cells[h_ms, drop, min(
                         rep, _streamed_repeats(config, drop) - 1)]
                     failures.extend(FailedCell(model, h_ms, drop, rep, ti, reason)
                                     for ti, reason in failed)
-                    per_repeat.extend(PerRepeatRow(model, cls, h_ms, drop, rep, *row)
-                                      for cls, *row in stats)
+                    for cls, *row in stats:
+                        r = PerRepeatRow(model, cls, h_ms, drop, rep, *row)
+                        per_repeat.append(r)
+                        by_class.setdefault(cls, []).append(r)
                     segments.extend((model, cls, h_ms, drop, rep, ti, segment)
                                     for cls, ti, segment in kept)
-
-    aggregates = _aggregate(config, per_repeat)
+                aggregates.extend(map(_aggregate_row, by_class.values()))
+    # rows go model by model, then class by class, then in loop order
+    aggregates.sort(key=lambda r: (config.models.index(r.model), r.motion_class))
     return ExperimentReport(config, per_repeat, aggregates, failures,
                             [[] if isinstance(labels, ValueError) else labels
                              for *_, labels in prepared], segments)
@@ -481,35 +492,26 @@ def _pool_cell(config, streams, hi):
     return stats, failed, kept
 
 
-def _aggregate(config, per_repeat):
-    groups = {}
-    for r in per_repeat:
-        groups.setdefault((r.model, r.motion_class, r.horizon_ms, r.drop_rate),
-                          []).append(r)
-    rows = []
-    for model in config.models:
-        for cls in MotionClass:
-            for h_ms in config.horizons_ms:
-                for drop in config.drop_rates:
-                    group = groups.get((model, cls, h_ms, drop))
-                    if not group:
-                        continue
-                    pm = summarize([r.pos_mean_mm for r in group])
-                    pq = summarize([r.pos_median_mm for r in group])
-                    om = summarize([r.ori_mean_deg for r in group])
-                    oq = summarize([r.ori_median_deg for r in group])
-                    rows.append(AggregateRow(
-                        model, cls, h_ms, drop,
-                        pm.mean, pm.ci_low, pm.ci_high,
-                        pq.mean, pq.ci_low, pq.ci_high,
-                        om.mean, om.ci_low, om.ci_high,
-                        oq.mean, oq.ci_low, oq.ci_high,
-                        len(group), sum(r.n_ticks for r in group)))
-    return rows
+def _aggregate_row(group):
+    """The summary row of one cell from its per-repeat rows of one class."""
+    first = group[0]
+    stats = []
+    for measure in ("pos_mean_mm", "pos_median_mm", "ori_mean_deg", "ori_median_deg"):
+        s = summarize([getattr(r, measure) for r in group])
+        stats += s.mean, s.ci_low, s.ci_high
+    return AggregateRow(first.model, first.motion_class, first.horizon_ms, first.drop_rate,
+                        *stats, len(group), sum(r.n_ticks for r in group))
 
 
 def _fmt(v):
     return "%.9g" % v
+
+
+def _field(v):
+    """A summary.csv field: a class by its label, a float (also numpy's) as %.9g."""
+    if isinstance(v, MotionClass):      # an IntEnum, so ahead of str(int)
+        return v.label
+    return _fmt(v) if isinstance(v, float) else str(v)
 
 
 def emit_report(report, out_dir):
@@ -522,18 +524,7 @@ def emit_report(report, out_dir):
     with open(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SUMMARY_COLUMNS + "\n")
         for r in report.aggregates:
-            fields = [r.model, r.motion_class.label, str(r.horizon_ms),
-                      _fmt(r.drop_rate),
-                      _fmt(r.pos_mean_mm), _fmt(r.pos_mean_ci_low),
-                      _fmt(r.pos_mean_ci_high),
-                      _fmt(r.pos_median_mm), _fmt(r.pos_median_ci_low),
-                      _fmt(r.pos_median_ci_high),
-                      _fmt(r.ori_mean_deg), _fmt(r.ori_mean_ci_low),
-                      _fmt(r.ori_mean_ci_high),
-                      _fmt(r.ori_median_deg), _fmt(r.ori_median_ci_low),
-                      _fmt(r.ori_median_ci_high),
-                      str(r.n_repeats), str(r.n_samples)]
-            fh.write(",".join(fields) + "\n")
+            fh.write(",".join(_field(getattr(r, f.name)) for f in fields(r)) + "\n")
 
     # a segment's rows are formatted once: the drop-0 repeats share repeat
     # 0's segments. A stitched segment shares its e_pos list with one stream
@@ -559,14 +550,12 @@ def emit_report(report, out_dir):
 def _write_table(report, fh):
     """Per (horizon, drop) block: models as rows, classes as column groups."""
     config = report.config
-    blocks = {}
-    for r in report.aggregates:
-        blocks.setdefault((r.horizon_ms, r.drop_rate), set()).add(r.motion_class)
     for h_ms in config.horizons_ms:
         for drop in config.drop_rates:
-            if (h_ms, drop) not in blocks:
+            classes = sorted({r.motion_class for r in report.aggregates
+                              if (r.horizon_ms, r.drop_rate) == (h_ms, drop)})
+            if not classes:
                 continue
-            classes = sorted(blocks[h_ms, drop])
             fh.write(f"horizon {h_ms} ms, drop rate {_fmt(drop)}\n")
             head1 = f"{'':8s}"
             head2 = f"{'model':8s}"

@@ -79,6 +79,9 @@ class TestDegenerateNumbers:
         (("bench", "--input", "{hard}", "--models", "p3o3", "--horizons", "20,20000",
           "--drop-rates", "0", "--repeats", "1", "--out", "{tmp}/r"),
          "horizon 20000 ms reaches past the end of a 300-sample trace"),
+        (("bench", "--input", "{hard}", "--models", "p3o3", "--horizons", "20,24",
+          "--drop-rates", "0", "--repeats", "1", "--out", "{tmp}/r"),
+         "horizons 20 and 24 ms both round to 2 ticks of 0.01 s"),
     ])
     def test_one_error_line(self, tmp_path, capsys, one_row_file, hard_file, short_file,
                             argv, message):

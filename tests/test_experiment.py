@@ -10,7 +10,6 @@ from scipy.signal import butter, group_delay
 from posecast.classifier import MotionClass, classify, discretize_chunk, lz_entropy
 from posecast.experiment import (
     SAMPLES_COLUMNS,
-    SUMMARY_COLUMNS,
     ExperimentConfig,
     _cell_rng,
     _prepare_trace,
@@ -378,6 +377,25 @@ class TestRunExperiment:
         assert rep.per_repeat == clean.per_repeat and rep.per_repeat
         assert rep.samples == clean.samples
 
+    def test_horizons_on_one_tick_count_fail_their_trace_not_the_sweep(self):
+        # at 25 Hz, 80 and 90 ms both round to 2 ticks, so they would score
+        # one rollout pick under two labels; that trace fails its cells with
+        # this reason, and the 100 Hz trace (8 and 9 ticks) scores as without it
+        good = generate_synthetic_trace("hard", 4.0, seed=1)
+        coarse = generate_synthetic_trace("hard", 8.0, sample_hz=25.0, seed=2)
+        cfg = ExperimentConfig(models=("KF", "p3o3"), horizons_ms=(80, 90),
+                               drop_rates=(0.0, 0.3), repeats=2, master_seed=5)
+        clean = run_experiment(cfg, [good])
+        rep = run_experiment(cfg, [good, coarse])
+        reason = "horizons 80 and 90 ms both round to 2 ticks of 0.04 s"
+        assert len(rep.failures) == 2 * 2 * 2 * 2
+        assert {f.trace_index for f in rep.failures} == {1}
+        assert all(f.reason == reason for f in rep.failures)
+        assert rep.chunk_classes == clean.chunk_classes + [[]]
+        assert rep.per_repeat == clean.per_repeat and rep.per_repeat
+        assert rep.aggregates == clean.aggregates
+        assert rep.samples == clean.samples
+
     def test_streams_leave_shared_poses_untouched(self):
         # every stream of a trace steps the same read-only Pose objects;
         # all five models take them, received and lost, and change nothing
@@ -432,7 +450,13 @@ class TestEmitReport:
         emit_report(rep, tmp_path)
         summary = (tmp_path / "summary.csv").read_text().splitlines()
         samples = (tmp_path / "samples.csv").read_text().splitlines()
-        assert summary[0] == SUMMARY_COLUMNS
+        assert summary[0] == (
+            "model,class,horizon_ms,drop_rate,"
+            "pos_mean_mm,pos_mean_ci_low,pos_mean_ci_high,"
+            "pos_median_mm,pos_median_ci_low,pos_median_ci_high,"
+            "ori_mean_deg,ori_mean_ci_low,ori_mean_ci_high,"
+            "ori_median_deg,ori_median_ci_low,ori_median_ci_high,"
+            "n_repeats,n_samples")
         assert samples[0] == SAMPLES_COLUMNS
         assert len(summary) == 1 + len(rep.aggregates)
         assert len(samples) == 1 + len(rep.samples)
@@ -449,6 +473,21 @@ class TestEmitReport:
         assert float(fields[4]) == pytest.approx(agg.pos_mean_mm, rel=1e-8, abs=1e-12)
         assert int(fields[16]) == agg.n_repeats
         assert int(fields[17]) == agg.n_samples
+
+    def test_summary_rows_follow_the_grid_order(self, tmp_path):
+        # rows go model by model, class by class (Easy, Medium, Hard),
+        # horizon by horizon, drop rate by drop rate, each in the order of
+        # the config, which here is neither sorted nor the default
+        traces = [generate_synthetic_trace(p, 4.0, seed=1) for p in ("easy", "hard")]
+        cfg = ExperimentConfig(models=tuple(reversed(MODEL_NAMES)), horizons_ms=(100, 20, 60),
+                               drop_rates=(0.3, 0.0, 0.1), repeats=2, master_seed=5)
+        emit_report(run_experiment(cfg, traces), tmp_path)
+        rows = [line.split(",")[:4]
+                for line in (tmp_path / "summary.csv").read_text().splitlines()[1:]]
+        classes = [c.label for c in MotionClass if c.label in {r[1] for r in rows}]
+        assert len(classes) >= 2
+        assert rows == [[m, c, str(h), "%.9g" % d] for m in cfg.models for c in classes
+                        for h in cfg.horizons_ms for d in cfg.drop_rates]
 
     def test_reruns_byte_identical(self, tmp_path):
         emit_report(self._small_report(), tmp_path / "a")
