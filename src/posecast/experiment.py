@@ -20,10 +20,12 @@ seeded by (master_seed, drop_rate, repeat), so models and horizons are
 compared under the same losses, and results never depend on execution
 order or on the rest of the grid.
 
-Errors are held as segments, not one tuple per tick: per stream, horizon
-and class, one (ticks, e_pos, e_ori) triple of lists. Cells pool and keep
-references to them, drop-0 repeats and stitched models share them, and
-emit_report formats each distinct segment once.
+A stream's errors are score_picks' flat lists: one (e_pos, e_ori) pair
+per horizon, from tick 1, as predict prints them; a stitched model pairs
+the position list of one stream with the orientation list of another.
+Only _pool_cell cuts them by chunk, into one (ticks, e_pos, e_ori) segment
+per trace and class, which its cell pools and keeps. The drop-0 repeats
+share their cell's segments, and emit_report formats each segment once.
 """
 
 import math
@@ -34,8 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .classifier import MotionClass, classify, discretize_chunk, lz_entropy
-from .filters import (_MODELS, MODEL_NAMES, DegeneracyError, FilterConfig, canonical_model_name,
-                      make_predictor)
+from .filters import _MODELS, MODEL_NAMES, FilterConfig, canonical_model_name, make_predictor
 from .metrics import orientation_error, position_error, summarize
 from .preprocess import CHUNK_LEN, chunk_trace, design_butterworth_lowpass, filter_trace
 from .traces import Pose
@@ -146,8 +147,9 @@ class ExperimentReport:
     """The rows, failures and labels of one sweep, and its kept errors.
 
     The errors are held in `segments`, one entry per (cell, repeat, trace,
-    class) whose lists may be shared with other entries; `samples` lists
-    them one tuple per tick, in file order, and is built on each read.
+    class); the drop-0 repeats of a cell share one segment object.
+    `samples` lists them one tuple per tick, in file order, and is built on
+    each read.
     """
 
     config: ExperimentConfig
@@ -270,7 +272,10 @@ def _drop_masks(config, traces):
 
 
 def horizon_steps(horizons_ms, dt):
-    """Tick count of each horizon, in ms, on a trace sampled every dt seconds."""
+    """Tick count of each horizon, in ms, on a trace sampled every dt seconds:
+    the nearest whole tick, halves up. The count is snapped to 9 decimals
+    first, so the float noise of a median interval cannot move a half-tick
+    horizon between traces of one clock."""
     if not (math.isfinite(dt) and dt > 0.0):
         raise ValueError(f"median tick interval {dt!r} s is not finite and positive")
     steps = []
@@ -278,7 +283,7 @@ def horizon_steps(horizons_ms, dt):
         ticks = h_ms / 1000.0 / dt
         if not math.isfinite(ticks):
             raise ValueError(f"horizon {h_ms} ms is not a finite number of ticks")
-        n_steps = int(round(ticks))
+        n_steps = math.floor(round(ticks, 9) + 0.5)
         if n_steps < 1:
             raise ValueError(
                 f"horizon {h_ms} ms is shorter than one tick of {dt:.9g} s")
@@ -321,9 +326,8 @@ def run_experiment(config, traces):
     builds no predictor. Rows, samples and failures still come in the
     order of config.models.
 
-    A stream that stops, on a numerically degenerate filter
-    (DegeneracyError) or on a pose the filter refuses (ValueError: a
-    non-finite or non-unit first pose or tick, a stale timestamp), marks
+    A stream that stops on a pose the filter refuses (ValueError: a
+    non-finite or non-unit first pose or tick, a stale timestamp) marks
     every (cell, trace) combination it feeds failed and the sweep keeps
     going; that trace contributes no samples to the failed cells, and a
     stitched stream fails with the reason of its failed source. A
@@ -358,7 +362,8 @@ def run_experiment(config, traces):
                 else:
                     streams[model] = list(map(_stitch, *(streams[s] for s in sources)))
                 for hi, h_ms in enumerate(config.horizons_ms):
-                    cells[model][h_ms, drop, rep] = _pool_cell(config, streams[model], hi)
+                    cells[model][h_ms, drop, rep] = _pool_cell(
+                        config, prepared, streams[model], hi)
 
     per_repeat = []
     aggregates = []
@@ -416,69 +421,64 @@ def score_picks(picks, steps, truth):
 
 
 def _stream_trace(model, prepared, mask):
-    """Stream one model over one prepared trace and score it by class.
+    """Stream one model over one prepared trace and score it.
 
-    Returns one {class: (ticks, e_pos, e_ori)} per horizon, or the error
-    that stopped the stream. The stream ends at the last tick any horizon
-    scores: ticks past the labelled chunks, or too close to the end for
-    the shortest horizon, are never filtered, so a degeneracy there fails
-    no cell. Each horizon's errors are split with one slice per chunk; a
-    class whose chunks recur gets one segment holding them in tick order.
+    Returns score_picks' (e_pos, e_ori) per horizon, from tick 1, or the
+    error that stopped the stream. The stream ends at the last tick any
+    horizon scores: ticks past the labelled chunks, or too close to the end
+    for the shortest horizon, are never filtered, so a filter that would
+    break there fails no cell.
     """
     dt, steps, poses, truth, labels = prepared
     if isinstance(labels, ValueError):
         return labels
     end = min(len(labels) * CHUNK_LEN, len(poses) - min(steps))
     try:
-        scored = score_picks(stream_picks(model, dt, steps, poses, mask, end), steps, truth)
-    except (DegeneracyError, ValueError) as e:
+        return score_picks(stream_picks(model, dt, steps, poses, mask, end), steps, truth)
+    except ValueError as e:
         return e
-    out = []
-    for e_pos, e_ori in scored:
-        segments = {}
-        for c, cls in enumerate(labels):
-            lo, hi = max(c * CHUNK_LEN, 1), min((c + 1) * CHUNK_LEN, len(e_pos) + 1)
-            if lo >= hi:
-                break
-            ticks, eps, eos = segments.setdefault(cls, ([], [], []))
-            ticks.extend(range(lo, hi))
-            eps.extend(e_pos[lo - 1:hi - 1])
-            eos.extend(e_ori[lo - 1:hi - 1])
-        out.append(segments)
-    return out
 
 
 def _stitch(pos_stream, rot_stream):
     """One trace's stream from the position errors of one stream and the
     orientation errors of another, or the error of the first that failed.
 
-    Both ran on the same ticks under the same losses, so they scored the
-    same ticks in the same classes. The stitched segments share their
-    tick and e_pos lists with the first stream and e_ori with the second.
+    Both ran on the same ticks under the same losses, so their lists are
+    aligned tick for tick and are shared, not copied.
     """
     for stream in (pos_stream, rot_stream):
         if isinstance(stream, Exception):
             return stream
-    return [{cls: (ticks, eps, rot[cls][2]) for cls, (ticks, eps, _) in pos.items()}
-            for pos, rot in zip(pos_stream, rot_stream)]
+    return [(e_pos, e_ori) for (e_pos, _), (_, e_ori) in zip(pos_stream, rot_stream)]
 
 
-def _pool_cell(config, streams, hi):
+def _pool_cell(config, prepared, streams, hi):
     """Pool horizon hi of one stream per trace into a cell, by class.
 
-    Returns the per-class statistics (class, pos median, pos mean, ori
-    median, ori mean, ticks), the failed traces (trace, reason) and, when
-    samples are kept, the segments (class, trace, (ticks, e_pos, e_ori))
-    the statistics were pooled from, which are shared, not copied.
+    Each trace's errors are cut with one slice per chunk of its labels
+    (from prepared); a class whose chunks recur gets one segment holding
+    them in tick order. Returns the per-class statistics (class, pos
+    median, pos mean, ori median, ori mean, ticks), the failed traces
+    (trace, reason) and, when samples are kept, the segments (class,
+    trace, (ticks, e_pos, e_ori)) the statistics were pooled from.
     """
     pool = {}
     failed = []
     kept = []
-    for ti, stream in enumerate(streams):
+    for ti, (stream, (*_, labels)) in enumerate(zip(streams, prepared)):
         if isinstance(stream, Exception):
             failed.append((ti, str(stream)))
             continue
-        for cls, segment in stream[hi].items():
+        e_pos, e_ori = stream[hi]
+        ticks = range(1, len(e_pos) + 1)
+        segments = {}
+        for c, cls in enumerate(labels):
+            chunk = slice(max(c * CHUNK_LEN, 1) - 1, (c + 1) * CHUNK_LEN - 1)
+            if chunk.start >= len(e_pos):
+                break
+            for dst, src in zip(segments.setdefault(cls, ([], [], [])), (ticks, e_pos, e_ori)):
+                dst.extend(src[chunk])
+        for cls, segment in segments.items():
             dst = pool.setdefault(cls, ([], []))
             dst[0].extend(segment[1])
             dst[1].extend(segment[2])
@@ -526,18 +526,15 @@ def emit_report(report, out_dir):
         for r in report.aggregates:
             fh.write(",".join(_field(getattr(r, f.name)) for f in fields(r)) + "\n")
 
-    # a segment's rows are formatted once: the drop-0 repeats share repeat
-    # 0's segments. A stitched segment shares its e_pos list with one stream
-    # and its e_ori list with another, so only all three lists identify it.
+    # the drop-0 repeats share repeat 0's segments: each is formatted once
     bodies = {}
     with open(os.path.join(out_dir, "samples.csv"), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write(SAMPLES_COLUMNS + "\n")
         for model, cls, h_ms, drop, rep, ti, segment in report.segments:
-            key = tuple(map(id, segment))
-            rows = bodies.get(key)
+            rows = bodies.get(id(segment))
             if rows is None:
-                rows = bodies[key] = list(map("%d,%.9g,%.9g".__mod__, zip(*segment)))
+                rows = bodies[id(segment)] = list(map("%d,%.9g,%.9g".__mod__, zip(*segment)))
             prefix = f"{model},{cls.label},{h_ms},{_fmt(drop)},{rep},{ti},"
             fh.write(prefix + ("\n" + prefix).join(rows) + "\n")
 

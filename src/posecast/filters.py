@@ -80,8 +80,8 @@ class DegeneracyError(RuntimeError):
     """A filter whose innovation covariance is numerically unusable.
 
     No built-in filter raises it: every update's S = s00 + 1 is at least 1.
-    The sweep still counts it as a stream failure, for a predictor that
-    does."""
+    It is kept only because the benchmark's tracer (perfbench/tracer.py)
+    imports it; the sweep does not catch it."""
 
 
 def canonical_model_name(name):

@@ -24,36 +24,32 @@ def orientation_error(q_pred, q_true):
 
 @dataclass
 class SummaryStats:
-    n: int
     mean: float
-    median: float
     ci_low: float
     ci_high: float
-    level: float
 
 
-def summarize(samples, level=0.95):
-    """Median, mean, and a Student-t confidence interval on the mean.
+LEVEL = 0.95
 
-    The median of an even-length sample is the midpoint of the two central
-    values. A single sample collapses the interval onto the mean.
+
+def summarize(samples):
+    """Mean and a 95% Student-t confidence interval on it.
+
+    A single sample collapses the interval onto the mean.
     """
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
         raise ValueError("cannot summarize an empty sample")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {level}")
     mean = float(np.mean(x))
-    median = float(np.median(x))
     if x.size == 1:
-        return SummaryStats(1, mean, median, mean, mean, level)
+        return SummaryStats(mean, mean, mean)
     sem = float(np.std(x, ddof=1)) / np.sqrt(x.size)
-    half = _t_quantile(level, x.size - 1) * sem
-    return SummaryStats(int(x.size), mean, median, mean - half, mean + half, level)
+    half = _t_quantile(x.size - 1) * sem
+    return SummaryStats(mean, mean - half, mean + half)
 
 
 @lru_cache(maxsize=128)
-def _t_quantile(level, dof):
-    """Two-sided Student-t quantile of a level in (0, 1): a sweep asks for
-    the same few (level, dof) pairs, and each scipy call costs ~0.1 ms."""
-    return float(stats.t.ppf(0.5 + 0.5 * level, dof))
+def _t_quantile(dof):
+    """Two-sided Student-t quantile at LEVEL: a sweep asks for the same few
+    degrees of freedom, and each scipy call costs ~0.1 ms."""
+    return float(stats.t.ppf(0.5 + 0.5 * LEVEL, dof))

@@ -7,6 +7,7 @@ import pytest
 
 from posecast.cli import _experiment_config, build_parser, main
 from posecast.experiment import ExperimentConfig, run_experiment
+from posecast.filters import MODEL_NAMES
 from posecast.traces import TRACE_HEADER, load_trace
 
 
@@ -213,13 +214,15 @@ class TestPredict:
         path = tmp_path / "med.csv"
         _run(capsys, "synth", "--profile", "medium", "--duration", "4",
              "--seed", "3", "--out", str(path))
-        code, _, _ = _run(capsys, "bench", "--input", str(path), "--models", "KF,p3o3",
+        # the full sweep stitches p2o3 from p2o2 and p3o3; predict streams it alone
+        code, _, _ = _run(capsys, "bench", "--input", str(path),
+                          "--models", ",".join(MODEL_NAMES),
                           "--horizons", "100", "--drop-rates", "0,0.3", "--repeats", "2",
                           "--seed", "4", "--out", str(tmp_path / "r"))
         assert code == 0
         samples = [line.split(",") for line in
                    (tmp_path / "r" / "samples.csv").read_text().splitlines()[1:]]
-        for model in ("KF", "p3o3"):
+        for model in MODEL_NAMES:
             for drop in ("0", "0.3"):
                 code, stdout, _ = _run(capsys, "predict", "--input", str(path),
                                        "--model", model, "--horizon-ms", "100",
