@@ -36,7 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from .classifier import MotionClass, classify, discretize_chunk, lz_entropy
-from .filters import _MODELS, MODEL_NAMES, FilterConfig, canonical_model_name, make_predictor
+from .filters import (_MODELS, MODEL_NAMES, FilterConfig, canonical_model_name,
+                      make_predictor, whole_number)
 from .metrics import orientation_error, position_error, summarize
 from .preprocess import CHUNK_LEN, chunk_trace, design_butterworth_lowpass, filter_trace
 from .traces import Pose
@@ -80,6 +81,8 @@ class ExperimentConfig:
         if len(set(keys)) != len(keys):
             raise ValueError("drop rates closer than 1e-6 would draw the same "
                              f"losses: {self.drop_rates}")
+        self.repeats = whole_number("repeats", self.repeats)
+        self.master_seed = whole_number("master_seed", self.master_seed)
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
         if self.master_seed < 0:

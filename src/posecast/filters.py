@@ -64,9 +64,18 @@ predict_horizon share one core, _chain, which runs the position Taylor
 chain itself and the orientation and rate rows through
 so3._rotation_chain. A rollout is a list of
 ((px, py, pz), (qw, qx, qy, qz)) float tuples.
+
+The tick's kernels are specialised to the model's order: _chain and
+so3._rotation_chain run one loop per order, _stencil_derivatives one
+table per stencil size, and the baseline's propagation and rollout one
+loop, _cv_chain. Each gives bit for bit the floats of the generic loop
+that tests/numpy_reference.py keeps as its reference. A received pose is
+read into floats once (_check_pose), for correct and _window_node.
+Orders are looked up once per call, never cached on the mutable config.
 """
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -82,6 +91,15 @@ class DegeneracyError(RuntimeError):
     No built-in filter raises it: every update's S = s00 + 1 is at least 1.
     It is kept only because the benchmark's tracer (perfbench/tracer.py)
     imports it; the sweep does not catch it."""
+
+
+def whole_number(name, value):
+    """value as an int if it is a whole real number, a numpy integer or an
+    integral float included; ValueError otherwise."""
+    if isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def canonical_model_name(name):
@@ -101,6 +119,7 @@ class FilterConfig:
         self.model = canonical_model_name(self.model)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        self.horizon_steps = whole_number("horizon_steps", self.horizon_steps)
         if self.horizon_steps < 1:
             raise ValueError("horizon_steps must be at least 1")
 
@@ -122,7 +141,7 @@ class NominalState(NamedTuple):
 
     Position rows are meters and derivatives thereof; angular rates are
     body-frame rad/s and derivatives. Rows above the variant's order stay
-    identically zero. Every row, and q, is a tuple of Python floats; the
+    +0.0, which _chain relies on. Every row, and q, is a tuple of Python floats; the
     state is immutable, so a variant is built with _replace.
     """
     t: float
@@ -138,33 +157,51 @@ class NominalState(NamedTuple):
                    tuple(so3._floats(pose.q)))
 
 
-def _chain(x, dt, n, ord_rot, rollout):
+def _chain(x, dt, n, ord_pos, ord_rot, rollout):
     """n chained integration steps of dt from x, in Python floats.
 
     The orientation and the rate rows [w wd wdd] follow so3._rotation_chain
     at the variant's rotation order, and the position rows [p v a j] the
-    Taylor chain dt^k/k!, one scalar per axis. The (position, orientation)
-    after each step is appended to the `rollout` list as a pair of float
-    tuples. Returns the end state.
+    Taylor chain dt^k/k!, one scalar per axis, cut at ord_pos. The rows
+    above the order are +0.0, so the full chain's terms in them only turn
+    a -0.0 into +0.0, which adding 0.0 to the rows once does as well; the
+    top row is constant, so its products are taken once. The (position,
+    orientation) after each step is appended to the `rollout` list as a
+    pair of float tuples. Returns the end state.
     """
     c1, c2, c3 = dt, dt ** 2 / 2, dt ** 3 / 6       # dt^k / k!
     (p0, p1, p2), (v0, v1, v2), (a0, a1, a2), j = x.pos
-    j0, j1, j2 = j
     qs, wvec = so3._rotation_chain(x.q, *x.wvec, dt, n, ord_rot)
     t = x.t
     append = rollout.append
-    for q in qs:
-        p0 = p0 + v0 * c1 + a0 * c2 + j0 * c3
-        p1 = p1 + v1 * c1 + a1 * c2 + j1 * c3
-        p2 = p2 + v2 * c1 + a2 * c2 + j2 * c3
-        v0 = v0 + a0 * c1 + j0 * c2
-        v1 = v1 + a1 * c1 + j1 * c2
-        v2 = v2 + a2 * c1 + j2 * c2
-        a0 = a0 + j0 * c1
-        a1 = a1 + j1 * c1
-        a2 = a2 + j2 * c1
-        t += dt
-        append(((p0, p1, p2), q))
+    if ord_pos < 3:
+        p0, p1, p2, v0, v1, v2 = p0 + 0.0, p1 + 0.0, p2 + 0.0, v0 + 0.0, v1 + 0.0, v2 + 0.0
+        a0, a1, a2 = a0 + 0.0, a1 + 0.0, a2 + 0.0
+    if ord_pos == 1:
+        d0, d1, d2 = v0 * c1, v1 * c1, v2 * c1
+        for q in qs:
+            p0, p1, p2 = p0 + d0, p1 + d1, p2 + d2
+            t += dt
+            append(((p0, p1, p2), q))
+    elif ord_pos == 2:
+        d0, d1, d2, e0, e1, e2 = a0 * c2, a1 * c2, a2 * c2, a0 * c1, a1 * c1, a2 * c1
+        for q in qs:
+            p0, p1, p2 = p0 + v0 * c1 + d0, p1 + v1 * c1 + d1, p2 + v2 * c1 + d2
+            v0, v1, v2 = v0 + e0, v1 + e1, v2 + e2
+            t += dt
+            append(((p0, p1, p2), q))
+    else:
+        j0, j1, j2 = j
+        d0, d1, d2, e0, e1, e2 = j0 * c3, j1 * c3, j2 * c3, j0 * c2, j1 * c2, j2 * c2
+        f0, f1, f2 = j0 * c1, j1 * c1, j2 * c1
+        for q in qs:
+            p0 = p0 + v0 * c1 + a0 * c2 + d0
+            p1 = p1 + v1 * c1 + a1 * c2 + d1
+            p2 = p2 + v2 * c1 + a2 * c2 + d2
+            v0, v1, v2 = v0 + a0 * c1 + e0, v1 + a1 * c1 + e1, v2 + a2 * c1 + e2
+            a0, a1, a2 = a0 + f0, a1 + f1, a2 + f2
+            t += dt
+            append(((p0, p1, p2), q))
     return NominalState(t, ((p0, p1, p2), (v0, v1, v2), (a0, a1, a2), j), qs[-1], wvec)
 
 
@@ -174,7 +211,8 @@ def propagate_nominal(x, dt, config):
     Returns a new state of float tuples; x is left as it was."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    return _chain(x, dt, 1, config.ord_rot, [])
+    _, ord_pos, ord_rot = _MODELS[config.model]
+    return _chain(x, dt, 1, ord_pos, ord_rot, [])
 
 
 def predict_horizon(x, dt, n, config, rollout=None):
@@ -189,8 +227,9 @@ def predict_horizon(x, dt, n, config, rollout=None):
         raise ValueError("horizon must be at least 1 step")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    _, ord_pos, ord_rot = _MODELS[config.model]
     poses = [] if rollout is None else rollout
-    t = _chain(x, dt, n, config.ord_rot, poses).t
+    t = _chain(x, dt, n, ord_pos, ord_rot, poses).t
     p, q = poses[-1]
     return Pose(t, np.array(p), np.array(q))
 
@@ -252,8 +291,9 @@ def _chain_matrix(s, n, k=1):
     return (S[:, None, :, None] * np.eye(k)[:, None]).reshape(n * k, n * k)
 
 
-def correct(x, chain, att_chain, z):
-    """Measurement update from a received pose; returns (state, chain, att_chain).
+def correct(x, chain, att_chain, zp, zq):
+    """Measurement update from a received pose, position zp and quaternion
+    zq as floats (_check_pose); returns (state, chain, att_chain).
 
     The position residual updates the position chain and the orientation
     residual y, taken in the tangent space on the right, the attitude
@@ -264,7 +304,7 @@ def correct(x, chain, att_chain, z):
     ord_rot), one update serves both.
     """
     qw, qx, qy, qz = q = x.q
-    y0, y1, y2 = so3._log(so3._mul((qw, -qx, -qy, -qz), so3._floats(z.q)))
+    y0, y1, y2 = so3._log(so3._mul((qw, -qx, -qy, -qz), zq))
     shared = att_chain is chain
     chain, g, _ = _chain_update(chain)
     if shared:
@@ -273,10 +313,17 @@ def correct(x, chain, att_chain, z):
         att_chain, k, _ = _chain_update(att_chain)
 
     (p0, p1, p2), *derivs = x.pos
-    z0, z1, z2 = so3._floats(z.p)
+    z0, z1, z2 = zp
     pos = ((p0 + g * (z0 - p0), p1 + g * (z1 - p1), p2 + g * (z2 - p2)), *derivs)
     dth = (k * y0, k * y1, k * y2)
     return NominalState(x.t, pos, so3._mul(q, so3._exp(dth)), x.wvec), chain, att_chain
+
+
+def _dd(a, b, h):
+    """The divided difference (a - b) / h of two 3-vectors of floats."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a0 - b0) / h, (a1 - b1) / h, (a2 - b2) / h
 
 
 def _stencil_derivatives(us, fs):
@@ -284,9 +331,9 @@ def _stencil_derivatives(us, fs):
 
     Nodes come newest first: us are their offsets from the newest node
     (us[0] = 0), fs their values as 3-vectors of floats, at most four of
-    them. The Newton divided differences c_k = f[u_0 .. u_k], built in
-    place on all three axes at once, weigh the basis polynomials
-    s (s - u_1) ... (s - u_{k-1}), whose derivatives at s = 0 give
+    them. The Newton divided differences c_k = f[u_0 .. u_k], on all three
+    axes at once, weigh the basis polynomials s (s - u_1) ... (s - u_{k-1}),
+    whose derivatives at s = 0 give
 
         f'   = c_1 - u_1 c_2 + u_1 u_2 c_3
         f''  = 2 (c_2 - (u_1 + u_2) c_3)
@@ -295,38 +342,49 @@ def _stencil_derivatives(us, fs):
     with c_k = 0 past the stencil: the one-sided backward difference
     formulas, exact whenever fs samples a polynomial of degree
     len(us) - 1. Returns the rows [f', f'', f''']; those of an order
-    above that degree are zero.
+    above that degree are zero. The table is written out for each stencil
+    size; every entry is the difference of the same two entries as when
+    it is built in place, so every size gives the loop's floats.
     """
     m = len(us)
-    c = [*fs, so3._ZERO3, so3._ZERO3, so3._ZERO3]
-    for k in range(1, m):
-        for i in range(m - 1, k - 1, -1):
-            h = us[i] - us[i - k]
-            (a0, a1, a2), (b0, b1, b2) = c[i], c[i - 1]
-            c[i] = ((a0 - b0) / h, (a1 - b1) / h, (a2 - b2) / h)
-    u1 = us[1] if m > 1 else 0.0
-    u2 = us[2] if m > 2 else 0.0
+    if m == 1:
+        return so3._ZERO3, so3._ZERO3, so3._ZERO3
+    u0, u1 = us[0], us[1]
+    u2, c2, c3 = 0.0, so3._ZERO3, so3._ZERO3
+    if m == 2:
+        c1 = _dd(fs[1], fs[0], u1 - u0)
+    elif m == 3:
+        u2 = us[2]
+        c1 = _dd(fs[1], fs[0], u1 - u0)
+        c2 = _dd(_dd(fs[2], fs[1], u2 - u1), c1, u2 - u0)
+    else:
+        u2, u3 = us[2], us[3]
+        f0, f1, f2, f3 = fs
+        c1 = _dd(f1, f0, u1 - u0)
+        d2 = _dd(f2, f1, u2 - u1)
+        c2 = _dd(d2, c1, u2 - u0)
+        c3 = _dd(_dd(_dd(f3, f2, u3 - u2), d2, u3 - u1), c2, u3 - u0)
     s, r = u1 + u2, u1 * u2
-    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = c[1], c[2], c[3]
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = c1, c2, c3
     return ((x1 - u1 * x2 + r * x3, y1 - u1 * y2 + r * y3, z1 - u1 * z2 + r * z3),
             (2.0 * (x2 - s * x3), 2.0 * (y2 - s * y3), 2.0 * (z2 - s * z3)),
             (6.0 * x3, 6.0 * y3, 6.0 * z3))
 
 
-def _window_node(z, prev):
-    """Received pose z as a derivative-window node (t, p, q, w) of floats.
+def _window_node(t, p, q, prev):
+    """A received pose as a derivative-window node (t, p, q, w).
 
-    w is the body rate over the pair from node `prev`,
+    p and q are the pose's floats as _check_pose returns them, and w the
+    body rate over the pair from node `prev`,
     quat_log(q_prev^-1 * q) / (t - t_prev), or None without a previous
     node: the one log map a received tick takes for its derivatives.
     """
-    p, q = so3._floats(z.p), so3._floats(z.q)
     if prev is None:
-        return z.t, p, q, None
+        return t, p, q, None
     t0, _, (qw, qx, qy, qz), _ = prev
-    h = z.t - t0
+    h = t - t0
     w0, w1, w2 = so3._log(so3._mul((qw, -qx, -qy, -qz), q))
-    return z.t, p, q, (w0 / h, w1 / h, w2 / h)
+    return t, p, q, (w0 / h, w1 / h, w2 / h)
 
 
 def estimate_pseudo_derivatives(window, config):
@@ -346,33 +404,43 @@ def estimate_pseudo_derivatives(window, config):
     fewer than two nodes are available. While ramping up, derivatives
     whose stencil does not fit yet stay zero.
     """
-    if len(window) < 2:
+    n = len(window)
+    if n < 2:
         return None
-    newest = list(window)[::-1]
-    t0 = newest[0][0]
-    us = [node[0] - t0 for node in newest]
-    m = min(config.ord_pos + 1, len(newest))
-    pos_d = _stencil_derivatives(us[:m], [node[1] for node in newest[:m]])
+    _, ord_pos, ord_rot = _MODELS[config.model]
+    ts, ps, _, ws = zip(*reversed(window))          # newest first
+    t0 = ts[0]
+    us = [t - t0 for t in ts]
+    pos_d = _stencil_derivatives(us[:ord_pos + 1], ps[:ord_pos + 1])
     # body-frame rates over the pairs inside the window, newest pair first
-    ws = [node[3] for node in newest[:min(config.ord_rot, len(newest) - 1)]]
-    return pos_d, (ws[0], *_stencil_derivatives(us[:len(ws)], ws)[:2])
+    k = min(ord_rot, n - 1)
+    wd, wdd, _ = _stencil_derivatives(us[:k], ws[:k])
+    return pos_d, (ws[0], wd, wdd)
 
 
 def _check_pose(z):
-    """ValueError unless pose z is finite with a quaternion unit to 1e-6,
-    the tolerance of so3.quat_log."""
-    zq = so3._floats(z.q)
-    if not all(map(math.isfinite, [z.t, *so3._floats(z.p), *zq])):
+    """Pose z's position and quaternion as floats.
+
+    ValueError unless they and z.t are finite and the quaternion is unit
+    to 1e-6, the tolerance of so3.quat_log."""
+    p, q = so3._floats(z.p), so3._floats(z.q)
+    p0, p1, p2 = p
+    qw, qx, qy, qz = q
+    isfinite = math.isfinite
+    if not (isfinite(z.t) and isfinite(p0) and isfinite(p1) and isfinite(p2)
+            and isfinite(qw) and isfinite(qx) and isfinite(qy) and isfinite(qz)):
         raise ValueError(f"measurement at t = {z.t:.9g} is not finite: "
                          f"p = {z.p}, q = {z.q}")
-    n = math.sqrt(sum(c * c for c in zq))
+    n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
     if abs(n - 1.0) > 1e-6:
         raise ValueError(f"measurement at t = {z.t:.9g}: quaternion norm "
                          f"{n:.9g} is not within 1e-6 of unit")
+    return p, q
 
 
 def _tick_interval(z, t, received):
-    """Time from t to tick z; ValueError for a tick no filter may take.
+    """Time from t to tick z, and z's (position, quaternion) floats when
+    received, else None; ValueError for a tick no filter may take.
 
     A tick must carry a finite timestamp past t, and a received one a pose
     _check_pose accepts. A lost packet's pose is never read, so it is not
@@ -384,9 +452,7 @@ def _tick_interval(z, t, received):
     if dt <= 0.0:
         raise ValueError(
             f"tick timestamp {z.t:.9g} does not advance past {t:.9g}")
-    if received:
-        _check_pose(z)
-    return dt
+    return dt, (_check_pose(z) if received else None)
 
 
 class EskfPredictor:
@@ -408,20 +474,21 @@ class EskfPredictor:
     def __init__(self, config, first_pose):
         if _MODELS[config.model][0] is not EskfPredictor:
             raise ValueError("use KfBaseline for the linear baseline")
-        _check_pose(first_pose)
+        p, q = _check_pose(first_pose)
         self.config = config
         self.x = NominalState.at_pose(first_pose)
-        self.chain = _chain_eye(1 + config.ord_pos)       # position: kron(chain, I3)
-        # attitude: kron(att_chain, I3), the position chain itself at equal orders
-        self.att_chain = (self.chain if config.ord_pos == config.ord_rot
-                          else _chain_eye(1 + config.ord_rot))
-        self.window = deque([_window_node(first_pose, None)], maxlen=config.min_window)
+        # chain sizes: position kron(chain, I3), attitude kron(att_chain, I3)
+        self._sizes = n, m = 1 + config.ord_pos, 1 + config.ord_rot
+        self.chain = _chain_eye(n)
+        # the attitude chain is the position chain itself at equal orders
+        self.att_chain = self.chain if n == m else _chain_eye(m)
+        self.window = deque([_window_node(first_pose.t, p, q, None)], maxlen=config.min_window)
         self.rollout = []
 
     @property
     def P(self):
         """The whole error covariance, assembled from its two chains."""
-        n, m = 1 + self.config.ord_pos, 1 + self.config.ord_rot
+        n, m = self._sizes
         P = np.zeros((3 * (n + m),) * 2)
         P[:3 * n, :3 * n] = _chain_matrix(self.chain, n, 3)
         P[3 * n:, 3 * n:] = _chain_matrix(self.att_chain, m, 3)
@@ -430,16 +497,17 @@ class EskfPredictor:
     def step(self, z, received=True):
         """Advance one tick to measurement z; returns the published pose."""
         cfg = self.config
-        dt = _tick_interval(z, self.x.t, received)
+        dt, zpq = _tick_interval(z, self.x.t, received)
         T = error_transition_matrix(dt)
         self.x = propagate_nominal(self.x, dt, cfg)
+        n, m = self._sizes
         shared = self.att_chain is self.chain
-        self.chain = propagate_covariance(self.chain, 1 + cfg.ord_pos, T)
-        self.att_chain = (self.chain if shared
-                          else propagate_covariance(self.att_chain, 1 + cfg.ord_rot, T))
+        self.chain = propagate_covariance(self.chain, n, T)
+        self.att_chain = self.chain if shared else propagate_covariance(self.att_chain, m, T)
         if received:
-            x, self.chain, self.att_chain = correct(self.x, self.chain, self.att_chain, z)
-            self.window.append(_window_node(z, self.window[-1]))
+            zp, zq = zpq
+            x, self.chain, self.att_chain = correct(self.x, self.chain, self.att_chain, zp, zq)
+            self.window.append(_window_node(z.t, zp, zq, self.window[-1]))
             pos_d, rot_d = estimate_pseudo_derivatives(self.window, cfg)
             self.x = NominalState(x.t, (x.pos[0], *pos_d), x.q, rot_d)
         self.rollout = []
@@ -452,14 +520,28 @@ def _unit(q):
     return (w / n, x / n, y / n, z / n)
 
 
-def _cv_step(p, v, q, qd, h):
-    """The baseline's constant-velocity step over h, quaternion renormalized."""
-    p0, p1, p2 = p
-    v0, v1, v2 = v
-    w, x, y, z = q
-    dw, dx, dy, dz = qd
-    return ((p0 + v0 * h, p1 + v1 * h, p2 + v2 * h),
-            _unit((w + dw * h, x + dx * h, y + dy * h, z + dz * h)))
+def _cv_chain(p, v, q, qd, h, n, rollout):
+    """n constant-velocity steps of h from (p, q) at rates (v, qd), the
+    baseline's transition, renormalizing the quaternion after each step.
+
+    The increments v h and qd h are the same on every step, so they are
+    taken once. Appends each step's (p, q) to the `rollout` list as float
+    tuples and returns the last."""
+    (p0, p1, p2), (v0, v1, v2), (w, x, y, z), (dw, dx, dy, dz) = p, v, q, qd
+    v0, v1, v2 = v0 * h, v1 * h, v2 * h
+    dw, dx, dy, dz = dw * h, dx * h, dy * h, dz * h
+    sqrt = math.sqrt
+    append = rollout.append
+    for _ in range(n):
+        p0, p1, p2 = p0 + v0, p1 + v1, p2 + v2
+        w = w + dw
+        x = x + dx
+        y = y + dy
+        z = z + dz
+        u = sqrt(w * w + x * x + y * y + z * z)
+        q = w, x, y, z = w / u, x / u, y / u, z / u
+        append(((p0, p1, p2), q))
+    return rollout[-1]
 
 
 class KfBaseline:
@@ -475,11 +557,10 @@ class KfBaseline:
     """
 
     def __init__(self, config, first_pose):
-        _check_pose(first_pose)
+        p, q = _check_pose(first_pose)
         self.config = config
         self.t = float(first_pose.t)
-        self.x = (tuple(so3._floats(first_pose.p)), so3._ZERO3,
-                  tuple(so3._floats(first_pose.q)), (0.0, 0.0, 0.0, 0.0))
+        self.x = tuple(p), so3._ZERO3, tuple(q), (0.0, 0.0, 0.0, 0.0)
         self.chain = _chain_eye(2)
         self.rollout = []
 
@@ -491,29 +572,28 @@ class KfBaseline:
         return P
 
     def step(self, z, received=True):
-        dt = _tick_interval(z, self.t, received)
+        dt, zpq = _tick_interval(z, self.t, received)
         p, v, q, qd = self.x
-        p, q = _cv_step(p, v, q, qd, dt)
+        p, q = _cv_chain(p, v, q, qd, dt, 1, [])
         self.chain = propagate_covariance(self.chain, 2, error_transition_matrix(dt))
         self.t = z.t
         if received:
-            zq = so3._floats(z.q)
-            if sum(a * b for a, b in zip(zq, q)) < 0.0:
-                zq = [-c for c in zq]
+            (z0, z1, z2), (zw, zx, zy, zz) = zpq
+            (p0, p1, p2), (v0, v1, v2), (qw, qx, qy, qz), (dw, dx, dy, dz) = p, v, q, qd
+            if zw * qw + zx * qx + zy * qy + zz * qz < 0.0:
+                zw, zx, zy, zz = -zw, -zx, -zy, -zz
             self.chain, g0, g1 = _chain_update(self.chain)
-            yp = [a - b for a, b in zip(so3._floats(z.p), p)]
-            yq = [a - b for a, b in zip(zq, q)]
-            p = tuple([a + g0 * e for a, e in zip(p, yp)])
-            v = tuple([a + g1 * e for a, e in zip(v, yp)])
-            q = _unit([a + g0 * e for a, e in zip(q, yq)])
-            qd = tuple([a + g1 * e for a, e in zip(qd, yq)])
+            e0, e1, e2 = z0 - p0, z1 - p1, z2 - p2
+            ew, ex, ey, ez = zw - qw, zx - qx, zy - qy, zz - qz
+            p = p0 + g0 * e0, p1 + g0 * e1, p2 + g0 * e2
+            v = v0 + g1 * e0, v1 + g1 * e1, v2 + g1 * e2
+            q = _unit((qw + g0 * ew, qx + g0 * ex, qy + g0 * ey, qz + g0 * ez))
+            qd = dw + g1 * ew, dx + g1 * ex, dy + g1 * ey, dz + g1 * ez
         self.x = p, v, q, qd
-        h = self.config.dt
-        self.rollout = rollout = []
-        for _ in range(self.config.horizon_steps):
-            p, q = _cv_step(p, v, q, qd, h)
-            rollout.append((p, q))
-        return Pose(self.t + self.config.horizon_steps * h, np.array(p), np.array(q))
+        n, h = self.config.horizon_steps, self.config.dt
+        self.rollout = []
+        p, q = _cv_chain(p, v, q, qd, h, n, self.rollout)
+        return Pose(self.t + n * h, np.array(p), np.array(q))
 
 
 # name -> (predictor class, ord_pos, ord_rot)

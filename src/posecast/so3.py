@@ -15,9 +15,10 @@ overhead dwarfs the arithmetic on 3- and 4-vectors. The underscore
 kernels take and return tuples of floats and are what the filters'
 per-tick loop calls: _mul, _exp, _log, and _rotation_chain,
 which integrates n rotation increments along the rate Taylor chain with
-one exp and an inline canonical Hamilton product per step. The public
-functions accept any sequence and wrap the same kernels in ndarrays;
-zed12_step and zed23_step are _rotation_chain's one-step case.
+one exp and a canonical Hamilton product per step, both written out in
+one loop per order. The public functions accept any sequence and wrap
+the same kernels in ndarrays; zed12_step and zed23_step are
+_rotation_chain's one-step case.
 """
 
 import math
@@ -93,46 +94,79 @@ def _rotation_chain(q, w, wd, wdd, h, n, order):
     makes the step third-order accurate for non-commuting rotations.
     Returns the n orientations in step order and the end rates
     (w, wd, wdd), all tuples of floats.
+
+    Each order runs its own loop, with _exp written out in _exp's
+    operation order and the products of constant rows taken once, so
+    every float is the one the stepwise definition gives.
     """
     qw, qx, qy, qz = q
     a0, a1, a2 = w
-    b0, b1, b2 = wd
+    qs = []
+    append = qs.append
     if order == 1:
         ew, ex, ey, ez = _exp((a0 * h, a1 * h, a2 * h))
-    elif order == 2:
+        for _ in range(n):
+            rw = qw * ew - qx * ex - qy * ey - qz * ez
+            rx = qw * ex + qx * ew + qy * ez - qz * ey
+            ry = qw * ey - qx * ez + qy * ew + qz * ex
+            rz = qw * ez + qx * ey - qy * ex + qz * ew
+            q = (-rw, -rx, -ry, -rz) if rw < 0.0 else (rw, rx, ry, rz)
+            append(q)
+            qw, qx, qy, qz = q
+        return qs, (w, wd, wdd)
+    sqrt, sin, cos = math.sqrt, math.sin, math.cos
+    b0, b1, b2 = wd
+    if order == 2:
         k2 = 0.5 * h * h
         s0, s1, s2 = b0 * k2, b1 * k2, b2 * k2
-    else:
-        h2 = h * h
-        k2 = 0.5 * h2
-        k3 = h2 * h / 3.0
-        kc = h2 * h / 12.0
-        c2 = h ** 2 / 2             # the rate chain rounds h^2/2 as filters._chain does
-        e0, e1, e2 = wdd
-        s0, s1, s2 = 0.5 * e0 * k3, 0.5 * e1 * k3, 0.5 * e2 * k3
-    qs = []
+        g0, g1, g2 = b0 * h, b1 * h, b2 * h
+        for _ in range(n):
+            x, y, z = a0 * h + s0, a1 * h + s1, a2 * h + s2
+            a0, a1, a2 = a0 + g0, a1 + g1, a2 + g2
+            angle = sqrt(x * x + y * y + z * z)
+            half = 0.5 * angle
+            k = 0.5 - angle * angle / 48.0 if angle < 1e-8 else sin(half) / angle
+            ew = cos(half)
+            if ew < 0.0:
+                ew, k = -ew, -k
+            ex, ey, ez = k * x, k * y, k * z
+            rw = qw * ew - qx * ex - qy * ey - qz * ez
+            rx = qw * ex + qx * ew + qy * ez - qz * ey
+            ry = qw * ey - qx * ez + qy * ew + qz * ex
+            rz = qw * ez + qx * ey - qy * ex + qz * ew
+            q = (-rw, -rx, -ry, -rz) if rw < 0.0 else (rw, rx, ry, rz)
+            append(q)
+            qw, qx, qy, qz = q
+        return qs, ((a0, a1, a2), (b0, b1, b2), wdd)
+    h2 = h * h
+    k2 = 0.5 * h2
+    k3 = h2 * h / 3.0
+    kc = h2 * h / 12.0
+    c2 = h ** 2 / 2             # the rate chain rounds h^2/2 as filters._chain does
+    e0, e1, e2 = wdd
+    s0, s1, s2 = 0.5 * e0 * k3, 0.5 * e1 * k3, 0.5 * e2 * k3
+    f0, f1, f2 = e0 * c2, e1 * c2, e2 * c2
+    g0, g1, g2 = e0 * h, e1 * h, e2 * h
     for _ in range(n):
-        if order == 2:
-            ew, ex, ey, ez = _exp((a0 * h + s0, a1 * h + s1, a2 * h + s2))
-            a0, a1, a2 = a0 + b0 * h, a1 + b1 * h, a2 + b2 * h
-        elif order == 3:
-            ew, ex, ey, ez = _exp((a0 * h + b0 * k2 + s0 + (a1 * b2 - a2 * b1) * kc,
-                                   a1 * h + b1 * k2 + s1 + (a2 * b0 - a0 * b2) * kc,
-                                   a2 * h + b2 * k2 + s2 + (a0 * b1 - a1 * b0) * kc))
-            a0, a1, a2 = (a0 + b0 * h + e0 * c2, a1 + b1 * h + e1 * c2,
-                          a2 + b2 * h + e2 * c2)
-            b0, b1, b2 = b0 + e0 * h, b1 + e1 * h, b2 + e2 * h
+        x = a0 * h + b0 * k2 + s0 + (a1 * b2 - a2 * b1) * kc
+        y = a1 * h + b1 * k2 + s1 + (a2 * b0 - a0 * b2) * kc
+        z = a2 * h + b2 * k2 + s2 + (a0 * b1 - a1 * b0) * kc
+        a0, a1, a2 = a0 + b0 * h + f0, a1 + b1 * h + f1, a2 + b2 * h + f2
+        b0, b1, b2 = b0 + g0, b1 + g1, b2 + g2
+        angle = sqrt(x * x + y * y + z * z)
+        half = 0.5 * angle
+        k = 0.5 - angle * angle / 48.0 if angle < 1e-8 else sin(half) / angle
+        ew = cos(half)
+        if ew < 0.0:
+            ew, k = -ew, -k
+        ex, ey, ez = k * x, k * y, k * z
         rw = qw * ew - qx * ex - qy * ey - qz * ez
         rx = qw * ex + qx * ew + qy * ez - qz * ey
         ry = qw * ey - qx * ez + qy * ew + qz * ex
         rz = qw * ez + qx * ey - qy * ex + qz * ew
-        if rw < 0.0:
-            qw, qx, qy, qz = -rw, -rx, -ry, -rz
-        else:
-            qw, qx, qy, qz = rw, rx, ry, rz
-        qs.append((qw, qx, qy, qz))
-    if order == 1:
-        return qs, (w, wd, wdd)
+        q = (-rw, -rx, -ry, -rz) if rw < 0.0 else (rw, rx, ry, rz)
+        append(q)
+        qw, qx, qy, qz = q
     return qs, ((a0, a1, a2), (b0, b1, b2), wdd)
 
 

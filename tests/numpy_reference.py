@@ -13,9 +13,14 @@ with exp(w dt)^T in the transition and J_r^-T in the measurement, which
 tests hold at a measured distance from the filters. The rotation helpers here
 (normalize, canonical sign, conjugate, skew, quaternion to matrix) are
 also the ones other tests use: the package itself has no need of them.
-window_nodes is the one exact helper: it builds the filters'
+window_nodes is an exact helper: it builds the filters'
 derivative-window nodes with the package's own rotation kernels, so a
-window grown tick by tick can be compared with it bit for bit.
+window grown tick by tick can be compared with it bit for bit. So are
+the generic float kernels the filters' order-specialised ones replaced:
+the full four-row Taylor chain (taylor_rollout), the in-place divided
+difference table (divided_difference_derivatives) and the baseline's
+single constant-velocity step (cv_step); each specialised kernel must
+give their floats bit for bit.
 RefStreamFilter is the pose prefilter's former array code: its biquads
 match the float prefilter bit for bit, while its np.linalg.norm (a BLAS
 dot product) and np.dot sign check may round differently.
@@ -23,6 +28,8 @@ dot product) and np.dot sign check may round differently.
 
 from collections import deque
 from math import factorial
+
+import math
 
 import numpy as np
 
@@ -179,6 +186,58 @@ def pseudo_derivatives(window, op, orot):
         for k in range(1, len(dw)):
             rot_d[k] = dw[k]
     return pos_d, rot_d
+
+
+# ------------------------------------------ generic float kernels, exact
+
+def taylor_rollout(pos, dt, n):
+    """n steps of the full position Taylor chain over rows [p v a j], one
+    scalar per axis; returns the positions after each step and the end rows."""
+    c1, c2, c3 = dt, dt ** 2 / 2, dt ** 3 / 6
+    (p0, p1, p2), (v0, v1, v2), (a0, a1, a2), j = pos
+    j0, j1, j2 = j
+    ps = []
+    for _ in range(n):
+        p0 = p0 + v0 * c1 + a0 * c2 + j0 * c3
+        p1 = p1 + v1 * c1 + a1 * c2 + j1 * c3
+        p2 = p2 + v2 * c1 + a2 * c2 + j2 * c3
+        v0 = v0 + a0 * c1 + j0 * c2
+        v1 = v1 + a1 * c1 + j1 * c2
+        v2 = v2 + a2 * c1 + j2 * c2
+        a0 = a0 + j0 * c1
+        a1 = a1 + j1 * c1
+        a2 = a2 + j2 * c1
+        ps.append((p0, p1, p2))
+    return ps, ((p0, p1, p2), (v0, v1, v2), (a0, a1, a2), j)
+
+
+def divided_difference_derivatives(us, fs):
+    """First three derivatives at us[0] of the interpolant through 1 to 4
+    nodes (offsets us, 3-vector values fs), from the Newton divided
+    differences built in place; rows past the stencil's degree are zero."""
+    m = len(us)
+    c = [*fs, so3._ZERO3, so3._ZERO3, so3._ZERO3]
+    for k in range(1, m):
+        for i in range(m - 1, k - 1, -1):
+            h = us[i] - us[i - k]
+            (a0, a1, a2), (b0, b1, b2) = c[i], c[i - 1]
+            c[i] = ((a0 - b0) / h, (a1 - b1) / h, (a2 - b2) / h)
+    u1 = us[1] if m > 1 else 0.0
+    u2 = us[2] if m > 2 else 0.0
+    s, r = u1 + u2, u1 * u2
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = c[1], c[2], c[3]
+    return ((x1 - u1 * x2 + r * x3, y1 - u1 * y2 + r * y3, z1 - u1 * z2 + r * z3),
+            (2.0 * (x2 - s * x3), 2.0 * (y2 - s * y3), 2.0 * (z2 - s * z3)),
+            (6.0 * x3, 6.0 * y3, 6.0 * z3))
+
+
+def cv_step(p, v, q, qd, h):
+    """The baseline's constant-velocity step over h, quaternion renormalized."""
+    p0, p1, p2 = p
+    v0, v1, v2 = v
+    w, x, y, z = (a + b * h for a, b in zip(q, qd))
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return (p0 + v0 * h, p1 + v1 * h, p2 + v2 * h), (w / n, x / n, y / n, z / n)
 
 
 # ----------------------------------------------------------- predictors

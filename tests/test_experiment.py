@@ -98,6 +98,20 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize("field", ["repeats", "master_seed"])
+    @pytest.mark.parametrize("value", [2, 2.0, np.int64(2), np.uint8(2), np.float64(2.0)])
+    def test_whole_numbers_are_stored_as_int(self, field, value):
+        cfg = ExperimentConfig(**{field: value})
+        assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 2
+
+    @pytest.mark.parametrize("field", ["repeats", "master_seed"])
+    @pytest.mark.parametrize("value", [2.5, np.float64(1.5), np.nan, np.inf, "2", None])
+    def test_rejects_values_that_are_not_whole(self, field, value):
+        # these used to pass here and fail inside run_experiment with a
+        # TypeError from range() or from the seed sequence
+        with pytest.raises(ValueError, match=f"{field} must be a whole number"):
+            ExperimentConfig(**{field: value})
+
     def test_rejects_drop_rates_that_would_share_their_losses(self):
         # masks are seeded by whole millionths of the drop rate, so 0.1 and
         # 0.1000004 would draw identical losses under two labels

@@ -13,6 +13,7 @@ from posecast.filters import (
     NominalState,
     _chain_eye,
     _chain_matrix,
+    _check_pose,
     correct,
     error_transition_matrix,
     estimate_pseudo_derivatives,
@@ -85,6 +86,18 @@ class TestFilterConfig:
                 FilterConfig(dt=dt)
         with pytest.raises(ValueError):
             FilterConfig(horizon_steps=0)
+
+    @pytest.mark.parametrize("steps", [3, 3.0, np.int64(3), np.int32(3), np.float64(3.0)])
+    def test_whole_horizon_steps_are_stored_as_int(self, steps):
+        cfg = FilterConfig(horizon_steps=steps)
+        assert type(cfg.horizon_steps) is int and cfg.horizon_steps == 3
+
+    @pytest.mark.parametrize("steps", [2.5, np.float64(3.5), np.nan, np.inf, "3", None])
+    def test_rejects_horizon_steps_that_are_not_whole(self, steps):
+        # 2.5 used to be accepted: the error-state models rolled out 2
+        # steps and the baseline raised TypeError on its first tick
+        with pytest.raises(ValueError, match="horizon_steps must be a whole number"):
+            FilterConfig(horizon_steps=steps)
 
 
 # ------------------------------------------------------- nominal kinematics
@@ -196,7 +209,7 @@ class TestCorrection:
         # chains of p3o3: 4 entries for position and for attitude
         x = NominalState.at_pose(Pose(0.0, np.zeros(3), QID.copy()))
         z = Pose(0.0, np.array([1e-3, -2e-3, 3e-3]), so3.quat_exp([2e-3, 0.0, -1e-3]))
-        x2, chain, att_chain = correct(x, _chain_eye(4), _chain_eye(4), z)
+        x2, chain, att_chain = correct(x, _chain_eye(4), _chain_eye(4), *_check_pose(z))
         np.testing.assert_allclose(x2.pos[0], 0.5 * z.p, atol=1e-15)
         np.testing.assert_allclose(so3.quat_log(x2.q), [1e-3, 0.0, -5e-4], atol=1e-15)
         for s in (chain, att_chain):
@@ -213,7 +226,8 @@ class TestCorrection:
         z = Pose(0.0, p + 0.01, ref.quat_normalize(q + 0.01))
         # the noise is fixed at I, so a prior of 1e-15 I puts it 1e15
         # times above the prior, the gain of R = 1e15 I over P = I
-        x2, chain, att_chain = correct(x, scaled_chain(1e-15, 3), scaled_chain(1e-15, 3), z)
+        x2, chain, att_chain = correct(x, scaled_chain(1e-15, 3), scaled_chain(1e-15, 3),
+                                       *_check_pose(z))
         assert np.abs(x2.pos[0] - p).max() < 1e-12
         assert so3.geodesic_distance(x2.q, x.q) < 1e-12
         for s in (chain, att_chain):
@@ -226,7 +240,7 @@ class TestCorrection:
         x = NominalState.at_pose(
             Pose(0.0, np.array([0.1, 0.2, 0.3]), random_unit_quat(rng)))
         z = Pose(0.0, np.array([0.4, -0.1, 0.2]), random_unit_quat(rng))
-        x2, _, _ = correct(x, scaled_chain(1e10, 4), scaled_chain(1e10, 4), z)
+        x2, _, _ = correct(x, scaled_chain(1e10, 4), scaled_chain(1e10, 4), *_check_pose(z))
         assert np.linalg.norm(x2.pos[0] - z.p) < 1e-8
         assert so3.geodesic_distance(x2.q, z.q) < 1e-8
 
@@ -240,8 +254,8 @@ class TestCorrection:
         x_b = NominalState.at_pose(Pose(0.0, np.zeros(3), so3.quat_multiply(L, q)))
         z_a = Pose(0.0, np.zeros(3), zq)
         z_b = Pose(0.0, np.zeros(3), so3.quat_multiply(L, zq))
-        xa2, _, _ = correct(x_a, _chain_eye(2), _chain_eye(2), z_a)
-        xb2, _, _ = correct(x_b, _chain_eye(2), _chain_eye(2), z_b)
+        xa2, _, _ = correct(x_a, _chain_eye(2), _chain_eye(2), *_check_pose(z_a))
+        xb2, _, _ = correct(x_b, _chain_eye(2), _chain_eye(2), *_check_pose(z_b))
         # identical residuals imply identical injected corrections
         rel_a = so3.quat_multiply(ref.quat_conjugate(x_a.q), xa2.q)
         rel_b = so3.quat_multiply(ref.quat_conjugate(x_b.q), xb2.q)

@@ -1,9 +1,11 @@
 """The Python-float filter core against its numpy reference, and at a
 measured distance from the rotation-coupled reference; property tests of
 the float rotation kernels (the rotation chain bit for bit against its
-stepwise definition), the pseudo-derivative stencil and its incremental
-window, the covariance chains, the block structure of the reference
-covariance and the filters' long-run health."""
+stepwise definition), of the order-specialised position chain, stencil
+and baseline chain bit for bit against the generic kernels they
+replaced, of the pseudo-derivative stencil and its incremental window,
+the covariance chains, the block structure of the reference covariance
+and the filters' long-run health."""
 
 import functools
 import itertools
@@ -20,6 +22,9 @@ from posecast.filters import (
     MODEL_NAMES,
     FilterConfig,
     NominalState,
+    _chain,
+    _cv_chain,
+    _stencil_derivatives,
     error_transition_matrix,
     estimate_pseudo_derivatives,
     make_predictor,
@@ -272,6 +277,68 @@ def test_rotation_chain_is_the_stepwise_composition(model, q, w, wd, wdd, h, n):
     assert len(qs) == n
     assert np.array(qs).tobytes() == np.array(expect).tobytes()
     assert np.array(rates).tobytes() == np.array(expect_rates).tobytes()
+
+
+# ------------------------------------------- order-specialised kernels
+
+# any float, signed zeros included: the full chain adds the zero rows'
+# +0.0 terms, which turn -0.0 into +0.0, so a kernel that skips them must
+# do the same
+_row = st.tuples(*[st.one_of(st.floats(-10.0, 10.0), st.sampled_from((0.0, -0.0)))] * 3)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(1, 3), st.lists(_row, min_size=4, max_size=4), unit_quats(),
+       st.floats(1e-4, 0.05), st.integers(1, 12))
+def test_position_chain_is_the_full_taylor_chain(ord_pos, rows, q, dt, n):
+    # rows above the order are +0.0, as in every filter state
+    pos = (*rows[:ord_pos + 1], *[so3._ZERO3] * (3 - ord_pos))
+    rollout = []
+    y = _chain(NominalState(1.5, pos, q), dt, n, ord_pos, 1, rollout)
+    ps, end = ref.taylor_rollout(pos, dt, n)
+    assert np.array([p for p, _ in rollout]).tobytes() == np.array(ps).tobytes()
+    assert np.array(y.pos).tobytes() == np.array(end).tobytes()
+    t = 1.5
+    for _ in range(n):
+        t += dt
+    assert y.t == t
+
+
+@st.composite
+def stencils(draw):
+    """(us, fs) for 1 to 4 nodes, newest first: offsets from the newest
+    node of jittered tick times, and 3-vector values, each of which may
+    repeat the one before it so that zero differences come up."""
+    m = draw(st.integers(1, 4))
+    ts = draw(node_times(m))
+    us = [t - ts[-1] for t in reversed(ts)]
+    fs = [draw(_row)]
+    for _ in range(m - 1):
+        fs.append(fs[-1] if draw(st.booleans()) else draw(_row))
+    return us, fs
+
+
+@settings(max_examples=500, deadline=None)
+@given(stencils())
+def test_stencil_is_the_divided_difference_table(case):
+    us, fs = case
+    got = _stencil_derivatives(us, fs)
+    expect = ref.divided_difference_derivatives(us, fs)
+    assert np.array(got).tobytes() == np.array(expect).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row, _row, unit_quats(), st.tuples(*[st.floats(-5.0, 5.0)] * 4),
+       st.floats(1e-4, 0.05), st.integers(1, 12))
+def test_cv_chain_is_repeated_single_steps(p, v, q, qd, h, n):
+    rollout = []
+    end = _cv_chain(p, v, q, qd, h, n, rollout)
+    expect = []
+    for _ in range(n):
+        p, q = ref.cv_step(p, v, q, qd, h)
+        expect.append((*p, *q))
+    assert np.array([(*p, *q) for p, q in rollout]).tobytes() == np.array(expect).tobytes()
+    assert end == rollout[-1]
 
 
 # ------------------------------------------------------- long-run health
