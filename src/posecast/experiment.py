@@ -52,7 +52,7 @@ def simulate_drop(rng, drop_rate):
     return bool(rng.random() > drop_rate)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     models: tuple = MODEL_NAMES
     horizons_ms: tuple = (20, 40, 60, 80, 100)
@@ -62,15 +62,15 @@ class ExperimentConfig:
     keep_samples: bool = True
 
     def __post_init__(self):
-        self.models = tuple(canonical_model_name(m) for m in self.models)
+        object.__setattr__(self, "models", tuple(canonical_model_name(m) for m in self.models))
         if not self.models:
             raise ValueError("at least one model is required")
         if not all(float(h).is_integer() for h in self.horizons_ms):
             raise ValueError(f"horizons must be whole milliseconds, got {self.horizons_ms}")
-        self.horizons_ms = tuple(int(h) for h in self.horizons_ms)
+        object.__setattr__(self, "horizons_ms", tuple(int(h) for h in self.horizons_ms))
         if any(h < 1 for h in self.horizons_ms) or not self.horizons_ms:
             raise ValueError("horizons must be positive and non-empty")
-        self.drop_rates = tuple(float(d) for d in self.drop_rates)
+        object.__setattr__(self, "drop_rates", tuple(float(d) for d in self.drop_rates))
         if any(not 0.0 <= d <= 1.0 for d in self.drop_rates) or not self.drop_rates:
             raise ValueError("drop rates must lie in [0, 1]")
         for name in ("models", "horizons_ms", "drop_rates"):
@@ -81,8 +81,8 @@ class ExperimentConfig:
         if len(set(keys)) != len(keys):
             raise ValueError("drop rates closer than 1e-6 would draw the same "
                              f"losses: {self.drop_rates}")
-        self.repeats = whole_number("repeats", self.repeats)
-        self.master_seed = whole_number("master_seed", self.master_seed)
+        object.__setattr__(self, "repeats", whole_number("repeats", self.repeats))
+        object.__setattr__(self, "master_seed", whole_number("master_seed", self.master_seed))
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
         if self.master_seed < 0:

@@ -109,17 +109,18 @@ def canonical_model_name(name):
     raise ValueError(f"unknown model '{name}', expected one of {MODEL_NAMES}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterConfig:
     model: str = "p3o3"
     dt: float = 0.01
     horizon_steps: int = 10
 
     def __post_init__(self):
-        self.model = canonical_model_name(self.model)
+        object.__setattr__(self, "model", canonical_model_name(self.model))
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
-        self.horizon_steps = whole_number("horizon_steps", self.horizon_steps)
+        object.__setattr__(self, "horizon_steps",
+                           whole_number("horizon_steps", self.horizon_steps))
         if self.horizon_steps < 1:
             raise ValueError("horizon_steps must be at least 1")
 

@@ -2,9 +2,11 @@
 
 The uplink pose stream is smoothed channel-by-channel (3 position + 4
 quaternion components) with a Butterworth biquad cascade before anything
-downstream sees it. Filtering is strictly causal: each output depends only
-on samples received so far, so streaming a prefix reproduces the prefix of
-the batch output bit for bit.
+downstream sees it. The cascade is designed here in numpy, in the
+operation order of scipy.signal.butter, so its coefficients equal scipy's
+bit for bit without loading scipy.signal at run time. Filtering is
+strictly causal: each output depends only on samples received so far, so
+streaming a prefix reproduces the prefix of the batch output bit for bit.
 
 The streaming filter runs in Python floats, as the filters' tick does:
 on 7 channels numpy's call overhead costs more than the arithmetic. Its
@@ -16,7 +18,6 @@ px, py, pz, qw, qx, qy, qz.
 import math
 
 import numpy as np
-from scipy import signal
 
 from . import so3
 from .traces import Pose, Trace
@@ -28,14 +29,34 @@ def design_butterworth_lowpass(order=2, cutoff_hz=5.0, sample_hz=100.0):
     """Design a discrete Butterworth low-pass as second-order sections.
 
     Bilinear transform with frequency prewarping; unity DC gain. Returns
-    an (n_sections, 6) array of [b0, b1, b2, 1, a1, a2] rows.
+    an (n_sections, 6) array of [b0, b1, b2, 1, a1, a2] rows, equal bit for
+    bit to scipy.signal.butter(order, cutoff_hz, fs=sample_hz, output="sos")
+    (the tests compare the two). Each step runs scipy's numpy operations in
+    scipy's order: Wn = cutoff / (fs/2) is prewarped to 4 tan(pi Wn / 2)
+    (butter works at fs = 2), the analog poles are -exp(i pi m / 2N) times
+    that and the gain its N-th power (buttap, lp2lp_zpk), and the bilinear
+    map takes p to (4 + p) / (4 - p) and the gain k to k Re(1 / prod(4 - p))
+    (bilinear_zpk). As zpk2sos pairs them, each upper-half-plane pole and
+    its conjugate go over the double zero at z = -1, the sections run from
+    the pole farthest from the unit circle to the nearest, and the gain
+    multiplies the first section's numerator.
     """
     if order not in (2, 4):
         raise ValueError(f"order must be 2 or 4, got {order}")
-    if not 0.0 < cutoff_hz < 0.5 * sample_hz:
+    if not (math.isfinite(sample_hz) and 0.0 < cutoff_hz < 0.5 * sample_hz):
         raise ValueError(
             f"cutoff {cutoff_hz} Hz must lie in (0, {0.5 * sample_hz}) for fs={sample_hz}")
-    return signal.butter(order, cutoff_hz, btype="low", fs=sample_hz, output="sos")
+    wn = cutoff_hz / (sample_hz / 2)
+    warped = float(4.0 * np.tan(np.pi * wn / 2.0))     # prewarped, for fs = 2
+    m = np.arange(-order + 1, order, 2, dtype=float)
+    poles = warped * -np.exp(1j * np.pi * m / (2 * order))
+    gain = warped ** order * np.real(1.0 / np.prod(4.0 - poles))
+    z = (4.0 + poles) / (4.0 - poles)
+    upper = sorted(z[z.imag > 0.0], key=lambda q: -abs(1.0 - abs(q)))
+    sos = np.array([[1.0, 2.0, 1.0, *np.convolve((1.0, -q), (1.0, -q.conjugate())).real]
+                    for q in upper])
+    sos[0, :3] *= gain
+    return sos
 
 
 class StreamFilter:

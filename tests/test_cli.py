@@ -1,6 +1,9 @@
 """Subcommand behavior through the in-process entry point."""
 
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +36,17 @@ class TestParser:
         parser = build_parser()
         bench = parser.parse_args(["bench", "--input", "x", "--out", "d"])
         assert _experiment_config(bench) == ExperimentConfig()
+
+
+def test_import_loads_neither_scipy_signal_nor_stats():
+    # each loads about 500 modules, most of a worker's start-up time and
+    # memory; run time needs numpy and scipy.special only
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import posecast.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith(('scipy.signal', 'scipy.stats'))))")
+    out = subprocess.run([sys.executable, "-c", probe, str(src)], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestDegenerateNumbers:

@@ -112,6 +112,14 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{field} must be a whole number"):
             ExperimentConfig(**{field: value})
 
+    def test_frozen_so_every_value_passes_the_checks(self):
+        cfg = ExperimentConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.repeats = 2.5
+        with pytest.raises(ValueError, match="repeats must be a whole number"):
+            dataclasses.replace(cfg, repeats=2.5)
+        assert dataclasses.replace(cfg, models=("kf",)).models == ("KF",)
+
     def test_rejects_drop_rates_that_would_share_their_losses(self):
         # masks are seeded by whole millionths of the drop rate, so 0.1 and
         # 0.1000004 would draw identical losses under two labels

@@ -1,6 +1,8 @@
 """Filter-layer tests: nominal propagation, covariance chains, correction,
 pseudo-derivatives, the streaming predictors, and the linear baseline."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -98,6 +100,15 @@ class TestFilterConfig:
         # steps and the baseline raised TypeError on its first tick
         with pytest.raises(ValueError, match="horizon_steps must be a whole number"):
             FilterConfig(horizon_steps=steps)
+
+    def test_frozen_so_every_value_passes_the_checks(self):
+        # a value assigned after construction would skip the checks above
+        cfg = FilterConfig(model="p3o3")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.horizon_steps = 2.5
+        with pytest.raises(ValueError, match="horizon_steps must be a whole number"):
+            dataclasses.replace(cfg, horizon_steps=2.5)
+        assert dataclasses.replace(cfg, model="kf").model == "KF"
 
 
 # ------------------------------------------------------- nominal kinematics

@@ -40,6 +40,29 @@ def test_design_rejects_bad_parameters():
         design_butterworth_lowpass(cutoff_hz=50.0, sample_hz=100.0)
     with pytest.raises(ValueError):
         design_butterworth_lowpass(cutoff_hz=0.0)
+    for bad in (math.inf, -math.inf, math.nan):
+        # an infinite rate passes the range check alone
+        with pytest.raises(ValueError):
+            design_butterworth_lowpass(cutoff_hz=bad)
+        with pytest.raises(ValueError):
+            design_butterworth_lowpass(sample_hz=bad)
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_design_equals_scipy_butter_bit_for_bit(order):
+    # scipy.signal stays the reference here and nowhere else. The rates
+    # include 1 / median_dt of 100 Hz clocks with float noise, as a sweep
+    # derives them, and of jittered ones.
+    rng = np.random.default_rng(21)
+    clocks = [np.arange(n) * 0.01 for n in range(201, 301)]
+    clocks += [np.cumsum(0.01 + rng.normal(0.0, 1e-4, 300)) for _ in range(100)]
+    rates = [1.0 / float(np.median(np.diff(t))) for t in clocks]   # as Trace.median_dt
+    rates += [100.0, 60.0, 90.0, 120.0, *rng.uniform(20.5, 1000.0, 200)]
+    for fs in rates:
+        for fc in (2.5, 5.0, 10.0):
+            want = sps.butter(order, fc, fs=fs, output="sos")
+            got = design_butterworth_lowpass(order, fc, fs)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (fs, fc)
 
 
 def test_design_shapes():
