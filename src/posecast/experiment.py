@@ -36,11 +36,10 @@ from functools import cached_property
 import numpy as np
 
 from .classifier import MotionClass, classify, discretize_chunk, lz_entropy
-from .filters import (_MODELS, MODEL_NAMES, FilterConfig, canonical_model_name,
-                      make_predictor, whole_number)
+from .filters import MODEL_NAMES, FilterConfig, canonical_model_name, make_predictor
 from .metrics import orientation_error, position_error, summarize
 from .preprocess import CHUNK_LEN, chunk_trace, design_butterworth_lowpass, filter_trace
-from .traces import Pose
+from .traces import Pose, whole_number
 
 SAMPLES_COLUMNS = "model,class,horizon_ms,drop_rate,repeat,trace,tick,e_pos_mm,e_ori_deg"
 
@@ -175,10 +174,11 @@ class ExperimentReport:
                 for r in self.aggregates}
 
     def aggregate(self, model, motion_class, horizon_ms, drop_rate):
-        """The single aggregate row matching the given cell, or None."""
+        """The single aggregate row matching the given cell, or None. The
+        model name is matched as the configs match it (ValueError if unknown)."""
         drop = next((d for d in self.config.drop_rates
                      if abs(d - drop_rate) < 1e-12), None)
-        return self._cells.get((model, motion_class, horizon_ms, drop))
+        return self._cells.get((canonical_model_name(model), motion_class, horizon_ms, drop))
 
 
 def label_chunks(filtered):
@@ -247,11 +247,6 @@ def _cell_rng(config, drop_rate, repeat):
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def _streamed_repeats(config, drop_rate):
-    """Repeats that need a stream of their own: at drop 0 every repeat is repeat 0."""
-    return 1 if drop_rate == 0.0 else config.repeats
-
-
 def _drop_masks(config, traces):
     """Received flags of ticks 1..n-1, per (drop rate, repeat) and trace.
 
@@ -261,12 +256,12 @@ def _drop_masks(config, traces):
     tick gets a flag, also the unscored tail that no stream steps and the
     ticks of a trace that cannot stream at all, so the draws for a trace
     never depend on its labels, its timestamps or the horizons. At
-    drop 0 every packet arrives, which is what lets the repeats share one
-    stream.
+    drop 0 every packet arrives, so only repeat 0 gets masks: the repeats
+    share its stream.
     """
     masks = {}
     for drop in config.drop_rates:
-        for rep in range(_streamed_repeats(config, drop)):
+        for rep in range(1 if drop == 0.0 else config.repeats):
             rng = _cell_rng(config, drop, rep)
             masks[drop, rep] = [[drop == 0.0 or simulate_drop(rng, drop)
                                  for _ in range(1, len(trace))]
@@ -301,33 +296,35 @@ def _stream_plan(models):
     streams a predictor of its own, or the (position, rotation) models
     whose streams already hold its position and orientation errors.
     Models of equal orders stream first. Each half is keyed on the
-    predictor class and its order (filters._MODELS); a later model whose
-    two keys both match earlier streams builds no predictor. The filters
-    module notes state why that stitch is exact.
+    FilterConfig's predictor class and that half's order; a later model
+    whose two keys both match earlier streams builds no predictor. The
+    filters module notes state why that stitch is exact.
     """
     pos_src, rot_src, plan = {}, {}, []
-    for m in sorted(models, key=lambda m: _MODELS[m][1] != _MODELS[m][2]):
-        cls, o_pos, o_rot = _MODELS[m]
-        key_pos, key_rot = (cls, o_pos), (cls, o_rot)
+    for cfg in sorted(map(FilterConfig, models), key=lambda c: c.ord_pos != c.ord_rot):
+        key_pos, key_rot = (cfg.predictor, cfg.ord_pos), (cfg.predictor, cfg.ord_rot)
         sources = None
         if key_pos in pos_src and key_rot in rot_src:
             sources = pos_src[key_pos], rot_src[key_rot]
         else:
-            pos_src.setdefault(key_pos, m)
-            rot_src.setdefault(key_rot, m)
-        plan.append((m, sources))
+            pos_src.setdefault(key_pos, cfg.model)
+            rot_src.setdefault(key_rot, cfg.model)
+        plan.append((cfg.model, sources))
     return plan
 
 
 def run_experiment(config, traces):
     """Sweep every configured cell over the traces; returns the report.
 
-    Each trace runs one predictor per (streamed model, drop rate, repeat),
-    built at the longest horizon; every horizon is scored from its
-    rollout. At drop 0 only repeat 0 streams, and the other repeats reuse
-    its errors. A model stitched from earlier streams (_stream_plan)
-    builds no predictor. Rows, samples and failures still come in the
-    order of config.models.
+    One pass over the drop masks (_drop_masks): each (drop rate, repeat)
+    runs one predictor per trace and streamed model, built at the longest
+    horizon, and a model stitched from earlier streams (_stream_plan)
+    builds none. Every horizon is pooled from that one rollout as its
+    cell's rows, failures and kept segments; at drop 0 only repeat 0
+    streams, and its cell fills every repeat. The pass then puts them in
+    grid order, by model, horizon and drop rate in the order of the config
+    and then repeat; the summary rows go model by model, class by class,
+    in that order.
 
     A stream that stops on a pose the filter refuses (ValueError: a
     non-finite or non-unit first pose or tick, a stale timestamp) marks
@@ -350,48 +347,39 @@ def run_experiment(config, traces):
     prepared = [_prepare_trace(t, config.horizons_ms) for t in traces]
     if all(poses is None for _, _, poses, _, _ in prepared):
         raise prepared[0][4]
-    masks = _drop_masks(config, traces)
 
     plan = _stream_plan(config.models)
-    cells = {model: {} for model in config.models}
-    for drop in config.drop_rates:
-        for rep in range(_streamed_repeats(config, drop)):
-            streams = {}
-            for model, sources in plan:
-                if sources is None:
-                    streams[model] = [
-                        _stream_trace(model, prep, masks[drop, rep][ti])
-                        for ti, prep in enumerate(prepared)]
-                else:
-                    streams[model] = list(map(_stitch, *(streams[s] for s in sources)))
-                for hi, h_ms in enumerate(config.horizons_ms):
-                    cells[model][h_ms, drop, rep] = _pool_cell(
-                        config, prepared, streams[model], hi)
-
-    per_repeat = []
-    aggregates = []
-    failures = []
-    segments = []
-    for model in config.models:
-        model_cells = cells[model]
-        for h_ms in config.horizons_ms:
-            for drop in config.drop_rates:
-                by_class = {}
-                for rep in range(config.repeats):
-                    # at drop 0 every repeat reads repeat 0's stream
-                    stats, failed, kept = model_cells[h_ms, drop, min(
-                        rep, _streamed_repeats(config, drop) - 1)]
-                    failures.extend(FailedCell(model, h_ms, drop, rep, ti, reason)
+    per_repeat, failures, segments = [], [], []
+    for (drop, rep), drop_masks in _drop_masks(config, traces).items():
+        repeats = range(config.repeats) if drop == 0.0 else (rep,)
+        streams = {}
+        for model, sources in plan:
+            if sources is None:
+                streams[model] = [_stream_trace(model, prep, mask)
+                                  for prep, mask in zip(prepared, drop_masks)]
+            else:
+                streams[model] = list(map(_stitch, *(streams[s] for s in sources)))
+            for hi, h_ms in enumerate(config.horizons_ms):
+                stats, failed, kept = _pool_cell(config, prepared, streams[model], hi)
+                for r in repeats:
+                    per_repeat.extend(PerRepeatRow(model, cls, h_ms, drop, r, *row)
+                                      for cls, *row in stats)
+                    failures.extend(FailedCell(model, h_ms, drop, r, ti, reason)
                                     for ti, reason in failed)
-                    for cls, *row in stats:
-                        r = PerRepeatRow(model, cls, h_ms, drop, rep, *row)
-                        per_repeat.append(r)
-                        by_class.setdefault(cls, []).append(r)
-                    segments.extend((model, cls, h_ms, drop, rep, ti, segment)
+                    segments.extend((model, cls, h_ms, drop, r, ti, segment)
                                     for cls, ti, segment in kept)
-                aggregates.extend(map(_aggregate_row, by_class.values()))
-    # rows go model by model, then class by class, then in loop order
-    aggregates.sort(key=lambda r: (config.models.index(r.model), r.motion_class))
+
+    def grid(model, h_ms, drop, rep):
+        return (config.models.index(model), config.horizons_ms.index(h_ms),
+                config.drop_rates.index(drop), rep)
+    per_repeat.sort(key=lambda r: grid(r.model, r.horizon_ms, r.drop_rate, r.repeat))
+    failures.sort(key=lambda f: grid(f.model, f.horizon_ms, f.drop_rate, f.repeat))
+    segments.sort(key=lambda s: grid(s[0], *s[2:5]))
+    groups = {}
+    for r in per_repeat:
+        groups.setdefault((r.model, r.horizon_ms, r.drop_rate, r.motion_class), []).append(r)
+    aggregates = sorted(map(_aggregate_row, groups.values()),
+                        key=lambda r: (config.models.index(r.model), r.motion_class))
     return ExperimentReport(config, per_repeat, aggregates, failures,
                             [[] if isinstance(labels, ValueError) else labels
                              for *_, labels in prepared], segments)

@@ -45,9 +45,9 @@ stencil, so3._rotation_chain). So two error-state variants with equal
 ord_pos roll out bit-identical positions on the same ticks and drop
 pattern, and two with equal ord_rot bit-identical orientations; the
 sweep relies on this to stitch p2o3 from p2o2's positions and p3o3's
-orientations (experiment._stream_plan, keyed on the class and orders in
-_MODELS). Per-variant state that enters either half other than these
-orders, such as per-variant noise, must extend that key.
+orientations (experiment._stream_plan, keyed on a FilterConfig's
+predictor class and orders). Per-variant state that enters either half
+other than these orders, such as per-variant noise, must extend that key.
 
 The "KF" baseline is a 14-dimensional linear filter over [p v q qdot]
 that treats quaternion components as independent scalars and
@@ -71,19 +71,19 @@ table per stencil size, and the baseline's propagation and rollout one
 loop, _cv_chain. Each gives bit for bit the floats of the generic loop
 that tests/numpy_reference.py keeps as its reference. A received pose is
 read into floats once (_check_pose), for correct and _window_node.
-Orders are looked up once per call, never cached on the mutable config.
+A FilterConfig is frozen, and resolves its model's predictor class and
+orders (_MODELS) once, when it is built; the kernels read them off it.
 """
 
 import math
-import numbers
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import so3
-from .traces import Pose
+from .traces import Pose, whole_number
 
 class DegeneracyError(RuntimeError):
     """A filter whose innovation covariance is numerically unusable.
@@ -91,15 +91,6 @@ class DegeneracyError(RuntimeError):
     No built-in filter raises it: every update's S = s00 + 1 is at least 1.
     It is kept only because the benchmark's tracer (perfbench/tracer.py)
     imports it; the sweep does not catch it."""
-
-
-def whole_number(name, value):
-    """value as an int if it is a whole real number, a numpy integer or an
-    integral float included; ValueError otherwise."""
-    if isinstance(value, numbers.Integral) or (
-            isinstance(value, numbers.Real) and float(value).is_integer()):
-        return int(value)
-    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def canonical_model_name(name):
@@ -111,30 +102,29 @@ def canonical_model_name(name):
 
 @dataclass(frozen=True)
 class FilterConfig:
+    """A stream's settings. The model's predictor class, its orders and the
+    window they need are resolved from the name when the config is built."""
+
     model: str = "p3o3"
     dt: float = 0.01
     horizon_steps: int = 10
+    predictor: type = field(init=False)
+    ord_pos: int = field(init=False)
+    ord_rot: int = field(init=False)
+    min_window: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "model", canonical_model_name(self.model))
+        predictor, ord_pos, ord_rot = _MODELS[self.model]
+        for name, value in (("predictor", predictor), ("ord_pos", ord_pos),
+                            ("ord_rot", ord_rot), ("min_window", max(ord_pos, ord_rot) + 1)):
+            object.__setattr__(self, name, value)
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
         object.__setattr__(self, "horizon_steps",
                            whole_number("horizon_steps", self.horizon_steps))
         if self.horizon_steps < 1:
             raise ValueError("horizon_steps must be at least 1")
-
-    @property
-    def ord_pos(self):
-        return _MODELS[self.model][1]
-
-    @property
-    def ord_rot(self):
-        return _MODELS[self.model][2]
-
-    @property
-    def min_window(self):
-        return max(self.ord_pos, self.ord_rot) + 1
 
 
 class NominalState(NamedTuple):
@@ -212,8 +202,7 @@ def propagate_nominal(x, dt, config):
     Returns a new state of float tuples; x is left as it was."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    _, ord_pos, ord_rot = _MODELS[config.model]
-    return _chain(x, dt, 1, ord_pos, ord_rot, [])
+    return _chain(x, dt, 1, config.ord_pos, config.ord_rot, [])
 
 
 def predict_horizon(x, dt, n, config, rollout=None):
@@ -228,9 +217,8 @@ def predict_horizon(x, dt, n, config, rollout=None):
         raise ValueError("horizon must be at least 1 step")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    _, ord_pos, ord_rot = _MODELS[config.model]
     poses = [] if rollout is None else rollout
-    t = _chain(x, dt, n, ord_pos, ord_rot, poses).t
+    t = _chain(x, dt, n, config.ord_pos, config.ord_rot, poses).t
     p, q = poses[-1]
     return Pose(t, np.array(p), np.array(q))
 
@@ -408,7 +396,7 @@ def estimate_pseudo_derivatives(window, config):
     n = len(window)
     if n < 2:
         return None
-    _, ord_pos, ord_rot = _MODELS[config.model]
+    ord_pos, ord_rot = config.ord_pos, config.ord_rot
     ts, ps, _, ws = zip(*reversed(window))          # newest first
     t0 = ts[0]
     us = [t - t0 for t in ts]
@@ -473,7 +461,7 @@ class EskfPredictor:
     """
 
     def __init__(self, config, first_pose):
-        if _MODELS[config.model][0] is not EskfPredictor:
+        if config.predictor is not EskfPredictor:
             raise ValueError("use KfBaseline for the linear baseline")
         p, q = _check_pose(first_pose)
         self.config = config
@@ -607,4 +595,4 @@ MODEL_NAMES = tuple(_MODELS)
 
 def make_predictor(config, first_pose):
     """Instantiate the model named by the config at the stream's first pose."""
-    return _MODELS[config.model][0](config, first_pose)
+    return config.predictor(config, first_pose)

@@ -7,6 +7,7 @@ sign-aligned so consecutive samples sit in the same hemisphere.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,15 @@ import numpy as np
 from . import so3
 
 TRACE_HEADER = "t,px,py,pz,qw,qx,qy,qz"
+
+
+def whole_number(name, value):
+    """value as an int if it is a whole real number, a numpy integer or an
+    integral float included; ValueError otherwise."""
+    if isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass
@@ -171,14 +181,18 @@ def generate_synthetic_trace(profile, duration_s, sample_hz=100.0, seed=0):
     hard:   piecewise segments with abrupt velocity reversals and right-angle
             turns, content up to 4 Hz.
 
+    seed is a non-negative whole number (ValueError otherwise).
     Identical arguments produce a bit-identical trace.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile '{profile}', expected one of {PROFILES}")
     if not (0.0 < duration_s < math.inf and 0.0 < sample_hz < math.inf):
         raise ValueError("duration and sample rate must be positive and finite")
+    seed = whole_number("seed", seed)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     pid = PROFILES.index(profile)
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 71, pid)))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 71, pid)))
     n = int(round(duration_s * sample_hz))
     if n < 1:
         raise ValueError(f"{duration_s} s at {sample_hz} Hz holds no sample")

@@ -97,6 +97,9 @@ class TestDegenerateNumbers:
         (("bench", "--input", "{hard}", "--models", "p3o3", "--horizons", "20,24",
           "--drop-rates", "0", "--repeats", "1", "--out", "{tmp}/r"),
          "horizons 20 and 24 ms both round to 2 ticks of 0.01 s"),
+        (("synth", "--profile", "easy", "--duration", "1", "--seed", "-1",
+          "--out", "{tmp}/x.csv"),
+         "seed must be non-negative, got -1"),
     ])
     def test_one_error_line(self, tmp_path, capsys, one_row_file, hard_file, short_file,
                             argv, message):

@@ -700,6 +700,36 @@ class TestSharedStreams:
                              and s[4] == r)
                 assert got == expect, (model, h_ms, drop, r)
 
+    def test_rows_failures_and_segments_follow_the_grid_order(self):
+        # the models are listed stitched-first, so the streams run in
+        # another order than the config's; the 150-sample trace fails
+        # every cell, between two traces that score
+        traces = [generate_synthetic_trace("medium", 4.0, seed=1),
+                  generate_synthetic_trace("hard", 1.5, seed=1),
+                  generate_synthetic_trace("easy", 4.0, seed=2)]
+        cfg = ExperimentConfig(models=("p2o3", "KF", "p3o3", "p2o2", "ESKF"),
+                               horizons_ms=(60, 20), drop_rates=(0.0, 0.5), repeats=3,
+                               master_seed=2)
+        rep = run_experiment(cfg, traces)
+
+        def grid(model, h_ms, drop, r, *rest):
+            return (cfg.models.index(model), cfg.horizons_ms.index(h_ms),
+                    cfg.drop_rates.index(drop), r, *rest)
+
+        cells = [(m, h, d, r) for m in cfg.models for h in cfg.horizons_ms
+                 for d in cfg.drop_rates for r in range(cfg.repeats)]
+        failed = [(f.model, f.horizon_ms, f.drop_rate, f.repeat, f.trace_index)
+                  for f in rep.failures]
+        assert failed == [(*cell, 1) for cell in cells]
+        rows = [grid(r.model, r.horizon_ms, r.drop_rate, r.repeat, r.motion_class)
+                for r in rep.per_repeat]
+        assert rows == sorted(set(rows))
+        assert {row[:4] for row in rows} == {grid(*cell) for cell in cells}
+        kept = [grid(m, h, d, r, ti) for m, _, h, d, r, ti, _ in rep.segments]
+        assert kept == sorted(kept)
+        assert {k[:4] for k in kept} == {grid(*cell) for cell in cells}
+        assert {k[4] for k in kept} == {0, 2}
+
     def test_zero_drop_repeats_reuse_samples(self):
         cfg = ExperimentConfig(models=("ESKF",), horizons_ms=(20, 50),
                                drop_rates=(0.0,), repeats=3)
@@ -872,6 +902,10 @@ class TestAggregateLookup:
         assert rep.aggregate("KF", MotionClass.EASY, 50, 0.31) is None
         assert rep.aggregate("KF", MotionClass.HARD, 50, 0.3) is None
         assert rep.aggregate("p3o3", MotionClass.EASY, 50, 0.3) is None
+        # the model name is matched as the configs match it
+        assert rep.aggregate("kf", MotionClass.EASY, 50, 0.3) is row
+        with pytest.raises(ValueError, match="unknown model"):
+            rep.aggregate("ukf", MotionClass.EASY, 50, 0.3)
 
 
 class TestSampleSegments:

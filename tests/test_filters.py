@@ -109,6 +109,16 @@ class TestFilterConfig:
         with pytest.raises(ValueError, match="horizon_steps must be a whole number"):
             dataclasses.replace(cfg, horizon_steps=2.5)
         assert dataclasses.replace(cfg, model="kf").model == "KF"
+        # the predictor class and orders are resolved from the model when
+        # the config is built, also by replace, and can only be read
+        variant = dataclasses.replace(cfg, model="p2o3")
+        assert (variant.ord_pos, variant.ord_rot, variant.min_window) == (2, 3, 4)
+        assert variant.predictor is EskfPredictor
+        assert FilterConfig(model="KF").predictor is KfBaseline
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.ord_pos = 2
+        with pytest.raises(TypeError):
+            FilterConfig(model="p3o3", ord_pos=2)
 
 
 # ------------------------------------------------------- nominal kinematics

@@ -191,6 +191,19 @@ class TestSyntheticProfiles:
         with pytest.raises(ValueError):
             generate_synthetic_trace("easy", 1.0, sample_hz=0.0)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.9, -1, np.nan, "3", None])
+    def test_seed_that_is_not_a_non_negative_whole_number_rejected(self, seed):
+        # int() would quietly truncate 1.5 to seed 1, and numpy's own
+        # refusal of -1 names no argument
+        with pytest.raises(ValueError, match="seed"):
+            generate_synthetic_trace("hard", 1.0, seed=seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(3), 3.0, np.float64(3.0)])
+    def test_whole_seed_of_any_type_gives_that_seeds_trace(self, seed):
+        a = generate_synthetic_trace("hard", 1.0, seed=3)
+        b = generate_synthetic_trace("hard", 1.0, seed=seed)
+        assert np.array_equal(a.p, b.p) and np.array_equal(a.q, b.q)
+
     @pytest.mark.parametrize("duration_s, sample_hz", [
         (math.inf, 100.0), (math.nan, 100.0), (1.0, math.inf), (1.0, math.nan),
         (0.001, 100.0),
