@@ -12,8 +12,7 @@ import collections
 import numpy as np
 
 from posecast.classifier import H_HIGH, H_LOW, lz_entropy
-from posecast.experiment import label_chunks
-from posecast.preprocess import design_butterworth_lowpass, filter_trace
+from posecast.experiment import label_chunks, prepare_trace
 from posecast.traces import PROFILES, generate_synthetic_trace
 
 
@@ -37,7 +36,8 @@ def main():
     print(f"\nchunk labels with thresholds ({H_LOW}, {H_HIGH}) bits:")
     for profile in PROFILES:
         trace = generate_synthetic_trace(profile, duration_s=30.0, seed=0)
-        labels = label_chunks(filter_trace(trace, design_butterworth_lowpass()))
+        _, _, filtered, _, _ = prepare_trace(trace, ())
+        labels = label_chunks(filtered)
         entropies = [h for h, _ in labels]
         counts = collections.Counter(cls.name for _, cls in labels)
         dist = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))

@@ -2,25 +2,20 @@
 
 Feeds a low-pass filtered medium trace to a first-order baseline and the
 full third-order variant at a 100 ms horizon, scoring each forecast
-against the raw trace at the target time. It streams and scores through
-the same two functions the benchmark runs per cell, with no packet lost.
+against the raw trace at the target time. It prepares the trace, streams
+and scores through the functions the benchmark runs, with no packet lost.
 """
 
 import numpy as np
 
-from posecast.experiment import score_picks, stream_picks
-from posecast.preprocess import design_butterworth_lowpass, filter_trace
+from posecast.experiment import prepare_trace, score_picks, stream_picks
 from posecast.traces import generate_synthetic_trace
 
 
 def main():
     trace = generate_synthetic_trace("medium", duration_s=30.0, seed=3)
-    dt = trace.median_dt()
-    filtered = filter_trace(trace, design_butterworth_lowpass(2, 5.0, 1.0 / dt))
-    poses = [filtered.pose(k) for k in range(len(filtered))]
-    truth = trace.p.tolist(), trace.q.tolist()
+    dt, steps, _, poses, truth = prepare_trace(trace, (100,))
     received = [True] * (len(trace) - 1)
-    steps = (10,)
 
     print(f"medium trace, {len(trace)} ticks, horizon "
           f"{steps[0] * dt * 1e3:.0f} ms\n")

@@ -41,15 +41,11 @@ def discretize_chunk(chunk):
     bad = np.flatnonzero(~np.isfinite(np.hstack([chunk.p, chunk.q])).all(axis=1))
     if bad.size:
         raise ValueError(f"chunk pose {bad[0]} at t = {chunk.t[bad[0]]:.9g} is not finite")
-    cells = np.empty((len(chunk), 6), dtype=np.int64)
-    cells[:, 0:3] = np.floor(chunk.p / CELL_POS)
-    for i in range(len(chunk)):
-        cells[i, 3:6] = np.floor(so3.quat_log(chunk.q[i]) / CELL_ROT)
+    rot = np.array([so3._log(q) for q in chunk.q.tolist()]).reshape(-1, 3)
+    cells = np.floor(np.hstack([chunk.p / CELL_POS, rot / CELL_ROT])).astype(np.int64)
     ids = {}
-    symbols = np.empty(len(chunk), dtype=np.int64)
-    for i, key in enumerate(map(tuple, cells)):
-        symbols[i] = ids.setdefault(key, len(ids))
-    return symbols
+    return np.array([ids.setdefault(key, len(ids)) for key in map(tuple, cells.tolist())],
+                    dtype=np.int64)
 
 
 def lz_entropy(symbols):

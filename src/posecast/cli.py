@@ -17,8 +17,8 @@ import sys
 
 import numpy as np
 
-from .experiment import (ExperimentConfig, _drop_masks, _prefilter, _prepare_trace, emit_report,
-                         label_chunks, run_experiment, score_picks, stream_picks)
+from .experiment import (ExperimentConfig, drop_masks, emit_report, label_chunks, prepare_trace,
+                         run_experiment, score_picks, stream_picks)
 from .preprocess import CHUNK_LEN
 from .traces import PROFILES, generate_synthetic_trace, load_trace, save_trace
 
@@ -69,7 +69,7 @@ def _cmd_synth(args):
 
 
 def _cmd_classify(args):
-    _, _, filtered = _prefilter(load_trace(args.input), ())
+    _, _, filtered, _, _ = prepare_trace(load_trace(args.input), ())
     labels = label_chunks(filtered)
     print("chunk,t_start,entropy_bits,label")
     for i, (h, cls) in enumerate(labels):
@@ -81,10 +81,8 @@ def _cmd_predict(args):
     trace = load_trace(args.input)
     config = ExperimentConfig(models=(args.model,), drop_rates=(args.drop_rate,),
                               repeats=1, master_seed=args.seed)
-    dt, steps, poses, truth, error = _prepare_trace(trace, (args.horizon_ms,))
-    if poses is None:
-        raise error
-    (masks,) = _drop_masks(config, [trace]).values()
+    dt, steps, _, poses, truth = prepare_trace(trace, (args.horizon_ms,))
+    (masks,) = drop_masks(config, [trace]).values()
     (n_steps,) = steps
     (picks,) = stream_picks(config.models[0], dt, steps, poses, masks[0], len(poses) - n_steps)
     ((errs_p, errs_o),) = score_picks([picks], steps, truth)

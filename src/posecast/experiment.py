@@ -7,10 +7,13 @@ Prediction errors are measured against the raw future pose, pooled by the
 chunk's motion class, and summarized per sweep cell with confidence
 intervals across repeats.
 
-Every stream, also in `posecast predict` and the demos, runs through
-stream_picks and score_picks. Each trace runs one predictor per
-(streamed model, drop rate, repeat) and scores every horizon from that
-one rollout: filter state never
+Every entry point prepares a trace through prepare_trace: `posecast
+bench`, `classify` and `predict`, the demos and the README's Library
+example. So wherever chunks are labelled (label_chunks), the labels are
+those of the poses the filters stream. Every stream, also in `posecast
+predict` and the demos, runs through stream_picks and score_picks. Each
+trace runs one predictor per (streamed model, drop rate, repeat) and
+scores every horizon from that one rollout: filter state never
 depends on the horizon, and at drop 0 every repeat is identical, so only
 repeat 0 runs. A model is streamed unless earlier streams already hold
 its errors: with p2o2 and p3o3 in the sweep, p2o3 takes the position
@@ -30,6 +33,7 @@ share their cell's segments, and emit_report formats each segment once.
 
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -61,6 +65,11 @@ class ExperimentConfig:
     keep_samples: bool = True
 
     def __post_init__(self):
+        for name in ("models", "horizons_ms", "drop_rates"):
+            values = getattr(self, name)
+            if isinstance(values, (str, bytes)) or not isinstance(values, Iterable):
+                raise ValueError(f"{name} must be an iterable of values, got {values!r}")
+            object.__setattr__(self, name, tuple(values))
         object.__setattr__(self, "models", tuple(canonical_model_name(m) for m in self.models))
         if not self.models:
             raise ValueError("at least one model is required")
@@ -195,11 +204,18 @@ def label_chunks(filtered):
     return [(h, classify(h)) for h in entropies]
 
 
-def _prefilter(trace, horizons_ms):
-    """(dt, horizon steps, prefiltered trace); ValueError when the median
-    tick interval dt does not suit the horizons or the prefilter's cutoff,
-    when two horizons round to the same tick count, or when the longest
-    horizon leaves no tick with a target in the trace."""
+def prepare_trace(trace, horizons_ms):
+    """(dt, horizon steps, prefiltered trace, poses, truth) of one trace.
+
+    dt is the median tick interval, at which the prefilter is designed and
+    each horizon, in ms, is rounded to whole ticks (horizon_steps). The
+    poses are the prefiltered ones as Pose objects with read-only arrays,
+    built once: every stream of the trace steps these same objects. The
+    truth is the raw (positions, orientations) as float lists. ValueError
+    when dt does not suit the horizons or the prefilter's cutoff, when two
+    horizons round to the same tick count, or when the longest horizon
+    leaves no tick with a target in the trace.
+    """
     dt = trace.median_dt()
     steps = horizon_steps(horizons_ms, dt)
     if steps and max(steps) >= len(trace) - 1:
@@ -210,31 +226,11 @@ def _prefilter(trace, horizons_ms):
         if n_steps in steps[:i]:
             raise ValueError(f"horizons {horizons_ms[steps.index(n_steps)]} and "
                              f"{horizons_ms[i]} ms both round to {n_steps} ticks of {dt:.9g} s")
-    return dt, steps, filter_trace(trace, design_butterworth_lowpass(sample_hz=1.0 / dt))
-
-
-def _prepare_trace(trace, horizons_ms):
-    """(dt, horizon steps, poses, truth, chunk labels) of one trace.
-
-    The poses are the prefiltered ones as Pose objects with read-only
-    arrays, built once: every stream of the trace steps these same
-    objects. The truth is the raw (positions, orientations) as float
-    lists. The labels are replaced by label_chunks' ValueError when it
-    refuses the trace. When _prefilter refuses the trace, they are
-    replaced by its ValueError, with no poses.
-    """
-    try:
-        dt, steps, filtered = _prefilter(trace, horizons_ms)
-    except ValueError as e:
-        return None, None, None, None, e
+    filtered = filter_trace(trace, design_butterworth_lowpass(sample_hz=1.0 / dt))
     p, q = filtered.p.view(), filtered.q.view()
     p.flags.writeable = q.flags.writeable = False
     poses = [Pose(t, pk, qk) for t, pk, qk in zip(filtered.t.tolist(), p, q)]
-    try:
-        labels = [cls for _, cls in label_chunks(filtered)]
-    except ValueError as e:
-        labels = e
-    return dt, steps, poses, (trace.p.tolist(), trace.q.tolist()), labels
+    return dt, steps, filtered, poses, (trace.p.tolist(), trace.q.tolist())
 
 
 def _drop_key(drop_rate):
@@ -247,7 +243,7 @@ def _cell_rng(config, drop_rate, repeat):
     return np.random.default_rng(np.random.SeedSequence(key))
 
 
-def _drop_masks(config, traces):
+def drop_masks(config, traces):
     """Received flags of ticks 1..n-1, per (drop rate, repeat) and trace.
 
     All masks are drawn before any stream runs, trace after trace from one
@@ -316,7 +312,7 @@ def _stream_plan(models):
 def run_experiment(config, traces):
     """Sweep every configured cell over the traces; returns the report.
 
-    One pass over the drop masks (_drop_masks): each (drop rate, repeat)
+    One pass over the drop masks (drop_masks): each (drop rate, repeat)
     runs one predictor per trace and streamed model, built at the longest
     horizon, and a model stitched from earlier streams (_stream_plan)
     builds none. Every horizon is pooled from that one rollout as its
@@ -344,19 +340,27 @@ def run_experiment(config, traces):
     traces = list(traces)
     if not traces:
         raise ValueError("at least one trace is required")
-    prepared = [_prepare_trace(t, config.horizons_ms) for t in traces]
+    prepared = []
+    for trace in traces:
+        dt = steps = poses = truth = None
+        try:
+            dt, steps, filtered, poses, truth = prepare_trace(trace, config.horizons_ms)
+            labels = [cls for _, cls in label_chunks(filtered)]
+        except ValueError as e:
+            labels = e
+        prepared.append((dt, steps, poses, truth, labels))
     if all(poses is None for _, _, poses, _, _ in prepared):
         raise prepared[0][4]
 
     plan = _stream_plan(config.models)
     per_repeat, failures, segments = [], [], []
-    for (drop, rep), drop_masks in _drop_masks(config, traces).items():
+    for (drop, rep), masks in drop_masks(config, traces).items():
         repeats = range(config.repeats) if drop == 0.0 else (rep,)
         streams = {}
         for model, sources in plan:
             if sources is None:
                 streams[model] = [_stream_trace(model, prep, mask)
-                                  for prep, mask in zip(prepared, drop_masks)]
+                                  for prep, mask in zip(prepared, masks)]
             else:
                 streams[model] = list(map(_stitch, *(streams[s] for s in sources)))
             for hi, h_ms in enumerate(config.horizons_ms):

@@ -95,7 +95,7 @@ class DegeneracyError(RuntimeError):
 
 def canonical_model_name(name):
     for m in MODEL_NAMES:
-        if name.lower() == m.lower():
+        if isinstance(name, str) and name.lower() == m.lower():
             return m
     raise ValueError(f"unknown model '{name}', expected one of {MODEL_NAMES}")
 

@@ -249,7 +249,5 @@ def generate_synthetic_trace(profile, duration_s, sample_hz=100.0, seed=0):
     p -= p[0]
     r -= r[0]
 
-    q = np.empty((n, 4))
-    for i in range(n):
-        q[i] = so3.quat_exp(r[i])
+    q = np.array([so3._exp(v) for v in r.tolist()])
     return Trace(t, p, hemisphere_align(q))

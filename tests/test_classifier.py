@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from posecast import so3
-from posecast.classifier import MotionClass, classify, discretize_chunk, lz_entropy
+from posecast.classifier import (CELL_POS, CELL_ROT, MotionClass, classify, discretize_chunk,
+                                 lz_entropy)
 from posecast.preprocess import chunk_trace
 from posecast.traces import Trace, generate_synthetic_trace
 
@@ -86,6 +87,29 @@ def test_discretize_orientation_cells():
     ])
     chunk = Trace(np.arange(n) * 0.01, p, q)
     assert list(discretize_chunk(chunk)) == [0, 1, 0]
+
+
+def _discretize_row_by_row(chunk):
+    """Symbols from one quat_log ndarray per row, the direct way."""
+    cells = np.empty((len(chunk), 6), dtype=np.int64)
+    cells[:, 0:3] = np.floor(chunk.p / CELL_POS)
+    for i in range(len(chunk)):
+        cells[i, 3:6] = np.floor(so3.quat_log(chunk.q[i]) / CELL_ROT)
+    ids = {}
+    return [ids.setdefault(key, len(ids)) for key in map(tuple, cells.tolist())]
+
+
+def test_discretize_matches_the_row_by_row_cells():
+    # the batched float path must give every symbol of the direct one,
+    # also for rotations that cross many cells
+    rng = np.random.default_rng(0)
+    n = 2000
+    q = np.array([so3.quat_exp(v) for v in rng.normal(scale=1.5, size=(n, 3))])
+    chunks = [Trace(np.arange(n) * 0.01, rng.normal(scale=0.2, size=(n, 3)), q)]
+    chunks += chunk_trace(generate_synthetic_trace("hard", 20.0, seed=4))
+    for chunk in chunks:
+        assert discretize_chunk(chunk).tolist() == _discretize_row_by_row(chunk)
+    assert max(discretize_chunk(chunks[0])) > 1000
 
 
 @pytest.mark.parametrize("field", ["p", "q"])

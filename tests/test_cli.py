@@ -262,6 +262,17 @@ class TestPredict:
         assert len(stdout.splitlines()) == 1 + (150 - 1 - 10)
         assert stderr.startswith("139 ticks:")
 
+    def test_streams_without_labelling_chunks(self, medium_file, monkeypatch, capsys):
+        # predict prints no class, so it never labels the trace's chunks
+        def refuse(filtered):
+            raise RuntimeError("predict labelled chunks")
+        monkeypatch.setattr("posecast.experiment.label_chunks", refuse)
+        code, stdout, stderr = _run(capsys, "predict", "--input", str(medium_file),
+                                    "--model", "p3o3", "--horizon-ms", "60")
+        assert code == 0
+        assert len(stdout.splitlines()) == 1 + (1000 - 1 - 6)
+        assert stderr.startswith("993 ticks:")
+
     def test_bad_drop_rate_exits_nonzero(self, medium_file, capsys):
         code, _, stderr = _run(capsys, "predict", "--input",
                                str(medium_file), "--model", "KF",

@@ -12,10 +12,10 @@ from posecast.experiment import (
     SAMPLES_COLUMNS,
     ExperimentConfig,
     _cell_rng,
-    _prepare_trace,
     _stream_plan,
     emit_report,
     horizon_steps,
+    prepare_trace,
     run_experiment,
     simulate_drop,
 )
@@ -93,10 +93,29 @@ class TestExperimentConfig:
         {"drop_rates": (-0.2,)},
         {"repeats": 0},
         {"master_seed": -1},
+        {"models": (None,)},
+        {"models": "KF"},
+        {"horizons_ms": 100},
+        {"drop_rates": 0.5},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("models", "KF"), ("models", b"KF"), ("horizons_ms", 100), ("horizons_ms", "100"),
+        ("drop_rates", 0.5), ("drop_rates", np.float64(0.5)),
+    ])
+    def test_rejects_a_bare_value_for_a_list_field(self, field, value):
+        # a string is one value, not the list of its characters
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
+
+    def test_takes_each_list_field_from_any_iterable(self):
+        # the checks read the horizons twice, so a generator is taken whole first
+        cfg = ExperimentConfig(models=iter(["kf"]), horizons_ms=(h for h in (20, 40.0)),
+                               drop_rates=map(float, ("0", "0.5")))
+        assert (cfg.models, cfg.horizons_ms, cfg.drop_rates) == (("KF",), (20, 40), (0.0, 0.5))
 
     @pytest.mark.parametrize("field", ["repeats", "master_seed"])
     @pytest.mark.parametrize("value", [2, 2.0, np.int64(2), np.uint8(2), np.float64(2.0)])
@@ -423,7 +442,7 @@ class TestRunExperiment:
         # every stream of a trace steps the same read-only Pose objects;
         # all five models take them, received and lost, and change nothing
         trace = generate_synthetic_trace("hard", 2.5, seed=6)
-        dt, steps, poses, _, _ = _prepare_trace(trace, ExperimentConfig().horizons_ms)
+        dt, steps, _, poses, _ = prepare_trace(trace, ExperimentConfig().horizons_ms)
         before = [(z.t, z.p.tobytes(), z.q.tobytes()) for z in poses]
         assert not any(z.p.flags.writeable or z.q.flags.writeable for z in poses)
         for model in ("KF", "ESKF", "p2o2", "p2o3", "p3o3"):

@@ -75,8 +75,10 @@ class TestFilterConfig:
         assert FilterConfig(model="Eskf").model == "ESKF"
 
     def test_rejects_unknown_model(self):
-        with pytest.raises(ValueError, match="unknown model"):
-            FilterConfig(model="ukf")
+        # a name that is not a string is unknown too
+        for model in ("ukf", None, 3, ("KF",)):
+            with pytest.raises(ValueError, match="unknown model"):
+                FilterConfig(model=model)
 
     def test_rejects_bad_numerics(self):
         with pytest.raises(ValueError):
