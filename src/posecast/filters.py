@@ -200,8 +200,8 @@ def propagate_nominal(x, dt, config):
     """Advance the nominal state by dt using the variant's kinematic order.
 
     Returns a new state of float tuples; x is left as it was."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     return _chain(x, dt, 1, config.ord_pos, config.ord_rot, [])
 
 
@@ -210,13 +210,15 @@ def predict_horizon(x, dt, n, config, rollout=None):
 
     When a list is given as `rollout`, the (position, orientation) float
     tuples after each of the n steps are appended to it; the published
-    pose holds arrays of the last entry's floats.
+    pose holds arrays of the last entry's floats. ValueError unless dt is
+    finite and positive and n a whole number of at least 1.
     """
-    n = int(n)
+    if type(n) is not int:          # the per-tick call passes an int; skip the general check
+        n = whole_number("n", n)
     if n < 1:
         raise ValueError("horizon must be at least 1 step")
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     poses = [] if rollout is None else rollout
     t = _chain(x, dt, n, config.ord_pos, config.ord_rot, poses).t
     p, q = poses[-1]

@@ -1,11 +1,17 @@
-"""Prediction error metrics and summary statistics."""
+"""Prediction error metrics and summary statistics.
+
+Only numpy is loaded here. scipy is loaded for the summary intervals
+alone: their Student-t quantile is scipy.special.stdtrit, imported on the
+first call of _t_quantile (run_experiment loads it before its streams).
+Only a sweep (`posecast bench`, `run_experiment`) summarizes, so synth,
+classify, predict and streaming never load scipy.
+"""
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from . import so3
 
@@ -53,4 +59,6 @@ def _t_quantile(dof):
     """Two-sided Student-t quantile at LEVEL: a sweep asks for the same few
     degrees of freedom. stdtrit is what scipy.stats.t.ppf calls, so the
     two agree bit for bit, without loading scipy.stats at run time."""
-    return float(special.stdtrit(dof, 0.5 + 0.5 * LEVEL))
+    # imported here: scipy.special alone doubles a process's start-up time and memory
+    from scipy.special import stdtrit
+    return float(stdtrit(dof, 0.5 + 0.5 * LEVEL))

@@ -1,5 +1,6 @@
 """Subcommand behavior through the in-process entry point."""
 
+import json
 import subprocess
 import sys
 import warnings
@@ -47,6 +48,53 @@ def test_import_loads_neither_scipy_signal_nor_stats():
     out = subprocess.run([sys.executable, "-c", probe, str(src)], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def _loaded_after(tmp_path, *commands):
+    """The sorted names of the scipy modules loaded in a fresh interpreter
+    after `import posecast.cli`, then after each posecast command in turn
+    (argument lists whose "{dir}" is tmp_path), run in that one process."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import contextlib, io, json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import posecast.cli\n"
+        "scipy = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "seen = [scipy()]\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert posecast.cli.main(argv) == 0, argv\n"
+        "    seen.append(scipy())\n"
+        "print(json.dumps(seen))\n")
+    argvs = [[a.replace("{dir}", str(tmp_path)) for a in argv] for argv in commands]
+    out = subprocess.run([sys.executable, "-c", probe, str(src), json.dumps(argvs)],
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+def test_import_and_streaming_commands_load_no_scipy(tmp_path):
+    # scipy.special alone is most of a process's start-up time and memory;
+    # only bench's summary intervals need it
+    seen = _loaded_after(
+        tmp_path,
+        ["synth", "--profile", "hard", "--duration", "3", "--seed", "1",
+         "--out", "{dir}/hard.csv"],
+        ["classify", "--input", "{dir}/hard.csv"],
+        ["predict", "--input", "{dir}/hard.csv", "--model", "p3o3",
+         "--horizon-ms", "100", "--drop-rate", "0.3", "--seed", "1"])
+    assert seen == [[]] * 4
+
+
+def test_bench_loads_scipy_special_for_its_intervals(tmp_path):
+    seen = _loaded_after(
+        tmp_path,
+        ["synth", "--profile", "hard", "--duration", "3", "--seed", "1",
+         "--out", "{dir}/hard.csv"],
+        ["bench", "--input", "{dir}/hard.csv", "--models", "KF", "--horizons", "100",
+         "--drop-rates", "0", "--repeats", "2", "--out", "{dir}/out"])
+    assert seen[:2] == [[], []]
+    assert "scipy.special" in seen[2]
+    assert not [m for m in seen[2] if m.startswith(("scipy.signal", "scipy.stats"))]
 
 
 class TestDegenerateNumbers:

@@ -184,6 +184,34 @@ class TestNominalPropagation:
         with pytest.raises(ValueError):
             predict_horizon(x, 0.01, 0, cfg)
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, np.float64(np.nan)])
+    def test_non_finite_dt_is_refused_not_propagated(self, dt):
+        x = nominal(0.0, pos=[[0.0] * 3, [1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3])
+        cfg = FilterConfig(model="p3o3")
+        with pytest.raises(ValueError, match="finite and positive"):
+            propagate_nominal(x, dt, cfg)
+        with pytest.raises(ValueError, match="finite and positive"):
+            predict_horizon(x, dt, 3, cfg)
+
+    @pytest.mark.parametrize("n", [2.5, "3", 3 + 0j, None])
+    def test_horizon_refuses_a_step_count_that_is_not_whole(self, n):
+        x = nominal(0.0, pos=[[0.0] * 3, [1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3])
+        rollout = []
+        with pytest.raises(ValueError, match="whole number"):
+            predict_horizon(x, 0.01, n, FilterConfig(), rollout)
+        assert rollout == []
+
+    @pytest.mark.parametrize("n", [3.0, np.int64(3), np.float64(3.0)])
+    def test_horizon_takes_any_whole_step_count(self, n):
+        x = nominal(0.0, pos=[[0.0] * 3, [1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3])
+        cfg = FilterConfig(model="p3o3")
+        a, b = [], []
+        pub = predict_horizon(x, 0.01, n, cfg, a)
+        ref_pub = predict_horizon(x, 0.01, 3, cfg, b)
+        assert a == b and len(a) == 3
+        assert pub.t == ref_pub.t
+        np.testing.assert_array_equal(pub.p, ref_pub.p)
+
 
 # -------------------------------------------------------- error transition
 

@@ -1,5 +1,10 @@
 """Error metric and summary statistic tests."""
 
+import json
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -126,6 +131,24 @@ class TestSummarize:
             for _ in range(2):      # the second call reads the cached quantile
                 s = summarize(x)
                 assert (s.ci_low, s.ci_high) == (s.mean - half, s.mean + half)
+
+    def test_quantile_loaded_in_a_fresh_process_matches_scipy_bit_for_bit(self):
+        # the quantile's scipy import happens on the first summarize of a process
+        src = Path(__file__).resolve().parent.parent / "src"
+        probe = ("import json, sys; sys.path.insert(0, sys.argv[1])\n"
+                 "from posecast.metrics import summarize\n"
+                 "assert not [m for m in sys.modules if m.startswith('scipy')]\n"
+                 "x = json.loads(sys.argv[2])\n"
+                 "print(json.dumps([[s.ci_low, s.ci_high] for s in map(summarize, x)]))\n")
+        rng = np.random.default_rng(9)
+        xs = [rng.normal(size=n).tolist() for n in (2, 3, 11, 40, 201)]
+        out = subprocess.run([sys.executable, "-c", probe, str(src), json.dumps(xs)],
+                             capture_output=True, text=True, check=True).stdout
+        for x, (lo, hi) in zip(xs, json.loads(out)):
+            mean = float(np.mean(x))
+            half = float(stats.t.ppf(0.975, len(x) - 1)) * (
+                float(np.std(x, ddof=1)) / np.sqrt(len(x)))
+            assert (lo, hi) == (mean - half, mean + half)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="empty"):
