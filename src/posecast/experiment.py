@@ -11,24 +11,21 @@ Every entry point prepares a trace through prepare_trace: `posecast
 bench`, `classify` and `predict`, the demos and the README's Library
 example. So wherever chunks are labelled (label_chunks), the labels are
 those of the poses the filters stream. Every stream, also in `posecast
-predict` and the demos, runs through stream_picks and score_picks. Each
-trace runs one predictor per (streamed model, drop rate, repeat) and
-scores every horizon from that one rollout: filter state never
-depends on the horizon, and at drop 0 every repeat is identical, so only
-repeat 0 runs. A model is streamed unless earlier streams already hold
-its errors: with p2o2 and p3o3 in the sweep, p2o3 takes the position
-errors of the one and the orientation errors of the other (_stream_plan).
-The drop pattern of a (drop rate, repeat) is drawn from a generator
-seeded by (master_seed, drop_rate, repeat), so models and horizons are
-compared under the same losses, and results never depend on execution
-order or on the rest of the grid.
+predict` and the demos, runs through stream_picks and score_picks, and
+scores every horizon from one rollout: filter state never depends on the
+horizon. Two rules share streams, each decided once as data: a draw of
+drop masks names the repeats it serves (drop_masks), and the plan names
+the two streams each model's errors come from (_stream_plan).
+run_experiment applies both without a branch on either. A draw is seeded
+by (master_seed, drop_rate, repeat), so models and horizons are compared
+under the same losses, and results never depend on execution order or
+on the rest of the grid.
 
 A stream's errors are score_picks' flat lists: one (e_pos, e_ori) pair
-per horizon, from tick 1, as predict prints them; a stitched model pairs
-the position list of one stream with the orientation list of another.
-Only _pool_cell cuts them by chunk, into one (ticks, e_pos, e_ori) segment
-per trace and class, which its cell pools and keeps. The drop-0 repeats
-share their cell's segments, and emit_report formats each segment once.
+per horizon, from tick 1, as predict prints them. Only _pool_cell cuts
+them by chunk, into one (ticks, e_pos, e_ori) segment per trace and
+class, which its cell pools and keeps. Every repeat a draw serves files
+the same segments, and emit_report formats each segment once.
 """
 
 import math
@@ -244,24 +241,27 @@ def _cell_rng(config, drop_rate, repeat):
 
 
 def drop_masks(config, traces):
-    """Received flags of ticks 1..n-1, per (drop rate, repeat) and trace.
+    """Received flags of ticks 1..n-1, per draw and trace.
 
-    All masks are drawn before any stream runs, trace after trace from one
-    generator per (drop rate, repeat), so every model and horizon sees the
-    same losses and a failed stream shifts no other stream's pattern. Every
-    tick gets a flag, also the unscored tail that no stream steps and the
-    ticks of a trace that cannot stream at all, so the draws for a trace
-    never depend on its labels, its timestamps or the horizons. At
-    drop 0 every packet arrives, so only repeat 0 gets masks: the repeats
-    share its stream.
+    A draw is keyed by (drop rate, repeats), the repeats it serves: at
+    drop 0 every packet arrives, so one draw serves all of them; any other
+    rate draws once per repeat r, keyed (drop rate, (r,)). All masks are
+    drawn before any stream runs, trace after trace from one generator per
+    draw, so every model and horizon sees the same losses and a failed
+    stream shifts no other stream's pattern. Every tick gets a flag, also
+    the unscored tail that no stream steps and the ticks of a trace that
+    cannot stream at all, so the draws for a trace never depend on its
+    labels, its timestamps or the horizons.
     """
     masks = {}
     for drop in config.drop_rates:
-        for rep in range(1 if drop == 0.0 else config.repeats):
-            rng = _cell_rng(config, drop, rep)
-            masks[drop, rep] = [[drop == 0.0 or simulate_drop(rng, drop)
-                                 for _ in range(1, len(trace))]
-                                for trace in traces]
+        draws = ([tuple(range(config.repeats))] if drop == 0.0
+                 else [(rep,) for rep in range(config.repeats)])
+        for repeats in draws:
+            rng = _cell_rng(config, drop, repeats[0])
+            masks[drop, repeats] = [[drop == 0.0 or simulate_drop(rng, drop)
+                                     for _ in range(1, len(trace))]
+                                    for trace in traces]
     return masks
 
 
@@ -286,56 +286,52 @@ def horizon_steps(horizons_ms, dt):
 
 
 def _stream_plan(models):
-    """The order the models run in, each with the streams it is stitched from.
+    """The order the models run in, each with the streams its errors come from.
 
-    Returns (model, sources) pairs. sources is None for a model that
-    streams a predictor of its own, or the (position, rotation) models
-    whose streams already hold its position and orientation errors.
-    Models of equal orders stream first. Each half is keyed on the
-    FilterConfig's predictor class and that half's order; a later model
-    whose two keys both match earlier streams builds no predictor. The
-    filters module notes state why that stitch is exact.
+    Returns (model, (position source, orientation source)) pairs, models of
+    equal orders first. Each half is keyed on the FilterConfig's predictor
+    class and that half's order, and its source is the first model in the
+    plan with that key: the filters module notes state why that model's
+    stream holds the half bit for bit. So a source never comes later than
+    the models it serves, and a model streams a predictor of its own if
+    and only if it is one of its own sources; with p2o2 and p3o3 listed,
+    p2o3 builds none.
     """
-    pos_src, rot_src, plan = {}, {}, []
-    for cfg in sorted(map(FilterConfig, models), key=lambda c: c.ord_pos != c.ord_rot):
-        key_pos, key_rot = (cfg.predictor, cfg.ord_pos), (cfg.predictor, cfg.ord_rot)
-        sources = None
-        if key_pos in pos_src and key_rot in rot_src:
-            sources = pos_src[key_pos], rot_src[key_rot]
-        else:
-            pos_src.setdefault(key_pos, cfg.model)
-            rot_src.setdefault(key_rot, cfg.model)
-        plan.append((cfg.model, sources))
-    return plan
+    configs = sorted(map(FilterConfig, models), key=lambda c: c.ord_pos != c.ord_rot)
+    pos_src, rot_src = {}, {}
+    for cfg in configs:
+        pos_src.setdefault((cfg.predictor, cfg.ord_pos), cfg.model)
+        rot_src.setdefault((cfg.predictor, cfg.ord_rot), cfg.model)
+    return [(cfg.model, (pos_src[cfg.predictor, cfg.ord_pos], rot_src[cfg.predictor, cfg.ord_rot]))
+            for cfg in configs]
 
 
 def run_experiment(config, traces):
     """Sweep every configured cell over the traces; returns the report.
 
-    One pass over the drop masks (drop_masks): each (drop rate, repeat)
-    runs one predictor per trace and streamed model, built at the longest
-    horizon, and a model stitched from earlier streams (_stream_plan)
-    builds none. Every horizon is pooled from that one rollout as its
-    cell's rows, failures and kept segments; at drop 0 only repeat 0
-    streams, and its cell fills every repeat. The pass then puts them in
-    grid order, by model, horizon and drop rate in the order of the config
-    and then repeat; the summary rows go model by model, class by class,
-    in that order.
+    One pass over the draws of drop_masks: each runs one predictor, built
+    at the longest horizon, per trace and model that streams in the plan
+    (_stream_plan). Each model's cell at each horizon is pooled from its
+    two source streams as rows, failures and kept segments, filed under
+    every repeat the draw serves. The pass then puts them in grid order,
+    by model, horizon and drop rate in the order of the config and then
+    repeat; the summary rows go model by model, class by class, in that
+    order.
 
     A stream that stops on a pose the filter refuses (ValueError: a
     non-finite or non-unit first pose or tick, a stale timestamp) marks
     every (cell, trace) combination it feeds failed and the sweep keeps
-    going; that trace contributes no samples to the failed cells, and a
-    stitched stream fails with the reason of its failed source. A
-    trace shorter than one chunk, with a chunk the classifier refuses (a
-    non-finite pose), or whose median tick interval does not suit the
-    sweep (a NaN timestamp, a horizon shorter than one tick or reaching
-    past the trace's end, two horizons on one tick count, a cutoff at or
-    above its Nyquist rate), fails them all with that error and
-    reports no labels; when no trace can be prefiltered, the first
-    trace's error is raised. Streams
-    stop at the last scored tick, so a filter that would break only after
-    it fails nothing.
+    going; that trace contributes no samples to the failed cells. A trace
+    with a non-finite pose, which the prefilter refuses, one shorter than
+    one chunk, one with a chunk the classifier refuses (a filtered
+    quaternion of zero norm comes out NaN), or one whose median tick
+    interval does not suit the sweep (a NaN timestamp, a horizon shorter
+    than one tick or reaching past the trace's end, two horizons on one
+    tick count, a cutoff at or above its Nyquist rate) fails them all
+    with that error and reports no labels; when no trace can be
+    prefiltered, the first trace's error is raised. Streams stop at the
+    last scored tick, so a filter that would break only after it fails
+    nothing.
     """
     # the summaries' t quantile loads scipy.special on first use; loaded amid
     # the streams' short-lived objects it fragments the heap, which slowed
@@ -357,18 +353,14 @@ def run_experiment(config, traces):
         raise prepared[0][4]
 
     plan = _stream_plan(config.models)
+    streamed = [model for model, sources in plan if model in sources]
     per_repeat, failures, segments = [], [], []
-    for (drop, rep), masks in drop_masks(config, traces).items():
-        repeats = range(config.repeats) if drop == 0.0 else (rep,)
-        streams = {}
-        for model, sources in plan:
-            if sources is None:
-                streams[model] = [_stream_trace(model, prep, mask)
-                                  for prep, mask in zip(prepared, masks)]
-            else:
-                streams[model] = list(map(_stitch, *(streams[s] for s in sources)))
+    for (drop, repeats), masks in drop_masks(config, traces).items():
+        streams = {model: [_stream_trace(model, prep, mask) for prep, mask in zip(prepared, masks)]
+                   for model in streamed}
+        for model, (pos, rot) in plan:
             for hi, h_ms in enumerate(config.horizons_ms):
-                stats, failed, kept = _pool_cell(config, prepared, streams[model], hi)
+                stats, failed, kept = _pool_cell(config, prepared, streams[pos], streams[rot], hi)
                 for r in repeats:
                     per_repeat.extend(PerRepeatRow(model, cls, h_ms, drop, r, *row)
                                       for cls, *row in stats)
@@ -438,25 +430,14 @@ def _stream_trace(model, prepared, mask):
         return e
 
 
-def _stitch(pos_stream, rot_stream):
-    """One trace's stream from the position errors of one stream and the
-    orientation errors of another, or the error of the first that failed.
-
-    Both ran on the same ticks under the same losses, so their lists are
-    aligned tick for tick and are shared, not copied.
-    """
-    for stream in (pos_stream, rot_stream):
-        if isinstance(stream, Exception):
-            return stream
-    return [(e_pos, e_ori) for (e_pos, _), (_, e_ori) in zip(pos_stream, rot_stream)]
-
-
-def _pool_cell(config, prepared, streams, hi):
-    """Pool horizon hi of one stream per trace into a cell, by class.
+def _pool_cell(config, prepared, pos_streams, rot_streams, hi):
+    """Pool horizon hi into a cell, by class: per trace, the position
+    errors of one stream and the orientation errors of another.
 
     Each trace's errors are cut with one slice per chunk of its labels
     (from prepared); a class whose chunks recur gets one segment holding
-    them in tick order. Returns the per-class statistics (class, pos
+    them in tick order. A trace fails with the error of the first of its
+    two streams that failed. Returns the per-class statistics (class, pos
     median, pos mean, ori median, ori mean, ticks), the failed traces
     (trace, reason) and, when samples are kept, the segments (class,
     trace, (ticks, e_pos, e_ori)) the statistics were pooled from.
@@ -464,11 +445,12 @@ def _pool_cell(config, prepared, streams, hi):
     pool = {}
     failed = []
     kept = []
-    for ti, (stream, (*_, labels)) in enumerate(zip(streams, prepared)):
+    for ti, (pos, rot, (*_, labels)) in enumerate(zip(pos_streams, rot_streams, prepared)):
+        stream = pos if isinstance(pos, Exception) else rot
         if isinstance(stream, Exception):
             failed.append((ti, str(stream)))
             continue
-        e_pos, e_ori = stream[hi]
+        e_pos, e_ori = pos[hi][0], rot[hi][1]
         ticks = range(1, len(e_pos) + 1)
         segments = {}
         for c, cls in enumerate(labels):

@@ -548,6 +548,8 @@ class KfBaseline:
     """
 
     def __init__(self, config, first_pose):
+        if config.predictor is not KfBaseline:
+            raise ValueError("use EskfPredictor for the error-state models")
         p, q = _check_pose(first_pose)
         self.config = config
         self.t = float(first_pose.t)

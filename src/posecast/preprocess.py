@@ -82,13 +82,19 @@ class StreamFilter:
         self._prev_q = None
 
     def filter_sample(self, pose):
-        """Advance the filter by one pose; returns the filtered pose."""
+        """Advance the filter by one pose; returns the filtered pose.
+        ValueError, leaving the filter as it was, for a non-finite position
+        or quaternion component, which would turn every later output NaN."""
+        u0, u1, u2 = so3._floats(pose.p)
         w, x, y, z = so3._floats(pose.q)
+        isfinite = math.isfinite
+        if not (isfinite(u0) and isfinite(u1) and isfinite(u2) and isfinite(w)
+                and isfinite(x) and isfinite(y) and isfinite(z)):
+            raise ValueError(f"pose at t = {pose.t:.9g} is not finite")
         prev = self._prev_q
         if prev is not None and w * prev[0] + x * prev[1] + y * prev[2] + z * prev[3] < 0.0:
             w, x, y, z = -w, -x, -y, -z
         self._prev_q = (w, x, y, z)
-        u0, u1, u2 = so3._floats(pose.p)
         u3, u4, u5, u6 = w, x, y, z
         state = self._z
         for i, (b0, b1, b2, a1, a2) in enumerate(self._sections):

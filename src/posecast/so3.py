@@ -206,8 +206,9 @@ def quat_log(q):
 def geodesic_distance(q_pred, q_true):
     """Rotation angle, in radians, taking q_true to q_pred.
 
-    Computed as |quat_log(q_pred * q_true^-1)| folded into [0, pi]; sign
-    flips of either argument do not change the result.
+    Computed as |quat_log(q_pred * q_true^-1)| folded into [0, pi]: at
+    the antipode that norm rounds up to a few ulp past pi. Sign flips of
+    either argument do not change the result.
     """
     w, x, y, z = _floats(q_true)
     lx, ly, lz = _log(_mul(_floats(q_pred), (w, -x, -y, -z)))

@@ -1,6 +1,7 @@
 """End-to-end checks of the sweep harness: seeding, pooling, reporting."""
 
 import dataclasses
+import itertools
 import re
 
 import numpy as np
@@ -681,7 +682,7 @@ class TestSharedStreams:
             by_model.setdefault(pred.config.model, []).append(tuple(pred.received))
         # p2o3 builds no predictor: it is stitched from p2o2 and p3o3
         assert set(by_model) == {m for m, sources in _stream_plan(cfg.models)
-                                 if sources is None}
+                                 if m in sources}
         for masks in by_model.values():
             assert sorted(masks) == streamed
         # the stitched model scores as a sweep that streams it, under the same losses
@@ -811,7 +812,7 @@ class TestSharedStreams:
 class TestStreamPlan:
     def test_plan_streams_one_model_per_pair_of_orders(self):
         def streamed(models):
-            return sorted(m for m, sources in _stream_plan(models) if sources is None)
+            return sorted(m for m, sources in _stream_plan(models) if m in sources)
 
         assert streamed(MODEL_NAMES) == sorted(("KF", "ESKF", "p2o2", "p3o3"))
         assert dict(_stream_plan(MODEL_NAMES))["p2o3"] == ("p2o2", "p3o3")
@@ -822,7 +823,7 @@ class TestStreamPlan:
 
     def test_every_model_scores_as_in_a_sweep_of_its_own(self):
         # trace 2 repeats a timestamp mid-trace, which every filter refuses,
-        # and trace 3 has a non-finite pose mid-trace, which the classifier
+        # and trace 3 has a non-finite pose mid-trace, which the prefilter
         # refuses; a stitched model must fail them with its own sweep's reasons
         tr0, tr1, tr2, tr3 = (generate_synthetic_trace(profile, 2.5, seed=s)
                               for profile, s in (("hard", 1), ("medium", 2),
@@ -850,7 +851,43 @@ class TestStreamPlan:
         assert rows and samples
         assert {(f.trace_index, f.reason) for f in failures} == {
             (2, "tick timestamp 1.19 does not advance past 1.19"),
-            (3, "chunk pose 120 at t = 1.2 is not finite")}
+            (3, "pose at t = 1.2 is not finite")}
+
+    def test_every_list_of_models_scores_each_as_in_a_sweep_of_its_own(self):
+        # trace 1 repeats a timestamp at tick 30 of 200, so every stream over
+        # it fails there; each model of every list, forward and reversed,
+        # must score and fail as it does alone
+        good, bad = (generate_synthetic_trace("hard", 2.1, seed=s) for s in (5, 6))
+        t = bad.t.copy()
+        t[30] = t[29]
+        traces = [good, Trace(t, bad.p, bad.q)]
+        cfg = ExperimentConfig(horizons_ms=(20, 100), drop_rates=(0.0, 0.5), repeats=2,
+                               master_seed=3)
+
+        def by_model(models):
+            report = run_experiment(dataclasses.replace(cfg, models=models), traces)
+            samples = report.samples
+            return {m: ([r for r in report.per_repeat if r.model == m],
+                        [f for f in report.failures if f.model == m],
+                        [s for s in samples if s[0] == m]) for m in models}
+
+        alone = {m: by_model((m,))[m] for m in MODEL_NAMES}
+        assert all(rows and failures and samples for rows, failures, samples in alone.values())
+        for size in range(1, len(MODEL_NAMES) + 1):
+            for subset in itertools.combinations(MODEL_NAMES, size):
+                for models in dict.fromkeys((subset, subset[::-1])):
+                    plan = _stream_plan(models)
+                    order = [m for m, _ in plan]
+                    assert sorted(order) == sorted(models)
+                    for i, (model, (pos, rot)) in enumerate(plan):
+                        want, got_pos, got_rot = map(FilterConfig, (model, pos, rot))
+                        assert ((got_pos.predictor, got_pos.ord_pos)
+                                == (want.predictor, want.ord_pos)), (models, model)
+                        assert ((got_rot.predictor, got_rot.ord_rot)
+                                == (want.predictor, want.ord_rot)), (models, model)
+                        assert order.index(pos) <= i and order.index(rot) <= i
+                    for model, got in by_model(models).items():
+                        assert got == alone[model], (models, model)
 
     def test_stitched_model_fails_with_its_failed_source(self, monkeypatch):
         def breaking(config, first_pose):
@@ -867,6 +904,17 @@ class TestStreamPlan:
         assert failed["p2o3"] == failed["p3o3"] and failed["p2o3"]
         assert failed["p2o2"] == []
         assert {s[0] for s in rep.samples} == {"p2o2"}
+
+    def test_model_whose_two_sources_fail_reports_its_position_source(self, monkeypatch):
+        def breaking(config, first_pose):
+            raise ValueError(f"{config.model} refused")
+
+        monkeypatch.setattr("posecast.experiment.make_predictor", breaking)
+        cfg = ExperimentConfig(models=("p3o3", "p2o3", "p2o2"), horizons_ms=(20,),
+                               drop_rates=(0.5,), repeats=1)
+        rep = run_experiment(cfg, [generate_synthetic_trace("medium", 2.5, seed=1)])
+        assert [(f.model, f.reason) for f in rep.failures] == [
+            ("p3o3", "p3o3 refused"), ("p2o3", "p2o2 refused"), ("p2o2", "p2o2 refused")]
 
 
 class TestScoredTicksOnly:

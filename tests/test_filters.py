@@ -520,6 +520,8 @@ class TestEskfPredictor:
                           EskfPredictor)
         with pytest.raises(ValueError):
             EskfPredictor(FilterConfig(model="KF"), first)
+        with pytest.raises(ValueError):
+            KfBaseline(FilterConfig(model="p3o3"), first)
 
 
 # --------------------------------------------------------- linear baseline

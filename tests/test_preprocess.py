@@ -227,15 +227,32 @@ def test_list_fields_filter_like_arrays():
                                     zip(trace.t, trace.p.tolist(), trace.q.tolist())])
 
 
-def test_nan_input_gives_nan_output_quietly():
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("component", range(7))
+def test_non_finite_input_is_refused_and_leaves_the_filter(component, value):
     f = StreamFilter(design_butterworth_lowpass())
-    f.filter_sample(Pose(0.0, np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0])))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        out = f.filter_sample(Pose(0.01, np.array([math.nan, 0.0, 0.0]),
-                                   np.array([math.nan, 0.0, 0.0, 0.0])))
-    assert math.isnan(out.p[0]) and np.isnan(out.q).all()
-    assert out.p[1] == out.p[2] == 0.0
+    f.filter_sample(Pose(0.0, [0.1, 0.2, 0.3], [0.0, 0.6, 0.0, 0.8]))
+    state, prev_q = list(f._z), f._prev_q
+    pq = [0.1, 0.2, 0.3, -0.6, 0.0, 0.8, 0.0]
+    pq[component] = value
+    with pytest.raises(ValueError, match=r"t = 0\.01 is not finite"):
+        f.filter_sample(Pose(0.01, pq[:3], pq[3:]))
+    assert f._z == state and f._prev_q == prev_q
+
+
+def test_stream_after_a_refused_sample_is_the_stream_without_it():
+    # a NaN at sample 10 of a 1 s trace once left p[0] NaN to the last sample
+    trace = _sign_flipped(generate_synthetic_trace("hard", 1.0, seed=4))
+    poses = [trace.pose(i) for i in range(len(trace))]
+    sos = design_butterworth_lowpass()
+    seen, unseen = StreamFilter(sos), StreamFilter(sos)
+    for k, pose in enumerate(poses):
+        if k == 10:
+            with pytest.raises(ValueError, match="not finite"):
+                seen.filter_sample(Pose(pose.t, [math.nan, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]))
+        a, b = seen.filter_sample(pose), unseen.filter_sample(pose)
+        assert np.array_equal(a.p, b.p) and np.array_equal(a.q, b.q)
+    assert np.isfinite(a.p).all() and np.isfinite(a.q).all()
 
 
 def test_zero_norm_quaternion_gives_nan():

@@ -112,6 +112,21 @@ def test_geodesic_matches_matrix_trace_angle():
         assert abs(d - matrix_angle(R)) < 1e-7
 
 
+def test_geodesic_is_at_most_pi_near_and_at_the_antipode():
+    # at the antipode the log's norm rounds a few ulp past pi in about half
+    # of all pairs; the distance still lies in [0, pi]
+    rng = np.random.default_rng(9)
+    for gap in (None, 0.0, 1e-15, 1e-12, 1e-8):
+        for _ in range(500):
+            qb = so3.quat_exp(random_rotvecs(rng, 1)[0])
+            axis = rng.normal(size=3)
+            axis /= np.linalg.norm(axis)
+            turn = (np.array([0.0, *axis]) if gap is None
+                    else so3.quat_exp((np.pi - gap) * axis))
+            d = so3.geodesic_distance(so3.quat_multiply(qb, turn), qb)
+            assert np.pi - (gap or 0.0) - 1e-7 <= d <= np.pi
+
+
 def test_exp_matches_half_angle_formula():
     rng = np.random.default_rng(8)
     for v in random_rotvecs(rng, 100):
