@@ -1,5 +1,10 @@
 """Prediction error metrics and summary statistics.
 
+The two error metrics take one pose pair or a whole stream's pairs
+stacked into arrays; the sweep scores each stream in one call of each.
+Either way every error is the float of the scalar Python-float formula,
+bit for bit.
+
 Only numpy is loaded here. scipy is loaded for the summary intervals
 alone: their Student-t quantile is scipy.special.stdtrit, imported on the
 first call of _t_quantile (run_experiment loads it before its streams).
@@ -7,7 +12,6 @@ Only a sweep (`posecast bench`, `run_experiment`) summarizes, so synth,
 classify, predict and streaming never load scipy.
 """
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -17,15 +21,23 @@ from . import so3
 
 
 def position_error(p_pred, p_true):
-    """Euclidean distance between predicted and true position, millimeters."""
-    (a0, a1, a2), (b0, b1, b2) = so3._floats(p_pred), so3._floats(p_true)
-    d0, d1, d2 = a0 - b0, a1 - b1, a2 - b2
-    return 1000.0 * math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+    """Euclidean distance between predicted and true position, millimeters.
+
+    Either argument is one position or a stack of them, shaped (n, 3); two
+    single positions give a float, anything stacked an (n,) array.
+    """
+    pred, true = np.asarray(p_pred, dtype=float), np.asarray(p_true, dtype=float)
+    with np.errstate(all="ignore"):      # IEEE results, as Python floats give them
+        d0, d1, d2 = np.atleast_2d(pred - true).T
+        e = 1000.0 * np.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+    return e if max(pred.ndim, true.ndim) > 1 else float(e[0])
 
 
 def orientation_error(q_pred, q_true):
-    """Geodesic angle between predicted and true orientation, degrees in [0, 180]."""
-    return math.degrees(so3.geodesic_distance(q_pred, q_true))
+    """Geodesic angle between predicted and true orientation, degrees in
+    [0, 180]; stacked as so3.geodesic_distance is."""
+    e = np.degrees(so3.geodesic_distance(q_pred, q_true))   # math.degrees' factor
+    return e if e.ndim else float(e)
 
 
 @dataclass

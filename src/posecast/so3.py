@@ -10,15 +10,17 @@ Conventions, used by every module in this package:
 - Operations that return a quaternion canonicalize the sign so w >= 0.
 - Incremental orientation updates multiply on the right: q <- q * quat_exp(phi).
 
-Every operation is computed once, in Python floats: numpy's per-call
-overhead dwarfs the arithmetic on 3- and 4-vectors. The underscore
-kernels take and return tuples of floats and are what the filters'
-per-tick loop calls: _mul, _exp, _log, and _rotation_chain,
+Every operation on one rotation is computed once, in Python floats:
+numpy's per-call overhead dwarfs the arithmetic on 3- and 4-vectors. The
+underscore kernels take and return tuples of floats and are what the
+filters' per-tick loop calls: _mul, _exp, _log, and _rotation_chain,
 which integrates n rotation increments along the rate Taylor chain with
 one exp and a canonical Hamilton product per step, both written out in
 one loop per order. The public functions accept any sequence and wrap
 the same kernels in ndarrays; zed12_step and zed23_step are
-_rotation_chain's one-step case.
+_rotation_chain's one-step case. geodesic_distance alone scores whole
+streams at once: it runs _mul and _log's steps elementwise on stacks of
+quaternions, in numpy, and gives the floats of the scalar kernels.
 """
 
 import math
@@ -208,12 +210,39 @@ def geodesic_distance(q_pred, q_true):
 
     Computed as |quat_log(q_pred * q_true^-1)| folded into [0, pi]: at
     the antipode that norm rounds up to a few ulp past pi. Sign flips of
-    either argument do not change the result.
+    either argument do not change the result. Either argument is one
+    quaternion or a stack of them, shaped (n, 4); two single quaternions
+    give a float, anything stacked an (n,) array. Each angle is the float
+    _log and math.atan2 give for its pair: the steps run elementwise in
+    _log's operation order, and only the arctangent runs per element in
+    Python, since np.arctan2 rounds differently. ValueError, as from _log,
+    when a relative product's norm is more than 1e-6 off unit.
     """
-    w, x, y, z = _floats(q_true)
-    lx, ly, lz = _log(_mul(_floats(q_pred), (w, -x, -y, -z)))
-    d = math.sqrt(lx * lx + ly * ly + lz * lz)
-    return min(d, 2.0 * math.pi - d)
+    pred, true = np.asarray(q_pred, dtype=float), np.asarray(q_true, dtype=float)
+    pw, px, py, pz = np.atleast_2d(pred).T
+    w, x, y, z = np.atleast_2d(true).T
+    x, y, z = -x, -y, -z
+    # IEEE results without warnings, as Python floats give them: the branch
+    # that np.where drops may divide by zero or overflow
+    with np.errstate(all="ignore"):
+        rw = pw * w - px * x - py * y - pz * z
+        rx = pw * x + px * w + py * z - pz * y
+        ry = pw * y - px * z + py * w + pz * x
+        rz = pw * z + px * y - py * x + pz * w
+        n = np.sqrt(rw * rw + rx * rx + ry * ry + rz * rz)
+        bad = np.abs(n - 1.0) > 1e-6
+        if bad.any():
+            raise ValueError(f"quaternion norm {n[bad.argmax()]:.9g} is not within 1e-6 of unit")
+        # _log's sign flip negates x, y and z too, but they only enter squared
+        rw, rx, ry, rz = np.abs(rw / n), rx / n, ry / n, rz / n
+        s = np.sqrt(rx * rx + ry * ry + rz * rz)
+        angle = np.fromiter(map(math.atan2, s.tolist(), rw.tolist()), float, len(s))
+        k = np.where(s < 1e-9, 2.0 / rw, 2.0 * angle / s)
+        lx, ly, lz = k * rx, k * ry, k * rz
+        d = np.sqrt(lx * lx + ly * ly + lz * lz)
+        other = 2.0 * math.pi - d
+    d = np.where(other < d, other, d)       # min(d, other), NaN included
+    return d if max(pred.ndim, true.ndim) > 1 else float(d[0])
 
 
 def zed12_step(q, w0, w1, h):

@@ -20,7 +20,9 @@ the generic float kernels the filters' order-specialised ones replaced:
 the full four-row Taylor chain (taylor_rollout), the in-place divided
 difference table (divided_difference_derivatives) and the baseline's
 single constant-velocity step (cv_step); each specialised kernel must
-give their floats bit for bit.
+give their floats bit for bit. The scalar float error metrics
+(geodesic_distance, position_error, orientation_error) are exact in the
+same way: the stacked numpy metrics must give their floats bit for bit.
 RefStreamFilter is the pose prefilter's former array code: its biquads
 match the float prefilter bit for bit, while its np.linalg.norm (a BLAS
 dot product) and np.dot sign check may round differently.
@@ -238,6 +240,28 @@ def cv_step(p, v, q, qd, h):
     w, x, y, z = (a + b * h for a, b in zip(q, qd))
     n = math.sqrt(w * w + x * x + y * y + z * z)
     return (p0 + v0 * h, p1 + v1 * h, p2 + v2 * h), (w / n, x / n, y / n, z / n)
+
+
+def geodesic_distance(q_pred, q_true):
+    """The scalar float geodesic the stacked so3.geodesic_distance
+    replaced: |_log(q_pred * q_true^-1)|, folded into [0, pi] by Python's
+    min."""
+    w, x, y, z = so3._floats(q_true)
+    lx, ly, lz = so3._log(so3._mul(so3._floats(q_pred), (w, -x, -y, -z)))
+    d = math.sqrt(lx * lx + ly * ly + lz * lz)
+    return min(d, 2.0 * math.pi - d)
+
+
+def position_error(p_pred, p_true):
+    """The scalar float position error, millimeters, that the stacked one replaced."""
+    (a0, a1, a2), (b0, b1, b2) = so3._floats(p_pred), so3._floats(p_true)
+    d0, d1, d2 = a0 - b0, a1 - b1, a2 - b2
+    return 1000.0 * math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
+
+
+def orientation_error(q_pred, q_true):
+    """The scalar float orientation error, degrees, that the stacked one replaced."""
+    return math.degrees(geodesic_distance(q_pred, q_true))
 
 
 # ----------------------------------------------------------- predictors

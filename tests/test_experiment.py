@@ -18,12 +18,16 @@ from posecast.experiment import (
     horizon_steps,
     prepare_trace,
     run_experiment,
+    score_picks,
     simulate_drop,
+    stream_picks,
 )
 from posecast.filters import MODEL_NAMES, FilterConfig, make_predictor
 from posecast.metrics import orientation_error, position_error
 from posecast.preprocess import CHUNK_LEN, chunk_trace, design_butterworth_lowpass, filter_trace
 from posecast.traces import Trace, generate_synthetic_trace
+
+import numpy_reference as ref
 
 
 def _stationary_trace(duration_s=20.0, hz=100.0):
@@ -401,6 +405,32 @@ class TestRunExperiment:
         assert rep.per_repeat == clean.per_repeat and rep.per_repeat
         assert rep.aggregates == clean.aggregates
         assert rep.samples == clean.samples
+
+    def test_raw_quaternion_off_unit_fails_its_trace_before_any_stream(self):
+        # the middle trace's raw quaternion 150 is 50 times too long; it is
+        # refused where the trace is prepared, naming that sample, so the
+        # trace streams nothing and reports no labels, and the traces on
+        # either side score as in a sweep whose middle trace is clean
+        tr0, tr1, tr2 = (generate_synthetic_trace("hard", 4.0, seed=s) for s in (1, 2, 3))
+        q = tr1.q.copy()
+        q[150] *= 50.0
+        bad = Trace(tr1.t, tr1.p, q)
+        reason = "sample 150 at t = 1.5: quaternion norm 50 is not within 1e-6 of unit"
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            prepare_trace(bad, (20, 60))
+        slack = tr1.q.copy()
+        slack[150] *= 1.0 + 5e-7                    # within _log's tolerance: accepted
+        prepare_trace(Trace(tr1.t, tr1.p, slack), (20, 60))
+        cfg = ExperimentConfig(models=("KF", "p3o3"), horizons_ms=(20, 60),
+                               drop_rates=(0.0, 0.3), repeats=2, master_seed=5)
+        clean = run_experiment(cfg, [tr0, tr1, tr2])
+        rep = run_experiment(cfg, [tr0, bad, tr2])
+        assert len(rep.failures) == 2 * 2 * 2 * 2
+        assert {f.trace_index for f in rep.failures} == {1}
+        assert all(f.reason == reason for f in rep.failures)
+        assert rep.chunk_classes[1] == []
+        assert rep.chunk_classes[0::2] == clean.chunk_classes[0::2]
+        assert rep.samples == [s for s in clean.samples if s[5] != 1] and rep.samples
 
     def test_horizon_past_the_end_fails_its_trace_not_the_sweep(self):
         # on a 1 s trace a 1000 ms horizon has no tick whose target lies in
@@ -959,6 +989,34 @@ class TestScoredTicksOnly:
         rep = run_experiment(cfg, traces)
         assert rep.failures == []
         assert rep.samples == clean.samples and rep.samples
+
+
+class TestScorePicks:
+    def test_stacked_horizons_split_as_each_scored_alone(self):
+        # horizons of 1, 2 and 20 ticks over one stream that runs to the
+        # trace's second-last tick: the two short horizons score every pick
+        # the truth covers, the long one stops 20 ticks before the end
+        trace = generate_synthetic_trace("hard", 2.5, seed=4)
+        dt, steps, _, poses, truth = prepare_trace(trace, (10, 20, 200))
+        assert steps == [1, 2, 20]
+        mask = [k % 3 != 0 for k in range(1, len(poses))]
+        picks = stream_picks("p3o3", dt, steps, poses, mask, len(poses) - 1)
+        scored = score_picks(picks, steps, truth)
+        true_p, true_q = truth
+        assert len(scored) == 3
+        for picked, n_steps, (e_pos, e_ori) in zip(picks, steps, scored):
+            n = min(len(picked), len(true_p) - n_steps - 1)
+            assert len(e_pos) == len(e_ori) == n
+            assert all(type(e) is float for e in e_pos + e_ori)
+            assert score_picks([picked], [n_steps], truth) == [(e_pos, e_ori)]
+            assert e_pos == [ref.position_error(p, true_p[j + 1 + n_steps])
+                             for j, (p, _) in enumerate(picked[:n])]
+            assert e_ori == [ref.orientation_error(q, true_q[j + 1 + n_steps])
+                             for j, (_, q) in enumerate(picked[:n])]
+        assert [len(e_pos) for e_pos, _ in scored] == [len(poses) - 2, len(poses) - 3,
+                                                       len(poses) - 21]
+        assert score_picks(picks, [], truth) == []
+        assert score_picks([picks[0][:0]], [1], truth) == [([], [])]
 
 
 class TestAggregateLookup:

@@ -3,7 +3,8 @@ measured distance from the rotation-coupled reference; property tests of
 the float rotation kernels (the rotation chain bit for bit against its
 stepwise definition), of the order-specialised position chain, stencil
 and baseline chain bit for bit against the generic kernels they
-replaced, of the pseudo-derivative stencil and its incremental window,
+replaced, of the stacked error metrics bit for bit against the scalar
+float ones, of the pseudo-derivative stencil and its incremental window,
 the covariance chains, the block structure of the reference covariance
 and the filters' long-run health."""
 
@@ -29,6 +30,7 @@ from posecast.filters import (
     estimate_pseudo_derivatives,
     make_predictor,
 )
+from posecast.metrics import orientation_error, position_error
 from posecast.traces import Pose, Trace, generate_synthetic_trace
 
 import numpy_reference as ref
@@ -128,6 +130,107 @@ def test_geodesic_symmetric_and_sign_blind(qa, qb):
     for other in (so3.geodesic_distance(qb, qa), so3.geodesic_distance(neg_a, qb),
                   so3.geodesic_distance(qa, neg_b), so3.geodesic_distance(neg_a, neg_b)):
         assert abs(other - d) <= 1e-9
+
+
+# ----------------------------------------------------------- error metrics
+
+_axes = _vec.filter(lambda v: math.hypot(*v) > 0.1).map(
+    lambda v: tuple(c / math.hypot(*v) for c in v))
+
+
+@st.composite
+def relative_rotations(draw):
+    """A unit quaternion r for a pair (q r, q): one of the geodesic's edge
+    cases, named by the tag drawn first."""
+    case = draw(st.sampled_from(("any", "equal", "negated", "antipode", "w < 0", "tiny")))
+    if case == "any":
+        return draw(unit_quats())
+    if case == "equal":
+        return (1.0, 0.0, 0.0, 0.0)
+    if case == "negated":
+        return (-1.0, 0.0, 0.0, 0.0)
+    if case == "antipode":
+        # at the antipode the log's norm can round past pi and is folded back
+        axis = draw(_axes)
+        gap = draw(st.sampled_from((None, 0.0, 1e-15, 1e-12, 1e-8)))
+        if gap is None:
+            return (0.0, *axis)
+        return tuple(so3.quat_exp([(math.pi - gap) * c for c in axis]).tolist())
+    if case == "w < 0":
+        return tuple((-so3.quat_exp(draw(rotvecs()))).tolist())
+    # angles about 1e-10 rad: below 2e-9 the log takes its s < 1e-9 branch
+    axis = draw(_axes)
+    angle = draw(st.floats(1e-12, 1e-8))
+    return tuple(so3.quat_exp([angle * c for c in axis]).tolist())
+
+
+@st.composite
+def quat_pairs(draw):
+    """(q_pred, q_true), q_pred = q_true r or exactly q_true or -q_true,
+    each component scaled up to 1e-7 off unit norm."""
+    q_true = draw(unit_quats())
+    r = draw(relative_rotations())
+    if r == (1.0, 0.0, 0.0, 0.0) or r == (-1.0, 0.0, 0.0, 0.0):
+        q_pred = tuple(r[0] * c for c in q_true)
+    else:
+        q_pred = so3._mul(q_true, r)
+    slack = st.floats(-1e-7, 1e-7)
+    return (tuple(c * (1.0 + draw(slack)) for c in q_pred),
+            tuple(c * (1.0 + draw(slack)) for c in q_true))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(quat_pairs(), min_size=1, max_size=20),
+       st.lists(st.tuples(_vec, _vec), min_size=1, max_size=20))
+def test_stacked_metrics_match_the_scalar_reference_bit_for_bit(pairs, positions):
+    q_pred, q_true = (np.array(c) for c in zip(*pairs))
+    for stacked, scalar in ((so3.geodesic_distance, ref.geodesic_distance),
+                            (orientation_error, ref.orientation_error)):
+        expect = [scalar(a, b) for a, b in pairs]
+        assert np.array_equal(_bits(stacked(q_pred, q_true)), _bits(expect))
+        one = stacked(*pairs[0])
+        assert type(one) is float and _bits(one) == _bits(expect[0])
+    p_pred, p_true = (np.array(c) for c in zip(*positions))
+    expect = [ref.position_error(a, b) for a, b in positions]
+    assert np.array_equal(_bits(position_error(p_pred, p_true)), _bits(expect))
+    one = position_error(*positions[0])
+    assert type(one) is float and _bits(one) == _bits(expect[0])
+
+
+def test_stacked_metrics_match_the_scalar_reference_on_a_seeded_stack():
+    # relative angles spread from 1e-10 rad to pi, then exact half-turns,
+    # where the log's norm rounds past pi in about half of the pairs, then
+    # equal pairs; every other q_pred is negated, so the relative product
+    # has w < 0. At angles of order 1 np.arctan2 rounds differently from
+    # math.atan2 in a few percent of the pairs, so no branch, fold or
+    # arctangent can differ from the scalar code by chance here
+    rng = np.random.default_rng(26)
+    axes = rng.normal(size=(4000, 3))
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    angles = np.pi * 10.0 ** rng.uniform(-10.0, 0.0, 3000)
+    rel = ([so3._exp((axis * a).tolist()) for axis, a in zip(axes, angles)]
+           + [(0.0, *axis) for axis in axes[3000:].tolist()] + [(1.0, 0.0, 0.0, 0.0)] * 100)
+    q_true = [so3._exp(v) for v in rng.normal(size=(len(rel), 3)).tolist()]
+    q_pred = [tuple(c * (-1.0) ** k for c in so3._mul(q, r))
+              for k, (q, r) in enumerate(zip(q_true, rel))]
+    q_pred, q_true = np.array(q_pred), np.array(q_true)
+    expect = [ref.orientation_error(a, b) for a, b in zip(q_pred, q_true)]
+    assert np.array_equal(_bits(orientation_error(q_pred, q_true)), _bits(expect))
+    p_pred, p_true = rng.normal(size=(2, 4000, 3))
+    expect = [ref.position_error(a, b) for a, b in zip(p_pred, p_true)]
+    assert np.array_equal(_bits(position_error(p_pred, p_true)), _bits(expect))
+
+
+def test_stacked_geodesic_refuses_the_first_pair_off_unit():
+    q = np.tile([1.0, 0.0, 0.0, 0.0], (5, 1))
+    q[3] *= 3.0
+    q[4] *= 2.0
+    with pytest.raises(ValueError, match="^quaternion norm 3 is not within 1e-6 of unit$"):
+        so3.geodesic_distance(q, np.tile([1.0, 0.0, 0.0, 0.0], (5, 1)))
 
 
 # ------------------------------------------------------ pseudo-derivatives
