@@ -16,8 +16,10 @@ scores every horizon from one rollout: filter state never depends on the
 horizon. Two rules share streams, each decided once as data: a draw of
 drop masks names the repeats it serves (drop_masks), and the plan names
 the two streams each model's errors come from (_stream_plan).
-run_experiment applies both without a branch on either. A draw is seeded
-by (master_seed, drop_rate, repeat), so models and horizons are compared
+run_experiment applies both without a branch on either, files each cell
+under every (model, horizon, drop rate, repeat) it serves, and reads the
+report out of that table in grid order. A draw is seeded by
+(master_seed, drop_rate, repeat), so models and horizons are compared
 under the same losses, and results never depend on execution order or
 on the rest of the grid.
 
@@ -36,7 +38,7 @@ import os
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 
 import numpy as np
 
@@ -44,7 +46,8 @@ from .classifier import MotionClass, classify, discretize_chunk, lz_entropy
 from .filters import MODEL_NAMES, FilterConfig, canonical_model_name, make_predictor
 from .metrics import orientation_error, position_error, summarize
 from .preprocess import CHUNK_LEN, chunk_trace, design_butterworth_lowpass, filter_trace
-from .traces import Pose, whole_number
+from .so3 import UNIT_NORM_TOL, off_unit_message
+from .traces import Pose, real_number, whole_number
 
 SAMPLES_COLUMNS = "model,class,horizon_ms,drop_rate,repeat,trace,tick,e_pos_mm,e_ori_deg"
 
@@ -74,12 +77,12 @@ class ExperimentConfig:
         object.__setattr__(self, "models", tuple(canonical_model_name(m) for m in self.models))
         if not self.models:
             raise ValueError("at least one model is required")
-        if not all(float(h).is_integer() for h in self.horizons_ms):
-            raise ValueError(f"horizons must be whole milliseconds, got {self.horizons_ms}")
-        object.__setattr__(self, "horizons_ms", tuple(int(h) for h in self.horizons_ms))
+        object.__setattr__(self, "horizons_ms",
+                           tuple(whole_number("horizons_ms", h) for h in self.horizons_ms))
         if any(h < 1 for h in self.horizons_ms) or not self.horizons_ms:
             raise ValueError("horizons must be positive and non-empty")
-        object.__setattr__(self, "drop_rates", tuple(float(d) for d in self.drop_rates))
+        object.__setattr__(self, "drop_rates",
+                           tuple(real_number("drop_rates", d) for d in self.drop_rates))
         if any(not 0.0 <= d <= 1.0 for d in self.drop_rates) or not self.drop_rates:
             raise ValueError("drop rates must lie in [0, 1]")
         for name in ("models", "horizons_ms", "drop_rates"):
@@ -216,8 +219,9 @@ def prepare_trace(trace, horizons_ms):
     ValueError when dt does not suit the horizons or the prefilter's
     cutoff, when two horizons round to the same tick count, when the
     longest horizon leaves no tick with a target in the trace, or when a
-    raw quaternion's norm is more than 1e-6 off unit, the tolerance of
-    the log map that scores it; that error names the first such sample.
+    raw quaternion's norm is more than UNIT_NORM_TOL off unit, the
+    tolerance of the log map that scores it; that error names the first
+    such sample.
     """
     dt = trace.median_dt()
     steps = horizon_steps(horizons_ms, dt)
@@ -232,11 +236,10 @@ def prepare_trace(trace, horizons_ms):
     filtered = filter_trace(trace, design_butterworth_lowpass(sample_hz=1.0 / dt))
     w, x, y, z = trace.q.T
     norm = np.sqrt(w * w + x * x + y * y + z * z)
-    off = np.flatnonzero(np.abs(norm - 1.0) > 1e-6)
+    off = np.flatnonzero(np.abs(norm - 1.0) > UNIT_NORM_TOL)
     if off.size:
         k = off[0]
-        raise ValueError(f"sample {k} at t = {trace.t[k]:.9g}: quaternion norm "
-                         f"{norm[k]:.9g} is not within 1e-6 of unit")
+        raise ValueError(f"sample {k} at t = {trace.t[k]:.9g}: {off_unit_message(norm[k])}")
     p, q = filtered.p.view(), filtered.q.view()
     p.flags.writeable = q.flags.writeable = False
     poses = [Pose(t, pk, qk) for t, pk, qk in zip(filtered.t.tolist(), p, q)]
@@ -308,7 +311,8 @@ def _stream_plan(models):
     stream holds the half bit for bit. So a source never comes later than
     the models it serves, and a model streams a predictor of its own if
     and only if it is one of its own sources; with p2o2 and p3o3 listed,
-    p2o3 builds none.
+    p2o3 builds none. The plan's order sets which model is a source and
+    no output order: run_experiment reads its report out in grid order.
     """
     configs = sorted(map(FilterConfig, models), key=lambda c: c.ord_pos != c.ord_rot)
     pos_src, rot_src = {}, {}
@@ -325,18 +329,18 @@ def run_experiment(config, traces):
     One pass over the draws of drop_masks: each runs one predictor, built
     at the longest horizon, per trace and model that streams in the plan
     (_stream_plan). Each model's cell at each horizon is pooled from its
-    two source streams as rows, failures and kept segments, filed under
-    every repeat the draw serves. The pass then puts them in grid order,
-    by model, horizon and drop rate in the order of the config and then
-    repeat; the summary rows go model by model, class by class, in that
-    order.
+    two source streams (_pool_cell) and filed once under every
+    (model, horizon, drop rate, repeat) the draw serves. One loop over
+    that grid, in the config's orders, then reads out the per-repeat rows,
+    failures and kept segments; the summary rows go model by model, class
+    by class, in that order.
 
     A stream that stops on a pose the filter refuses (ValueError: a
     non-finite or non-unit first pose or tick, a stale timestamp) marks
     every (cell, trace) combination it feeds failed and the sweep keeps
     going; that trace contributes no samples to the failed cells. A trace
     with a non-finite pose, which the prefilter refuses, one with a raw
-    quaternion more than 1e-6 off unit norm, one shorter than
+    quaternion more than UNIT_NORM_TOL off unit norm, one shorter than
     one chunk, one with a chunk the classifier refuses (a filtered
     quaternion of zero norm comes out NaN), or one whose median tick
     interval does not suit the sweep (a NaN timestamp, a horizon shorter
@@ -368,32 +372,26 @@ def run_experiment(config, traces):
 
     plan = _stream_plan(config.models)
     streamed = [model for model, sources in plan if model in sources]
-    per_repeat, failures, segments = [], [], []
+    cells = {}
     for (drop, repeats), masks in drop_masks(config, traces).items():
         streams = {model: [_stream_trace(model, prep, mask) for prep, mask in zip(prepared, masks)]
                    for model in streamed}
         for model, (pos, rot) in plan:
             for hi, h_ms in enumerate(config.horizons_ms):
-                stats, failed, kept = _pool_cell(config, prepared, streams[pos], streams[rot], hi)
-                for r in repeats:
-                    per_repeat.extend(PerRepeatRow(model, cls, h_ms, drop, r, *row)
-                                      for cls, *row in stats)
-                    failures.extend(FailedCell(model, h_ms, drop, r, ti, reason)
-                                    for ti, reason in failed)
-                    segments.extend((model, cls, h_ms, drop, r, ti, segment)
-                                    for cls, ti, segment in kept)
+                cell = _pool_cell(config, prepared, streams[pos], streams[rot], hi)
+                cells.update(((model, h_ms, drop, r), cell) for r in repeats)
 
-    def grid(model, h_ms, drop, rep):
-        return (config.models.index(model), config.horizons_ms.index(h_ms),
-                config.drop_rates.index(drop), rep)
-    per_repeat.sort(key=lambda r: grid(r.model, r.horizon_ms, r.drop_rate, r.repeat))
-    failures.sort(key=lambda f: grid(f.model, f.horizon_ms, f.drop_rate, f.repeat))
-    segments.sort(key=lambda s: grid(s[0], *s[2:5]))
-    groups = {}
-    for r in per_repeat:
-        groups.setdefault((r.model, r.horizon_ms, r.drop_rate, r.motion_class), []).append(r)
+    per_repeat, failures, segments, groups = [], [], [], {}
+    for model, h_ms, drop, r in product(config.models, config.horizons_ms,
+                                        config.drop_rates, range(config.repeats)):
+        stats, failed, kept = cells[model, h_ms, drop, r]
+        for cls, *row in stats:
+            per_repeat.append(PerRepeatRow(model, cls, h_ms, drop, r, *row))
+            groups.setdefault((model, cls, h_ms, drop), []).append(per_repeat[-1])
+        failures.extend(FailedCell(model, h_ms, drop, r, ti, reason) for ti, reason in failed)
+        segments.extend((model, cls, h_ms, drop, r, ti, segment) for cls, ti, segment in kept)
     aggregates = sorted(map(_aggregate_row, groups.values()),
-                        key=lambda r: (config.models.index(r.model), r.motion_class))
+                        key=lambda a: (config.models.index(a.model), a.motion_class))
     return ExperimentReport(config, per_repeat, aggregates, failures,
                             [[] if isinstance(labels, ValueError) else labels
                              for *_, labels in prepared], segments)

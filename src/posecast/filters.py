@@ -83,7 +83,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import so3
-from .traces import Pose, whole_number
+from .traces import Pose, real_number, whole_number
 
 class DegeneracyError(RuntimeError):
     """A filter whose innovation covariance is numerically unusable.
@@ -119,6 +119,7 @@ class FilterConfig:
         for name, value in (("predictor", predictor), ("ord_pos", ord_pos),
                             ("ord_rot", ord_rot), ("min_window", max(ord_pos, ord_rot) + 1)):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "dt", real_number("dt", self.dt))
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
         object.__setattr__(self, "horizon_steps",
@@ -413,7 +414,7 @@ def _check_pose(z):
     """Pose z's position and quaternion as floats.
 
     ValueError unless they and z.t are finite and the quaternion is unit
-    to 1e-6, the tolerance of so3.quat_log."""
+    to so3.UNIT_NORM_TOL, the tolerance of so3.quat_log."""
     p, q = so3._floats(z.p), so3._floats(z.q)
     p0, p1, p2 = p
     qw, qx, qy, qz = q
@@ -423,9 +424,8 @@ def _check_pose(z):
         raise ValueError(f"measurement at t = {z.t:.9g} is not finite: "
                          f"p = {z.p}, q = {z.q}")
     n = math.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-    if abs(n - 1.0) > 1e-6:
-        raise ValueError(f"measurement at t = {z.t:.9g}: quaternion norm "
-                         f"{n:.9g} is not within 1e-6 of unit")
+    if abs(n - 1.0) > so3.UNIT_NORM_TOL:
+        raise ValueError(f"measurement at t = {z.t:.9g}: {so3.off_unit_message(n)}")
     return p, q
 
 

@@ -30,6 +30,17 @@ import numpy as np
 
 _ZERO3 = (0.0, 0.0, 0.0)
 
+# how far off 1 a quaternion's norm may be: _log renormalizes within it and
+# refuses beyond it, and so does every check of a pose the filters score
+UNIT_NORM_TOL = 1e-6
+
+
+def off_unit_message(norm):
+    """The error text for a quaternion norm off 1 by more than
+    UNIT_NORM_TOL, the tolerance written as 1e-6, not as Python's 1e-06."""
+    tol = f"{UNIT_NORM_TOL:.0e}".replace("e-0", "e-")
+    return f"quaternion norm {norm:.9g} is not within {tol} of unit"
+
 
 def _floats(v):
     """Components of a vector as Python numbers (ndarrays via tolist)."""
@@ -63,8 +74,8 @@ def _exp(v):
 def _log(q):
     w, x, y, z = q
     n = math.sqrt(w * w + x * x + y * y + z * z)
-    if abs(n - 1.0) > 1e-6:
-        raise ValueError(f"quaternion norm {n:.9g} is not within 1e-6 of unit")
+    if abs(n - 1.0) > UNIT_NORM_TOL:
+        raise ValueError(off_unit_message(n))
     w, x, y, z = w / n, x / n, y / n, z / n
     if w < 0.0:
         w, x, y, z = -w, -x, -y, -z
@@ -200,7 +211,7 @@ def quat_log(q):
     """Log map: unit quaternion -> rotation vector with angle in [0, pi].
 
     Raises ValueError when the input norm deviates from 1 by more than
-    1e-6; smaller deviations are renormalized away.
+    UNIT_NORM_TOL; smaller deviations are renormalized away.
     """
     return np.array(_log(_floats(q)))
 
@@ -216,7 +227,7 @@ def geodesic_distance(q_pred, q_true):
     _log and math.atan2 give for its pair: the steps run elementwise in
     _log's operation order, and only the arctangent runs per element in
     Python, since np.arctan2 rounds differently. ValueError, as from _log,
-    when a relative product's norm is more than 1e-6 off unit.
+    when a relative product's norm is more than UNIT_NORM_TOL off unit.
     """
     pred, true = np.asarray(q_pred, dtype=float), np.asarray(q_true, dtype=float)
     pw, px, py, pz = np.atleast_2d(pred).T
@@ -230,9 +241,9 @@ def geodesic_distance(q_pred, q_true):
         ry = pw * y - px * z + py * w + pz * x
         rz = pw * z + px * y - py * x + pz * w
         n = np.sqrt(rw * rw + rx * rx + ry * ry + rz * rz)
-        bad = np.abs(n - 1.0) > 1e-6
+        bad = np.abs(n - 1.0) > UNIT_NORM_TOL
         if bad.any():
-            raise ValueError(f"quaternion norm {n[bad.argmax()]:.9g} is not within 1e-6 of unit")
+            raise ValueError(off_unit_message(n[bad.argmax()]))
         # _log's sign flip negates x, y and z too, but they only enter squared
         rw, rx, ry, rz = np.abs(rw / n), rx / n, ry / n, rz / n
         s = np.sqrt(rx * rx + ry * ry + rz * rz)
@@ -251,8 +262,8 @@ def zed12_step(q, w0, w1, h):
     w0 is the angular rate at the start of the step, w1 its slope. The
     integrated increment w0*h + w1*h^2/2 is applied on the right.
     """
-    if h <= 0.0:
-        raise ValueError("step size h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step size h must be finite and positive, got {h!r}")
     qs, _ = _rotation_chain(_floats(q), _floats(w0), _floats(w1), _ZERO3, h, 1, 2)
     return np.array(qs[0])
 
@@ -266,8 +277,8 @@ def zed23_step(q, w0, w1, w2, h):
     correction (w0 x w1) h^3/12 that makes the step third-order accurate
     for non-commuting rotations.
     """
-    if h <= 0.0:
-        raise ValueError("step size h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step size h must be finite and positive, got {h!r}")
     c0, c1, c2 = _floats(w2)
     qs, _ = _rotation_chain(_floats(q), _floats(w0), _floats(w1),
                             (2.0 * c0, 2.0 * c1, 2.0 * c2), h, 1, 3)

@@ -26,6 +26,14 @@ def whole_number(name, value):
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
+def real_number(name, value):
+    """value as a float if it is a real number (a numpy one included, a
+    str never); ValueError otherwise."""
+    if isinstance(value, numbers.Real):
+        return float(value)
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass
 class Pose:
     """A timestamped rigid-body pose: t seconds, p meters, q unit [w,x,y,z]."""
@@ -181,11 +189,14 @@ def generate_synthetic_trace(profile, duration_s, sample_hz=100.0, seed=0):
     hard:   piecewise segments with abrupt velocity reversals and right-angle
             turns, content up to 4 Hz.
 
-    seed is a non-negative whole number (ValueError otherwise).
+    duration_s and sample_hz are real numbers and seed a non-negative whole
+    number (ValueError otherwise).
     Identical arguments produce a bit-identical trace.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile '{profile}', expected one of {PROFILES}")
+    duration_s = real_number("duration_s", duration_s)
+    sample_hz = real_number("sample_hz", sample_hz)
     if not (0.0 < duration_s < math.inf and 0.0 < sample_hz < math.inf):
         raise ValueError("duration and sample rate must be positive and finite")
     seed = whole_number("seed", seed)

@@ -122,6 +122,15 @@ class TestExperimentConfig:
                                drop_rates=map(float, ("0", "0.5")))
         assert (cfg.models, cfg.horizons_ms, cfg.drop_rates) == (("KF",), (20, 40), (0.0, 0.5))
 
+    @pytest.mark.parametrize("field, value", [
+        ("horizons_ms", "20"), ("horizons_ms", 20.5), ("horizons_ms", None),
+        ("drop_rates", "0.5"), ("drop_rates", None), ("drop_rates", b"0"),
+    ])
+    def test_rejects_list_entries_that_are_not_numbers(self, field, value):
+        # float() would read "20" as 20 ms and "0.5" as a drop rate
+        with pytest.raises(ValueError, match=f"^{field} must be a "):
+            ExperimentConfig(**{field: [value]})
+
     @pytest.mark.parametrize("field", ["repeats", "master_seed"])
     @pytest.mark.parametrize("value", [2, 2.0, np.int64(2), np.uint8(2), np.float64(2.0)])
     def test_whole_numbers_are_stored_as_int(self, field, value):
@@ -752,15 +761,17 @@ class TestSharedStreams:
                              and s[4] == r)
                 assert got == expect, (model, h_ms, drop, r)
 
-    def test_rows_failures_and_segments_follow_the_grid_order(self):
+    @pytest.mark.parametrize("drop_rates", [(0.0, 0.5), (0.5, 0.0)])
+    def test_rows_failures_and_segments_follow_the_grid_order(self, drop_rates):
         # the models are listed stitched-first, so the streams run in
-        # another order than the config's; the 150-sample trace fails
+        # another order than the config's, and with (0.5, 0.0) the shared
+        # drop-0 draw is not the config's first; the 150-sample trace fails
         # every cell, between two traces that score
         traces = [generate_synthetic_trace("medium", 4.0, seed=1),
                   generate_synthetic_trace("hard", 1.5, seed=1),
                   generate_synthetic_trace("easy", 4.0, seed=2)]
         cfg = ExperimentConfig(models=("p2o3", "KF", "p3o3", "p2o2", "ESKF"),
-                               horizons_ms=(60, 20), drop_rates=(0.0, 0.5), repeats=3,
+                               horizons_ms=(60, 20), drop_rates=drop_rates, repeats=3,
                                master_seed=2)
         rep = run_experiment(cfg, traces)
 

@@ -2,6 +2,7 @@
 pseudo-derivatives, the streaming predictors, and the linear baseline."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -90,6 +91,16 @@ class TestFilterConfig:
                 FilterConfig(dt=dt)
         with pytest.raises(ValueError):
             FilterConfig(horizon_steps=0)
+
+    @pytest.mark.parametrize("dt", ["0.01", b"1", None])
+    def test_rejects_dt_that_is_not_a_real_number(self, dt):
+        with pytest.raises(ValueError, match="^dt must be a real number"):
+            FilterConfig(dt=dt)
+
+    @pytest.mark.parametrize("dt", [True, 1, np.float64(0.5), np.float32(0.5), Fraction(1, 2)])
+    def test_dt_is_stored_as_float(self, dt):
+        cfg = FilterConfig(dt=dt)
+        assert type(cfg.dt) is float and cfg.dt == float(dt)
 
     @pytest.mark.parametrize("steps", [3, 3.0, np.int64(3), np.int32(3), np.float64(3.0)])
     def test_whole_horizon_steps_are_stored_as_int(self, steps):

@@ -3,6 +3,9 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from posecast import so3
+from posecast.experiment import prepare_trace
+from posecast.filters import _check_pose
+from posecast.traces import Pose, Trace, generate_synthetic_trace
 
 from conftest import rk4_quat_reference, right_jacobian_closed_form, matrix_angle
 import numpy_reference as ref
@@ -159,6 +162,36 @@ def test_step_rejects_nonpositive_h():
             so3.zed12_step(q, w, w, h)
         with pytest.raises(ValueError):
             so3.zed23_step(q, w, w, w, h)
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf, -np.inf])
+def test_step_rejects_non_finite_h(h):
+    q = np.array([1.0, 0.0, 0.0, 0.0])
+    w = np.array([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="finite and positive"):
+        so3.zed12_step(q, w, w, h)
+    with pytest.raises(ValueError, match="finite and positive"):
+        so3.zed23_step(q, w, w, w, h)
+
+
+def _prepare_with(q):
+    tr = generate_synthetic_trace("hard", 4.0, seed=1)
+    qs = tr.q.copy()
+    qs[150] = q
+    prepare_trace(Trace(tr.t, tr.p, qs), (20,))
+
+
+@pytest.mark.parametrize("check", [
+    so3.quat_log,
+    lambda q: so3.geodesic_distance(q, [1.0, 0.0, 0.0, 0.0]),
+    lambda q: _check_pose(Pose(0.0, np.zeros(3), q)),
+    _prepare_with,
+], ids=["quat_log", "geodesic_distance", "filters._check_pose", "experiment.prepare_trace"])
+def test_every_unit_norm_check_has_the_one_tolerance(check):
+    tol = so3.UNIT_NORM_TOL
+    check(np.array([1.0 + 0.9 * tol, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="quaternion norm 1.0000011 is not within 1e-6 of unit"):
+        check(np.array([1.0 + 1.1 * tol, 0.0, 0.0, 0.0]))
 
 
 def test_steps_preserve_unit_norm():

@@ -191,6 +191,13 @@ class TestSyntheticProfiles:
         with pytest.raises(ValueError):
             generate_synthetic_trace("easy", 1.0, sample_hz=0.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("duration_s", "3"), ("duration_s", None), ("sample_hz", "100"), ("sample_hz", b"1"),
+    ])
+    def test_duration_and_rate_that_are_not_real_numbers_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            generate_synthetic_trace("easy", **{"duration_s": 3.0, name: value})
+
     @pytest.mark.parametrize("seed", [1.5, 1.9, -1, np.nan, "3", None])
     def test_seed_that_is_not_a_non_negative_whole_number_rejected(self, seed):
         # int() would quietly truncate 1.5 to seed 1, and numpy's own
