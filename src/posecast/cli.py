@@ -106,7 +106,7 @@ def _parse_floats(text, flag):
 
 def _experiment_config(args):
     return ExperimentConfig(
-        models=tuple(m for m in args.models.split(",") if m.strip() != ""),
+        models=tuple(m.strip() for m in args.models.split(",") if m.strip()),
         horizons_ms=_parse_floats(args.horizons, "--horizons"),
         drop_rates=_parse_floats(args.drop_rates, "--drop-rates"),
         repeats=args.repeats,

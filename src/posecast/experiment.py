@@ -27,9 +27,10 @@ A stream's errors are score_picks' flat lists: one (e_pos, e_ori) pair
 per horizon, from tick 1, as predict prints them. score_picks computes
 them in one numpy pass per stream: every horizon's picks are stacked
 against their targets in the truth arrays, each metric is called once,
-and the result is split back per horizon. Only _pool_cell cuts
-them by chunk, into one (ticks, e_pos, e_ori) segment per trace and
-class, which its cell pools and keeps. Every repeat a draw serves files
+and the result is split back per horizon. _stream_trace cuts each
+horizon's lists once, where the stream stops, into one (ticks, e_pos,
+e_ori) segment per class; every cell the stream feeds pools those same
+segments (_pool_cell) and keeps them. Every repeat a draw serves files
 the same segments, and emit_report formats each segment once.
 """
 
@@ -378,7 +379,8 @@ def run_experiment(config, traces):
                    for model in streamed}
         for model, (pos, rot) in plan:
             for hi, h_ms in enumerate(config.horizons_ms):
-                cell = _pool_cell(config, prepared, streams[pos], streams[rot], hi)
+                stats, failed, kept = _pool_cell(streams[pos], streams[rot], hi)
+                cell = stats, failed, (kept if config.keep_samples else [])
                 cells.update(((model, h_ms, drop, r), cell) for r in repeats)
 
     per_repeat, failures, segments, groups = [], [], [], {}
@@ -443,65 +445,62 @@ def score_picks(picks, steps, truth):
 
 
 def _stream_trace(model, prepared, mask):
-    """Stream one model over one prepared trace and score it.
+    """Stream one model over one prepared trace, score it and cut it by class.
 
-    Returns score_picks' (e_pos, e_ori) per horizon, from tick 1, or the
-    error that stopped the stream. The stream ends at the last tick any
-    horizon scores: ticks past the labelled chunks, or too close to the end
-    for the shortest horizon, are never filtered, so a filter that would
-    break there fails no cell.
+    Returns per horizon a dict of one (ticks, e_pos, e_ori) segment per
+    class, in the order the classes first appear, or the error that stopped
+    the stream. Tick k lies in chunk k // CHUNK_LEN; a class whose chunks
+    recur gets one segment holding them in tick order. The stream ends at
+    the last tick any horizon scores: ticks past the labelled chunks, or
+    too close to the end for the shortest horizon, are never filtered, so
+    a filter that would break there fails no cell.
     """
     dt, steps, poses, truth, labels = prepared
     if isinstance(labels, ValueError):
         return labels
     end = min(len(labels) * CHUNK_LEN, len(poses) - min(steps))
     try:
-        return score_picks(stream_picks(model, dt, steps, poses, mask, end), steps, truth)
+        scored = score_picks(stream_picks(model, dt, steps, poses, mask, end), steps, truth)
     except ValueError as e:
         return e
+    cut = []
+    for e_pos, e_ori in scored:
+        m = len(e_pos)
+        segments = {}
+        for c, cls in enumerate(labels[:m // CHUNK_LEN + 1]):
+            first, stop = max(c * CHUNK_LEN, 1), min((c + 1) * CHUNK_LEN, m + 1)
+            ticks, seg_pos, seg_ori = segments.setdefault(cls, ([], [], []))
+            ticks.extend(range(first, stop))
+            seg_pos.extend(e_pos[first - 1:stop - 1])
+            seg_ori.extend(e_ori[first - 1:stop - 1])
+        cut.append(segments)
+    return cut
 
 
-def _pool_cell(config, prepared, pos_streams, rot_streams, hi):
+def _pool_cell(pos_streams, rot_streams, hi):
     """Pool horizon hi into a cell, by class: per trace, the position
-    errors of one stream and the orientation errors of another.
-
-    Each trace's errors are cut with one slice per chunk of its labels
-    (from prepared); a class whose chunks recur gets one segment holding
-    them in tick order. A trace fails with the error of the first of its
-    two streams that failed. Returns the per-class statistics (class, pos
-    median, pos mean, ori median, ori mean, ticks), the failed traces
-    (trace, reason) and, when samples are kept, the segments (class,
-    trace, (ticks, e_pos, e_ori)) the statistics were pooled from.
+    errors of one stream's segments and the orientation errors of the
+    other's, which hold the same classes and ticks. A trace fails with the
+    error of the first of its two streams that failed. Returns the
+    per-class statistics (class, pos median, pos mean, ori median, ori
+    mean, ticks), the failed traces (trace, reason) and the segments
+    (class, trace, (ticks, e_pos, e_ori)) they were read off.
     """
-    pool = {}
-    failed = []
-    kept = []
-    for ti, (pos, rot, (*_, labels)) in enumerate(zip(pos_streams, rot_streams, prepared)):
+    failed, segments = [], []
+    for ti, (pos, rot) in enumerate(zip(pos_streams, rot_streams)):
         stream = pos if isinstance(pos, Exception) else rot
         if isinstance(stream, Exception):
             failed.append((ti, str(stream)))
             continue
-        e_pos, e_ori = pos[hi][0], rot[hi][1]
-        ticks = range(1, len(e_pos) + 1)
-        segments = {}
-        for c, cls in enumerate(labels):
-            chunk = slice(max(c * CHUNK_LEN, 1) - 1, (c + 1) * CHUNK_LEN - 1)
-            if chunk.start >= len(e_pos):
-                break
-            for dst, src in zip(segments.setdefault(cls, ([], [], [])), (ticks, e_pos, e_ori)):
-                dst.extend(src[chunk])
-        for cls, segment in segments.items():
-            dst = pool.setdefault(cls, ([], []))
-            dst[0].extend(segment[1])
-            dst[1].extend(segment[2])
-            if config.keep_samples:
-                kept.append((cls, ti, segment))
+        segments.extend((cls, ti, (ticks, e_pos, rot[hi][cls][2]))
+                        for cls, (ticks, e_pos, _) in pos[hi].items())
     stats = []
-    for cls, (eps, eos) in sorted(pool.items()):
-        eps, eos = np.array(eps), np.array(eos)
+    for cls in sorted({cls for cls, _, _ in segments}):
+        eps, eos = (np.concatenate([seg[i] for c, _, seg in segments if c == cls])
+                    for i in (1, 2))
         stats.append((cls, float(np.median(eps)), float(np.mean(eps)),
                       float(np.median(eos)), float(np.mean(eos)), len(eps)))
-    return stats, failed, kept
+    return stats, failed, segments
 
 
 def _aggregate_row(group):
@@ -569,7 +568,7 @@ def _write_table(report, fh):
             head1 = f"{'':8s}"
             head2 = f"{'model':8s}"
             for cls in classes:
-                head1 += f"| {cls.label:^39s} "
+                head1 += f"| {cls.label:^38s} "
                 head2 += ("| " + f"{'pos med':>9s}{'pos mean':>10s}"
                           + f"{'ori med':>9s}{'ori mean':>10s} ")
             fh.write(head1.rstrip() + "\n")

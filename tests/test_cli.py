@@ -361,6 +361,17 @@ class TestBench:
         assert ((tmp_path / "a" / "summary.csv").read_bytes()
                 == (tmp_path / "b" / "summary.csv").read_bytes())
 
+    def test_spaces_after_the_list_commas_are_ignored(self, tmp_path, capsys):
+        trace = self._synth(capsys, tmp_path)
+        args = ("bench", "--input", str(trace), "--drop-rates", "0, 0.5",
+                "--horizons", "20, 100", "--repeats", "2", "--seed", "3")
+        for name, models in (("tight", "KF,p3o3"), ("spaced", "KF, p3o3")):
+            code, _, stderr = _run(capsys, *args, "--models", models,
+                                   "--out", str(tmp_path / name))
+            assert (code, stderr) == (0, "")
+        assert ((tmp_path / "tight" / "summary.csv").read_bytes()
+                == (tmp_path / "spaced" / "summary.csv").read_bytes())
+
     _GRID = ("--models", "KF,p3o3", "--horizons", "20", "--drop-rates", "0,0.5",
              "--repeats", "2", "--seed", "0")
 

@@ -616,6 +616,27 @@ class TestEmitReport:
         assert "KF" in table
         assert "pos mean" in table and "ori med" in table
 
+    def test_table_columns_line_up_under_the_class_labels(self, tmp_path):
+        traces = [generate_synthetic_trace(p, 4.0, seed=1) for p in ("easy", "hard")]
+        cfg = ExperimentConfig(models=("KF", "p3o3"), horizons_ms=(20, 100),
+                               drop_rates=(0.0,), repeats=2)
+        rep = run_experiment(cfg, traces)
+        # KF has no Easy row in the 20 ms block: a blank cell ahead of its Hard one
+        kept = [r for r in rep.aggregates
+                if (r.model, r.motion_class, r.horizon_ms) != ("KF", MotionClass.EASY, 20)]
+        emit_report(dataclasses.replace(rep, aggregates=kept), tmp_path)
+        blocks = (tmp_path / "table.txt").read_text().split("\n\n")[:-1]
+        assert len(blocks) == 2
+        blank = "|" + " " * 40 + "|"
+        for block in blocks:
+            head, *lines = block.splitlines()
+            assert head.startswith("horizon")
+            bars = [[i for i, ch in enumerate(line) if ch == "|"] for line in lines]
+            assert len(bars[0]) >= 2
+            assert all(b == bars[0] for b in bars)
+        assert blank in blocks[0].splitlines()[3]
+        assert not any(blank in line for line in blocks[1].splitlines())
+
 
 class TestGridValidation:
     @pytest.mark.parametrize("kwargs", [
@@ -1060,11 +1081,19 @@ class TestSampleSegments:
     def test_samples_and_rows_follow_recurring_chunk_labels(self):
         traces = [self._recurring_trace(), generate_synthetic_trace("medium", 4.3, seed=5)]
         cfg = ExperimentConfig(models=("KF", "p2o2", "p2o3", "p3o3"),
-                               horizons_ms=(20, 100), drop_rates=(0.0, 0.5), repeats=2,
+                               horizons_ms=(20, 100, 3000), drop_rates=(0.0, 0.5), repeats=2,
                                master_seed=9)
         rep = run_experiment(cfg, traces)
         assert rep.chunk_classes[0] == [MotionClass.EASY, MotionClass.HARD, MotionClass.EASY]
         assert not rep.failures
+        # at 3000 ms scoring ends inside a chunk, before the last labelled
+        # chunk starts (tick 400 of the first trace, tick 200 of the second)
+        easy, hard = MotionClass.EASY, MotionClass.HARD
+        for ti, last, classes in ((0, 356, {easy, hard}), (1, 129, {hard})):
+            far = [(cls, k) for _, cls, h_ms, _, _, t, k, _, _ in rep.samples
+                   if (h_ms, t) == (3000, ti)]
+            assert max(k for _, k in far) == last
+            assert {cls for cls, _ in far} == classes
 
         pooled = {}
         for model, cls, h_ms, drop, r, ti, k, ep, eo in rep.samples:
