@@ -79,17 +79,17 @@ def _cmd_classify(args):
 
 def _cmd_predict(args):
     trace = load_trace(args.input)
-    config = ExperimentConfig(models=(args.model,), drop_rates=(args.drop_rate,),
-                              repeats=1, master_seed=args.seed)
-    dt, steps, _, poses, truth = prepare_trace(trace, (args.horizon_ms,))
+    config = ExperimentConfig(models=(args.model,), horizons_ms=(args.horizon_ms,),
+                              drop_rates=(args.drop_rate,), repeats=1, master_seed=args.seed)
+    dt, steps, _, poses, truth = prepare_trace(trace, config.horizons_ms)
     (masks,) = drop_masks(config, [trace]).values()
     (n_steps,) = steps
     (picks,) = stream_picks(config.models[0], dt, steps, poses, masks[0], len(poses) - n_steps)
     ((errs_p, errs_o),) = score_picks([picks], steps, truth)
 
     print("t_target,px,py,pz,qw,qx,qy,qz,e_pos_mm,e_ori_deg")
-    for t, (p, q), ep, eo in zip(trace.t[n_steps + 1:].tolist(), picks, errs_p, errs_o):
-        print(",".join(_F % v for v in (t, *p, *q, ep, eo)))
+    for t, pose, ep, eo in zip(trace.t[n_steps + 1:].tolist(), picks.tolist(), errs_p, errs_o):
+        print(",".join(_F % v for v in (t, *pose, ep, eo)))
     if errs_p:
         print(f"{len(errs_p)} ticks: pos mean {np.mean(errs_p):.3f} mm, "
               f"median {np.median(errs_p):.3f} mm; ori mean {np.mean(errs_o):.3f} deg, "

@@ -13,9 +13,12 @@ example. So wherever chunks are labelled (label_chunks), the labels are
 those of the poses the filters stream. Every stream, also in `posecast
 predict` and the demos, runs through stream_picks and score_picks, and
 scores every horizon from one rollout: filter state never depends on the
-horizon. Two rules share streams, each decided once as data: a draw of
-drop masks names the repeats it serves (drop_masks), and the plan names
-the two streams each model's errors come from (_stream_plan).
+horizon. A stream's loop only updates its filter and keeps each tick's
+state; after it, the predictor rolls every tick out at once, in numpy,
+into one (ticks, 7) array of poses per horizon. Two rules share streams,
+each decided once as data: a draw of drop masks names the repeats it
+serves (drop_masks), and the plan names the two streams each model's
+errors come from (_stream_plan).
 run_experiment applies both without a branch on either, files each cell
 under every (model, horizon, drop rate, repeat) it serves, and reads the
 report out of that table in grid order. A draw is seeded by
@@ -25,7 +28,7 @@ on the rest of the grid.
 
 A stream's errors are score_picks' flat lists: one (e_pos, e_ori) pair
 per horizon, from tick 1, as predict prints them. score_picks computes
-them in one numpy pass per stream: every horizon's picks are stacked
+them in one numpy pass per stream: every horizon's poses are stacked
 against their targets in the truth arrays, each metric is called once,
 and the result is split back per horizon. _stream_trace cuts each
 horizon's lists once, where the stream stops, into one (ticks, e_pos,
@@ -39,7 +42,7 @@ import os
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import accumulate, chain, product
+from itertools import accumulate, product
 
 import numpy as np
 
@@ -400,42 +403,37 @@ def run_experiment(config, traces):
 
 
 def stream_picks(model, dt, steps, poses, mask, end):
-    """Each horizon's rollout picks of a fresh predictor over poses[1:end].
+    """Each horizon's forecasts of a fresh predictor over poses[1:end].
 
-    Tick k is received iff mask[k - 1]. Horizon i picks rollout entry
-    steps[i] - 1, a (position, orientation) pair of float tuples, per tick.
+    Tick k is received iff mask[k - 1]. The loop only updates the filter
+    and keeps each tick's state; after it, the predictor's forecasts roll
+    every kept state out at once. Horizon i gets an (end - 1, 7) array
+    whose row j is the pose [p q] steps[i] ticks past tick j + 1.
     """
     pred = make_predictor(FilterConfig(model=model, dt=dt, horizon_steps=max(steps)),
                           poses[0])
-    picks = [(n_steps, []) for n_steps in steps]
+    states = []
     for k in range(1, end):
-        pred.step(poses[k], received=mask[k - 1])
-        rollout = pred.rollout
-        for n_steps, picked in picks:
-            picked.append(rollout[n_steps - 1])
-    return [picked for _, picked in picks]
+        pred.update(poses[k], received=mask[k - 1])
+        states.append(pred.x)
+    return pred.forecasts(states, steps)
 
 
 def score_picks(picks, steps, truth):
-    """(e_pos, e_ori) of each horizon's picks against the raw truth: picks[i][j]
-    is tick j + 1, scored against truth j + 1 + steps[i] while there is one.
+    """(e_pos, e_ori) of each horizon's picks against the raw truth: row j
+    of picks[i] is tick j + 1, scored against truth j + 1 + steps[i] while
+    there is one.
 
     Every horizon is scored in one call of each metric, on the picks
-    stacked into arrays and their targets taken from the truth arrays;
+    stacked into one array and their targets taken from the truth arrays;
     the errors are then split back into one pair of float lists per
     horizon."""
     true_p, true_q = truth
     counts = [max(0, min(len(picked), len(true_p) - n_steps - 1))
               for n_steps, picked in zip(steps, picks)]
-    n = sum(counts)
-    if not n:
+    if not sum(counts):
         return [([], []) for _ in counts]
-    # one pass over the floats, a pick's p and q making a row of 7. It makes
-    # no object per pick: an iterator per pick set off garbage collections
-    # that walked the live picks, 20 full ones in a 10-horizon sweep, not 5
-    rows = chain.from_iterable(picked[:m] for picked, m in zip(picks, counts))
-    poses = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), float, 7 * n)
-    poses = poses.reshape(n, 7)
+    poses = np.concatenate([picked[:m] for picked, m in zip(picks, counts)])
     targets = np.concatenate([np.arange(n_steps + 1, n_steps + 1 + m)
                               for n_steps, m in zip(steps, counts)])
     e_pos = position_error(poses[:, :3], true_p[targets]).tolist()

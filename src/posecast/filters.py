@@ -65,6 +65,19 @@ chain itself and the orientation and rate rows through
 so3._rotation_chain. A rollout is a list of
 ((px, py, pz), (qw, qx, qy, qz)) float tuples.
 
+A predictor's tick is `update` (propagate, correct, re-estimate the
+pseudo-derivatives); `step` is update plus the forecast it publishes. A
+sweep's stream only updates per tick and keeps each state `x`; after its
+loop, the predictor's `forecasts` rolls every kept state out at once on
+a stack: a NominalState (or a baseline x) whose leaves are (m,) arrays.
+_chain and _cv_chain are elementwise and serve both shapes: on a stack,
+_chain runs so3._stacked_rotation_chain, which predict_horizon picks by
+the leaves' type, and _cv_chain np.sqrt. Both take that kernel as an
+argument whose default is the scalar one, so neither checks a type on
+the tick path. Every element of a stacked
+rollout is the float the per-tick rollout gives, and the error-state
+forecast still goes through predict_horizon, once per stream.
+
 The tick's kernels are specialised to the model's order: _chain and
 so3._rotation_chain run one loop per order, _stencil_derivatives one
 table per stencil size, and the baseline's propagation and rollout one
@@ -78,6 +91,7 @@ orders (_MODELS) once, when it is built; the kernels read them off it.
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -149,21 +163,23 @@ class NominalState(NamedTuple):
                    tuple(so3._floats(pose.q)))
 
 
-def _chain(x, dt, n, ord_pos, ord_rot, rollout):
-    """n chained integration steps of dt from x, in Python floats.
+def _chain(x, dt, n, ord_pos, ord_rot, rollout, rotation_chain=so3._rotation_chain):
+    """n chained integration steps of dt from x, in Python floats, or
+    elementwise in numpy on a stack of states (x's leaves (m,) arrays,
+    rotation_chain so3._stacked_rotation_chain).
 
-    The orientation and the rate rows [w wd wdd] follow so3._rotation_chain
-    at the variant's rotation order, and the position rows [p v a j] the
+    The orientation and the rate rows [w wd wdd] follow rotation_chain at
+    the variant's rotation order, and the position rows [p v a j] the
     Taylor chain dt^k/k!, one scalar per axis, cut at ord_pos. The rows
     above the order are +0.0, so the full chain's terms in them only turn
     a -0.0 into +0.0, which adding 0.0 to the rows once does as well; the
     top row is constant, so its products are taken once. The (position,
     orientation) after each step is appended to the `rollout` list as a
-    pair of float tuples. Returns the end state.
+    pair of tuples of its leaves. Returns the end state.
     """
     c1, c2, c3 = dt, dt ** 2 / 2, dt ** 3 / 6       # dt^k / k!
     (p0, p1, p2), (v0, v1, v2), (a0, a1, a2), j = x.pos
-    qs, wvec = so3._rotation_chain(x.q, *x.wvec, dt, n, ord_rot)
+    qs, wvec = rotation_chain(x.q, *x.wvec, dt, n, ord_rot)
     t = x.t
     append = rollout.append
     if ord_pos < 3:
@@ -173,14 +189,14 @@ def _chain(x, dt, n, ord_pos, ord_rot, rollout):
         d0, d1, d2 = v0 * c1, v1 * c1, v2 * c1
         for q in qs:
             p0, p1, p2 = p0 + d0, p1 + d1, p2 + d2
-            t += dt
+            t = t + dt
             append(((p0, p1, p2), q))
     elif ord_pos == 2:
         d0, d1, d2, e0, e1, e2 = a0 * c2, a1 * c2, a2 * c2, a0 * c1, a1 * c1, a2 * c1
         for q in qs:
             p0, p1, p2 = p0 + v0 * c1 + d0, p1 + v1 * c1 + d1, p2 + v2 * c1 + d2
             v0, v1, v2 = v0 + e0, v1 + e1, v2 + e2
-            t += dt
+            t = t + dt
             append(((p0, p1, p2), q))
     else:
         j0, j1, j2 = j
@@ -192,7 +208,7 @@ def _chain(x, dt, n, ord_pos, ord_rot, rollout):
             p2 = p2 + v2 * c1 + a2 * c2 + d2
             v0, v1, v2 = v0 + a0 * c1 + e0, v1 + a1 * c1 + e1, v2 + a2 * c1 + e2
             a0, a1, a2 = a0 + f0, a1 + f1, a2 + f2
-            t += dt
+            t = t + dt
             append(((p0, p1, p2), q))
     return NominalState(t, ((p0, p1, p2), (v0, v1, v2), (a0, a1, a2), j), qs[-1], wvec)
 
@@ -209,10 +225,13 @@ def propagate_nominal(x, dt, config):
 def predict_horizon(x, dt, n, config, rollout=None):
     """Pose n chained steps of dt ahead of the nominal state.
 
-    When a list is given as `rollout`, the (position, orientation) float
-    tuples after each of the n steps are appended to it; the published
-    pose holds arrays of the last entry's floats. ValueError unless dt is
-    finite and positive and n a whole number of at least 1.
+    x is one NominalState of floats, or a stack of them: a NominalState
+    whose leaves are equal-length (m,) arrays, rolled out elementwise.
+    When a list is given as `rollout`, the (position, orientation) tuples
+    after each of the n steps are appended to it, of floats or of (m,)
+    arrays; the published pose holds arrays of the last entry's, p (3,)
+    and q (4,), or for a stack t (m,), p (m, 3) and q (m, 4). ValueError
+    unless dt is finite and positive and n a whole number of at least 1.
     """
     if type(n) is not int:          # the per-tick call passes an int; skip the general check
         n = whole_number("n", n)
@@ -221,8 +240,12 @@ def predict_horizon(x, dt, n, config, rollout=None):
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be finite and positive, got {dt!r}")
     poses = [] if rollout is None else rollout
-    t = _chain(x, dt, n, config.ord_pos, config.ord_rot, poses).t
+    stacked = isinstance(x.t, np.ndarray)
+    rotation_chain = so3._stacked_rotation_chain if stacked else so3._rotation_chain
+    t = _chain(x, dt, n, config.ord_pos, config.ord_rot, poses, rotation_chain).t
     p, q = poses[-1]
+    if stacked:
+        return Pose(t, np.column_stack(p), np.column_stack(q))
     return Pose(t, np.array(p), np.array(q))
 
 
@@ -446,20 +469,40 @@ def _tick_interval(z, t, received):
     return dt, (_check_pose(z) if received else None)
 
 
+def _stack(rows, shape):
+    """Rows of float tuples nested as shape, (k,) or (k, l), as one such
+    nesting whose leaves are (len(rows),) arrays: leaf [i][j] holds every
+    row's [i][j]. The floats are read in one pass, which np.fromiter
+    takes in under half the time np.array takes to walk the nesting."""
+    floats = chain.from_iterable(rows)
+    if len(shape) == 2:
+        floats = chain.from_iterable(floats)
+    a = np.fromiter(floats, float, len(rows) * math.prod(shape)).reshape(-1, *shape)
+    a = np.moveaxis(a, 0, -1)
+    return tuple(map(tuple, a)) if len(shape) == 2 else tuple(a)
+
+
+def _forecast_rows(rollout, steps):
+    """Per entry n of steps, the rollout's n-th stacked (position,
+    orientation) as one (m, 7) array of rows [p q]."""
+    return [np.column_stack((*rollout[n - 1][0], *rollout[n - 1][1])) for n in steps]
+
+
 class EskfPredictor:
     """Streaming error-state predictor.
 
-    Per tick: propagate the nominal state and covariance across the tick
-    interval; if the measurement was received, correct, then re-estimate
-    the pseudo-derivatives from the received-pose window; finally publish
-    the pose horizon_steps * dt ahead. During drops the window does not
-    advance, so the filter coasts open loop on frozen derivatives.
+    Per tick (update): propagate the nominal state and covariance across
+    the tick interval; if the measurement was received, correct, then
+    re-estimate the pseudo-derivatives from the received-pose window.
+    step is update, then the pose horizon_steps * dt ahead, which it
+    publishes. During drops the window does not advance, so the filter
+    coasts open loop on frozen derivatives.
 
-    `rollout[i]` holds the (position, orientation) i + 1 steps ahead of
-    the latest tick as float tuples, so every shorter horizon is read off
-    the same rollout. A first pose, or a received one, that is not finite
-    or whose quaternion is not unit raises ValueError, as does a stale
-    tick; a refused tick leaves the filter as it was.
+    forecasts rolls many of the states `x` took out at once, so a stream
+    can update tick by tick and publish every tick's forecasts after its
+    loop. A first pose, or a received one, that is not finite or whose
+    quaternion is not unit raises ValueError, as does a stale tick; a
+    refused tick leaves the filter as it was.
     """
 
     def __init__(self, config, first_pose):
@@ -474,7 +517,6 @@ class EskfPredictor:
         # the attitude chain is the position chain itself at equal orders
         self.att_chain = self.chain if n == m else _chain_eye(m)
         self.window = deque([_window_node(first_pose.t, p, q, None)], maxlen=config.min_window)
-        self.rollout = []
 
     @property
     def P(self):
@@ -485,8 +527,8 @@ class EskfPredictor:
         P[3 * n:, 3 * n:] = _chain_matrix(self.att_chain, m, 3)
         return P
 
-    def step(self, z, received=True):
-        """Advance one tick to measurement z; returns the published pose."""
+    def update(self, z, received=True):
+        """Advance one tick to measurement z, publishing nothing."""
         cfg = self.config
         dt, zpq = _tick_interval(z, self.x.t, received)
         T = error_transition_matrix(dt)
@@ -501,8 +543,26 @@ class EskfPredictor:
             self.window.append(_window_node(z.t, zp, zq, self.window[-1]))
             pos_d, rot_d = estimate_pseudo_derivatives(self.window, cfg)
             self.x = NominalState(x.t, (x.pos[0], *pos_d), x.q, rot_d)
-        self.rollout = []
-        return predict_horizon(self.x, cfg.dt, cfg.horizon_steps, cfg, self.rollout)
+
+    def step(self, z, received=True):
+        """Advance one tick to measurement z; returns the published pose."""
+        self.update(z, received)
+        cfg = self.config
+        return predict_horizon(self.x, cfg.dt, cfg.horizon_steps, cfg)
+
+    def forecasts(self, states, steps):
+        """Per entry n of steps, an (m, 7) array whose row i is the pose
+        [p q] n steps of config.dt past states[i], a NominalState this
+        predictor's x took: bit for bit what step publishes from it at a
+        horizon of n. One predict_horizon call rolls all m states out."""
+        cfg = self.config
+        x = NominalState(np.array([s.t for s in states], dtype=float),
+                         _stack([s.pos for s in states], (4, 3)),
+                         _stack([s.q for s in states], (4,)),
+                         _stack([s.wvec for s in states], (3, 3)))
+        rollout = []
+        predict_horizon(x, cfg.dt, max(steps), cfg, rollout)
+        return _forecast_rows(rollout, steps)
 
 
 def _unit(q):
@@ -511,17 +571,18 @@ def _unit(q):
     return (w / n, x / n, y / n, z / n)
 
 
-def _cv_chain(p, v, q, qd, h, n, rollout):
+def _cv_chain(p, v, q, qd, h, n, rollout, sqrt=math.sqrt):
     """n constant-velocity steps of h from (p, q) at rates (v, qd), the
     baseline's transition, renormalizing the quaternion after each step.
 
     The increments v h and qd h are the same on every step, so they are
-    taken once. Appends each step's (p, q) to the `rollout` list as float
-    tuples and returns the last."""
+    taken once. Every leaf is a float, or, on a stack of states with sqrt
+    np.sqrt, an (m,) array, which runs elementwise. Appends each step's
+    (p, q) to the `rollout` list as tuples of its leaves and returns the
+    last."""
     (p0, p1, p2), (v0, v1, v2), (w, x, y, z), (dw, dx, dy, dz) = p, v, q, qd
     v0, v1, v2 = v0 * h, v1 * h, v2 * h
     dw, dx, dy, dz = dw * h, dx * h, dy * h, dz * h
-    sqrt = math.sqrt
     append = rollout.append
     for _ in range(n):
         p0, p1, p2 = p0 + v0, p1 + v1, p2 + v2
@@ -544,7 +605,8 @@ class KfBaseline:
     after every propagation and update, the textbook abuse the
     error-state filters are built to avoid. The covariance is one
     2-square scalar chain (see the module notes), so an update is two
-    scalar gains. `rollout` and the ticks rejected are as in EskfPredictor.
+    scalar gains. update, step, forecasts and the ticks rejected are as
+    in EskfPredictor.
     """
 
     def __init__(self, config, first_pose):
@@ -555,7 +617,6 @@ class KfBaseline:
         self.t = float(first_pose.t)
         self.x = tuple(p), so3._ZERO3, tuple(q), (0.0, 0.0, 0.0, 0.0)
         self.chain = _chain_eye(2)
-        self.rollout = []
 
     @property
     def P(self):
@@ -564,7 +625,7 @@ class KfBaseline:
         P[:6, :6], P[6:, 6:] = _chain_matrix(self.chain, 2, 3), _chain_matrix(self.chain, 2, 4)
         return P
 
-    def step(self, z, received=True):
+    def update(self, z, received=True):
         dt, zpq = _tick_interval(z, self.t, received)
         p, v, q, qd = self.x
         p, q = _cv_chain(p, v, q, qd, dt, 1, [])
@@ -583,10 +644,18 @@ class KfBaseline:
             q = _unit((qw + g0 * ew, qx + g0 * ex, qy + g0 * ey, qz + g0 * ez))
             qd = dw + g1 * ew, dx + g1 * ex, dy + g1 * ey, dz + g1 * ez
         self.x = p, v, q, qd
+
+    def step(self, z, received=True):
+        self.update(z, received)
         n, h = self.config.horizon_steps, self.config.dt
-        self.rollout = []
-        p, q = _cv_chain(p, v, q, qd, h, n, self.rollout)
+        p, q = _cv_chain(*self.x, h, n, [])
         return Pose(self.t + n * h, np.array(p), np.array(q))
+
+    def forecasts(self, states, steps):
+        p, v, q, qd = (_stack([s[i] for s in states], (k,)) for i, k in enumerate((3, 3, 4, 4)))
+        rollout = []
+        _cv_chain(p, v, q, qd, self.config.dt, max(steps), rollout, np.sqrt)
+        return _forecast_rows(rollout, steps)
 
 
 # name -> (predictor class, ord_pos, ord_rot)

@@ -126,9 +126,9 @@ class TestDegenerateNumbers:
         (("synth", "--profile", "easy", "--duration", "0.001", "--out", "{tmp}/x.csv"),
          "0.001 s at 100.0 Hz holds no sample"),
         (("predict", "--input", "{hard}", "--model", "p3o3", "--horizon-ms", "inf"),
-         "horizon inf ms is not a finite number of ticks"),
+         "horizons_ms must be a whole number, got inf"),
         (("predict", "--input", "{hard}", "--model", "p3o3", "--horizon-ms", "nan"),
-         "horizon nan ms is not a finite number of ticks"),
+         "horizons_ms must be a whole number, got nan"),
         (("predict", "--input", "{one}", "--model", "p3o3", "--horizon-ms", "100"),
          "median tick interval nan s is not finite and positive"),
         (("bench", "--input", "{one}", "--out", "{tmp}/r"),
@@ -138,7 +138,7 @@ class TestDegenerateNumbers:
         (("classify", "--input", "{short}"),
          "trace has 150 samples, fewer than one chunk of 200"),
         (("predict", "--input", "{hard}", "--model", "p3o3", "--horizon-ms", "20000"),
-         "horizon 20000.0 ms reaches past the end of a 300-sample trace"),
+         "horizon 20000 ms reaches past the end of a 300-sample trace"),
         (("bench", "--input", "{hard}", "--models", "p3o3", "--horizons", "20,20000",
           "--drop-rates", "0", "--repeats", "1", "--out", "{tmp}/r"),
          "horizon 20000 ms reaches past the end of a 300-sample trace"),
@@ -320,6 +320,29 @@ class TestPredict:
         assert code == 0
         assert len(stdout.splitlines()) == 1 + (1000 - 1 - 6)
         assert stderr.startswith("993 ticks:")
+
+    def test_horizon_that_is_not_whole_is_refused_as_bench_refuses_it(self, medium_file,
+                                                                       tmp_path, capsys):
+        # 20.5 ms would round to 2 ticks and be scored as 20 ms
+        message = "error: horizons_ms must be a whole number, got 20.5\n"
+        code, stdout, stderr = _run(capsys, "predict", "--input", str(medium_file),
+                                    "--model", "KF", "--horizon-ms", "20.5")
+        assert (code, stdout, stderr) == (1, "", message)
+        code, _, bench_err = _run(capsys, "bench", "--input", str(medium_file),
+                                  "--models", "KF", "--horizons", "20.5",
+                                  "--out", str(tmp_path / "r"))
+        assert (code, bench_err) == (1, message)
+        # a whole number of ms passes, written as a float too, and a
+        # half-tick horizon still rounds up
+        _, whole, _ = _run(capsys, "predict", "--input", str(medium_file),
+                           "--model", "KF", "--horizon-ms", "100")
+        code, as_float, _ = _run(capsys, "predict", "--input", str(medium_file),
+                                 "--model", "KF", "--horizon-ms", "100.0")
+        assert code == 0 and as_float == whole
+        code, stdout, _ = _run(capsys, "predict", "--input", str(medium_file),
+                               "--model", "KF", "--horizon-ms", "15")
+        assert code == 0
+        assert stdout.splitlines()[1].split(",")[0] == "0.03"
 
     def test_bad_drop_rate_exits_nonzero(self, medium_file, capsys):
         code, _, stderr = _run(capsys, "predict", "--input",

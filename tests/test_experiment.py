@@ -297,7 +297,7 @@ class TestRunExperiment:
 
     def test_degenerate_filter_recorded_not_raised(self, monkeypatch):
         class _Boom:
-            def step(self, z, received=True):
+            def update(self, z, received=True):
                 raise ValueError("innovation covariance is degenerate")
 
         monkeypatch.setattr("posecast.experiment.make_predictor",
@@ -669,18 +669,20 @@ class TestGridValidation:
 
 
 class _RecordingPredictor:
-    """Stands in for a filter: publishes the measurement, records the gate."""
+    """Stands in for a filter: forecasts the measurement, records the gate."""
 
     def __init__(self, config, first_pose, log):
         self.config = config
         self.received = []
-        self.rollout = [(first_pose.p, first_pose.q)] * config.horizon_steps
+        self.x = (first_pose.p, first_pose.q)
         log.append(self)
 
-    def step(self, z, received=True):
+    def update(self, z, received=True):
         self.received.append(bool(received))
-        self.rollout = [(z.p, z.q)] * self.config.horizon_steps
-        return z
+        self.x = (z.p, z.q)
+
+    def forecasts(self, states, steps):
+        return [np.array([(*p, *q) for p, q in states]).reshape(-1, 7) for _ in steps]
 
 
 def _expected_masks(cfg, trace_lengths):
@@ -830,14 +832,13 @@ class TestSharedStreams:
             def __init__(self, inner):
                 self.inner = inner
 
-            @property
-            def rollout(self):
-                return self.inner.rollout
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
 
-            def step(self, z, received=True):
+            def update(self, z, received=True):
                 if z.t >= 4.5:
                     raise ValueError("innovation covariance is degenerate")
-                return self.inner.step(z, received)
+                self.inner.update(z, received)
 
         def breaking(config, first_pose):
             pred = make_predictor(config, first_pose)
@@ -1003,14 +1004,13 @@ class TestScoredTicksOnly:
             def __init__(self, inner):
                 self.inner = inner
 
-            @property
-            def rollout(self):
-                return self.inner.rollout
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
 
-            def step(self, z, received=True):
+            def update(self, z, received=True):
                 if z.t >= 4.5:
                     raise ValueError("innovation covariance is degenerate")
-                return self.inner.step(z, received)
+                self.inner.update(z, received)
 
         traces = [generate_synthetic_trace("medium", 5.0, seed=1)]
         cfg = ExperimentConfig(models=("p2o2",), horizons_ms=(20, 60),
@@ -1041,14 +1041,24 @@ class TestScorePicks:
             assert len(e_pos) == len(e_ori) == n
             assert all(type(e) is float for e in e_pos + e_ori)
             assert score_picks([picked], [n_steps], truth) == [(e_pos, e_ori)]
-            assert e_pos == [ref.position_error(p, true_p[j + 1 + n_steps])
-                             for j, (p, _) in enumerate(picked[:n])]
-            assert e_ori == [ref.orientation_error(q, true_q[j + 1 + n_steps])
-                             for j, (_, q) in enumerate(picked[:n])]
+            assert e_pos == [ref.position_error(pose[:3], true_p[j + 1 + n_steps])
+                             for j, pose in enumerate(picked[:n])]
+            assert e_ori == [ref.orientation_error(pose[3:], true_q[j + 1 + n_steps])
+                             for j, pose in enumerate(picked[:n])]
         assert [len(e_pos) for e_pos, _ in scored] == [len(poses) - 2, len(poses) - 3,
                                                        len(poses) - 21]
         assert score_picks(picks, [], truth) == []
         assert score_picks([picks[0][:0]], [1], truth) == [([], [])]
+
+    @pytest.mark.parametrize("model", MODEL_NAMES)
+    def test_stream_without_ticks_scores_nothing(self, model):
+        # a stream that ends before its first tick forecasts (0, 7) arrays
+        trace = generate_synthetic_trace("hard", 1.0, seed=4)
+        dt, steps, _, poses, truth = prepare_trace(trace, (20, 100))
+        picks = stream_picks(model, dt, steps, poses, [True] * (len(poses) - 1), 1)
+        assert [p.shape for p in picks] == [(0, 7), (0, 7)]
+        assert score_picks(picks, steps, truth) == [([], []), ([], [])]
+        assert score_picks(picks[:1], steps[:1], truth) == [([], [])]
 
 
 class TestAggregateLookup:

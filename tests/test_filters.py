@@ -608,21 +608,25 @@ class TestKfBaseline:
 
 @pytest.mark.parametrize("model", ["KF", "ESKF", "p2o2", "p2o3", "p3o3"])
 def test_rollout_prefix_matches_shorter_horizon(model):
-    # filter state never depends on the horizon, so the pose a long-horizon
-    # predictor keeps at step n is, bit for bit, what a horizon-n one publishes
+    # filter state never depends on the horizon, so the stacked forecast of
+    # a long-horizon predictor's states at step n is, bit for bit, what a
+    # horizon-n one publishes on each tick
     trace = generate_synthetic_trace("hard", 3.0, seed=8)
     mask = np.random.default_rng(3).random(len(trace)) > 0.4
     long_n = 10
     preds = {n: make_predictor(FilterConfig(model=model, dt=0.01, horizon_steps=n),
                                trace.pose(0))
              for n in (1, 2, 5, long_n)}
+    states, pubs = [], []
     for k in range(1, len(trace)):
-        pubs = {n: pred.step(trace.pose(k), received=bool(mask[k]))
-                for n, pred in preds.items()}
-        rollout = preds[long_n].rollout
-        assert len(rollout) == long_n
-        for n, pub in pubs.items():
-            p, q = rollout[n - 1]
+        pubs.append({n: pred.step(trace.pose(k), received=bool(mask[k]))
+                     for n, pred in preds.items()})
+        states.append(preds[long_n].x)
+    rollout = preds[long_n].forecasts(states, range(1, long_n + 1))
+    assert len(rollout) == long_n
+    for j, tick in enumerate(pubs):
+        for n, pub in tick.items():
+            p, q = np.split(rollout[n - 1][j], [3])
             assert np.array_equal(p, pub.p)
             assert np.array_equal(q, pub.q)
 

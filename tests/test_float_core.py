@@ -25,10 +25,12 @@ from posecast.filters import (
     NominalState,
     _chain,
     _cv_chain,
+    _stack,
     _stencil_derivatives,
     error_transition_matrix,
     estimate_pseudo_derivatives,
     make_predictor,
+    predict_horizon,
 )
 from posecast.metrics import orientation_error, position_error
 from posecast.traces import Pose, Trace, generate_synthetic_trace
@@ -48,18 +50,23 @@ def _reference_distance(model, coupled):
                           trace.pose(0))
     oracle = ref.make_reference(model, trace.pose(0), dt, n, coupled=coupled)
     dq = dp = dP = 0.0
+    states, pubs, expects = [], [], []
     for k in range(1, len(trace)):
         received = bool(mask[k])
-        pub = pred.step(trace.pose(k), received=received)
-        expect = oracle.step(trace.pose(k), received)
-        assert len(pred.rollout) == len(expect) == n
-        for (p, q), (p_ref, q_ref) in zip(pred.rollout, expect):
-            dp = max(dp, np.abs(p - p_ref).max())
-            dq = max(dq, np.abs(q - q_ref).max())
-        assert isinstance(pub.p, np.ndarray) and isinstance(pub.q, np.ndarray)
-        assert np.array_equal(pub.p, pred.rollout[-1][0])
-        assert np.array_equal(pub.q, pred.rollout[-1][1])
+        pubs.append(pred.step(trace.pose(k), received=received))
+        states.append(pred.x)
+        expects.append(oracle.step(trace.pose(k), received))
         dP = max(dP, np.abs(pred.P - oracle.P).max() / np.abs(oracle.P).max())
+    # every tick's whole rollout, from the stacked forecast the sweep reads
+    rollout = pred.forecasts(states, range(1, n + 1))
+    for j, (pub, expect) in enumerate(zip(pubs, expects)):
+        assert len(rollout) == len(expect) == n
+        for rows, (p_ref, q_ref) in zip(rollout, expect):
+            dp = max(dp, np.abs(rows[j, :3] - p_ref).max())
+            dq = max(dq, np.abs(rows[j, 3:] - q_ref).max())
+        assert isinstance(pub.p, np.ndarray) and isinstance(pub.q, np.ndarray)
+        assert np.array_equal(pub.p, rollout[-1][j, :3])
+        assert np.array_equal(pub.q, rollout[-1][j, 3:])
     return dq, dp, dP
 
 
@@ -444,6 +451,175 @@ def test_cv_chain_is_repeated_single_steps(p, v, q, qd, h, n):
     assert end == rollout[-1]
 
 
+# ---------------------------------------------------- stacked forecast
+
+_signed_zero = st.sampled_from((0.0, -0.0))
+
+
+@st.composite
+def stacked_rates(draw, h):
+    """A rate row whose increment over h is of one edge case, named by the
+    tag drawn first: below exp's 1e-8 rad series branch, past pi (where
+    cos(half) < 0 flips the exponential's sign), zero of either sign, or any."""
+    case = draw(st.sampled_from(("any", "tiny", "past pi", "zero")))
+    if case == "zero":
+        return tuple(draw(_signed_zero) for _ in range(3))
+    if case == "any":
+        return draw(_rate)
+    axis = draw(_axes)
+    angle = draw(st.floats(1e-13, 9e-9) if case == "tiny"
+                 else st.floats(math.pi + 1e-6, 3.0 * math.pi))
+    return tuple(c * angle / h for c in axis)
+
+
+@st.composite
+def stacked_quats(draw):
+    """Unit quaternions of either sign, so that products of either sign of
+    w, and so the canonical flip, come up."""
+    q = draw(unit_quats())
+    return tuple(-c for c in q) if draw(st.booleans()) else q
+
+
+@st.composite
+def forecast_states(draw, model, h):
+    """A state a predictor of the model could hold, with signed zeros: a
+    NominalState whose rows above the model's orders are +0.0, or the
+    baseline's (p, v, q, qdot)."""
+    cfg = FilterConfig(model=model)
+    rows = st.one_of(_row, st.tuples(*[_signed_zero] * 3))
+    if model == "KF":
+        qd = st.tuples(*[st.one_of(st.floats(-5.0, 5.0), _signed_zero)] * 4)
+        return draw(rows), draw(rows), draw(stacked_quats()), draw(qd)
+    pos = [draw(rows) for _ in range(cfg.ord_pos + 1)] + [so3._ZERO3] * (3 - cfg.ord_pos)
+    wvec = [draw(stacked_rates(h)) for _ in range(cfg.ord_rot)] + [so3._ZERO3] * (3 - cfg.ord_rot)
+    return NominalState(draw(st.floats(0.0, 10.0)), tuple(pos), draw(stacked_quats()),
+                        tuple(wvec))
+
+
+def _scalar_rollout(cfg, x, n):
+    """The per-tick rollout of step from state x: n rows [p q] of floats."""
+    rollout = []
+    if cfg.model == "KF":
+        _cv_chain(*x, cfg.dt, n, rollout)
+    else:
+        predict_horizon(x, cfg.dt, n, cfg, rollout)
+    return [(*p, *q) for p, q in rollout]
+
+
+def _kept_steps(draw):
+    return sorted(draw(st.sets(st.integers(1, 12), min_size=1, max_size=4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_ESKF_MODELS), st.floats(1e-4, 0.05), st.integers(1, 12), st.data())
+def test_stacked_rotation_chain_is_the_scalar_kernel_bit_for_bit(model, h, n, data):
+    order = FilterConfig(model=model).ord_rot
+    rows = data.draw(st.lists(st.tuples(stacked_quats(), stacked_rates(h), stacked_rates(h),
+                                        stacked_rates(h)), min_size=1, max_size=8))
+    stack = [_stack(col, (len(col[0]),)) for col in zip(*rows)]
+    qs, rates = so3._stacked_rotation_chain(*stack, h, n, order)
+    expect = [so3._rotation_chain(*row, h, n, order) for row in rows]
+    assert len(qs) == n
+    # step by component by row, against the scalar kernel's row by step by component
+    assert np.array(qs).tobytes() == np.array([e[0] for e in expect]).transpose(1, 2, 0).tobytes()
+    assert (np.array(rates).tobytes()
+            == np.array([e[1] for e in expect]).transpose(1, 2, 0).tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(MODEL_NAMES), st.floats(1e-4, 0.05), st.data())
+def test_stacked_forecast_is_the_scalar_rollout_bit_for_bit(model, h, data):
+    # drawn states: signed zeros, increments below 1e-8 rad and past pi,
+    # quaternions of either sign
+    cfg = FilterConfig(model=model, dt=h, horizon_steps=12)
+    states = data.draw(st.lists(forecast_states(model, h), min_size=1, max_size=8))
+    steps = _kept_steps(data.draw)
+    pred = make_predictor(cfg, Pose(0.0, np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0])))
+    got = pred.forecasts(states, steps)
+    expect = [_scalar_rollout(cfg, x, max(steps)) for x in states]
+    for n, rows in zip(steps, got):
+        assert rows.shape == (len(states), 7)
+        assert rows.tobytes() == np.array([e[n - 1] for e in expect]).tobytes()
+    if model != "KF":
+        # predict_horizon publishes a stack's poses as rows, each the scalar call's
+        x = NominalState(np.array([s.t for s in states]),
+                         _stack([s.pos for s in states], (4, 3)),
+                         _stack([s.q for s in states], (4,)),
+                         _stack([s.wvec for s in states], (3, 3)))
+        pub = predict_horizon(x, h, 12, cfg)
+        assert pub.p.shape == (len(states), 3) and pub.q.shape == (len(states), 4)
+        for i, s in enumerate(states):
+            one = predict_horizon(s, h, 12, cfg)
+            assert (_bits((pub.t[i], *pub.p[i], *pub.q[i])).tolist()
+                    == _bits((one.t, *one.p, *one.q)).tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MODEL_NAMES), st.data())
+def test_stacked_forecast_of_a_stream_is_what_step_rolls_out(model, data):
+    # every tick of a hard stream under drawn losses on a jittered clock:
+    # the forecasts rolled out after the loop are, at every kept step, the
+    # rollout the tick's step takes from its state
+    trace = _hard_trace()
+    n = len(trace)
+    mask = data.draw(st.lists(st.booleans(), min_size=n - 1, max_size=n - 1))
+    jitter = data.draw(st.lists(st.floats(-0.004, 0.004), min_size=n, max_size=n))
+    jittered = Trace(trace.t + np.array(jitter), trace.p, trace.q)
+    steps = _kept_steps(data.draw)
+    cfg = FilterConfig(model=model, dt=0.01, horizon_steps=max(steps))
+    pred = make_predictor(cfg, jittered.pose(0))
+    states, expect = [], []
+    for k, received in enumerate(mask, start=1):
+        pub = pred.step(jittered.pose(k), received=received)
+        states.append(pred.x)
+        expect.append(_scalar_rollout(cfg, pred.x, max(steps)))
+        assert (*pub.p, *pub.q) == expect[-1][-1]
+    for n_steps, rows in zip(steps, pred.forecasts(states, steps)):
+        assert rows.tobytes() == np.array([e[n_steps - 1] for e in expect]).tobytes()
+
+
+def _predictor_state(pred):
+    if pred.config.model == "KF":
+        return pred.t, pred.x, pred.chain
+    return pred.x, pred.chain, pred.att_chain, list(pred.window)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MODEL_NAMES), st.integers(1, 12), st.data())
+def test_update_then_forecast_is_step(model, n, data):
+    # step is update and then the forecast, in its state and its pose
+    trace = _hard_trace()
+    mask = data.draw(st.lists(st.booleans(), min_size=1, max_size=len(trace) - 1))
+    cfg = FilterConfig(model=model, dt=0.01, horizon_steps=n)
+    stepped, updated = (make_predictor(cfg, trace.pose(0)) for _ in range(2))
+    for k, received in enumerate(mask, start=1):
+        pub = stepped.step(trace.pose(k), received=received)
+        assert updated.update(trace.pose(k), received=received) is None
+        if model == "KF":
+            p, q = _cv_chain(*updated.x, cfg.dt, n, [])
+            t = updated.t + n * cfg.dt
+        else:
+            forecast = predict_horizon(updated.x, cfg.dt, n, cfg)
+            t, p, q = forecast.t, forecast.p, forecast.q
+        assert _bits((pub.t, *pub.p, *pub.q)).tolist() == _bits((t, *p, *q)).tolist()
+        assert _predictor_state(updated) == _predictor_state(stepped)
+
+
+@pytest.mark.parametrize("model", _ESKF_MODELS)
+def test_stacked_forecast_refuses_an_infinite_increment_as_step_does(model):
+    # math.sin refuses an infinite angle; the stacked rollout raises too
+    cfg = FilterConfig(model=model, dt=0.01, horizon_steps=3)
+    pred = make_predictor(cfg, Pose(0.0, np.zeros(3), np.array([1.0, 0.0, 0.0, 0.0])))
+    # a rate derivative that keeps the third-order cross terms from 0 * inf
+    wd = (1.0, 1.0, 1.0) if cfg.ord_rot > 1 else so3._ZERO3
+    fine = NominalState(0.0, wvec=((1.0, 0.0, 0.0), wd, so3._ZERO3))
+    wild = fine._replace(wvec=((math.inf, 0.0, 0.0), wd, so3._ZERO3))
+    with pytest.raises(ValueError, match="math domain error"):
+        predict_horizon(wild, cfg.dt, 3, cfg)
+    with pytest.raises(ValueError, match="math domain error"):
+        pred.forecasts([fine, wild], [1, 3])
+
+
 # ------------------------------------------------------- long-run health
 
 @functools.lru_cache(maxsize=1)
@@ -459,14 +635,17 @@ def test_random_drops_keep_covariance_psd_and_quaternions_unit(model, data):
                               max_size=len(trace) - 1))
     pred = make_predictor(FilterConfig(model=model, dt=0.01, horizon_steps=10),
                           trace.pose(0))
+    states = []
     for k, received in enumerate(mask, start=1):
         pred.step(trace.pose(k), received=received)
+        states.append(pred.x)
         P = pred.P
         assert np.array_equal(P, P.T)
         assert np.linalg.eigvalsh(P)[0] >= -1e-12 * np.abs(P).max()
         q = pred.x[2] if model == "KF" else pred.x.q
-        for u in (q, *(r[1] for r in pred.rollout)):
-            assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+        assert abs(np.linalg.norm(q) - 1.0) <= 1e-12
+    for rows in pred.forecasts(states, range(1, 11)):
+        assert (np.abs(np.linalg.norm(rows[:, 3:], axis=1) - 1.0) <= 1e-12).all()
 
 
 def _float_rows(rows, widths):
@@ -555,11 +734,17 @@ def test_rollout_halves_depend_on_their_own_order_only(data):
     same_rot = [(a.model, b.model) for a, b in itertools.combinations(cfgs, 2)
                 if a.ord_rot == b.ord_rot]
     assert ("p2o2", "p2o3") in same_pos and ("p2o3", "p3o3") in same_rot
+    states = {m: [] for m in _ESKF_MODELS}
     for preds in _jittered_eskf_streams(data, 5):
-        for half, pairs in ((0, same_pos), (1, same_rot)):
-            for a, b in pairs:
-                assert (np.array([r[half] for r in preds[a].rollout]).tobytes()
-                        == np.array([r[half] for r in preds[b].rollout]).tobytes()), (a, b)
+        for m, pred in preds.items():
+            states[m].append(pred.x)
+    # the stacked forecast the sweep reads, every tick and step at once
+    rollouts = {m: np.array(pred.forecasts(states[m], range(1, 6)))
+                for m, pred in preds.items()}
+    for half, pairs in ((slice(0, 3), same_pos), (slice(3, 7), same_rot)):
+        for a, b in pairs:
+            assert (rollouts[a][..., half].tobytes()
+                    == rollouts[b][..., half].tobytes()), (a, b)
 
 
 # ------------------------------------ block structure of the covariance
