@@ -13,9 +13,11 @@ example. So wherever chunks are labelled (label_chunks), the labels are
 those of the poses the filters stream. Every stream, also in `posecast
 predict` and the demos, runs through stream_picks and score_picks, and
 scores every horizon from one rollout: filter state never depends on the
-horizon. A stream's loop only updates its filter and keeps each tick's
-state; after it, the predictor rolls every tick out at once, in numpy,
-into one (ticks, 7) array of poses per horizon. Two rules share streams,
+horizon. The predictor's track runs the stream and returns each tick's
+state, taking the work that reads only the poses and the losses out of
+its tick loop, stacked in numpy; the predictor then rolls every tick
+out at once, in numpy, into one (ticks, 7) array of poses per horizon.
+Two rules share streams,
 each decided once as data: a draw of drop masks names the repeats it
 serves (drop_masks), and the plan names the two streams each model's
 errors come from (_stream_plan).
@@ -405,17 +407,14 @@ def run_experiment(config, traces):
 def stream_picks(model, dt, steps, poses, mask, end):
     """Each horizon's forecasts of a fresh predictor over poses[1:end].
 
-    Tick k is received iff mask[k - 1]. The loop only updates the filter
-    and keeps each tick's state; after it, the predictor's forecasts roll
-    every kept state out at once. Horizon i gets an (end - 1, 7) array
-    whose row j is the pose [p q] steps[i] ticks past tick j + 1.
+    Tick k is received iff mask[k - 1]. The predictor's track runs the
+    stream and returns each tick's state; its forecasts then roll every
+    state out at once. Horizon i gets an (end - 1, 7) array whose row j is
+    the pose [p q] steps[i] ticks past tick j + 1.
     """
     pred = make_predictor(FilterConfig(model=model, dt=dt, horizon_steps=max(steps)),
                           poses[0])
-    states = []
-    for k in range(1, end):
-        pred.update(poses[k], received=mask[k - 1])
-        states.append(pred.x)
+    states = pred.track(poses[1:end], mask)
     return pred.forecasts(states, steps)
 
 

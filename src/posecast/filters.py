@@ -66,10 +66,17 @@ so3._rotation_chain. A rollout is a list of
 ((px, py, pz), (qw, qx, qy, qz)) float tuples.
 
 A predictor's tick is `update` (propagate, correct, re-estimate the
-pseudo-derivatives); `step` is update plus the forecast it publishes. A
-sweep's stream only updates per tick and keeps each state `x`; after its
-loop, the predictor's `forecasts` rolls every kept state out at once on
-a stack: a NominalState (or a baseline x) whose leaves are (m,) arrays.
+pseudo-derivatives); `step` is update plus the forecast it publishes.
+A sweep's stream calls `track`, which runs the whole stream and returns
+each tick's state `x`, bit for bit the update loop's. Of an error-state
+tick only propagation and correction read the state
+(_propagate_correct, which update calls too), so EskfPredictor.track
+does the rest, the pose checks, the window rates and the
+pseudo-derivatives, once per stream, stacked over the received ticks in
+numpy (_received_measurements). The baseline's track is the update
+loop. After track, the predictor's `forecasts` rolls every kept state
+out at once on a stack: a NominalState (or a baseline x) whose leaves
+are (m,) arrays.
 _chain and _cv_chain are elementwise and serve both shapes: on a stack,
 _chain runs so3._stacked_rotation_chain, which predict_horizon picks by
 the leaves' type, and _cv_chain np.sqrt. Both take that kernel as an
@@ -83,7 +90,8 @@ so3._rotation_chain run one loop per order, _stencil_derivatives one
 table per stencil size, and the baseline's propagation and rollout one
 loop, _cv_chain. Each gives bit for bit the floats of the generic loop
 that tests/numpy_reference.py keeps as its reference. A received pose is
-read into floats once (_check_pose), for correct and _window_node.
+read into floats once (_check_pose, or for a tracked stream all at once),
+for correct and the window.
 A FilterConfig is frozen, and resolves its model's predictor class and
 orders (_MODELS) once, when it is built; the kernels read them off it.
 """
@@ -91,7 +99,7 @@ orders (_MODELS) once, when it is built; the kernels read them off it.
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -313,7 +321,7 @@ def correct(x, chain, att_chain, zp, zq):
     The position residual updates the position chain and the orientation
     residual y, taken in the tangent space on the right, the attitude
     chain. Only dp and dth are injected, dth = k0 y on the right through
-    the exponential: EskfPredictor.step replaces the derivative rows with
+    the exponential: the predictor replaces the derivative rows with
     pseudo-derivatives on every received tick. Both chain updates cover
     their whole block; when att_chain is chain (a variant with ord_pos =
     ord_rot), one update serves both.
@@ -335,7 +343,8 @@ def correct(x, chain, att_chain, zp, zq):
 
 
 def _dd(a, b, h):
-    """The divided difference (a - b) / h of two 3-vectors of floats."""
+    """The divided difference (a - b) / h of two 3-vectors of floats, or
+    elementwise of 3-vectors of (m,) arrays."""
     a0, a1, a2 = a
     b0, b1, b2 = b
     return (a0 - b0) / h, (a1 - b1) / h, (a2 - b2) / h
@@ -346,8 +355,9 @@ def _stencil_derivatives(us, fs):
 
     Nodes come newest first: us are their offsets from the newest node
     (us[0] = 0), fs their values as 3-vectors of floats, at most four of
-    them. The Newton divided differences c_k = f[u_0 .. u_k], on all three
-    axes at once, weigh the basis polynomials s (s - u_1) ... (s - u_{k-1}),
+    them; or, elementwise, (m,) arrays in place of every float. The
+    Newton divided differences c_k = f[u_0 .. u_k], on all three axes at
+    once, weigh the basis polynomials s (s - u_1) ... (s - u_{k-1}),
     whose derivatives at s = 0 give
 
         f'   = c_1 - u_1 c_2 + u_1 u_2 c_3
@@ -412,17 +422,26 @@ def estimate_pseudo_derivatives(window, config):
     w_k = quat_log(q_{k-1}^-1 * q_k)/dt each node keeps for the pair it
     ends; its own derivatives come from the same treatment of the last
     ord_rot rates, each placed at its pair's newer end. Both run in Python
-    floats (_stencil_derivatives).
+    floats (_stencil_derivatives), or elementwise on a stack of windows of
+    one length: nodes whose t and whose p and w components are (m,)
+    arrays (EskfPredictor.track), since the stencils use only + - * /.
 
-    Returns (pos_deriv, rot_deriv), three float tuples each, [v, a, j] and
-    [w, wd, wdd] (rows beyond the variant's order zero), or None when
+    Returns (pos_deriv, rot_deriv), three rows each, [v, a, j] and
+    [w, wd, wdd] (rows beyond the variant's order zero), each row a tuple
+    of three floats, or on a stack of (m,) arrays or floats, or None when
     fewer than two nodes are available. While ramping up, derivatives
     whose stencil does not fit yet stay zero.
     """
+    return _window_derivatives(window, config.ord_pos, config.ord_rot)
+
+
+def _window_derivatives(window, ord_pos, ord_rot):
+    """estimate_pseudo_derivatives at the given orders. A tracked stream's
+    ramp-up windows come here directly, so the stream's one stacked call
+    is the only call of that layer (perfbench/tracer.py times it)."""
     n = len(window)
     if n < 2:
         return None
-    ord_pos, ord_rot = config.ord_pos, config.ord_rot
     ts, ps, _, ws = zip(*reversed(window))          # newest first
     t0 = ts[0]
     us = [t - t0 for t in ts]
@@ -431,6 +450,74 @@ def estimate_pseudo_derivatives(window, config):
     k = min(ord_rot, n - 1)
     wd, wdd, _ = _stencil_derivatives(us[:k], ws[:k])
     return pos_d, (ws[0], wd, wdd)
+
+
+def _received_measurements(window, zs, config):
+    """The measurement half of the received ticks zs of a stream whose
+    derivative window is `window`, stacked in numpy: ([node], [(pos_d,
+    rot_d)]), one entry per pose of the longest leading run of zs that
+    update takes without refusing one. Each node is _window_node's and
+    each pair of rows estimate_pseudo_derivatives', bit for bit.
+
+    Every pose is read and checked once (_check_pose's checks), and the
+    window rates of all pairs come from one so3._stacked_log; the run
+    stops at the first pose that fails a check or whose pair with the
+    node before it is off unit or does not advance in t. Every window
+    that holds min_window nodes is gathered by index into one stack for
+    one estimate_pseudo_derivatives call; the shorter ones of the
+    ramp-up, at most min_window - 1, take the scalar path.
+    """
+    L, mw = len(window), config.min_window
+    known = list(window)
+    try:        # every node's floats, the window's first and then each pose's
+        t = np.array([node[0] for node in known] + [z.t for z in zs], dtype=float)
+        P = np.concatenate([node[1] for node in known] + [z.p for z in zs], dtype=float)
+        Q = np.concatenate([node[2] for node in known] + [z.q for z in zs], dtype=float)
+        P, Q = P.reshape(len(t), 3), Q.reshape(len(t), 4)
+    except (TypeError, ValueError):     # a malformed pose: update says which
+        return [], []
+    tol = so3.UNIT_NORM_TOL
+    with np.errstate(all="ignore"):
+        qw, qx, qy, qz = Q.T
+        norm = np.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+        ok = (np.isfinite(t) & np.isfinite(P).all(axis=1) & np.isfinite(Q).all(axis=1)
+              & (np.abs(norm - 1.0) <= tol))
+        c = _leading(ok[L:])
+        # the pairs that end at the checked poses, the first from the window's newest node
+        a, b = slice(L - 1, L + c - 1), slice(L, L + c)
+        (lx, ly, lz), n = so3._stacked_log(*so3._mul((qw[a], -qx[a], -qy[a], -qz[a]),
+                                                     (qw[b], qx[b], qy[b], qz[b])))
+        h = t[b] - t[a]
+        c = _leading((np.abs(n - 1.0) <= tol) & (h > 0.0))
+        W = np.column_stack((lx / h, ly / h, lz / h))[:c]
+    rates = list(map(tuple, W.tolist()))
+    nodes = list(zip([z.t for z in zs[:c]], P[L:L + c].tolist(), Q[L:L + c].tolist(), rates))
+    full = max(L, mw - 1)          # the first node whose window holds min_window nodes
+    known += nodes[:full - L]
+    derivs = [_window_derivatives(known[:j + 1], config.ord_pos, config.ord_rot)
+              for j in range(L, min(full, L + c))]
+    F = L + c - full
+    if F > 0:
+        # each node's rate as a row, the first pose's NaN: no stencil reads it
+        W = np.vstack(([(math.nan,) * 3 if node[3] is None else node[3] for node in window], W))
+        stack = [(t[d:d + F], tuple(P[d:d + F].T), None, tuple(W[d:d + F].T))
+                 for d in range(full - mw + 1, full + 1)]
+        pos_d, (_, wd, wdd) = estimate_pseudo_derivatives(stack, config)
+        # the rate row is each newest node's rate, which the nodes hold as tuples
+        derivs += zip(zip(*(_unstack(row, F) for row in pos_d)),
+                      zip(rates[full - L:], _unstack(wd, F), _unstack(wdd, F)))
+    return nodes, derivs
+
+
+def _leading(ok):
+    """How many entries of a bool array come before its first False."""
+    return len(ok) if ok.all() else int(ok.argmin())
+
+
+def _unstack(row, m):
+    """A stacked row, three leaves that are (m,) arrays or floats, as m
+    tuples of three floats."""
+    return list(zip(*(v.tolist() if isinstance(v, np.ndarray) else repeat(v, m) for v in row)))
 
 
 def _check_pose(z):
@@ -482,6 +569,15 @@ def _stack(rows, shape):
     return tuple(map(tuple, a)) if len(shape) == 2 else tuple(a)
 
 
+def _update_loop(pred, ticks, states):
+    """pred.update on each (pose, received) of ticks; appends the state x
+    after each to states and returns it."""
+    for z, received in ticks:
+        pred.update(z, received)
+        states.append(pred.x)
+    return states
+
+
 def _forecast_rows(rollout, steps):
     """Per entry n of steps, the rollout's n-th stacked (position,
     orientation) as one (m, 7) array of rows [p q]."""
@@ -498,9 +594,10 @@ class EskfPredictor:
     publishes. During drops the window does not advance, so the filter
     coasts open loop on frozen derivatives.
 
-    forecasts rolls many of the states `x` took out at once, so a stream
-    can update tick by tick and publish every tick's forecasts after its
-    loop. A first pose, or a received one, that is not finite or whose
+    track runs a whole stream as the update loop would, and forecasts
+    rolls many of the states `x` took out at once, so a stream can
+    publish every tick's forecasts after it. A first pose, or a received
+    one, that is not finite or whose
     quaternion is not unit raises ValueError, as does a stale tick; a
     refused tick leaves the filter as it was.
     """
@@ -527,22 +624,65 @@ class EskfPredictor:
         P[3 * n:, 3 * n:] = _chain_matrix(self.att_chain, m, 3)
         return P
 
-    def update(self, z, received=True):
-        """Advance one tick to measurement z, publishing nothing."""
-        cfg = self.config
-        dt, zpq = _tick_interval(z, self.x.t, received)
+    def _propagate_correct(self, dt, zpq):
+        """The half of a tick that reads the state: propagate the state and
+        the covariance across dt and, given a received pose's floats
+        zpq = (zp, zq), correct. Returns the corrected state, whose
+        derivative rows the caller replaces with the tick's
+        pseudo-derivatives, or on a lost tick the propagated one."""
         T = error_transition_matrix(dt)
-        self.x = propagate_nominal(self.x, dt, cfg)
+        self.x = propagate_nominal(self.x, dt, self.config)
         n, m = self._sizes
         shared = self.att_chain is self.chain
         self.chain = propagate_covariance(self.chain, n, T)
         self.att_chain = self.chain if shared else propagate_covariance(self.att_chain, m, T)
+        if zpq is None:
+            return self.x
+        x, self.chain, self.att_chain = correct(self.x, self.chain, self.att_chain, *zpq)
+        return x
+
+    def update(self, z, received=True):
+        """Advance one tick to measurement z, publishing nothing."""
+        dt, zpq = _tick_interval(z, self.x.t, received)
+        x = self._propagate_correct(dt, zpq)
         if received:
-            zp, zq = zpq
-            x, self.chain, self.att_chain = correct(self.x, self.chain, self.att_chain, zp, zq)
-            self.window.append(_window_node(z.t, zp, zq, self.window[-1]))
-            pos_d, rot_d = estimate_pseudo_derivatives(self.window, cfg)
+            self.window.append(_window_node(z.t, *zpq, self.window[-1]))
+            pos_d, rot_d = estimate_pseudo_derivatives(self.window, self.config)
             self.x = NominalState(x.t, (x.pos[0], *pos_d), x.q, rot_d)
+
+    def track(self, poses, received):
+        """update on each pose in turn, received iff its flag in `received`
+        is; returns the state x after each tick. Bit for bit the update
+        loop's states, and the filter ends as that loop leaves it.
+
+        What reads only the poses runs first, once, stacked over the
+        received ticks (_received_measurements). The loop keeps what
+        reads the state: the tick interval from x.t, its check, and
+        _propagate_correct, after which it puts the tick's derivative rows
+        in. The tick where the stacked checks or the interval check stop,
+        and every tick after it, go through update, so a refusal raises
+        update's error at update's tick; a lost tick's pose is never read.
+        """
+        ticks = list(zip(poses, received))
+        nodes, derivs = _received_measurements(self.window, [z for z, r in ticks if r],
+                                               self.config)
+        states, used = [], 0
+        try:
+            for z, r in ticks:
+                dt = z.t - self.x.t
+                if not 0.0 < dt < math.inf or r and used == len(nodes):
+                    break
+                if r:
+                    (_, zp, zq, _), (pos_d, rot_d) = nodes[used], derivs[used]
+                    x = self._propagate_correct(dt, (zp, zq))
+                    self.x = NominalState(x.t, (x.pos[0], *pos_d), x.q, rot_d)
+                    used += 1
+                else:
+                    self._propagate_correct(dt, None)
+                states.append(self.x)
+        finally:    # also where correct refuses a tick, as it can in update
+            self.window.extend(nodes[max(0, used - self.config.min_window):used])
+        return _update_loop(self, ticks[len(states):], states)
 
     def step(self, z, received=True):
         """Advance one tick to measurement z; returns the published pose."""
@@ -606,7 +746,7 @@ class KfBaseline:
     error-state filters are built to avoid. The covariance is one
     2-square scalar chain (see the module notes), so an update is two
     scalar gains. update, step, forecasts and the ticks rejected are as
-    in EskfPredictor.
+    in EskfPredictor; track is the update loop.
     """
 
     def __init__(self, config, first_pose):
@@ -644,6 +784,9 @@ class KfBaseline:
             q = _unit((qw + g0 * ew, qx + g0 * ex, qy + g0 * ey, qz + g0 * ez))
             qd = dw + g1 * ew, dx + g1 * ex, dy + g1 * ey, dz + g1 * ez
         self.x = p, v, q, qd
+
+    def track(self, poses, received):
+        return _update_loop(self, zip(poses, received), [])
 
     def step(self, z, received=True):
         self.update(z, received)

@@ -18,9 +18,12 @@ which integrates n rotation increments along the rate Taylor chain with
 one exp and a canonical Hamilton product per step, both written out in
 one loop per order. The public functions accept any sequence and wrap
 the same kernels in ndarrays; zed12_step and zed23_step are
-_rotation_chain's one-step case. geodesic_distance alone scores whole
-streams at once: it runs _mul and _log's steps elementwise on stacks of
-quaternions, in numpy, and gives the floats of the scalar kernels.
+_rotation_chain's one-step case. Whole streams are handled at once by
+_mul, which is elementwise and also takes stacks of quaternions as (m,)
+component arrays, and by _stacked_log, _log's steps elementwise in
+numpy: geodesic_distance scores with them, and the filters take each
+stream's window rates with them. Both give the floats of the scalar
+kernels.
 """
 
 import math
@@ -48,6 +51,8 @@ def _floats(v):
 
 
 def _mul(p, q):
+    """Hamilton product p * q of two tuples of floats, or elementwise of
+    two stacks of quaternions given as (m,) component arrays."""
     pw, px, py, pz = p
     qw, qx, qy, qz = q
     return (pw * qw - px * qx - py * qy - pz * qz,
@@ -256,6 +261,30 @@ def _stacked_rotation_chain(q, w, wd, wdd, h, n, order):
     return qs, ((a0, a1, a2), (b0, b1, b2), wdd)
 
 
+def _stacked_log(w, x, y, z):
+    """_log of a stack of quaternions given as component arrays: the
+    rotation vectors' components, and each quaternion's norm.
+
+    The steps run elementwise in _log's operation order, its w < 0 flip
+    of all four components and its s < 1e-9 series branch as np.where, so
+    every element is the float _log gives. Only the arctangent runs per
+    element, through math.atan2: np.arctan2 rounds differently. Nothing
+    is refused here: a caller checks the norms against UNIT_NORM_TOL, as
+    _log does, and the rows it refuses come out as IEEE arithmetic gives
+    them, without a warning.
+    """
+    with np.errstate(all="ignore"):
+        n = np.sqrt(w * w + x * x + y * y + z * z)
+        w, x, y, z = w / n, x / n, y / n, z / n
+        flip = w < 0.0
+        w, x, y, z = (np.where(flip, -w, w), np.where(flip, -x, x),
+                      np.where(flip, -y, y), np.where(flip, -z, z))
+        s = np.sqrt(x * x + y * y + z * z)
+        angle = np.fromiter(map(math.atan2, s.tolist(), w.tolist()), float, len(s))
+        k = np.where(s < 1e-9, 2.0 / w, 2.0 * angle / s)
+        return (k * x, k * y, k * z), n
+
+
 def _quadratic(v, a, b):
     """Rows of I + a [v]x + b [v]x^2, written out entry by entry."""
     x, y, z = v
@@ -297,32 +326,18 @@ def geodesic_distance(q_pred, q_true):
     either argument do not change the result. Either argument is one
     quaternion or a stack of them, shaped (n, 4); two single quaternions
     give a float, anything stacked an (n,) array. Each angle is the float
-    _log and math.atan2 give for its pair: the steps run elementwise in
-    _log's operation order, and only the arctangent runs per element in
-    Python, since np.arctan2 rounds differently. ValueError, as from _log,
-    when a relative product's norm is more than UNIT_NORM_TOL off unit.
+    _mul and _log give for its pair (_stacked_log). ValueError, as from
+    _log, when a relative product's norm is more than UNIT_NORM_TOL off
+    unit.
     """
     pred, true = np.asarray(q_pred, dtype=float), np.asarray(q_true, dtype=float)
-    pw, px, py, pz = np.atleast_2d(pred).T
     w, x, y, z = np.atleast_2d(true).T
-    x, y, z = -x, -y, -z
-    # IEEE results without warnings, as Python floats give them: the branch
-    # that np.where drops may divide by zero or overflow
+    # IEEE results without warnings, as Python floats give them
     with np.errstate(all="ignore"):
-        rw = pw * w - px * x - py * y - pz * z
-        rx = pw * x + px * w + py * z - pz * y
-        ry = pw * y - px * z + py * w + pz * x
-        rz = pw * z + px * y - py * x + pz * w
-        n = np.sqrt(rw * rw + rx * rx + ry * ry + rz * rz)
+        (lx, ly, lz), n = _stacked_log(*_mul(np.atleast_2d(pred).T, (w, -x, -y, -z)))
         bad = np.abs(n - 1.0) > UNIT_NORM_TOL
         if bad.any():
             raise ValueError(off_unit_message(n[bad.argmax()]))
-        # _log's sign flip negates x, y and z too, but they only enter squared
-        rw, rx, ry, rz = np.abs(rw / n), rx / n, ry / n, rz / n
-        s = np.sqrt(rx * rx + ry * ry + rz * rz)
-        angle = np.fromiter(map(math.atan2, s.tolist(), rw.tolist()), float, len(s))
-        k = np.where(s < 1e-9, 2.0 / rw, 2.0 * angle / s)
-        lx, ly, lz = k * rx, k * ry, k * rz
         d = np.sqrt(lx * lx + ly * ly + lz * lz)
         other = 2.0 * math.pi - d
     d = np.where(other < d, other, d)       # min(d, other), NaN included

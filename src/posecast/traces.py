@@ -19,17 +19,18 @@ TRACE_HEADER = "t,px,py,pz,qw,qx,qy,qz"
 
 def whole_number(name, value):
     """value as an int if it is a whole real number, a numpy integer or an
-    integral float included; ValueError otherwise."""
-    if isinstance(value, numbers.Integral) or (
-            isinstance(value, numbers.Real) and float(value).is_integer()):
+    integral float included; ValueError otherwise, for a bool too, which
+    Python counts as an integer."""
+    if not isinstance(value, bool) and (isinstance(value, numbers.Integral) or (
+            isinstance(value, numbers.Real) and float(value).is_integer())):
         return int(value)
     raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 def real_number(name, value):
-    """value as a float if it is a real number (a numpy one included, a
-    str never); ValueError otherwise."""
-    if isinstance(value, numbers.Real):
+    """value as a float if it is a real number (a numpy one included; a
+    str or a bool never); ValueError otherwise."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
         return float(value)
     raise ValueError(f"{name} must be a real number, got {value!r}")
 

@@ -145,6 +145,16 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"{field} must be a whole number"):
             ExperimentConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("repeats", True), ("master_seed", False), ("horizons_ms", [True]),
+        ("drop_rates", [True]), ("drop_rates", [False]),
+    ])
+    def test_rejects_a_bool_as_a_number(self, field, value):
+        # Python counts a bool as an integer: repeats=True used to run one
+        # repeat and drop_rates=(True,) the drop rate 1.0
+        with pytest.raises(ValueError, match=f"^{field} must be a "):
+            ExperimentConfig(**{field: value})
+
     def test_frozen_so_every_value_passes_the_checks(self):
         cfg = ExperimentConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -297,7 +307,7 @@ class TestRunExperiment:
 
     def test_degenerate_filter_recorded_not_raised(self, monkeypatch):
         class _Boom:
-            def update(self, z, received=True):
+            def track(self, poses, received):
                 raise ValueError("innovation covariance is degenerate")
 
         monkeypatch.setattr("posecast.experiment.make_predictor",
@@ -674,12 +684,14 @@ class _RecordingPredictor:
     def __init__(self, config, first_pose, log):
         self.config = config
         self.received = []
-        self.x = (first_pose.p, first_pose.q)
         log.append(self)
 
-    def update(self, z, received=True):
-        self.received.append(bool(received))
-        self.x = (z.p, z.q)
+    def track(self, poses, received):
+        states = []
+        for z, r in zip(poses, received):
+            self.received.append(bool(r))
+            states.append((z.p, z.q))
+        return states
 
     def forecasts(self, states, steps):
         return [np.array([(*p, *q) for p, q in states]).reshape(-1, 7) for _ in steps]
@@ -835,10 +847,11 @@ class TestSharedStreams:
             def __getattr__(self, name):
                 return getattr(self.inner, name)
 
-            def update(self, z, received=True):
-                if z.t >= 4.5:
+            def track(self, poses, received):
+                poses = list(poses)
+                if any(z.t >= 4.5 for z in poses):
                     raise ValueError("innovation covariance is degenerate")
-                self.inner.update(z, received)
+                return self.inner.track(poses, received)
 
         def breaking(config, first_pose):
             pred = make_predictor(config, first_pose)
@@ -1007,10 +1020,11 @@ class TestScoredTicksOnly:
             def __getattr__(self, name):
                 return getattr(self.inner, name)
 
-            def update(self, z, received=True):
-                if z.t >= 4.5:
+            def track(self, poses, received):
+                poses = list(poses)
+                if any(z.t >= 4.5 for z in poses):
                     raise ValueError("innovation covariance is degenerate")
-                self.inner.update(z, received)
+                return self.inner.track(poses, received)
 
         traces = [generate_synthetic_trace("medium", 5.0, seed=1)]
         cfg = ExperimentConfig(models=("p2o2",), horizons_ms=(20, 60),

@@ -25,6 +25,7 @@ from posecast.filters import (
     propagate_covariance,
     propagate_nominal,
 )
+from posecast.experiment import stream_picks
 from posecast.traces import Pose, generate_synthetic_trace
 
 import numpy_reference as ref
@@ -92,12 +93,13 @@ class TestFilterConfig:
         with pytest.raises(ValueError):
             FilterConfig(horizon_steps=0)
 
-    @pytest.mark.parametrize("dt", ["0.01", b"1", None])
+    @pytest.mark.parametrize("dt", ["0.01", b"1", None, True])
     def test_rejects_dt_that_is_not_a_real_number(self, dt):
+        # Python counts a bool as a number: dt=True used to give dt 1.0
         with pytest.raises(ValueError, match="^dt must be a real number"):
             FilterConfig(dt=dt)
 
-    @pytest.mark.parametrize("dt", [True, 1, np.float64(0.5), np.float32(0.5), Fraction(1, 2)])
+    @pytest.mark.parametrize("dt", [1, np.float64(0.5), np.float32(0.5), Fraction(1, 2)])
     def test_dt_is_stored_as_float(self, dt):
         cfg = FilterConfig(dt=dt)
         assert type(cfg.dt) is float and cfg.dt == float(dt)
@@ -107,7 +109,7 @@ class TestFilterConfig:
         cfg = FilterConfig(horizon_steps=steps)
         assert type(cfg.horizon_steps) is int and cfg.horizon_steps == 3
 
-    @pytest.mark.parametrize("steps", [2.5, np.float64(3.5), np.nan, np.inf, "3", None])
+    @pytest.mark.parametrize("steps", [2.5, np.float64(3.5), np.nan, np.inf, "3", None, True])
     def test_rejects_horizon_steps_that_are_not_whole(self, steps):
         # 2.5 used to be accepted: the error-state models rolled out 2
         # steps and the baseline raised TypeError on its first tick
@@ -754,3 +756,118 @@ def test_lost_packet_pose_is_never_read(model):
     pub = pred.step(placeholder, received=False)
     ref = twin.step(trace.pose(1), received=False)
     assert np.array_equal(pub.p, ref.p) and np.array_equal(pub.q, ref.q)
+
+
+# --------------------------------------------- a whole stream at once (track)
+
+def _spoiled_stream(spoil=None, k=25):
+    """The first pose and ticks 1..59 of a medium stream, every tick
+    received but 30 and 31, with spoil applied to tick k."""
+    trace = generate_synthetic_trace("medium", 0.6, seed=4)
+    poses = [trace.pose(k) for k in range(len(trace))]
+    if spoil:
+        spoil(poses, k)
+    return poses, [k not in (30, 31) for k in range(1, len(poses))]
+
+
+def _outcome(pred, run):
+    """run(pred)'s error text, or None, and the filter it leaves."""
+    try:
+        run(pred)
+        error = None
+    except ValueError as e:
+        error = str(e)
+    return error, _filter_state(pred)
+
+
+def _update_loop(poses, mask):
+    def run(pred):
+        for z, received in zip(poses, mask):
+            pred.update(z, received)
+    return run
+
+
+def _off_unit_pair(poses, k):
+    # ticks k and k + 1 are each within the tolerance; their product is not
+    for z in poses[k:k + 2]:
+        z.q *= 1.0 + 9e-7
+
+
+def _off_unit_pose_in_a_unit_pair(poses, k):
+    # tick k is off unit, its product with tick k - 1 is not: only the
+    # pose check refuses it
+    poses[k - 1].q *= 1.0 - 9e-7
+    poses[k].q *= 1.0 + 1.5e-6
+
+
+_REFUSALS = {
+    "stale timestamp": (lambda poses, k: setattr(poses[k], "t", poses[k - 1].t),
+                        "does not advance"),
+    "NaN timestamp": (lambda poses, k: setattr(poses[k], "t", np.nan),
+                      "timestamp nan is not finite"),
+    "non-finite pose": (lambda poses, k: poses[k].p.__setitem__(1, np.inf), "is not finite"),
+    "off-unit pose": (lambda poses, k: poses[k].q.__imul__(1.01), "not within 1e-6 of unit"),
+    "off-unit pair": (_off_unit_pair, "quaternion norm 1.0000018 is not within 1e-6 of unit"),
+    "off-unit pose in a unit pair": (_off_unit_pose_in_a_unit_pair,
+                                     "t = 0.25: quaternion norm 1.0000015 is not within"),
+}
+
+
+@pytest.mark.parametrize("model", ["KF", "ESKF", "p2o2", "p2o3", "p3o3"])
+@pytest.mark.parametrize("refusal", sorted(_REFUSALS))
+def test_track_refuses_what_update_refuses_at_the_same_tick(model, refusal):
+    # the error text is the update loop's, and so is the filter the refused
+    # tick leaves: update's own partial tick included, where its window
+    # refuses a pair after propagating and correcting
+    spoil, message = _REFUSALS[refusal]
+    poses, mask = _spoiled_stream(spoil)
+    cfg = FilterConfig(model=model, dt=0.01, horizon_steps=5)
+    looped, tracked = (make_predictor(cfg, poses[0]) for _ in range(2))
+    expect = _outcome(looped, _update_loop(poses[1:], mask))
+    error, state = _outcome(tracked, lambda pred: pred.track(poses[1:], mask))
+    if refusal == "off-unit pair" and model == "KF":
+        assert expect[0] is None        # the baseline takes no pair's log
+    else:
+        assert message in expect[0]
+    assert error == expect[0]
+    _assert_same(state, expect[1])
+
+
+@pytest.mark.parametrize("model", ["KF", "ESKF", "p2o3", "p3o3"])
+@pytest.mark.parametrize("refusal", sorted(_REFUSALS))
+def test_track_reads_no_lost_pose_and_none_past_its_end(model, refusal):
+    # spoiled on a lost tick, or on a tick past the stream's end, the
+    # stream runs as the clean one does
+    spoil, _ = _REFUSALS[refusal]
+    clean, mask = _spoiled_stream()
+    cfg = FilterConfig(model=model, dt=0.01, horizon_steps=5)
+    expect = make_predictor(cfg, clean[0]).track(clean[1:], mask)
+    # a lost tick's timestamp is still read, and tick 29 is received
+    if refusal in ("non-finite pose", "off-unit pose", "off-unit pair"):
+        lost, _ = _spoiled_stream(spoil, k=30)
+        assert repr(make_predictor(cfg, lost[0]).track(lost[1:], mask)) == repr(expect)
+    # a sweep's stream that ends before tick 24, the first one spoiled
+    late, _ = _spoiled_stream(spoil)
+    picks = stream_picks(model, 0.01, [5], late, mask, 24)
+    assert [p.tobytes() for p in picks] == [p.tobytes() for p in
+                                            stream_picks(model, 0.01, [5], clean, mask, 24)]
+
+
+@pytest.mark.parametrize("model", ["ESKF", "p2o3", "p3o3"])
+def test_track_leaves_the_update_loops_filter_where_correct_refuses(model):
+    # every pose and pair is within the tolerance, but tick 25 against the
+    # state's quaternion, which keeps the first pose's norm, is not: the
+    # correction's log map refuses it inside the loop that takes the
+    # stacked ticks, and the window still ends as update leaves it
+    poses, mask = _spoiled_stream()
+    poses[0].q *= 1.0 + 9e-7
+    for z in poses[1:25]:
+        z.q *= 1.0 - 5e-7
+    poses[25].q *= 1.0 + 9e-7
+    cfg = FilterConfig(model=model, dt=0.01, horizon_steps=5)
+    looped, tracked = (make_predictor(cfg, poses[0]) for _ in range(2))
+    expect = _outcome(looped, _update_loop(poses[1:], mask))
+    error, state = _outcome(tracked, lambda pred: pred.track(poses[1:], mask))
+    assert expect[0] == "quaternion norm 1.0000018 is not within 1e-6 of unit"
+    assert error == expect[0]
+    _assert_same(state, expect[1])

@@ -4,7 +4,8 @@ the float rotation kernels (the rotation chain bit for bit against its
 stepwise definition), of the order-specialised position chain, stencil
 and baseline chain bit for bit against the generic kernels they
 replaced, of the stacked error metrics bit for bit against the scalar
-float ones, of the pseudo-derivative stencil and its incremental window,
+float ones, of a tracked stream bit for bit against the update loop, of
+the pseudo-derivative stencil and its incremental window,
 the covariance chains, the block structure of the reference covariance
 and the filters' long-run health."""
 
@@ -603,6 +604,69 @@ def test_update_then_forecast_is_step(model, n, data):
             t, p, q = forecast.t, forecast.p, forecast.q
         assert _bits((pub.t, *pub.p, *pub.q)).tolist() == _bits((t, *p, *q)).tolist()
         assert _predictor_state(updated) == _predictor_state(stepped)
+
+
+@st.composite
+def stream_masks(draw, n):
+    """n received flags, drawn as one of a stream's edge cases."""
+    case = draw(st.sampled_from(("any", "leading losses", "all lost", "one received",
+                                 "long coast")))
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    if case == "all lost":
+        return [False] * n
+    if case == "one received":
+        return [k == draw(st.integers(0, n - 1)) for k in range(n)]
+    a = draw(st.integers(0, n))
+    if case == "leading losses":
+        return [False] * a + mask[a:]
+    if case == "long coast":
+        b = draw(st.integers(a, n))
+        return mask[:a] + [False] * (b - a) + mask[b:]
+    return mask
+
+
+@st.composite
+def tracked_streams(draw):
+    """(poses, mask) of a hard stream on a jittered clock: the first pose
+    and then one per tick. Its orientation is held, within a few 1e-10
+    rad, over drawn runs of ticks, so pairs of received poses there take
+    the log map's s < 1e-9 branch, and drawn poses are negated, so their
+    products with the poses before them have w < 0."""
+    trace = _hard_trace()
+    n = len(trace)
+    jitter = draw(st.lists(st.floats(-0.004, 0.004), min_size=n, max_size=n))
+    t = (trace.t + np.array(jitter)).tolist()
+    q = trace.q.copy()
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(st.integers(0, n - 1))
+        for k in range(a + 1, min(n, a + draw(st.integers(2, 40)))):
+            tiny = [draw(st.floats(-2e-10, 2e-10)) for _ in range(3)]
+            q[k] = so3._mul(q[a], so3._exp(tiny))
+    negated = draw(st.lists(st.integers(0, n - 1), max_size=20))
+    q[negated] *= -1.0
+    poses = [Pose(t[k], trace.p[k].copy(), q[k]) for k in range(n)]
+    return poses, draw(stream_masks(n - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MODEL_NAMES), tracked_streams(), st.data())
+def test_track_is_the_update_loop_bit_for_bit(model, stream, data):
+    # every state track returns, and the filter it leaves, window included,
+    # is the update loop's; repr tells every float apart, -0.0 from 0.0
+    # too. The stream is tracked in two calls, so the second starts from a
+    # window that holds from one node to min_window
+    poses, mask = stream
+    cfg = FilterConfig(model=model, dt=0.01, horizon_steps=3)
+    looped, tracked = (make_predictor(cfg, poses[0]) for _ in range(2))
+    expect = []
+    for z, received in zip(poses[1:], mask):
+        looped.update(z, received)
+        expect.append(looped.x)
+    cut = data.draw(st.integers(1, len(poses)))
+    states = (tracked.track(poses[1:cut], mask[:cut - 1])
+              + tracked.track(poses[cut:], mask[cut - 1:]))
+    assert repr(states) == repr(expect)
+    assert repr(_predictor_state(tracked)) == repr(_predictor_state(looped))
 
 
 @pytest.mark.parametrize("model", _ESKF_MODELS)

@@ -193,12 +193,13 @@ class TestSyntheticProfiles:
 
     @pytest.mark.parametrize("name, value", [
         ("duration_s", "3"), ("duration_s", None), ("sample_hz", "100"), ("sample_hz", b"1"),
+        ("duration_s", True),
     ])
     def test_duration_and_rate_that_are_not_real_numbers_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be a real number"):
             generate_synthetic_trace("easy", **{"duration_s": 3.0, name: value})
 
-    @pytest.mark.parametrize("seed", [1.5, 1.9, -1, np.nan, "3", None])
+    @pytest.mark.parametrize("seed", [1.5, 1.9, -1, np.nan, "3", None, True])
     def test_seed_that_is_not_a_non_negative_whole_number_rejected(self, seed):
         # int() would quietly truncate 1.5 to seed 1, and numpy's own
         # refusal of -1 names no argument
