@@ -14,13 +14,13 @@ those of the poses the filters stream. Every stream, also in `posecast
 predict` and the demos, runs through stream_picks and score_picks, and
 scores every horizon from one rollout: filter state never depends on the
 horizon. The predictor's track runs the stream and returns each tick's
-state, taking the work that reads only the poses and the losses out of
-its tick loop, stacked in numpy; the predictor then rolls every tick
-out at once, in numpy, into one (ticks, 7) array of poses per horizon.
-Two rules share streams,
-each decided once as data: a draw of drop masks names the repeats it
-serves (drop_masks), and the plan names the two streams each model's
-errors come from (_stream_plan).
+state; a sweep runs every draw of a (model, trace) as one group over one
+filters.Ticks, which does the work that reads only the poses and the
+losses once for every model and draw, and rolls the group's states out
+in one forecasts call, into a (ticks, 7) array of poses per horizon.
+Two rules share streams, each decided once as data: a draw of drop masks
+names the repeats it serves (drop_masks), and the plan names the two
+streams each model's errors come from (_stream_plan).
 run_experiment applies both without a branch on either, files each cell
 under every (model, horizon, drop rate, repeat) it serves, and reads the
 report out of that table in grid order. A draw is seeded by
@@ -49,13 +49,17 @@ from itertools import accumulate, product
 import numpy as np
 
 from .classifier import MotionClass, classify, discretize_chunk, lz_entropy
-from .filters import MODEL_NAMES, FilterConfig, canonical_model_name, make_predictor
+from .filters import MODEL_NAMES, FilterConfig, Ticks, canonical_model_name, make_predictor
 from .metrics import orientation_error, position_error, summarize
 from .preprocess import CHUNK_LEN, chunk_trace, design_butterworth_lowpass, filter_trace
 from .so3 import UNIT_NORM_TOL, off_unit_message
 from .traces import Pose, real_number, whole_number
 
 SAMPLES_COLUMNS = "model,class,horizon_ms,drop_rate,repeat,trace,tick,e_pos_mm,e_ori_deg"
+
+# the most ticks a group rolls out in one forecasts call: past a few thousand,
+# numpy's cost per call no longer shows, and the rollout stays a few MB
+GROUP_TICKS = 4096
 
 
 def simulate_drop(rng, drop_rate):
@@ -378,13 +382,16 @@ def run_experiment(config, traces):
 
     plan = _stream_plan(config.models)
     streamed = [model for model, sources in plan if model in sources]
+    draws = drop_masks(config, traces)
+    # per trace, model and draw: the stream's segments, or the error that stopped it
+    streams = [_stream_trace(streamed, prep, [masks[ti] for masks in draws.values()])
+               for ti, prep in enumerate(prepared)]
     cells = {}
-    for (drop, repeats), masks in drop_masks(config, traces).items():
-        streams = {model: [_stream_trace(model, prep, mask) for prep, mask in zip(prepared, masks)]
-                   for model in streamed}
+    for d, (drop, repeats) in enumerate(draws):
         for model, (pos, rot) in plan:
             for hi, h_ms in enumerate(config.horizons_ms):
-                stats, failed, kept = _pool_cell(streams[pos], streams[rot], hi)
+                stats, failed, kept = _pool_cell([s[pos][d] for s in streams],
+                                                 [s[rot][d] for s in streams], hi)
                 cell = stats, failed, (kept if config.keep_samples else [])
                 cells.update(((model, h_ms, drop, r), cell) for r in repeats)
 
@@ -410,12 +417,44 @@ def stream_picks(model, dt, steps, poses, mask, end):
     Tick k is received iff mask[k - 1]. The predictor's track runs the
     stream and returns each tick's state; its forecasts then roll every
     state out at once. Horizon i gets an (end - 1, 7) array whose row j is
-    the pose [p q] steps[i] ticks past tick j + 1.
+    the pose [p q] steps[i] ticks past tick j + 1, as a stream of a
+    sweep's group (_group_picks) gets it.
     """
-    pred = make_predictor(FilterConfig(model=model, dt=dt, horizon_steps=max(steps)),
-                          poses[0])
-    states = pred.track(poses[1:end], mask)
-    return pred.forecasts(states, steps)
+    (picks,) = _group_picks(model, dt, steps, Ticks(poses[1:end], poses[0]), [mask])
+    if isinstance(picks, ValueError):
+        raise picks
+    return picks
+
+
+def _group_picks(model, dt, steps, ticks, masks):
+    """stream_picks of each mask over one Ticks, at whose first pose every
+    predictor starts: per mask the horizons' arrays, or the ValueError
+    that stopped the stream. The tracks share the Ticks' work, and one
+    forecasts call rolls them all out (_roll)."""
+    cfg = FilterConfig(model=model, dt=dt, horizon_steps=max(steps))
+    runs, pred = [], None
+    for mask in masks:
+        try:
+            pred = make_predictor(cfg, ticks.first)
+            runs.append(pred.track(ticks, mask))
+        except ValueError as e:
+            runs.append(e)
+    rolled = iter(_roll(pred, [run for run in runs if not isinstance(run, ValueError)], steps))
+    return [run if isinstance(run, ValueError) else next(rolled) for run in runs]
+
+
+def _roll(pred, runs, steps):
+    """pred.forecasts of the runs' states joined, split back per run.
+    Where it refuses a state, each run is rolled out alone, so only a run
+    that holds one fails, with that ValueError for its arrays."""
+    if not runs:
+        return []
+    try:
+        rolled = pred.forecasts(sum(runs[1:], runs[0]), steps)
+    except ValueError as e:
+        return [e] if len(runs) == 1 else [_roll(pred, [run], steps)[0] for run in runs]
+    ends = list(accumulate(map(len, runs)))[:-1]
+    return list(map(list, zip(*(np.split(rows, ends) for rows in rolled))))
 
 
 def score_picks(picks, steps, truth):
@@ -441,25 +480,41 @@ def score_picks(picks, steps, truth):
     return [(e_pos[end - m:end], e_ori[end - m:end]) for m, end in zip(counts, ends)]
 
 
-def _stream_trace(model, prepared, mask):
-    """Stream one model over one prepared trace, score it and cut it by class.
+def _stream_trace(models, prepared, masks):
+    """Stream each model over one prepared trace under each mask, score
+    every stream and cut it by class.
 
-    Returns per horizon a dict of one (ticks, e_pos, e_ori) segment per
-    class, in the order the classes first appear, or the error that stopped
-    the stream. Tick k lies in chunk k // CHUNK_LEN; a class whose chunks
-    recur gets one segment holding them in tick order. The stream ends at
-    the last tick any horizon scores: ticks past the labelled chunks, or
-    too close to the end for the shortest horizon, are never filtered, so
-    a filter that would break there fails no cell.
+    Returns per model a list with, per mask, one dict per horizon of one
+    (ticks, e_pos, e_ori) segment per class, in the order the classes
+    first appear, or the error that stopped the stream. Tick k lies in
+    chunk k // CHUNK_LEN; a class whose chunks recur gets one segment
+    holding them in tick order. The streams end at the last tick any
+    horizon scores: ticks past the labelled chunks, or too close to the
+    end for the shortest horizon, are never filtered, so a filter that
+    would break there fails no cell. The masks go in groups of at most
+    GROUP_TICKS ticks, each over one Ticks (_group_picks).
     """
     dt, steps, poses, truth, labels = prepared
     if isinstance(labels, ValueError):
-        return labels
+        return {model: [labels] * len(masks) for model in models}
     end = min(len(labels) * CHUNK_LEN, len(poses) - min(steps))
-    try:
-        scored = score_picks(stream_picks(model, dt, steps, poses, mask, end), steps, truth)
-    except ValueError as e:
-        return e
+    size = max(1, GROUP_TICKS // (end - 1))
+    streams = {model: [] for model in models}
+    for g in range(0, len(masks), size):
+        ticks = Ticks(poses[1:end], poses[0])
+        for model in models:
+            for picks in _group_picks(model, dt, steps, ticks, masks[g:g + size]):
+                try:
+                    if isinstance(picks, ValueError):
+                        raise picks
+                    streams[model].append(_cut(score_picks(picks, steps, truth), labels))
+                except ValueError as e:
+                    streams[model].append(e)
+    return streams
+
+
+def _cut(scored, labels):
+    """A stream's score_picks lists cut by class (_stream_trace)."""
     cut = []
     for e_pos, e_ori in scored:
         m = len(e_pos)

@@ -57,49 +57,42 @@ kron(P_s, I4) for the order-1 chain.
 Everything per tick runs in Python floats, where numpy's call overhead
 would cost more than the arithmetic. Both predictors keep their state as
 tuples of floats: the error-state filters a NominalState, the baseline
-x = (p, v, q, qdot). Only the Poses at the boundary, the first pose, each
-measurement and the published forecast, hold arrays, and so does the
-covariance that `pred.P` assembles on request. propagate_nominal and
-predict_horizon share one core, _chain, which runs the position Taylor
-chain itself and the orientation and rate rows through
-so3._rotation_chain. A rollout is a list of
-((px, py, pz), (qw, qx, qy, qz)) float tuples.
+x = (p, v, q, qdot). Only the Poses at the boundary and the published
+forecast hold arrays, and so does the covariance `pred.P` assembles on
+request. propagate_nominal and predict_horizon share one core, _chain,
+which runs the position Taylor chain and, through so3._rotation_chain,
+the orientation and rate rows. A rollout is a list of
+((px, py, pz), (qw, qx, qy, qz)) float tuples. The kernels are
+specialised to the model's order, each bit for bit the generic loop that
+tests/numpy_reference.py keeps.
 
 A predictor's tick is `update` (propagate, correct, re-estimate the
-pseudo-derivatives); `step` is update plus the forecast it publishes.
-A sweep's stream calls `track`, which runs the whole stream and returns
-each tick's state `x`, bit for bit the update loop's. Of an error-state
-tick only propagation and correction read the state
-(_propagate_correct, which update calls too), so EskfPredictor.track
-does the rest, the pose checks, the window rates and the
-pseudo-derivatives, once per stream, stacked over the received ticks in
-numpy (_received_measurements). The baseline's track is the update
-loop. After track, the predictor's `forecasts` rolls every kept state
-out at once on a stack: a NominalState (or a baseline x) whose leaves
-are (m,) arrays.
-_chain and _cv_chain are elementwise and serve both shapes: on a stack,
-_chain runs so3._stacked_rotation_chain, which predict_horizon picks by
-the leaves' type, and _cv_chain np.sqrt. Both take that kernel as an
-argument whose default is the scalar one, so neither checks a type on
-the tick path. Every element of a stacked
-rollout is the float the per-tick rollout gives, and the error-state
-forecast still goes through predict_horizon, once per stream.
-
-The tick's kernels are specialised to the model's order: _chain and
-so3._rotation_chain run one loop per order, _stencil_derivatives one
-table per stencil size, and the baseline's propagation and rollout one
-loop, _cv_chain. Each gives bit for bit the floats of the generic loop
-that tests/numpy_reference.py keeps as its reference. A received pose is
-read into floats once (_check_pose, or for a tracked stream all at once),
-for correct and the window.
+pseudo-derivatives); every check runs before anything is assigned, so a
+refused tick leaves the filter as it was. `step` is update plus the
+forecast it publishes. `track` runs a whole stream, bit for bit the
+update loop, and `forecasts` rolls the states out at once on a stack
+(predict_horizon takes a NominalState whose leaves are (m,) arrays,
+_chain then running so3._stacked_rotation_chain, and _cv_chain np.sqrt).
+Of an error-state tick only a recurrence in (p, q) reads the state: add
+the position terms v c1, a c2, j c3 to p, set q to canonical(q
+exp(phi)), and on a received tick inject the pose (correct). The
+derivative rows, the terms, the increments exp(phi) and the gains read
+only the poses, the losses and the clock (t + (z.t - t) on every tick),
+so track computes them first: per draw of received flags once for every
+stream (Ticks, _Draw: the pose checks, the window rates, one covariance
+chain per size, the baseline's gains among them), and per stream
+stacked over its ticks in numpy (EskfPredictor._recur). An error-state
+track returns States, arrays that make NominalStates when read.
 A FilterConfig is frozen, and resolves its model's predictor class and
 orders (_MODELS) once, when it is built; the kernels read them off it.
 """
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import chain, combinations, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -314,32 +307,21 @@ def _chain_matrix(s, n, k=1):
     return (S[:, None, :, None] * np.eye(k)[:, None]).reshape(n * k, n * k)
 
 
-def correct(x, chain, att_chain, zp, zq):
-    """Measurement update from a received pose, position zp and quaternion
-    zq as floats (_check_pose); returns (state, chain, att_chain).
+def correct(p, q, zp, zq, g, k):
+    """Inject a received pose's floats zp, zq (_check_pose) into p and q
+    at the chains' first gains g and k; returns the new (p, q).
 
-    The position residual updates the position chain and the orientation
-    residual y, taken in the tangent space on the right, the attitude
-    chain. Only dp and dth are injected, dth = k0 y on the right through
-    the exponential: the predictor replaces the derivative rows with
-    pseudo-derivatives on every received tick. Both chain updates cover
-    their whole block; when att_chain is chain (a variant with ord_pos =
-    ord_rot), one update serves both.
+    p moves by g (zp - p), q by dth = k y on the right, for the residual
+    y = log(q^-1 zq): only dp and dth, as the derivative rows are
+    re-estimated on every received tick. ValueError, from so3._log, when
+    q^-1 zq is off unit. update and track's recurrence inject through here.
     """
-    qw, qx, qy, qz = q = x.q
+    qw, qx, qy, qz = q
     y0, y1, y2 = so3._log(so3._mul((qw, -qx, -qy, -qz), zq))
-    shared = att_chain is chain
-    chain, g, _ = _chain_update(chain)
-    if shared:
-        att_chain, k = chain, g
-    else:
-        att_chain, k, _ = _chain_update(att_chain)
-
-    (p0, p1, p2), *derivs = x.pos
+    p0, p1, p2 = p
     z0, z1, z2 = zp
-    pos = ((p0 + g * (z0 - p0), p1 + g * (z1 - p1), p2 + g * (z2 - p2)), *derivs)
-    dth = (k * y0, k * y1, k * y2)
-    return NominalState(x.t, pos, so3._mul(q, so3._exp(dth)), x.wvec), chain, att_chain
+    return ((p0 + g * (z0 - p0), p1 + g * (z1 - p1), p2 + g * (z2 - p2)),
+            so3._mul(q, so3._exp((k * y0, k * y1, k * y2))))
 
 
 def _dd(a, b, h):
@@ -423,8 +405,7 @@ def estimate_pseudo_derivatives(window, config):
     ends; its own derivatives come from the same treatment of the last
     ord_rot rates, each placed at its pair's newer end. Both run in Python
     floats (_stencil_derivatives), or elementwise on a stack of windows of
-    one length: nodes whose t and whose p and w components are (m,)
-    arrays (EskfPredictor.track), since the stencils use only + - * /.
+    one length, whose t, p and w leaves are (m,) arrays (_recur).
 
     Returns (pos_deriv, rot_deriv), three rows each, [v, a, j] and
     [w, wd, wdd] (rows beyond the variant's order zero), each row a tuple
@@ -432,92 +413,22 @@ def estimate_pseudo_derivatives(window, config):
     fewer than two nodes are available. While ramping up, derivatives
     whose stencil does not fit yet stay zero.
     """
-    return _window_derivatives(window, config.ord_pos, config.ord_rot)
-
-
-def _window_derivatives(window, ord_pos, ord_rot):
-    """estimate_pseudo_derivatives at the given orders. A tracked stream's
-    ramp-up windows come here directly, so the stream's one stacked call
-    is the only call of that layer (perfbench/tracer.py times it)."""
     n = len(window)
     if n < 2:
         return None
     ts, ps, _, ws = zip(*reversed(window))          # newest first
     t0 = ts[0]
     us = [t - t0 for t in ts]
-    pos_d = _stencil_derivatives(us[:ord_pos + 1], ps[:ord_pos + 1])
+    pos_d = _stencil_derivatives(us[:config.ord_pos + 1], ps[:config.ord_pos + 1])
     # body-frame rates over the pairs inside the window, newest pair first
-    k = min(ord_rot, n - 1)
+    k = min(config.ord_rot, n - 1)
     wd, wdd, _ = _stencil_derivatives(us[:k], ws[:k])
     return pos_d, (ws[0], wd, wdd)
-
-
-def _received_measurements(window, zs, config):
-    """The measurement half of the received ticks zs of a stream whose
-    derivative window is `window`, stacked in numpy: ([node], [(pos_d,
-    rot_d)]), one entry per pose of the longest leading run of zs that
-    update takes without refusing one. Each node is _window_node's and
-    each pair of rows estimate_pseudo_derivatives', bit for bit.
-
-    Every pose is read and checked once (_check_pose's checks), and the
-    window rates of all pairs come from one so3._stacked_log; the run
-    stops at the first pose that fails a check or whose pair with the
-    node before it is off unit or does not advance in t. Every window
-    that holds min_window nodes is gathered by index into one stack for
-    one estimate_pseudo_derivatives call; the shorter ones of the
-    ramp-up, at most min_window - 1, take the scalar path.
-    """
-    L, mw = len(window), config.min_window
-    known = list(window)
-    try:        # every node's floats, the window's first and then each pose's
-        t = np.array([node[0] for node in known] + [z.t for z in zs], dtype=float)
-        P = np.concatenate([node[1] for node in known] + [z.p for z in zs], dtype=float)
-        Q = np.concatenate([node[2] for node in known] + [z.q for z in zs], dtype=float)
-        P, Q = P.reshape(len(t), 3), Q.reshape(len(t), 4)
-    except (TypeError, ValueError):     # a malformed pose: update says which
-        return [], []
-    tol = so3.UNIT_NORM_TOL
-    with np.errstate(all="ignore"):
-        qw, qx, qy, qz = Q.T
-        norm = np.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
-        ok = (np.isfinite(t) & np.isfinite(P).all(axis=1) & np.isfinite(Q).all(axis=1)
-              & (np.abs(norm - 1.0) <= tol))
-        c = _leading(ok[L:])
-        # the pairs that end at the checked poses, the first from the window's newest node
-        a, b = slice(L - 1, L + c - 1), slice(L, L + c)
-        (lx, ly, lz), n = so3._stacked_log(*so3._mul((qw[a], -qx[a], -qy[a], -qz[a]),
-                                                     (qw[b], qx[b], qy[b], qz[b])))
-        h = t[b] - t[a]
-        c = _leading((np.abs(n - 1.0) <= tol) & (h > 0.0))
-        W = np.column_stack((lx / h, ly / h, lz / h))[:c]
-    rates = list(map(tuple, W.tolist()))
-    nodes = list(zip([z.t for z in zs[:c]], P[L:L + c].tolist(), Q[L:L + c].tolist(), rates))
-    full = max(L, mw - 1)          # the first node whose window holds min_window nodes
-    known += nodes[:full - L]
-    derivs = [_window_derivatives(known[:j + 1], config.ord_pos, config.ord_rot)
-              for j in range(L, min(full, L + c))]
-    F = L + c - full
-    if F > 0:
-        # each node's rate as a row, the first pose's NaN: no stencil reads it
-        W = np.vstack(([(math.nan,) * 3 if node[3] is None else node[3] for node in window], W))
-        stack = [(t[d:d + F], tuple(P[d:d + F].T), None, tuple(W[d:d + F].T))
-                 for d in range(full - mw + 1, full + 1)]
-        pos_d, (_, wd, wdd) = estimate_pseudo_derivatives(stack, config)
-        # the rate row is each newest node's rate, which the nodes hold as tuples
-        derivs += zip(zip(*(_unstack(row, F) for row in pos_d)),
-                      zip(rates[full - L:], _unstack(wd, F), _unstack(wdd, F)))
-    return nodes, derivs
 
 
 def _leading(ok):
     """How many entries of a bool array come before its first False."""
     return len(ok) if ok.all() else int(ok.argmin())
-
-
-def _unstack(row, m):
-    """A stacked row, three leaves that are (m,) arrays or floats, as m
-    tuples of three floats."""
-    return list(zip(*(v.tolist() if isinstance(v, np.ndarray) else repeat(v, m) for v in row)))
 
 
 def _check_pose(z):
@@ -556,17 +467,23 @@ def _tick_interval(z, t, received):
     return dt, (_check_pose(z) if received else None)
 
 
-def _stack(rows, shape):
-    """Rows of float tuples nested as shape, (k,) or (k, l), as one such
-    nesting whose leaves are (len(rows),) arrays: leaf [i][j] holds every
-    row's [i][j]. The floats are read in one pass, which np.fromiter
-    takes in under half the time np.array takes to walk the nesting."""
-    floats = chain.from_iterable(rows)
-    if len(shape) == 2:
+def _array(rows, shape):
+    """Rows of floats nested as shape as one (len(rows), *shape) array, in
+    one np.fromiter pass: under half the time np.array takes."""
+    floats = rows
+    for _ in shape:
         floats = chain.from_iterable(floats)
-    a = np.fromiter(floats, float, len(rows) * math.prod(shape)).reshape(-1, *shape)
+    return np.fromiter(floats, float, len(rows) * math.prod(shape)).reshape(-1, *shape)
+
+
+def _leaves(a):
+    """An (m, *shape) array as shape's nesting of (m,) arrays."""
     a = np.moveaxis(a, 0, -1)
-    return tuple(map(tuple, a)) if len(shape) == 2 else tuple(a)
+    return tuple(map(tuple, a)) if a.ndim == 3 else tuple(a)
+
+
+def _stack(rows, shape):
+    return _leaves(_array(rows, shape))
 
 
 def _update_loop(pred, ticks, states):
@@ -584,6 +501,188 @@ def _forecast_rows(rollout, steps):
     return [np.column_stack((*rollout[n - 1][0], *rollout[n - 1][1])) for n in steps]
 
 
+def _rows(rows):
+    return tuple(map(tuple, rows))
+
+
+class States(Sequence):
+    """The NominalStates EskfPredictor.track returns, as arrays t (m,),
+    pos (m, 4, 3), q (m, 4) and wvec (m, 3, 3), made into float tuples
+    when read: a sweep builds no tuples per tick for the garbage
+    collector to walk. `+` joins two."""
+
+    def __init__(self, *arrays):
+        self.arrays = arrays
+
+    @classmethod
+    def of(cls, states):
+        return cls(*(_array([s[i] for s in states], shape)
+                     for i, shape in enumerate(((), (4, 3), (4,), (3, 3)))))
+
+    def __len__(self):
+        return len(self.arrays[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return States(*(a[i] for a in self.arrays))
+        t, pos, q, wvec = (a[i].tolist() for a in self.arrays)
+        return NominalState(t, _rows(pos), tuple(q), _rows(wvec))
+
+    def __add__(self, other):
+        return States(*map(np.concatenate, zip(self.arrays, other.arrays)))
+
+    def __repr__(self):
+        return repr(list(self))
+
+
+def _clock(t, stamps, kf):
+    """(t after each tick, error_transition_matrix of each interval) from
+    t over ticks at `stamps`, up to one whose interval update refuses:
+    t moves to t + (z.t - t), as propagate_nominal moves it, or for the
+    baseline (kf) to z.t."""
+    ts, Ts = [], []
+    for zt in stamps:
+        h = zt - t
+        if not 0.0 < h < math.inf:
+            break
+        try:
+            Ts.append(error_transition_matrix(h))
+        except OverflowError:
+            break
+        t = zt if kf else t + h
+        ts.append(t)
+    return np.array(ts), Ts
+
+
+class Ticks(list):
+    """A stream's poses after its first, with what reads only them (the
+    floats and checks, one numpy pass; the clocks) and per draw of flags
+    (_Draw) done once for every stream from `start`. run_experiment hands
+    one to each predictor it builds at `first`, which reads it while
+    fresh there; any other builds its own Ticks from its state."""
+
+    def __init__(self, poses, first=None, start=None):
+        super().__init__(poses)
+        self.first, self._draws = first, {}
+        if start:
+            self.start = start
+
+    @cached_property
+    def start(self):
+        """(t, window, chains by size, else identity) fresh at `first`."""
+        p, q = _check_pose(self.first)
+        return float(self.first.t), (_window_node(self.first.t, p, q, None),), {}
+
+    @cached_property
+    def floats(self):
+        """(t, P, Q, ok) arrays, ok where _check_pose takes the pose; None
+        where a pose is not 3 and 4 numbers, which update refuses."""
+        try:
+            t, P, Q = (np.array([getattr(z, f) for z in self], dtype=float) for f in "tpq")
+        except (TypeError, ValueError):
+            return None
+        if P.shape != (len(t), 3) or Q.shape != (len(t), 4):
+            return None
+        qw, qx, qy, qz = Q.T
+        with np.errstate(all="ignore"):
+            norm = np.sqrt(qw * qw + qx * qx + qy * qy + qz * qz)
+            ok = (np.isfinite(t) & np.isfinite(P).all(axis=1) & np.isfinite(Q).all(axis=1)
+                  & (np.abs(norm - 1.0) <= so3.UNIT_NORM_TOL))
+        return t, P, Q, ok
+
+    @cached_property
+    def clock(self):
+        """The error-state clock, its entries also as an (n, 3) array."""
+        ts, Ts = _clock(self.start[0], self.floats[0].tolist(), False)
+        return ts, Ts, np.array(Ts).reshape(-1, 3)
+
+    @cached_property
+    def kf_clock(self):
+        """The baseline's: `clock` itself unless t + (z.t - t) rounds off z.t."""
+        clock = _clock(self.start[0], self.floats[0].tolist(), True)
+        return self.clock if clock[1] == self.clock[1] else clock
+
+    def draw(self, received):
+        flags = [bool(r) for _, r in zip(self, received)]
+        key = bytes(flags)
+        if key not in self._draws:
+            self._draws[key] = _Draw(self, flags)
+        return self._draws[key]
+
+
+class _Draw:
+    """A draw of flags over a Ticks: recv, the received ticks before
+    stop_pose, the first _check_pose refuses; z, their [p q] as seven
+    lists of floats; `window` and `gains`. No tuples per tick: a group's
+    draws live together."""
+
+    def __init__(self, ticks, flags):
+        _, P, Q, ok = ticks.floats
+        self.ticks, self.flags, self._gains = ticks, flags, {}
+        recv = np.flatnonzero(flags)
+        c = _leading(ok[recv])
+        self.stop_pose = int(recv[c]) if c < len(recv) else len(flags)
+        self.recv = recv = recv[:c]
+        self.z = np.column_stack((P[recv], Q[recv])).T.tolist()
+
+    @cached_property
+    def window(self):
+        """(stop_pair, nodes): the first received tick whose pair
+        _window_node refuses (one so3._stacked_log of all pairs), and the
+        start window's and received nodes before it as (t, p, w) arrays."""
+        t, P, Q, _ = self.ticks.floats
+        window, recv = self.ticks.start[1], self.recv
+        L = len(window)
+        tn = np.concatenate(([node[0] for node in window], t[recv]))
+        qw, qx, qy, qz = np.vstack((window[-1][2], Q[recv])).T
+        with np.errstate(all="ignore"):
+            (lx, ly, lz), norm = so3._stacked_log(*so3._mul((qw[:-1], -qx[:-1], -qy[:-1], -qz[:-1]),
+                                                            (qw[1:], qx[1:], qy[1:], qz[1:])))
+            h = tn[L:] - tn[L - 1:-1]
+            c = _leading((np.abs(norm - 1.0) <= so3.UNIT_NORM_TOL) & (h > 0.0))
+            W = np.column_stack((lx / h, ly / h, lz / h))[:c]
+        rates = [(math.nan,) * 3 if node[3] is None else node[3] for node in window]
+        return (int(recv[c]) if c < len(recv) else self.stop_pose,
+                (tn[:L + c], np.vstack(([node[1] for node in window], P[recv[:c]])),
+                 np.vstack((rates, W))))
+
+    def gains(self, size, clock):
+        """The chain of this size on the clock up to stop_pose: the gains
+        of each received tick as lists k0, k1, and each tick's chain."""
+        key = size, id(clock)
+        if key not in self._gains:
+            chain, k0s, k1s, chains = self.ticks.start[2].get(size) or _chain_eye(size), [], [], []
+            for T, r in zip(clock[1][:self.stop_pose], self.flags):
+                chain = propagate_covariance(chain, size, T)
+                if r:
+                    chain, k0, k1 = _chain_update(chain)
+                    k0s.append(k0)
+                    k1s.append(k1)
+                chains.append(chain)
+            self._gains[key] = k0s, k1s, np.array(chains).reshape(-1, 10)
+        return self._gains[key]
+
+
+def _carry(rows, c1, c2, order, pad):
+    """Rows (v, a, j), or (w, wd, wdd), (k, 3, 3), one lost tick of dt c1
+    on, as _chain (pad 0.0 at orders 1 and 2) or so3._rotation_chain
+    (pad -0.0, which adds nothing) advance them."""
+    v, a, j = rows[:, 0], rows[:, 1], rows[:, 2]
+    if order == 3:
+        v, a = v + a * c1 + j * c2, a + j * c1
+    elif order == 2:
+        v, a = v + pad + (a + pad) * c1, a + pad
+    else:
+        v, a = v + pad, a + pad
+    return np.stack((v, a, j), axis=1)
+
+
+def _ticks(pred, poses, start):
+    """poses if a Ticks pred is fresh at the first of, else one from start."""
+    fresh = pred._first is not None and isinstance(poses, Ticks) and poses.first is pred._first
+    return poses if fresh else Ticks(poses, start=start)
+
+
 class EskfPredictor:
     """Streaming error-state predictor.
 
@@ -597,9 +696,10 @@ class EskfPredictor:
     track runs a whole stream as the update loop would, and forecasts
     rolls many of the states `x` took out at once, so a stream can
     publish every tick's forecasts after it. A first pose, or a received
-    one, that is not finite or whose
-    quaternion is not unit raises ValueError, as does a stale tick; a
-    refused tick leaves the filter as it was.
+    one, that is not finite or whose quaternion is not unit raises
+    ValueError, as does a stale tick or a received pose whose pair with
+    the window's newest node is not unit; every check runs before
+    anything is assigned, so a refused tick leaves the filter as it was.
     """
 
     def __init__(self, config, first_pose):
@@ -614,6 +714,7 @@ class EskfPredictor:
         # the attitude chain is the position chain itself at equal orders
         self.att_chain = self.chain if n == m else _chain_eye(m)
         self.window = deque([_window_node(first_pose.t, p, q, None)], maxlen=config.min_window)
+        self._first = first_pose        # until a tick moves the filter
 
     @property
     def P(self):
@@ -624,65 +725,121 @@ class EskfPredictor:
         P[3 * n:, 3 * n:] = _chain_matrix(self.att_chain, m, 3)
         return P
 
-    def _propagate_correct(self, dt, zpq):
-        """The half of a tick that reads the state: propagate the state and
-        the covariance across dt and, given a received pose's floats
-        zpq = (zp, zq), correct. Returns the corrected state, whose
-        derivative rows the caller replaces with the tick's
-        pseudo-derivatives, or on a lost tick the propagated one."""
-        T = error_transition_matrix(dt)
-        self.x = propagate_nominal(self.x, dt, self.config)
-        n, m = self._sizes
-        shared = self.att_chain is self.chain
-        self.chain = propagate_covariance(self.chain, n, T)
-        self.att_chain = self.chain if shared else propagate_covariance(self.att_chain, m, T)
-        if zpq is None:
-            return self.x
-        x, self.chain, self.att_chain = correct(self.x, self.chain, self.att_chain, *zpq)
-        return x
-
     def update(self, z, received=True):
         """Advance one tick to measurement z, publishing nothing."""
+        cfg = self.config
         dt, zpq = _tick_interval(z, self.x.t, received)
-        x = self._propagate_correct(dt, zpq)
+        T = error_transition_matrix(dt)
+        x = propagate_nominal(self.x, dt, cfg)
+        (n, m), shared = self._sizes, self.att_chain is self.chain
+        chain = propagate_covariance(self.chain, n, T)
+        att_chain = chain if shared else propagate_covariance(self.att_chain, m, T)
         if received:
+            chain, g, _ = _chain_update(chain)
+            att_chain, k, _ = (chain, g, None) if shared else _chain_update(att_chain)
+            p, q = correct(x.pos[0], x.q, *zpq, g, k)
             self.window.append(_window_node(z.t, *zpq, self.window[-1]))
-            pos_d, rot_d = estimate_pseudo_derivatives(self.window, self.config)
-            self.x = NominalState(x.t, (x.pos[0], *pos_d), x.q, rot_d)
+            pos_d, rot_d = estimate_pseudo_derivatives(self.window, cfg)
+            x = NominalState(x.t, (p, *pos_d), q, rot_d)
+        self.x, self.chain, self.att_chain, self._first = x, chain, att_chain, None
 
     def track(self, poses, received):
-        """update on each pose in turn, received iff its flag in `received`
-        is; returns the state x after each tick. Bit for bit the update
-        loop's states, and the filter ends as that loop leaves it.
+        """update on each pose, received iff its flag is; returns each
+        tick's x as States, bit for bit the update loop's, leaving the
+        filter as it does. update takes the ticks until the window holds
+        min_window - 1 nodes, _recur the rest up to one update would
+        refuse or whose increment is infinite, and update that tick on."""
+        cfg, x = self.config, self.x
+        ticks = _ticks(self, poses, (x.t, tuple(self.window),
+                                     dict(zip(self._sizes, (self.chain, self.att_chain)))))
+        if ticks.floats is None:
+            return States.of(_update_loop(self, zip(poses, received), []))
+        draw = ticks.draw(received)
+        flags, recv, L = draw.flags, draw.recv, len(ticks.start[1])
+        u = max(0, cfg.min_window - 1 - L)
+        s = len(flags) if u > len(recv) else int(recv[u - 1]) + 1 if u else 0
+        states = States.of(_update_loop(self, zip(ticks[:s], flags[:s]), []))
+        stop = min(len(ticks.clock[0]), draw.window[0])
+        if s < stop:
+            states += self._recur(ticks, draw, s, stop, u, L)
+        self._first, k = None, len(states)
+        return states + States.of(_update_loop(self, zip(ticks[k:], flags[k:]), []))
 
-        What reads only the poses runs first, once, stacked over the
-        received ticks (_received_measurements). The loop keeps what
-        reads the state: the tick interval from x.t, its check, and
-        _propagate_correct, after which it puts the tick's derivative rows
-        in. The tick where the stacked checks or the interval check stop,
-        and every tick after it, go through update, so a refusal raises
-        update's error at update's tick; a lost tick's pose is never read.
-        """
-        ticks = list(zip(poses, received))
-        nodes, derivs = _received_measurements(self.window, [z for z, r in ticks if r],
-                                               self.config)
-        states, used = [], 0
+    def _recur(self, ticks, draw, s, stop, u, L):
+        """track's ticks s to stop, received ones from recv[u]: their
+        States, up to one correct refuses, leaving the filter at the last.
+        In numpy first: the pseudo-derivatives, the rows after each tick
+        (carried through coasts a depth at a time), and from the rows
+        before it each tick's position terms and exp(phi). The loop then
+        runs the (p, q) recurrence, every float in update's order."""
+        cfg, x, mw = self.config, self.x, self.config.min_window
+        m, C, recv = stop - s, ticks.clock[2][s:stop], draw.recv
+        got = recv[u:np.searchsorted(recv, stop)] - s + 1
+        F, i0 = len(got), L + u - mw + 1
+        nt, nP, nW = draw.window[1]
+        R = np.empty((m + 1, 7, 3))     # rows [p v a j w wd wdd] before tick s, after each
+        R[0, 1:] = (*x.pos[1:], *x.wvec)
+        flags = np.array(draw.flags[s:stop])
+        lost = np.flatnonzero(~flags) + 1
+        known = np.maximum.accumulate(np.where(flags, np.arange(1, m + 1), 0))[lost - 1]
+        by = np.argsort(lost - known, kind="stable")        # by depth into the coast
+        deep = np.split(lost[by], np.flatnonzero(np.diff((lost - known)[by])) + 1)
+        with np.errstate(all="ignore"):
+            windows = [(nt[i:i + F], tuple(nP[i:i + F].T), None, tuple(nW[i:i + F].T))
+                       for i in range(i0, i0 + mw)]
+            for r, row in enumerate(chain(*estimate_pseudo_derivatives(windows, cfg)), start=1):
+                R[got, r, 0], R[got, r, 1], R[got, r, 2] = row
+            # where two nodes' offsets from the newest round to one, update's
+            # stencil raises ZeroDivisionError: the loop stops before that tick
+            us = [w[0] - windows[-1][0] for w in windows]
+            apart = np.logical_and.reduce([a != b for a, b in combinations(us, 2)])
+            end = m if apart.all() else int(got[_leading(apart)]) - 1
+            for h, order, pad in ((1, cfg.ord_pos, 0.0), (4, cfg.ord_rot, -0.0)):
+                for i, prev in [(lost, known)] if order == 1 else [(i, i - 1) for i in deep]:
+                    R[i, h:h + 3] = _carry(R[prev, h:h + 3], C[i - 1, :1], C[i - 1, 1:2], order, pad)
+            V, A, J, W, WD, WDD = np.moveaxis(R[:-1, 1:], 1, 0)
+            c1, c2, c3 = C[:, :1], C[:, 1:2], C[:, 2:]
+            # at orders 1 and 2, _chain's 0.0 added to p goes into the first term,
+            # after which adding a 0.0 term leaves p as it is
+            terms = np.zeros((3, m, 3))
+            terms[:cfg.ord_pos] = ((V * c1, A * c2, J * c3) if cfg.ord_pos == 3
+                                   else (V * c1 + 0.0, A * c2)[:cfg.ord_pos])
+            phi = so3._stacked_increments(W.T, WD.T, WDD.T, C[:, 0], cfg.ord_rot)
+            m = min(end, _leading(~np.isinf(phi[0] * phi[0] + phi[1] * phi[1] + phi[2] * phi[2])))
+            incs = [e.tolist() for e in so3._stacked_exp(*(c[:m] for c in phi))]
+        k0, _, chains = draw.gains(self._sizes[0], ticks.clock)
+        att_k0, _, att_chains = draw.gains(self._sizes[1], ticks.clock)
+        fixes = zip(*(z[u:] for z in draw.z), k0[u:], att_k0[u:])
+        (p0, p1, p2), (qw, qx, qy, qz), ps, qs = x.pos[0], x.q, [], []
         try:
-            for z, r in ticks:
-                dt = z.t - self.x.t
-                if not 0.0 < dt < math.inf or r and used == len(nodes):
-                    break
+            for (d0, d1, d2, e0, e1, e2, f0, f1, f2, ew, ex, ey, ez, r) in zip(
+                    *terms[:, :m].transpose(0, 2, 1).reshape(9, m).tolist(), *incs, flags.tolist()):
+                p0, p1, p2 = p0 + d0 + e0 + f0, p1 + d1 + e1 + f1, p2 + d2 + e2 + f2
+                rw = qw * ew - qx * ex - qy * ey - qz * ez
+                rx = qw * ex + qx * ew + qy * ez - qz * ey
+                ry = qw * ey - qx * ez + qy * ew + qz * ex
+                rz = qw * ez + qx * ey - qy * ex + qz * ew
+                q = (-rw, -rx, -ry, -rz) if rw < 0.0 else (rw, rx, ry, rz)
                 if r:
-                    (_, zp, zq, _), (pos_d, rot_d) = nodes[used], derivs[used]
-                    x = self._propagate_correct(dt, (zp, zq))
-                    self.x = NominalState(x.t, (x.pos[0], *pos_d), x.q, rot_d)
-                    used += 1
-                else:
-                    self._propagate_correct(dt, None)
-                states.append(self.x)
-        finally:    # also where correct refuses a tick, as it can in update
-            self.window.extend(nodes[max(0, used - self.config.min_window):used])
-        return _update_loop(self, ticks[len(states):], states)
+                    z0, z1, z2, zw, zx, zy, zz, g, kq = next(fixes)
+                    (p0, p1, p2), q = correct((p0, p1, p2), q, (z0, z1, z2), (zw, zx, zy, zz), g, kq)
+                qw, qx, qy, qz = q
+                ps.append((p0, p1, p2))
+                qs.append(q)
+        except ValueError:      # correct refuses the tick; update refuses it again
+            pass
+        m = len(ps)
+        if not m:
+            return States.of([])
+        R[1:m + 1, 0] = ps
+        states = States(ticks.clock[0][s:s + m], R[1:m + 1, :4], np.array(qs), R[1:m + 1, 4:])
+        last, j, shared = s + m - 1, int(np.searchsorted(recv, s + m)), self.att_chain is self.chain
+        self.x, self.chain = states[-1], tuple(chains[last].tolist())
+        self.att_chain = self.chain if shared else tuple(att_chains[last].tolist())
+        _, P, Q, _ = ticks.floats
+        self.window.extend((ticks[r].t, P[r].tolist(), Q[r].tolist(), tuple(nW[L + i].tolist()))
+                           for i, r in enumerate(recv[:j].tolist()) if i >= max(u, j - mw))
+        return states
 
     def step(self, z, received=True):
         """Advance one tick to measurement z; returns the published pose."""
@@ -692,16 +849,14 @@ class EskfPredictor:
 
     def forecasts(self, states, steps):
         """Per entry n of steps, an (m, 7) array whose row i is the pose
-        [p q] n steps of config.dt past states[i], a NominalState this
-        predictor's x took: bit for bit what step publishes from it at a
-        horizon of n. One predict_horizon call rolls all m states out."""
+        [p q] n steps of config.dt past states[i], a state x took (States
+        or a list): bit for bit what step publishes from it at a horizon
+        of n. One predict_horizon call rolls all m states out."""
         cfg = self.config
-        x = NominalState(np.array([s.t for s in states], dtype=float),
-                         _stack([s.pos for s in states], (4, 3)),
-                         _stack([s.q for s in states], (4,)),
-                         _stack([s.wvec for s in states], (3, 3)))
+        t, pos, q, wvec = (states if isinstance(states, States) else States.of(states)).arrays
         rollout = []
-        predict_horizon(x, cfg.dt, max(steps), cfg, rollout)
+        predict_horizon(NominalState(t, _leaves(pos), _leaves(q), _leaves(wvec)),
+                        cfg.dt, max(steps), cfg, rollout)
         return _forecast_rows(rollout, steps)
 
 
@@ -736,6 +891,19 @@ def _cv_chain(p, v, q, qd, h, n, rollout, sqrt=math.sqrt):
     return rollout[-1]
 
 
+def _kf_correct(x, zp, zq, g0, g1):
+    """The baseline's x corrected by a pose's floats at gains g0, g1."""
+    (z0, z1, z2), (zw, zx, zy, zz) = zp, zq
+    (p0, p1, p2), (v0, v1, v2), (qw, qx, qy, qz), (dw, dx, dy, dz) = x
+    if zw * qw + zx * qx + zy * qy + zz * qz < 0.0:
+        zw, zx, zy, zz = -zw, -zx, -zy, -zz
+    e0, e1, e2 = z0 - p0, z1 - p1, z2 - p2
+    ew, ex, ey, ez = zw - qw, zx - qx, zy - qy, zz - qz
+    return ((p0 + g0 * e0, p1 + g0 * e1, p2 + g0 * e2), (v0 + g1 * e0, v1 + g1 * e1, v2 + g1 * e2),
+            _unit((qw + g0 * ew, qx + g0 * ex, qy + g0 * ey, qz + g0 * ez)),
+            (dw + g1 * ew, dx + g1 * ex, dy + g1 * ey, dz + g1 * ez))
+
+
 class KfBaseline:
     """Linear Kalman baseline over x = (p, v, q, qdot), tuples of 3, 3, 4, 4 floats.
 
@@ -746,7 +914,8 @@ class KfBaseline:
     error-state filters are built to avoid. The covariance is one
     2-square scalar chain (see the module notes), so an update is two
     scalar gains. update, step, forecasts and the ticks rejected are as
-    in EskfPredictor; track is the update loop.
+    in EskfPredictor; track is the update loop, returning a list, with
+    the gains read off the draw (_Draw.gains, the ESKF's size-2 chain).
     """
 
     def __init__(self, config, first_pose):
@@ -757,6 +926,7 @@ class KfBaseline:
         self.t = float(first_pose.t)
         self.x = tuple(p), so3._ZERO3, tuple(q), (0.0, 0.0, 0.0, 0.0)
         self.chain = _chain_eye(2)
+        self._first = first_pose        # until a tick moves the filter
 
     @property
     def P(self):
@@ -769,24 +939,34 @@ class KfBaseline:
         dt, zpq = _tick_interval(z, self.t, received)
         p, v, q, qd = self.x
         p, q = _cv_chain(p, v, q, qd, dt, 1, [])
-        self.chain = propagate_covariance(self.chain, 2, error_transition_matrix(dt))
-        self.t = z.t
+        chain, x = propagate_covariance(self.chain, 2, error_transition_matrix(dt)), (p, v, q, qd)
         if received:
-            (z0, z1, z2), (zw, zx, zy, zz) = zpq
-            (p0, p1, p2), (v0, v1, v2), (qw, qx, qy, qz), (dw, dx, dy, dz) = p, v, q, qd
-            if zw * qw + zx * qx + zy * qy + zz * qz < 0.0:
-                zw, zx, zy, zz = -zw, -zx, -zy, -zz
-            self.chain, g0, g1 = _chain_update(self.chain)
-            e0, e1, e2 = z0 - p0, z1 - p1, z2 - p2
-            ew, ex, ey, ez = zw - qw, zx - qx, zy - qy, zz - qz
-            p = p0 + g0 * e0, p1 + g0 * e1, p2 + g0 * e2
-            v = v0 + g1 * e0, v1 + g1 * e1, v2 + g1 * e2
-            q = _unit((qw + g0 * ew, qx + g0 * ex, qy + g0 * ey, qz + g0 * ez))
-            qd = dw + g1 * ew, dx + g1 * ex, dy + g1 * ey, dz + g1 * ez
-        self.x = p, v, q, qd
+            chain, g0, g1 = _chain_update(chain)
+            x = _kf_correct(x, *zpq, g0, g1)
+        self.x, self.chain, self.t, self._first = x, chain, z.t, None
 
     def track(self, poses, received):
-        return _update_loop(self, zip(poses, received), [])
+        ticks = _ticks(self, poses, (self.t, (), {2: self.chain}))
+        if ticks.floats is None:
+            return _update_loop(self, zip(poses, received), [])
+        draw, clock = ticks.draw(received), ticks.kf_clock
+        k0, k1, chains = draw.gains(2, clock)
+        fixes, x, states = zip(*draw.z, k0, k1), self.x, []
+        try:
+            for (h, _, _), r in zip(clock[1][:draw.stop_pose], draw.flags):
+                p, q = _cv_chain(*x, h, 1, [])
+                x = p, x[1], q, x[3]
+                if r:
+                    z0, z1, z2, zw, zx, zy, zz, g0, g1 = next(fixes)
+                    x = _kf_correct(x, (z0, z1, z2), (zw, zx, zy, zz), g0, g1)
+                states.append(x)
+        except ArithmeticError:     # a quaternion of zero norm: update raises it again
+            pass
+        if states:
+            k = len(states)
+            self.x, self.chain, self.t = states[-1], tuple(chains[k - 1].tolist()), ticks[k - 1].t
+        self._first = None
+        return _update_loop(self, zip(ticks[len(states):], draw.flags[len(states):]), states)
 
     def step(self, z, received=True):
         self.update(z, received)

@@ -190,64 +190,63 @@ def _rotation_chain(q, w, wd, wdd, h, n, order):
 
 def _stacked_exp(x, y, z):
     """_exp of a stack of rotation vectors, given and returned as component
-    arrays: its branch and its sign flip run as np.where."""
-    angle = np.sqrt(x * x + y * y + z * z)
-    if np.isinf(angle).any():
-        # math.sin refuses an infinite angle, so a scalar rollout stops there too
-        raise ValueError("math domain error")
-    half = 0.5 * angle
-    k = np.where(angle < 1e-8, 0.5 - angle * angle / 48.0, np.sin(half) / angle)
-    w = np.cos(half)
-    flip = w < 0.0
-    k = np.where(flip, -k, k)
-    return np.where(flip, -w, w), k * x, k * y, k * z
+    arrays: its branch and its sign flip run as np.where, without a
+    warning for the branch np.where drops (0 / 0 at a zero vector)."""
+    with np.errstate(all="ignore"):
+        angle = np.sqrt(x * x + y * y + z * z)
+        if np.isinf(angle).any():
+            # math.sin refuses an infinite angle, so a scalar rollout stops there too
+            raise ValueError("math domain error")
+        half = 0.5 * angle
+        k = np.where(angle < 1e-8, 0.5 - angle * angle / 48.0, np.sin(half) / angle)
+        w = np.cos(half)
+        flip = w < 0.0
+        k = np.where(flip, -k, k)
+        return np.where(flip, -w, w), k * x, k * y, k * z
+
+
+def _stacked_increments(w, wd, wdd, h, order):
+    """The components of the increment phi of a _rotation_chain step of h
+    at rates (w, wd, wdd), elementwise: leaves, and h, may be (m,) arrays."""
+    a0, a1, a2 = w
+    if order == 1:
+        return a0 * h, a1 * h, a2 * h
+    b0, b1, b2 = wd
+    if order == 2:
+        k2 = 0.5 * h * h
+        return a0 * h + b0 * k2, a1 * h + b1 * k2, a2 * h + b2 * k2
+    e0, e1, e2 = wdd
+    h2 = h * h
+    k2, k3, kc = 0.5 * h2, h2 * h / 3.0, h2 * h / 12.0
+    return (a0 * h + b0 * k2 + 0.5 * e0 * k3 + (a1 * b2 - a2 * b1) * kc,
+            a1 * h + b1 * k2 + 0.5 * e1 * k3 + (a2 * b0 - a0 * b2) * kc,
+            a2 * h + b2 * k2 + 0.5 * e2 * k3 + (a0 * b1 - a1 * b0) * kc)
 
 
 def _stacked_rotation_chain(q, w, wd, wdd, h, n, order):
     """_rotation_chain on stacks: every leaf of q and of the rate rows is
     an (m,) array, and so is every component it returns.
 
-    The loops are _rotation_chain's, in its operation order, with _exp's
-    small-angle branch, its cos < 0 flip and the canonical rw < 0 flip
-    written as np.where (_stacked_exp), so every element is the float the
-    scalar kernel gives for its row: np.sin, np.cos and np.sqrt round as
-    math's do. Like math.sin, it raises ValueError on an infinite angle.
+    Each step is _rotation_chain's in its operation order: the increment
+    (_stacked_increments), _exp with its small-angle branch and its
+    cos < 0 flip, and the canonical rw < 0 flip as np.where
+    (_stacked_exp), so every element is the float the scalar kernel
+    gives for its row: np.sin, np.cos and np.sqrt round as math's do.
+    Like math.sin, it raises ValueError on an infinite angle.
     """
     qw, qx, qy, qz = q
-    a0, a1, a2 = w
-    qs = []
-    where = np.where
+    qs, c2, where = [], h ** 2 / 2, np.where     # h^2/2 rounded as filters._chain rounds it
     with np.errstate(all="ignore"):     # IEEE results where np.where drops a branch
-        if order == 1:
-            ew, ex, ey, ez = _stacked_exp(a0 * h, a1 * h, a2 * h)
-        elif order == 2:
-            b0, b1, b2 = wd
-            k2 = 0.5 * h * h
-            s0, s1, s2 = b0 * k2, b1 * k2, b2 * k2
-            g0, g1, g2 = b0 * h, b1 * h, b2 * h
-        else:
-            b0, b1, b2 = wd
-            h2 = h * h
-            k2 = 0.5 * h2
-            k3 = h2 * h / 3.0
-            kc = h2 * h / 12.0
-            c2 = h ** 2 / 2
-            e0, e1, e2 = wdd
-            s0, s1, s2 = 0.5 * e0 * k3, 0.5 * e1 * k3, 0.5 * e2 * k3
-            f0, f1, f2 = e0 * c2, e1 * c2, e2 * c2
-            g0, g1, g2 = e0 * h, e1 * h, e2 * h
-        for _ in range(n):
-            if order == 2:
-                x, y, z = a0 * h + s0, a1 * h + s1, a2 * h + s2
-                a0, a1, a2 = a0 + g0, a1 + g1, a2 + g2
-                ew, ex, ey, ez = _stacked_exp(x, y, z)
-            elif order == 3:
-                x = a0 * h + b0 * k2 + s0 + (a1 * b2 - a2 * b1) * kc
-                y = a1 * h + b1 * k2 + s1 + (a2 * b0 - a0 * b2) * kc
-                z = a2 * h + b2 * k2 + s2 + (a0 * b1 - a1 * b0) * kc
-                a0, a1, a2 = a0 + b0 * h + f0, a1 + b1 * h + f1, a2 + b2 * h + f2
-                b0, b1, b2 = b0 + g0, b1 + g1, b2 + g2
-                ew, ex, ey, ez = _stacked_exp(x, y, z)
+        for k in range(n):
+            if order > 1 or not k:
+                ew, ex, ey, ez = _stacked_exp(*_stacked_increments(w, wd, wdd, h, order))
+            if order > 1:
+                (a0, a1, a2), (b0, b1, b2), (e0, e1, e2) = w, wd, wdd
+                if order == 2:
+                    w = a0 + b0 * h, a1 + b1 * h, a2 + b2 * h
+                else:
+                    w = a0 + b0 * h + e0 * c2, a1 + b1 * h + e1 * c2, a2 + b2 * h + e2 * c2
+                    wd = b0 + e0 * h, b1 + e1 * h, b2 + e2 * h
             rw = qw * ew - qx * ex - qy * ey - qz * ez
             rx = qw * ex + qx * ew + qy * ez - qz * ey
             ry = qw * ey - qx * ez + qy * ew + qz * ex
@@ -256,9 +255,7 @@ def _stacked_rotation_chain(q, w, wd, wdd, h, n, order):
             qw, qx, qy, qz = (where(flip, -rw, rw), where(flip, -rx, rx),
                               where(flip, -ry, ry), where(flip, -rz, rz))
             qs.append((qw, qx, qy, qz))
-    if order == 1:
-        return qs, (w, wd, wdd)
-    return qs, ((a0, a1, a2), (b0, b1, b2), wdd)
+    return qs, (w, wd, wdd)
 
 
 def _stacked_log(w, x, y, z):

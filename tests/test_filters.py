@@ -16,6 +16,7 @@ from posecast.filters import (
     NominalState,
     _chain_eye,
     _chain_matrix,
+    _chain_update,
     _check_pose,
     correct,
     error_transition_matrix,
@@ -268,12 +269,21 @@ class TestErrorTransition:
 
 # ------------------------------------------------------------- correction
 
+def _correct(x, chain, att_chain, z):
+    """correct at the first gains of both chains, updated as update
+    updates them; returns the corrected state and the two chains."""
+    chain, g, _ = _chain_update(chain)
+    att_chain, k, _ = _chain_update(att_chain)
+    p, q = correct(x.pos[0], x.q, *_check_pose(z), g, k)
+    return x._replace(pos=(p, *x.pos[1:]), q=q), chain, att_chain
+
+
 class TestCorrection:
     def test_identity_prior_halves_measured_variance(self):
         # chains of p3o3: 4 entries for position and for attitude
         x = NominalState.at_pose(Pose(0.0, np.zeros(3), QID.copy()))
         z = Pose(0.0, np.array([1e-3, -2e-3, 3e-3]), so3.quat_exp([2e-3, 0.0, -1e-3]))
-        x2, chain, att_chain = correct(x, _chain_eye(4), _chain_eye(4), *_check_pose(z))
+        x2, chain, att_chain = _correct(x, _chain_eye(4), _chain_eye(4), z)
         np.testing.assert_allclose(x2.pos[0], 0.5 * z.p, atol=1e-15)
         np.testing.assert_allclose(so3.quat_log(x2.q), [1e-3, 0.0, -5e-4], atol=1e-15)
         for s in (chain, att_chain):
@@ -290,8 +300,7 @@ class TestCorrection:
         z = Pose(0.0, p + 0.01, ref.quat_normalize(q + 0.01))
         # the noise is fixed at I, so a prior of 1e-15 I puts it 1e15
         # times above the prior, the gain of R = 1e15 I over P = I
-        x2, chain, att_chain = correct(x, scaled_chain(1e-15, 3), scaled_chain(1e-15, 3),
-                                       *_check_pose(z))
+        x2, chain, att_chain = _correct(x, scaled_chain(1e-15, 3), scaled_chain(1e-15, 3), z)
         assert np.abs(x2.pos[0] - p).max() < 1e-12
         assert so3.geodesic_distance(x2.q, x.q) < 1e-12
         for s in (chain, att_chain):
@@ -304,7 +313,7 @@ class TestCorrection:
         x = NominalState.at_pose(
             Pose(0.0, np.array([0.1, 0.2, 0.3]), random_unit_quat(rng)))
         z = Pose(0.0, np.array([0.4, -0.1, 0.2]), random_unit_quat(rng))
-        x2, _, _ = correct(x, scaled_chain(1e10, 4), scaled_chain(1e10, 4), *_check_pose(z))
+        x2, _, _ = _correct(x, scaled_chain(1e10, 4), scaled_chain(1e10, 4), z)
         assert np.linalg.norm(x2.pos[0] - z.p) < 1e-8
         assert so3.geodesic_distance(x2.q, z.q) < 1e-8
 
@@ -318,8 +327,8 @@ class TestCorrection:
         x_b = NominalState.at_pose(Pose(0.0, np.zeros(3), so3.quat_multiply(L, q)))
         z_a = Pose(0.0, np.zeros(3), zq)
         z_b = Pose(0.0, np.zeros(3), so3.quat_multiply(L, zq))
-        xa2, _, _ = correct(x_a, _chain_eye(2), _chain_eye(2), *_check_pose(z_a))
-        xb2, _, _ = correct(x_b, _chain_eye(2), _chain_eye(2), *_check_pose(z_b))
+        xa2, _, _ = _correct(x_a, _chain_eye(2), _chain_eye(2), z_a)
+        xb2, _, _ = _correct(x_b, _chain_eye(2), _chain_eye(2), z_b)
         # identical residuals imply identical injected corrections
         rel_a = so3.quat_multiply(ref.quat_conjugate(x_a.q), xa2.q)
         rel_b = so3.quat_multiply(ref.quat_conjugate(x_b.q), xb2.q)
@@ -813,12 +822,29 @@ _REFUSALS = {
 }
 
 
+@pytest.mark.parametrize("model", ["ESKF", "p2o2", "p2o3", "p3o3"])
+def test_a_tick_the_window_refuses_leaves_the_filter_as_it_was(model):
+    # ticks 20 and 21 are each within 1e-6 of unit and their pair is not:
+    # update refuses tick 21 at the window, after the interval, the pose
+    # and the correction's log have passed, and changes nothing
+    trace = generate_synthetic_trace("medium", 2.0, seed=1)
+    poses = [trace.pose(k) for k in range(len(trace))]
+    _off_unit_pair(poses, 20)
+    pred = make_predictor(FilterConfig(model=model, dt=0.01, horizon_steps=5), poses[0])
+    for z in poses[1:21]:
+        pred.update(z)
+    before = repr(_filter_state(pred))
+    with pytest.raises(ValueError, match="quaternion norm 1.0000018 is not within 1e-6"):
+        pred.update(poses[21])
+    assert repr(_filter_state(pred)) == before
+    assert pred.x.t == 0.2
+
+
 @pytest.mark.parametrize("model", ["KF", "ESKF", "p2o2", "p2o3", "p3o3"])
 @pytest.mark.parametrize("refusal", sorted(_REFUSALS))
 def test_track_refuses_what_update_refuses_at_the_same_tick(model, refusal):
     # the error text is the update loop's, and so is the filter the refused
-    # tick leaves: update's own partial tick included, where its window
-    # refuses a pair after propagating and correcting
+    # tick leaves: the filter as it was before that tick
     spoil, message = _REFUSALS[refusal]
     poses, mask = _spoiled_stream(spoil)
     cfg = FilterConfig(model=model, dt=0.01, horizon_steps=5)
@@ -851,6 +877,29 @@ def test_track_reads_no_lost_pose_and_none_past_its_end(model, refusal):
     picks = stream_picks(model, 0.01, [5], late, mask, 24)
     assert [p.tobytes() for p in picks] == [p.tobytes() for p in
                                             stream_picks(model, 0.01, [5], clean, mask, 24)]
+
+
+@pytest.mark.parametrize("model", ["KF", "ESKF", "p2o2", "p2o3", "p3o3"])
+def test_track_stops_where_update_divides_by_zero_or_meets_an_infinite_rate(model):
+    # tick 1 lies 5e-324 s past the first pose: its pair's rate is infinite,
+    # and later windows round the two nodes' offsets from the newest to one,
+    # which update's stencils divide by; track fails as that loop does, with
+    # the same error and the filter it leaves
+    trace = generate_synthetic_trace("hard", 0.6, seed=4)
+    poses = [trace.pose(k) for k in range(len(trace))]
+    poses[1] = Pose(poses[0].t + 5e-324, poses[1].p, poses[1].q)
+    mask = [True] * (len(poses) - 1)
+    cfg = FilterConfig(model=model, dt=0.01, horizon_steps=5)
+    outcomes = []
+    for run in (_update_loop(poses[1:], mask), lambda pred: pred.track(poses[1:], mask)):
+        pred = make_predictor(cfg, poses[0])
+        try:
+            run(pred)
+            error = None
+        except (ValueError, ArithmeticError) as e:
+            error = repr(e)
+        outcomes.append((error, repr(_filter_state(pred))))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("model", ["ESKF", "p2o3", "p3o3"])

@@ -24,6 +24,7 @@ from posecast.filters import (
     MODEL_NAMES,
     FilterConfig,
     NominalState,
+    Ticks,
     _chain,
     _cv_chain,
     _stack,
@@ -33,6 +34,7 @@ from posecast.filters import (
     make_predictor,
     predict_horizon,
 )
+from posecast.experiment import _group_picks
 from posecast.metrics import orientation_error, position_error
 from posecast.traces import Pose, Trace, generate_synthetic_trace
 
@@ -667,6 +669,62 @@ def test_track_is_the_update_loop_bit_for_bit(model, stream, data):
               + tracked.track(poses[cut:], mask[cut - 1:]))
     assert repr(states) == repr(expect)
     assert repr(_predictor_state(tracked)) == repr(_predictor_state(looped))
+
+
+@settings(max_examples=30, deadline=None)
+@given(tracked_streams(), st.data())
+def test_a_group_of_draws_is_each_streams_update_loop_bit_for_bit(stream, data):
+    # every model tracks several masks of one trace over one Ticks, which
+    # shares its draws across masks and models, and rolls each group out
+    # in one forecasts call: each stream's forecasts are its update loop's
+    # rollouts and step's pose, and its refusal that loop's. The last mask
+    # receives a tick whose pose is off unit, so it stops there
+    poses, mask = stream
+    n = len(poses)
+    masks = [mask] + [data.draw(stream_masks(n - 1)) for _ in range(2)]
+    k = data.draw(st.integers(1, n - 1))
+    poses[k].q = poses[k].q * 1.01
+    masks.append([r or i == k - 1 for i, r in enumerate(data.draw(stream_masks(n - 1)))])
+    steps = _kept_steps(data.draw)
+    ticks = Ticks(poses[1:], poses[0])
+    for model in MODEL_NAMES:
+        cfg = FilterConfig(model=model, dt=0.01, horizon_steps=max(steps))
+        for m, picks in zip(masks, _group_picks(model, cfg.dt, steps, ticks, masks)):
+            pred, expect, refusal = make_predictor(cfg, poses[0]), [], None
+            try:
+                for z, received in zip(poses[1:], m):
+                    pub = pred.step(z, received)
+                    expect.append(_scalar_rollout(cfg, pred.x, max(steps)))
+                    assert expect[-1][-1] == (*pub.p, *pub.q)
+            except ValueError as e:
+                refusal = str(e)
+            if refusal:
+                assert isinstance(picks, ValueError) and str(picks) == refusal
+                continue
+            for n_steps, rows in zip(steps, picks):
+                assert rows.tobytes() == np.array([e[n_steps - 1] for e in expect]).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(tracked_streams(), st.data())
+def test_a_draws_gain_chain_is_each_predictors_own(stream, data):
+    # the chain a draw runs once per size, the baseline's too, is after
+    # every tick each predictor's own chains as its update loop leaves them
+    poses, mask = stream
+    masks = [mask, data.draw(stream_masks(len(poses) - 1))]
+    ticks = Ticks(poses[1:], poses[0])
+    for model, m in itertools.product(MODEL_NAMES, masks):
+        cfg = FilterConfig(model=model, dt=0.01, horizon_steps=3)
+        pred = make_predictor(cfg, poses[0])
+        if model == "KF":
+            clock, own = ticks.kf_clock, lambda: (pred.chain,)
+        else:
+            clock, own = ticks.clock, lambda: (pred.chain, pred.att_chain)
+        sizes = (2,) if model == "KF" else (1 + cfg.ord_pos, 1 + cfg.ord_rot)
+        chains = [ticks.draw(m).gains(size, clock)[2] for size in sizes]
+        for i, (z, received) in enumerate(zip(poses[1:], m)):
+            pred.update(z, received)
+            assert repr(tuple(tuple(c[i].tolist()) for c in chains)) == repr(own())
 
 
 @pytest.mark.parametrize("model", _ESKF_MODELS)

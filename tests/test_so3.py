@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -284,3 +286,14 @@ def test_canonical_flip():
     q = np.array([-0.5, 0.5, 0.5, 0.5])
     assert ref.canonical(q)[0] > 0.0
     assert np.array_equal(ref.canonical(-q), -q)
+
+
+def test_stacked_exp_warns_nothing_at_zero_and_tiny_vectors():
+    # np.where drops 0 / 0 at a zero vector; the division must not warn,
+    # and every element is the scalar _exp's, on either side of 1e-8 rad
+    v = np.array([[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1e-9, -3e-9, 2e-9],
+                  [4e-9, 5e-9, -6e-9], [2e-8, 0.0, -1e-8], [0.3, -0.2, 0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = so3._stacked_exp(*v.T)
+    assert np.array(got).T.tobytes() == np.array([so3._exp(row) for row in v.tolist()]).tobytes()
