@@ -92,7 +92,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from typing import NamedTuple
 
 import numpy as np
