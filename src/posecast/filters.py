@@ -617,8 +617,8 @@ class _Draw:
     draws live together."""
 
     def __init__(self, ticks, flags):
-        _, P, Q, ok = ticks.floats
-        self.ticks, self.flags, self._gains = ticks, flags, {}
+        _, P, Q, ok = self._floats = ticks.floats
+        self._start, self.flags, self._gains = ticks.start, flags, {}
         recv = np.flatnonzero(flags)
         c = _leading(ok[recv])
         self.stop_pose = int(recv[c]) if c < len(recv) else len(flags)
@@ -630,8 +630,8 @@ class _Draw:
         """(stop_pair, nodes): the first received tick whose pair
         _window_node refuses (one so3._stacked_log of all pairs), and the
         start window's and received nodes before it as (t, p, w) arrays."""
-        t, P, Q, _ = self.ticks.floats
-        window, recv = self.ticks.start[1], self.recv
+        t, P, Q, _ = self._floats
+        window, recv = self._start[1], self.recv
         L = len(window)
         tn = np.concatenate(([node[0] for node in window], t[recv]))
         qw, qx, qy, qz = np.vstack((window[-1][2], Q[recv])).T
@@ -651,7 +651,7 @@ class _Draw:
         of each received tick as lists k0, k1, and each tick's chain."""
         key = size, id(clock)
         if key not in self._gains:
-            chain, k0s, k1s, chains = self.ticks.start[2].get(size) or _chain_eye(size), [], [], []
+            chain, k0s, k1s, chains = self._start[2].get(size) or _chain_eye(size), [], [], []
             for T, r in zip(clock[1][:self.stop_pose], self.flags):
                 chain = propagate_covariance(chain, size, T)
                 if r:
