@@ -11,13 +11,13 @@ Every entry point prepares a trace through prepare_trace: `posecast
 bench`, `classify` and `predict`, the demos and the README's Library
 example. So wherever chunks are labelled (label_chunks), the labels are
 those of the poses the filters stream. Every stream, also in `posecast
-predict` and the demos, runs through stream_picks and score_picks, and
-scores every horizon from one rollout: filter state never depends on the
-horizon. The predictor's track runs the stream and returns each tick's
-state; a sweep runs every draw of a (model, trace) as one group over one
-filters.Ticks, which does the work that reads only the poses and the
-losses once for every model and draw, and rolls the group's states out
-in one forecasts call, into a (ticks, 7) array of poses per horizon.
+predict` and the demos, runs through filters.stream_forecasts and
+score_picks, and scores every horizon from one rollout: filter state
+never depends on the horizon. A sweep hands stream_forecasts every draw
+of a trace at once, which shares the work that reads only the poses and
+the losses among all models and draws, and rolls each model's states out
+in one forecasts call, into a (ticks, 7) array of poses per horizon;
+stream_picks is a group of one.
 Two rules share streams, each decided once as data: a draw of drop masks
 names the repeats it serves (drop_masks), and the plan names the two
 streams each model's errors come from (_stream_plan).
@@ -49,17 +49,13 @@ from itertools import accumulate, product
 import numpy as np
 
 from .classifier import MotionClass, classify, discretize_chunk, lz_entropy
-from .filters import MODEL_NAMES, FilterConfig, Ticks, canonical_model_name, make_predictor
+from .filters import MODEL_NAMES, FilterConfig, canonical_model_name, stream_forecasts
 from .metrics import orientation_error, position_error, summarize
 from .preprocess import CHUNK_LEN, chunk_trace, design_butterworth_lowpass, filter_trace
 from .so3 import UNIT_NORM_TOL, off_unit_message
 from .traces import Pose, real_number, whole_number
 
 SAMPLES_COLUMNS = "model,class,horizon_ms,drop_rate,repeat,trace,tick,e_pos_mm,e_ori_deg"
-
-# the most ticks a group rolls out in one forecasts call: past a few thousand,
-# numpy's cost per call no longer shows, and the rollout stays a few MB
-GROUP_TICKS = 4096
 
 
 def simulate_drop(rng, drop_rate):
@@ -414,47 +410,15 @@ def run_experiment(config, traces):
 def stream_picks(model, dt, steps, poses, mask, end):
     """Each horizon's forecasts of a fresh predictor over poses[1:end].
 
-    Tick k is received iff mask[k - 1]. The predictor's track runs the
-    stream and returns each tick's state; its forecasts then roll every
-    state out at once. Horizon i gets an (end - 1, 7) array whose row j is
-    the pose [p q] steps[i] ticks past tick j + 1, as a stream of a
-    sweep's group (_group_picks) gets it.
+    Tick k is received iff mask[k - 1]. Horizon i gets an (end - 1, 7)
+    array whose row j is the pose [p q] steps[i] ticks past tick j + 1,
+    as a sweep's stream gets it: a group of one of
+    filters.stream_forecasts. ValueError where the stream stops.
     """
-    (picks,) = _group_picks(model, dt, steps, Ticks(poses[1:end], poses[0]), [mask])
+    ((_, _, picks),) = stream_forecasts([model], dt, steps, poses[:end], [mask])
     if isinstance(picks, ValueError):
         raise picks
     return picks
-
-
-def _group_picks(model, dt, steps, ticks, masks):
-    """stream_picks of each mask over one Ticks, at whose first pose every
-    predictor starts: per mask the horizons' arrays, or the ValueError
-    that stopped the stream. The tracks share the Ticks' work, and one
-    forecasts call rolls them all out (_roll)."""
-    cfg = FilterConfig(model=model, dt=dt, horizon_steps=max(steps))
-    runs, pred = [], None
-    for mask in masks:
-        try:
-            pred = make_predictor(cfg, ticks.first)
-            runs.append(pred.track(ticks, mask))
-        except ValueError as e:
-            runs.append(e)
-    rolled = iter(_roll(pred, [run for run in runs if not isinstance(run, ValueError)], steps))
-    return [run if isinstance(run, ValueError) else next(rolled) for run in runs]
-
-
-def _roll(pred, runs, steps):
-    """pred.forecasts of the runs' states joined, split back per run.
-    Where it refuses a state, each run is rolled out alone, so only a run
-    that holds one fails, with that ValueError for its arrays."""
-    if not runs:
-        return []
-    try:
-        rolled = pred.forecasts(sum(runs[1:], runs[0]), steps)
-    except ValueError as e:
-        return [e] if len(runs) == 1 else [_roll(pred, [run], steps)[0] for run in runs]
-    ends = list(accumulate(map(len, runs)))[:-1]
-    return list(map(list, zip(*(np.split(rows, ends) for rows in rolled))))
 
 
 def score_picks(picks, steps, truth):
@@ -491,25 +455,21 @@ def _stream_trace(models, prepared, masks):
     holding them in tick order. The streams end at the last tick any
     horizon scores: ticks past the labelled chunks, or too close to the
     end for the shortest horizon, are never filtered, so a filter that
-    would break there fails no cell. The masks go in groups of at most
-    GROUP_TICKS ticks, each over one Ticks (_group_picks).
+    would break there fails no cell. filters.stream_forecasts runs the
+    streams.
     """
     dt, steps, poses, truth, labels = prepared
     if isinstance(labels, ValueError):
         return {model: [labels] * len(masks) for model in models}
     end = min(len(labels) * CHUNK_LEN, len(poses) - min(steps))
-    size = max(1, GROUP_TICKS // (end - 1))
-    streams = {model: [] for model in models}
-    for g in range(0, len(masks), size):
-        ticks = Ticks(poses[1:end], poses[0])
-        for model in models:
-            for picks in _group_picks(model, dt, steps, ticks, masks[g:g + size]):
-                try:
-                    if isinstance(picks, ValueError):
-                        raise picks
-                    streams[model].append(_cut(score_picks(picks, steps, truth), labels))
-                except ValueError as e:
-                    streams[model].append(e)
+    streams = {model: [None] * len(masks) for model in models}
+    for model, i, picks in stream_forecasts(models, dt, steps, poses[:end], masks):
+        try:
+            if isinstance(picks, ValueError):
+                raise picks
+            streams[model][i] = _cut(score_picks(picks, steps, truth), labels)
+        except ValueError as e:
+            streams[model][i] = e
     return streams
 
 

@@ -69,30 +69,32 @@ tests/numpy_reference.py keeps.
 A predictor's tick is `update` (propagate, correct, re-estimate the
 pseudo-derivatives); every check runs before anything is assigned, so a
 refused tick leaves the filter as it was. `step` is update plus the
-forecast it publishes. `track` runs a whole stream, bit for bit the
-update loop, and `forecasts` rolls the states out at once on a stack
-(predict_horizon takes a NominalState whose leaves are (m,) arrays,
-_chain then running so3._stacked_rotation_chain, and _cv_chain np.sqrt).
+forecast it publishes, and `forecasts` rolls many states out at once on
+a stack (predict_horizon takes a NominalState whose leaves are (m,)
+arrays, _chain then running so3._stacked_rotation_chain, and _cv_chain
+np.sqrt). stream_forecasts runs a group of whole streams, each a fresh
+predictor at the group's first pose whose _track returns every tick's
+state, bit for bit the update loop's, or raises that loop's error.
 Of an error-state tick only a recurrence in (p, q) reads the state: add
 the position terms v c1, a c2, j c3 to p, set q to canonical(q
 exp(phi)), and on a received tick inject the pose (correct). The
 derivative rows, the terms, the increments exp(phi) and the gains read
 only the poses, the losses and the clock (t + (z.t - t) on every tick),
-so track computes them first: per draw of received flags once for every
-stream (Ticks, _Draw: the pose checks, the window rates, one covariance
-chain per size, the baseline's gains among them), and per stream
-stacked over its ticks in numpy (EskfPredictor._recur). An error-state
-track returns States, arrays that make NominalStates when read.
+so _track computes them first: per draw of received flags once for every
+stream of the group (Ticks, _Draw: the pose checks, the window rates,
+one covariance chain per size, the baseline's gains among them), and per
+stream stacked over its ticks in numpy (EskfPredictor._recur). Where
+update would refuse a tick of the stream, the update loop runs it
+instead, so only a failing stream pays for both.
 A FilterConfig is frozen, and resolves its model's predictor class and
 orders (_MODELS) once, when it is built; the kernels read them off it.
 """
 
 import math
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -314,7 +316,7 @@ def correct(p, q, zp, zq, g, k):
     p moves by g (zp - p), q by dth = k y on the right, for the residual
     y = log(q^-1 zq): only dp and dth, as the derivative rows are
     re-estimated on every received tick. ValueError, from so3._log, when
-    q^-1 zq is off unit. update and track's recurrence inject through here.
+    q^-1 zq is off unit. update and _recur's recurrence inject through here.
     """
     qw, qx, qy, qz = q
     y0, y1, y2 = so3._log(so3._mul((qw, -qx, -qy, -qz), zq))
@@ -385,13 +387,20 @@ def _window_node(t, p, q, prev):
     body rate over the pair from node `prev`,
     quat_log(q_prev^-1 * q) / (t - t_prev), or None without a previous
     node: the one log map a received tick takes for its derivatives.
+    ValueError where the pair is off unit (so3._log) or the rate is not
+    finite, as when t comes a few 1e-324 s after t_prev.
     """
     if prev is None:
         return t, p, q, None
     t0, _, (qw, qx, qy, qz), _ = prev
     h = t - t0
     w0, w1, w2 = so3._log(so3._mul((qw, -qx, -qy, -qz), q))
-    return t, p, q, (w0 / h, w1 / h, w2 / h)
+    if h:
+        w0, w1, w2 = w0 / h, w1 / h, w2 / h
+        if math.isfinite(w0) and math.isfinite(w1) and math.isfinite(w2):
+            return t, p, q, (w0, w1, w2)
+    raise ValueError(f"pose at t = {t:.9g} comes too soon after the one at "
+                     f"t = {t0:.9g}: their body rate is not finite")
 
 
 def estimate_pseudo_derivatives(window, config):
@@ -426,11 +435,6 @@ def estimate_pseudo_derivatives(window, config):
     return pos_d, (ws[0], wd, wdd)
 
 
-def _leading(ok):
-    """How many entries of a bool array come before its first False."""
-    return len(ok) if ok.all() else int(ok.argmin())
-
-
 def _check_pose(z):
     """Pose z's position and quaternion as floats.
 
@@ -450,13 +454,18 @@ def _check_pose(z):
     return p, q
 
 
+# the longest tick interval whose transition (error_transition_matrix's
+# dt^3 / 6) does not overflow, to a power of two
+_MAX_DT = 2.0 ** 341
+
+
 def _tick_interval(z, t, received):
     """Time from t to tick z, and z's (position, quaternion) floats when
     received, else None; ValueError for a tick no filter may take.
 
-    A tick must carry a finite timestamp past t, and a received one a pose
-    _check_pose accepts. A lost packet's pose is never read, so it is not
-    checked.
+    A tick must carry a finite timestamp past t, at most _MAX_DT on, and a
+    received one a pose _check_pose accepts. A lost packet's pose is never
+    read, so it is not checked.
     """
     dt = z.t - t
     if not math.isfinite(dt):
@@ -464,6 +473,9 @@ def _tick_interval(z, t, received):
     if dt <= 0.0:
         raise ValueError(
             f"tick timestamp {z.t:.9g} does not advance past {t:.9g}")
+    if dt > _MAX_DT:
+        raise ValueError(f"tick timestamp {z.t:.9g} lies {dt:.9g} s past {t:.9g}, "
+                         "too far for the transition")
     return dt, (_check_pose(z) if received else None)
 
 
@@ -506,7 +518,7 @@ def _rows(rows):
 
 
 class States(Sequence):
-    """The NominalStates EskfPredictor.track returns, as arrays t (m,),
+    """The NominalStates EskfPredictor._track returns, as arrays t (m,),
     pos (m, 4, 3), q (m, 4) and wvec (m, 3, 3), made into float tuples
     when read: a sweep builds no tuples per tick for the garbage
     collector to walk. `+` joins two."""
@@ -523,8 +535,6 @@ class States(Sequence):
         return len(self.arrays[0])
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return States(*(a[i] for a in self.arrays))
         t, pos, q, wvec = (a[i].tolist() for a in self.arrays)
         return NominalState(t, _rows(pos), tuple(q), _rows(wvec))
 
@@ -537,41 +547,34 @@ class States(Sequence):
 
 def _clock(t, stamps, kf):
     """(t after each tick, error_transition_matrix of each interval) from
-    t over ticks at `stamps`, up to one whose interval update refuses:
-    t moves to t + (z.t - t), as propagate_nominal moves it, or for the
-    baseline (kf) to z.t."""
+    t over ticks at `stamps`, up to one whose interval update refuses
+    (_tick_interval): t moves to t + (z.t - t), as propagate_nominal moves
+    it, or for the baseline (kf) to z.t."""
     ts, Ts = [], []
     for zt in stamps:
         h = zt - t
-        if not 0.0 < h < math.inf:
+        if not 0.0 < h <= _MAX_DT:
             break
-        try:
-            Ts.append(error_transition_matrix(h))
-        except OverflowError:
-            break
+        Ts.append(error_transition_matrix(h))
         t = zt if kf else t + h
         ts.append(t)
     return np.array(ts), Ts
 
 
 class Ticks(list):
-    """A stream's poses after its first, with what reads only them (the
-    floats and checks, one numpy pass; the clocks) and per draw of flags
-    (_Draw) done once for every stream from `start`. run_experiment hands
-    one to each predictor it builds at `first`, which reads it while
-    fresh there; any other builds its own Ticks from its state."""
+    """A stream's poses after its first, `first`, with what reads only them
+    (the floats and checks, one numpy pass; the clocks) and per draw of
+    flags (_Draw) done once for every stream fresh at `first`: the group
+    of stream_forecasts."""
 
-    def __init__(self, poses, first=None, start=None):
+    def __init__(self, poses, first):
         super().__init__(poses)
         self.first, self._draws = first, {}
-        if start:
-            self.start = start
 
     @cached_property
-    def start(self):
-        """(t, window, chains by size, else identity) fresh at `first`."""
-        p, q = _check_pose(self.first)
-        return float(self.first.t), (_window_node(self.first.t, p, q, None),), {}
+    def origin(self):
+        """The first pose's t and its (p, q) floats."""
+        return float(self.first.t), _check_pose(self.first)
 
     @cached_property
     def floats(self):
@@ -593,13 +596,13 @@ class Ticks(list):
     @cached_property
     def clock(self):
         """The error-state clock, its entries also as an (n, 3) array."""
-        ts, Ts = _clock(self.start[0], self.floats[0].tolist(), False)
+        ts, Ts = _clock(self.origin[0], self.floats[0].tolist(), False)
         return ts, Ts, np.array(Ts).reshape(-1, 3)
 
     @cached_property
     def kf_clock(self):
         """The baseline's: `clock` itself unless t + (z.t - t) rounds off z.t."""
-        clock = _clock(self.start[0], self.floats[0].tolist(), True)
+        clock = _clock(self.origin[0], self.floats[0].tolist(), True)
         return self.clock if clock[1] == self.clock[1] else clock
 
     def draw(self, received):
@@ -611,55 +614,49 @@ class Ticks(list):
 
 
 class _Draw:
-    """A draw of flags over a Ticks: recv, the received ticks before
-    stop_pose, the first _check_pose refuses; z, their [p q] as seven
+    """A draw of flags over a Ticks: recv, the received ticks; poses_ok,
+    whether _check_pose takes all their poses; z, their [p q] as seven
     lists of floats; `window` and `gains`. No tuples per tick: a group's
     draws live together."""
 
     def __init__(self, ticks, flags):
         _, P, Q, ok = self._floats = ticks.floats
-        self._start, self.flags, self._gains = ticks.start, flags, {}
-        recv = np.flatnonzero(flags)
-        c = _leading(ok[recv])
-        self.stop_pose = int(recv[c]) if c < len(recv) else len(flags)
-        self.recv = recv = recv[:c]
+        self._origin, self.flags, self._gains = ticks.origin, flags, {}
+        self.recv = recv = np.flatnonzero(flags)
+        self.poses_ok = bool(ok[recv].all())
         self.z = np.column_stack((P[recv], Q[recv])).T.tolist()
 
     @cached_property
     def window(self):
-        """(stop_pair, nodes): the first received tick whose pair
-        _window_node refuses (one so3._stacked_log of all pairs), and the
-        start window's and received nodes before it as (t, p, w) arrays."""
+        """The first pose's and the received nodes as (t, p, w) arrays,
+        the first pose's rate NaN; None where _window_node would refuse a
+        pair (one so3._stacked_log of all pairs)."""
         t, P, Q, _ = self._floats
-        window, recv = self._start[1], self.recv
-        L = len(window)
-        tn = np.concatenate(([node[0] for node in window], t[recv]))
-        qw, qx, qy, qz = np.vstack((window[-1][2], Q[recv])).T
+        (t0, (p0, q0)), recv = self._origin, self.recv
+        tn = np.concatenate(([t0], t[recv]))
+        qw, qx, qy, qz = np.vstack((q0, Q[recv])).T
         with np.errstate(all="ignore"):
             (lx, ly, lz), norm = so3._stacked_log(*so3._mul((qw[:-1], -qx[:-1], -qy[:-1], -qz[:-1]),
                                                             (qw[1:], qx[1:], qy[1:], qz[1:])))
-            h = tn[L:] - tn[L - 1:-1]
-            c = _leading((np.abs(norm - 1.0) <= so3.UNIT_NORM_TOL) & (h > 0.0))
-            W = np.column_stack((lx / h, ly / h, lz / h))[:c]
-        rates = [(math.nan,) * 3 if node[3] is None else node[3] for node in window]
-        return (int(recv[c]) if c < len(recv) else self.stop_pose,
-                (tn[:L + c], np.vstack(([node[1] for node in window], P[recv[:c]])),
-                 np.vstack((rates, W))))
+            h = np.diff(tn)
+            W = np.column_stack((lx / h, ly / h, lz / h))
+        if (np.abs(norm - 1.0) <= so3.UNIT_NORM_TOL).all() and np.isfinite(W).all():
+            return tn, np.vstack((p0, P[recv])), np.vstack(((math.nan,) * 3, W))
+        return None
 
     def gains(self, size, clock):
-        """The chain of this size on the clock up to stop_pose: the gains
-        of each received tick as lists k0, k1, and each tick's chain."""
+        """The gains k0, k1 of each received tick, as lists, of the chain
+        of this size that starts fresh and runs on the clock."""
         key = size, id(clock)
         if key not in self._gains:
-            chain, k0s, k1s, chains = self._start[2].get(size) or _chain_eye(size), [], [], []
-            for T, r in zip(clock[1][:self.stop_pose], self.flags):
+            chain, k0s, k1s = _chain_eye(size), [], []
+            for T, r in zip(clock[1], self.flags):
                 chain = propagate_covariance(chain, size, T)
                 if r:
                     chain, k0, k1 = _chain_update(chain)
                     k0s.append(k0)
                     k1s.append(k1)
-                chains.append(chain)
-            self._gains[key] = k0s, k1s, np.array(chains).reshape(-1, 10)
+            self._gains[key] = k0s, k1s
         return self._gains[key]
 
 
@@ -677,12 +674,6 @@ def _carry(rows, c1, c2, order, pad):
     return np.stack((v, a, j), axis=1)
 
 
-def _ticks(pred, poses, start):
-    """poses if a Ticks pred is fresh at the first of, else one from start."""
-    fresh = pred._first is not None and isinstance(poses, Ticks) and poses.first is pred._first
-    return poses if fresh else Ticks(poses, start=start)
-
-
 class EskfPredictor:
     """Streaming error-state predictor.
 
@@ -693,12 +684,13 @@ class EskfPredictor:
     publishes. During drops the window does not advance, so the filter
     coasts open loop on frozen derivatives.
 
-    track runs a whole stream as the update loop would, and forecasts
-    rolls many of the states `x` took out at once, so a stream can
-    publish every tick's forecasts after it. A first pose, or a received
-    one, that is not finite or whose quaternion is not unit raises
-    ValueError, as does a stale tick or a received pose whose pair with
-    the window's newest node is not unit; every check runs before
+    forecasts rolls many of the states `x` took out at once, so a stream
+    can publish every tick's forecasts after it (stream_forecasts). A
+    first pose, or a received one, that is not finite or whose quaternion
+    is not unit raises ValueError, as does a stale tick, one too far for
+    the transition (_MAX_DT), a received pose whose pair with the window's
+    newest node is not unit or has no finite rate, and one that leaves two
+    nodes of a stencil at one offset from it; every check runs before
     anything is assigned, so a refused tick leaves the filter as it was.
     """
 
@@ -713,8 +705,7 @@ class EskfPredictor:
         self.chain = _chain_eye(n)
         # the attitude chain is the position chain itself at equal orders
         self.att_chain = self.chain if n == m else _chain_eye(m)
-        self.window = deque([_window_node(first_pose.t, p, q, None)], maxlen=config.min_window)
-        self._first = first_pose        # until a tick moves the filter
+        self.window = (_window_node(first_pose.t, p, q, None),)
 
     @property
     def P(self):
@@ -734,66 +725,68 @@ class EskfPredictor:
         (n, m), shared = self._sizes, self.att_chain is self.chain
         chain = propagate_covariance(self.chain, n, T)
         att_chain = chain if shared else propagate_covariance(self.att_chain, m, T)
+        window = self.window
         if received:
             chain, g, _ = _chain_update(chain)
             att_chain, k, _ = (chain, g, None) if shared else _chain_update(att_chain)
             p, q = correct(x.pos[0], x.q, *zpq, g, k)
-            self.window.append(_window_node(z.t, *zpq, self.window[-1]))
-            pos_d, rot_d = estimate_pseudo_derivatives(self.window, cfg)
+            window = (*window, _window_node(z.t, *zpq, window[-1]))[-cfg.min_window:]
+            try:
+                pos_d, rot_d = estimate_pseudo_derivatives(window, cfg)
+            except ZeroDivisionError:   # a stencil's divided difference over one offset
+                raise ValueError(f"pose at t = {z.t:.9g} leaves two window nodes at one "
+                                 "offset from it") from None
             x = NominalState(x.t, (p, *pos_d), q, rot_d)
-        self.x, self.chain, self.att_chain, self._first = x, chain, att_chain, None
+        self.x, self.chain, self.att_chain, self.window = x, chain, att_chain, window
 
-    def track(self, poses, received):
-        """update on each pose, received iff its flag is; returns each
-        tick's x as States, bit for bit the update loop's, leaving the
-        filter as it does. update takes the ticks until the window holds
-        min_window - 1 nodes, _recur the rest up to one update would
-        refuse or whose increment is infinite, and update that tick on."""
-        cfg, x = self.config, self.x
-        ticks = _ticks(self, poses, (x.t, tuple(self.window),
-                                     dict(zip(self._sizes, (self.chain, self.att_chain)))))
+    def _track(self, ticks, received):
+        """update on each of ticks, a Ticks at whose first pose the filter
+        is fresh, received iff its flag is; returns each tick's x as
+        States, bit for bit the update loop's, or raises that loop's
+        error. update takes the ticks until the window holds
+        min_window - 1 nodes, and _recur all the rest; where _recur
+        cannot, update takes them. The filter is left at no defined tick."""
         if ticks.floats is None:
-            return States.of(_update_loop(self, zip(poses, received), []))
+            return States.of(_update_loop(self, zip(ticks, received), []))
         draw = ticks.draw(received)
-        flags, recv, L = draw.flags, draw.recv, len(ticks.start[1])
-        u = max(0, cfg.min_window - 1 - L)
+        flags, recv, u = draw.flags, draw.recv, self.config.min_window - 2
         s = len(flags) if u > len(recv) else int(recv[u - 1]) + 1 if u else 0
         states = States.of(_update_loop(self, zip(ticks[:s], flags[:s]), []))
-        stop = min(len(ticks.clock[0]), draw.window[0])
-        if s < stop:
-            states += self._recur(ticks, draw, s, stop, u, L)
-        self._first, k = None, len(states)
-        return states + States.of(_update_loop(self, zip(ticks[k:], flags[k:]), []))
+        rest = self._recur(ticks, draw, s, u) if s < len(flags) else States.of([])
+        if rest is None:
+            rest = States.of(_update_loop(self, zip(ticks[s:], flags[s:]), []))
+        return states + rest
 
-    def _recur(self, ticks, draw, s, stop, u, L):
-        """track's ticks s to stop, received ones from recv[u]: their
-        States, up to one correct refuses, leaving the filter at the last.
-        In numpy first: the pseudo-derivatives, the rows after each tick
-        (carried through coasts a depth at a time), and from the rows
-        before it each tick's position terms and exp(phi). The loop then
-        runs the (p, q) recurrence, every float in update's order."""
+    def _recur(self, ticks, draw, s, u):
+        """The States of _track's ticks s on, received ones from recv[u],
+        or None where update would refuse one of them or its increment is
+        infinite; the filter is not moved. In numpy first: the
+        pseudo-derivatives, the rows after each tick (carried through
+        coasts a depth at a time), and from the rows before it each tick's
+        position terms and exp(phi). The loop then runs the (p, q)
+        recurrence, every float in update's order."""
         cfg, x, mw = self.config, self.x, self.config.min_window
-        m, C, recv = stop - s, ticks.clock[2][s:stop], draw.recv
-        got = recv[u:np.searchsorted(recv, stop)] - s + 1
-        F, i0 = len(got), L + u - mw + 1
-        nt, nP, nW = draw.window[1]
+        if len(ticks.clock[0]) < len(ticks) or not draw.poses_ok or draw.window is None:
+            return None
+        m, C, (nt, nP, nW) = len(ticks) - s, ticks.clock[2][s:], draw.window
+        got = draw.recv[u:] - s + 1
+        F = len(got)
         R = np.empty((m + 1, 7, 3))     # rows [p v a j w wd wdd] before tick s, after each
         R[0, 1:] = (*x.pos[1:], *x.wvec)
-        flags = np.array(draw.flags[s:stop])
+        flags = np.array(draw.flags[s:])
         lost = np.flatnonzero(~flags) + 1
         known = np.maximum.accumulate(np.where(flags, np.arange(1, m + 1), 0))[lost - 1]
         by = np.argsort(lost - known, kind="stable")        # by depth into the coast
         deep = np.split(lost[by], np.flatnonzero(np.diff((lost - known)[by])) + 1)
         with np.errstate(all="ignore"):
             windows = [(nt[i:i + F], tuple(nP[i:i + F].T), None, tuple(nW[i:i + F].T))
-                       for i in range(i0, i0 + mw)]
+                       for i in range(mw)]
+            # update refuses a window two of whose nodes' offsets from the newest round to one
+            us = [w[0] - windows[-1][0] for w in windows]
+            if not all((a != b).all() for a, b in combinations(us, 2)):
+                return None
             for r, row in enumerate(chain(*estimate_pseudo_derivatives(windows, cfg)), start=1):
                 R[got, r, 0], R[got, r, 1], R[got, r, 2] = row
-            # where two nodes' offsets from the newest round to one, update's
-            # stencil raises ZeroDivisionError: the loop stops before that tick
-            us = [w[0] - windows[-1][0] for w in windows]
-            apart = np.logical_and.reduce([a != b for a, b in combinations(us, 2)])
-            end = m if apart.all() else int(got[_leading(apart)]) - 1
             for h, order, pad in ((1, cfg.ord_pos, 0.0), (4, cfg.ord_rot, -0.0)):
                 for i, prev in [(lost, known)] if order == 1 else [(i, i - 1) for i in deep]:
                     R[i, h:h + 3] = _carry(R[prev, h:h + 3], C[i - 1, :1], C[i - 1, 1:2], order, pad)
@@ -805,15 +798,15 @@ class EskfPredictor:
             terms[:cfg.ord_pos] = ((V * c1, A * c2, J * c3) if cfg.ord_pos == 3
                                    else (V * c1 + 0.0, A * c2)[:cfg.ord_pos])
             phi = so3._stacked_increments(W.T, WD.T, WDD.T, C[:, 0], cfg.ord_rot)
-            m = min(end, _leading(~np.isinf(phi[0] * phi[0] + phi[1] * phi[1] + phi[2] * phi[2])))
-            incs = [e.tolist() for e in so3._stacked_exp(*(c[:m] for c in phi))]
-        k0, _, chains = draw.gains(self._sizes[0], ticks.clock)
-        att_k0, _, att_chains = draw.gains(self._sizes[1], ticks.clock)
+            if np.isinf(phi[0] * phi[0] + phi[1] * phi[1] + phi[2] * phi[2]).any():
+                return None
+            incs = [e.tolist() for e in so3._stacked_exp(*phi)]
+        (k0, _), (att_k0, _) = (draw.gains(size, ticks.clock) for size in self._sizes)
         fixes = zip(*(z[u:] for z in draw.z), k0[u:], att_k0[u:])
         (p0, p1, p2), (qw, qx, qy, qz), ps, qs = x.pos[0], x.q, [], []
         try:
             for (d0, d1, d2, e0, e1, e2, f0, f1, f2, ew, ex, ey, ez, r) in zip(
-                    *terms[:, :m].transpose(0, 2, 1).reshape(9, m).tolist(), *incs, flags.tolist()):
+                    *terms.transpose(0, 2, 1).reshape(9, m).tolist(), *incs, flags.tolist()):
                 p0, p1, p2 = p0 + d0 + e0 + f0, p1 + d1 + e1 + f1, p2 + d2 + e2 + f2
                 rw = qw * ew - qx * ex - qy * ey - qz * ez
                 rx = qw * ex + qx * ew + qy * ez - qz * ey
@@ -826,20 +819,10 @@ class EskfPredictor:
                 qw, qx, qy, qz = q
                 ps.append((p0, p1, p2))
                 qs.append(q)
-        except ValueError:      # correct refuses the tick; update refuses it again
-            pass
-        m = len(ps)
-        if not m:
-            return States.of([])
-        R[1:m + 1, 0] = ps
-        states = States(ticks.clock[0][s:s + m], R[1:m + 1, :4], np.array(qs), R[1:m + 1, 4:])
-        last, j, shared = s + m - 1, int(np.searchsorted(recv, s + m)), self.att_chain is self.chain
-        self.x, self.chain = states[-1], tuple(chains[last].tolist())
-        self.att_chain = self.chain if shared else tuple(att_chains[last].tolist())
-        _, P, Q, _ = ticks.floats
-        self.window.extend((ticks[r].t, P[r].tolist(), Q[r].tolist(), tuple(nW[L + i].tolist()))
-                           for i, r in enumerate(recv[:j].tolist()) if i >= max(u, j - mw))
-        return states
+        except ValueError:      # correct refuses the tick
+            return None
+        R[1:, 0] = ps
+        return States(ticks.clock[0][s:], R[1:, :4], np.array(qs), R[1:, 4:])
 
     def step(self, z, received=True):
         """Advance one tick to measurement z; returns the published pose."""
@@ -913,9 +896,8 @@ class KfBaseline:
     after every propagation and update, the textbook abuse the
     error-state filters are built to avoid. The covariance is one
     2-square scalar chain (see the module notes), so an update is two
-    scalar gains. update, step, forecasts and the ticks rejected are as
-    in EskfPredictor; track is the update loop, returning a list, with
-    the gains read off the draw (_Draw.gains, the ESKF's size-2 chain).
+    scalar gains. update, step, _track, forecasts and the ticks rejected
+    are as in EskfPredictor, but for the window's: the baseline keeps none.
     """
 
     def __init__(self, config, first_pose):
@@ -926,7 +908,6 @@ class KfBaseline:
         self.t = float(first_pose.t)
         self.x = tuple(p), so3._ZERO3, tuple(q), (0.0, 0.0, 0.0, 0.0)
         self.chain = _chain_eye(2)
-        self._first = first_pose        # until a tick moves the filter
 
     @property
     def P(self):
@@ -943,30 +924,29 @@ class KfBaseline:
         if received:
             chain, g0, g1 = _chain_update(chain)
             x = _kf_correct(x, *zpq, g0, g1)
-        self.x, self.chain, self.t, self._first = x, chain, z.t, None
+        self.x, self.chain, self.t = x, chain, z.t
 
-    def track(self, poses, received):
-        ticks = _ticks(self, poses, (self.t, (), {2: self.chain}))
-        if ticks.floats is None:
-            return _update_loop(self, zip(poses, received), [])
-        draw, clock = ticks.draw(received), ticks.kf_clock
-        k0, k1, chains = draw.gains(2, clock)
-        fixes, x, states = zip(*draw.z, k0, k1), self.x, []
-        try:
-            for (h, _, _), r in zip(clock[1][:draw.stop_pose], draw.flags):
-                p, q = _cv_chain(*x, h, 1, [])
-                x = p, x[1], q, x[3]
-                if r:
-                    z0, z1, z2, zw, zx, zy, zz, g0, g1 = next(fixes)
-                    x = _kf_correct(x, (z0, z1, z2), (zw, zx, zy, zz), g0, g1)
-                states.append(x)
-        except ArithmeticError:     # a quaternion of zero norm: update raises it again
-            pass
-        if states:
-            k = len(states)
-            self.x, self.chain, self.t = states[-1], tuple(chains[k - 1].tolist()), ticks[k - 1].t
-        self._first = None
-        return _update_loop(self, zip(ticks[len(states):], draw.flags[len(states):]), states)
+    def _track(self, ticks, received):
+        """As EskfPredictor._track, returning a list: the update loop with
+        the gains read off the draw (_Draw.gains, the ESKF's size-2
+        chain), or where update would refuse a tick, that loop itself."""
+        if ticks.floats is not None:
+            draw, clock = ticks.draw(received), ticks.kf_clock
+            if len(clock[1]) == len(ticks) and draw.poses_ok:
+                k0, k1 = draw.gains(2, clock)
+                fixes, x, states = zip(*draw.z, k0, k1), self.x, []
+                try:
+                    for (h, _, _), r in zip(clock[1], draw.flags):
+                        p, q = _cv_chain(*x, h, 1, [])
+                        x = p, x[1], q, x[3]
+                        if r:
+                            z0, z1, z2, zw, zx, zy, zz, g0, g1 = next(fixes)
+                            x = _kf_correct(x, (z0, z1, z2), (zw, zx, zy, zz), g0, g1)
+                        states.append(x)
+                    return states
+                except ArithmeticError:     # a quaternion of zero norm: update raises it again
+                    pass
+        return _update_loop(self, zip(ticks, received), [])
 
     def step(self, z, received=True):
         self.update(z, received)
@@ -992,3 +972,53 @@ MODEL_NAMES = tuple(_MODELS)
 def make_predictor(config, first_pose):
     """Instantiate the model named by the config at the stream's first pose."""
     return config.predictor(config, first_pose)
+
+
+# the most ticks a group rolls out in one forecasts call: past a few thousand,
+# numpy's cost per call no longer shows, and the rollout stays a few MB
+GROUP_TICKS = 4096
+
+
+def stream_forecasts(models, dt, steps, poses, masks):
+    """Yields (model, i, picks) for each model and mask i: picks is the
+    forecasts of a fresh predictor at poses[0] over poses[1:], tick k
+    received iff masks[i][k - 1], per horizon an (len(poses) - 1, 7)
+    array whose row j is the pose [p q] steps[h] ticks past tick j + 1;
+    or the ValueError that stopped the stream.
+
+    The masks go in groups of at most GROUP_TICKS ticks. A group's streams
+    share one Ticks, which does once for every model and mask the work
+    that reads only the poses and the losses, and each model's streams of
+    a group roll out in one forecasts call (_roll). Every predictor is
+    built at the longest horizon (make_predictor) and run by its _track.
+    """
+    size = max(1, GROUP_TICKS // max(1, len(poses) - 1))
+    for g in range(0, len(masks), size):
+        ticks = Ticks(poses[1:], poses[0])
+        for model in models:
+            cfg = FilterConfig(model=model, dt=dt, horizon_steps=max(steps))
+            runs, pred = [], None
+            for mask in masks[g:g + size]:
+                try:
+                    pred = make_predictor(cfg, ticks.first)
+                    runs.append(pred._track(ticks, mask))
+                except ValueError as e:
+                    runs.append(e)
+            rolled = iter(_roll(pred, [run for run in runs if not isinstance(run, ValueError)],
+                                steps))
+            for i, run in enumerate(runs, start=g):
+                yield model, i, run if isinstance(run, ValueError) else next(rolled)
+
+
+def _roll(pred, runs, steps):
+    """pred.forecasts of the runs' states joined, split back per run.
+    Where it refuses a state, each run is rolled out alone, so only a run
+    that holds one fails, with that ValueError for its arrays."""
+    if not runs:
+        return []
+    try:
+        rolled = pred.forecasts(sum(runs[1:], runs[0]), steps)
+    except ValueError as e:
+        return [e] if len(runs) == 1 else [_roll(pred, [run], steps)[0] for run in runs]
+    ends = list(accumulate(map(len, runs)))[:-1]
+    return list(map(list, zip(*(np.split(rows, ends) for rows in rolled))))

@@ -307,10 +307,10 @@ class TestRunExperiment:
 
     def test_degenerate_filter_recorded_not_raised(self, monkeypatch):
         class _Boom:
-            def track(self, poses, received):
+            def _track(self, ticks, received):
                 raise ValueError("innovation covariance is degenerate")
 
-        monkeypatch.setattr("posecast.experiment.make_predictor",
+        monkeypatch.setattr("posecast.filters.make_predictor",
                             lambda cfg, pose: _Boom())
         cfg = ExperimentConfig(models=("KF",), horizons_ms=(50,),
                                drop_rates=(0.0,), repeats=2)
@@ -686,9 +686,9 @@ class _RecordingPredictor:
         self.received = []
         log.append(self)
 
-    def track(self, poses, received):
+    def _track(self, ticks, received):
         states = []
-        for z, r in zip(poses, received):
+        for z, r in zip(ticks, received):
             self.received.append(bool(r))
             states.append((z.p, z.q))
         return states
@@ -717,7 +717,7 @@ class TestSharedStreams:
             built.append(config)
             return make_predictor(config, first_pose)
 
-        monkeypatch.setattr("posecast.experiment.make_predictor", counting)
+        monkeypatch.setattr("posecast.filters.make_predictor", counting)
         cfg = ExperimentConfig(models=("KF", "p2o2"), horizons_ms=(20, 60, 40),
                                drop_rates=(0.3, 0.0, 0.5), repeats=3,
                                keep_samples=False)
@@ -731,7 +731,7 @@ class TestSharedStreams:
 
     def test_without_zero_drop_every_repeat_streams(self, monkeypatch):
         log = []
-        monkeypatch.setattr("posecast.experiment.make_predictor",
+        monkeypatch.setattr("posecast.filters.make_predictor",
                             lambda c, p: _RecordingPredictor(c, p, log))
         cfg = ExperimentConfig(models=("KF", "ESKF"), horizons_ms=(20,),
                                drop_rates=(0.1, 0.5), repeats=2)
@@ -740,7 +740,7 @@ class TestSharedStreams:
 
     def test_every_model_sees_the_same_losses(self, monkeypatch):
         log = []
-        monkeypatch.setattr("posecast.experiment.make_predictor",
+        monkeypatch.setattr("posecast.filters.make_predictor",
                             lambda c, p: _RecordingPredictor(c, p, log))
         cfg = ExperimentConfig(horizons_ms=(20, 100), drop_rates=(0.0, 0.3, 0.7),
                                repeats=3, master_seed=9)
@@ -847,11 +847,10 @@ class TestSharedStreams:
             def __getattr__(self, name):
                 return getattr(self.inner, name)
 
-            def track(self, poses, received):
-                poses = list(poses)
-                if any(z.t >= 4.5 for z in poses):
+            def _track(self, ticks, received):
+                if any(z.t >= 4.5 for z in ticks):
                     raise ValueError("innovation covariance is degenerate")
-                return self.inner.track(poses, received)
+                return self.inner._track(ticks, received)
 
         def breaking(config, first_pose):
             pred = make_predictor(config, first_pose)
@@ -862,7 +861,7 @@ class TestSharedStreams:
         grid = dict(horizons_ms=(20, 60), drop_rates=(0.0, 0.5), repeats=2,
                     master_seed=4)
         clean = run_experiment(ExperimentConfig(models=("KF", "p2o2"), **grid), traces)
-        monkeypatch.setattr("posecast.experiment.make_predictor", breaking)
+        monkeypatch.setattr("posecast.filters.make_predictor", breaking)
         cfg = ExperimentConfig(models=("KF", "p2o2"), **grid)
         rep = run_experiment(cfg, traces)
 
@@ -971,7 +970,7 @@ class TestStreamPlan:
                 raise ValueError("innovation covariance is degenerate")
             return make_predictor(config, first_pose)
 
-        monkeypatch.setattr("posecast.experiment.make_predictor", breaking)
+        monkeypatch.setattr("posecast.filters.make_predictor", breaking)
         cfg = ExperimentConfig(models=("p2o2", "p2o3", "p3o3"), horizons_ms=(20,),
                                drop_rates=(0.0, 0.5), repeats=2)
         rep = run_experiment(cfg, [generate_synthetic_trace("medium", 2.5, seed=1)])
@@ -985,7 +984,7 @@ class TestStreamPlan:
         def breaking(config, first_pose):
             raise ValueError(f"{config.model} refused")
 
-        monkeypatch.setattr("posecast.experiment.make_predictor", breaking)
+        monkeypatch.setattr("posecast.filters.make_predictor", breaking)
         cfg = ExperimentConfig(models=("p3o3", "p2o3", "p2o2"), horizons_ms=(20,),
                                drop_rates=(0.5,), repeats=1)
         rep = run_experiment(cfg, [generate_synthetic_trace("medium", 2.5, seed=1)])
@@ -999,7 +998,7 @@ class TestScoredTicksOnly:
     @pytest.mark.parametrize("n, stepped", [(457, 399), (401, 398), (400, 397)])
     def test_stream_steps_through_the_last_scored_tick(self, monkeypatch, n, stepped):
         log = []
-        monkeypatch.setattr("posecast.experiment.make_predictor",
+        monkeypatch.setattr("posecast.filters.make_predictor",
                             lambda c, p: _RecordingPredictor(c, p, log))
         cfg = ExperimentConfig(models=("KF",), horizons_ms=(20, 60),
                                drop_rates=(0.0, 0.5), repeats=1)
@@ -1020,17 +1019,16 @@ class TestScoredTicksOnly:
             def __getattr__(self, name):
                 return getattr(self.inner, name)
 
-            def track(self, poses, received):
-                poses = list(poses)
-                if any(z.t >= 4.5 for z in poses):
+            def _track(self, ticks, received):
+                if any(z.t >= 4.5 for z in ticks):
                     raise ValueError("innovation covariance is degenerate")
-                return self.inner.track(poses, received)
+                return self.inner._track(ticks, received)
 
         traces = [generate_synthetic_trace("medium", 5.0, seed=1)]
         cfg = ExperimentConfig(models=("p2o2",), horizons_ms=(20, 60),
                                drop_rates=(0.0, 0.5), repeats=2, master_seed=4)
         clean = run_experiment(cfg, traces)
-        monkeypatch.setattr("posecast.experiment.make_predictor",
+        monkeypatch.setattr("posecast.filters.make_predictor",
                             lambda c, p: _BreaksLate(make_predictor(c, p)))
         rep = run_experiment(cfg, traces)
         assert rep.failures == []

@@ -14,6 +14,7 @@ from posecast.filters import (
     FilterConfig,
     KfBaseline,
     NominalState,
+    Ticks,
     _chain_eye,
     _chain_matrix,
     _chain_update,
@@ -767,7 +768,7 @@ def test_lost_packet_pose_is_never_read(model):
     assert np.array_equal(pub.p, ref.p) and np.array_equal(pub.q, ref.q)
 
 
-# --------------------------------------------- a whole stream at once (track)
+# ------------------------------------------- a whole stream at once (_track)
 
 def _spoiled_stream(spoil=None, k=25):
     """The first pose and ticks 1..59 of a medium stream, every tick
@@ -787,6 +788,18 @@ def _outcome(pred, run):
     except ValueError as e:
         error = str(e)
     return error, _filter_state(pred)
+
+
+def _tracked(cfg, poses, mask):
+    """A fresh predictor's _track over the poses after the first."""
+    return make_predictor(cfg, poses[0])._track(Ticks(poses[1:], poses[0]), mask)
+
+
+def _track_error(cfg, poses, mask):
+    try:
+        _tracked(cfg, poses, mask)
+    except ValueError as e:
+        return str(e)
 
 
 def _update_loop(poses, mask):
@@ -814,6 +827,8 @@ _REFUSALS = {
                         "does not advance"),
     "NaN timestamp": (lambda poses, k: setattr(poses[k], "t", np.nan),
                       "timestamp nan is not finite"),
+    "far timestamp": (lambda poses, k: setattr(poses[k], "t", 1e150),
+                      "too far for the transition"),
     "non-finite pose": (lambda poses, k: poses[k].p.__setitem__(1, np.inf), "is not finite"),
     "off-unit pose": (lambda poses, k: poses[k].q.__imul__(1.01), "not within 1e-6 of unit"),
     "off-unit pair": (_off_unit_pair, "quaternion norm 1.0000018 is not within 1e-6 of unit"),
@@ -840,23 +855,55 @@ def test_a_tick_the_window_refuses_leaves_the_filter_as_it_was(model):
     assert pred.x.t == 0.2
 
 
+@pytest.mark.parametrize("model, gap, tick, message", [
+    *((m, 1e-20, 2, "leaves two window nodes at one offset") for m in ("p2o2", "p2o3", "p3o3")),
+    *((m, 5e-324, 1, "body rate is not finite") for m in ("ESKF", "p2o2", "p2o3", "p3o3"))])
+def test_near_coincident_received_timestamps_are_refused_before_anything_is_assigned(
+        model, gap, tick, message):
+    # pose 1 lies a hair past pose 0: 5e-324 s makes their pair's rate
+    # infinite, and 1e-20 s puts both at one offset from tick 2, which the
+    # stencils of order 2 and up divide by
+    trace = generate_synthetic_trace("hard", 0.6, seed=4)
+    poses = [trace.pose(k) for k in range(len(trace))]
+    poses[1] = Pose(poses[0].t + gap, poses[1].p, poses[1].q)
+    pred = make_predictor(FilterConfig(model=model, dt=0.01, horizon_steps=5), poses[0])
+    for z in poses[1:tick]:
+        pred.update(z)
+    before = repr(_filter_state(pred))
+    with pytest.raises(ValueError, match=message):
+        pred.update(poses[tick])
+    assert repr(_filter_state(pred)) == before
+
+
+@pytest.mark.parametrize("model", ["KF", "ESKF", "p2o2", "p2o3", "p3o3"])
+@pytest.mark.parametrize("tick", ["update", "step"])
+def test_a_tick_too_far_for_the_transition_is_refused_before_anything_is_assigned(model, tick):
+    # 1e150 s on, the interval's cube overflows
+    trace = generate_synthetic_trace("medium", 0.3, seed=4)
+    pred = make_predictor(FilterConfig(model=model, dt=0.01, horizon_steps=5), trace.pose(0))
+    for k in range(1, 10):
+        getattr(pred, tick)(trace.pose(k))
+    before = repr(_filter_state(pred))
+    far = trace.pose(10)
+    far.t = 1e150
+    with pytest.raises(ValueError, match="lies 1e[+]150 s past 0.09, too far for the transition"):
+        getattr(pred, tick)(far)
+    assert repr(_filter_state(pred)) == before
+
+
 @pytest.mark.parametrize("model", ["KF", "ESKF", "p2o2", "p2o3", "p3o3"])
 @pytest.mark.parametrize("refusal", sorted(_REFUSALS))
 def test_track_refuses_what_update_refuses_at_the_same_tick(model, refusal):
-    # the error text is the update loop's, and so is the filter the refused
-    # tick leaves: the filter as it was before that tick
+    # the error text is the update loop's
     spoil, message = _REFUSALS[refusal]
     poses, mask = _spoiled_stream(spoil)
     cfg = FilterConfig(model=model, dt=0.01, horizon_steps=5)
-    looped, tracked = (make_predictor(cfg, poses[0]) for _ in range(2))
-    expect = _outcome(looped, _update_loop(poses[1:], mask))
-    error, state = _outcome(tracked, lambda pred: pred.track(poses[1:], mask))
+    expect, _ = _outcome(make_predictor(cfg, poses[0]), _update_loop(poses[1:], mask))
     if refusal == "off-unit pair" and model == "KF":
-        assert expect[0] is None        # the baseline takes no pair's log
+        assert expect is None           # the baseline takes no pair's log
     else:
-        assert message in expect[0]
-    assert error == expect[0]
-    _assert_same(state, expect[1])
+        assert message in expect
+    assert _track_error(cfg, poses, mask) == expect
 
 
 @pytest.mark.parametrize("model", ["KF", "ESKF", "p2o3", "p3o3"])
@@ -867,11 +914,11 @@ def test_track_reads_no_lost_pose_and_none_past_its_end(model, refusal):
     spoil, _ = _REFUSALS[refusal]
     clean, mask = _spoiled_stream()
     cfg = FilterConfig(model=model, dt=0.01, horizon_steps=5)
-    expect = make_predictor(cfg, clean[0]).track(clean[1:], mask)
+    expect = _tracked(cfg, clean, mask)
     # a lost tick's timestamp is still read, and tick 29 is received
     if refusal in ("non-finite pose", "off-unit pose", "off-unit pair"):
         lost, _ = _spoiled_stream(spoil, k=30)
-        assert repr(make_predictor(cfg, lost[0]).track(lost[1:], mask)) == repr(expect)
+        assert repr(_tracked(cfg, lost, mask)) == repr(expect)
     # a sweep's stream that ends before tick 24, the first one spoiled
     late, _ = _spoiled_stream(spoil)
     picks = stream_picks(model, 0.01, [5], late, mask, 24)
@@ -881,42 +928,37 @@ def test_track_reads_no_lost_pose_and_none_past_its_end(model, refusal):
 
 @pytest.mark.parametrize("model", ["KF", "ESKF", "p2o2", "p2o3", "p3o3"])
 def test_track_stops_where_update_divides_by_zero_or_meets_an_infinite_rate(model):
-    # tick 1 lies 5e-324 s past the first pose: its pair's rate is infinite,
-    # and later windows round the two nodes' offsets from the newest to one,
-    # which update's stencils divide by; track fails as that loop does, with
-    # the same error and the filter it leaves
+    # tick 1 lies 5e-324 s past the first pose, where its pair's rate is
+    # infinite, or 1e-20 s, where tick 2's window rounds the two nodes'
+    # offsets from the newest to one, which update's stencils divide by;
+    # track fails as that loop does, with the same error, also on a
+    # stream that ends at the refused tick, whose rows no increment reads
     trace = generate_synthetic_trace("hard", 0.6, seed=4)
-    poses = [trace.pose(k) for k in range(len(trace))]
-    poses[1] = Pose(poses[0].t + 5e-324, poses[1].p, poses[1].q)
-    mask = [True] * (len(poses) - 1)
+    mask = [True] * (len(trace) - 1)
     cfg = FilterConfig(model=model, dt=0.01, horizon_steps=5)
-    outcomes = []
-    for run in (_update_loop(poses[1:], mask), lambda pred: pred.track(poses[1:], mask)):
-        pred = make_predictor(cfg, poses[0])
-        try:
-            run(pred)
-            error = None
-        except (ValueError, ArithmeticError) as e:
-            error = repr(e)
-        outcomes.append((error, repr(_filter_state(pred))))
-    assert outcomes[0] == outcomes[1]
+    for gap, end in ((5e-324, 2), (1e-20, 3)):
+        poses = [trace.pose(k) for k in range(len(trace))]
+        poses[1] = Pose(poses[0].t + gap, poses[1].p, poses[1].q)
+        expect, _ = _outcome(make_predictor(cfg, poses[0]), _update_loop(poses[1:], mask))
+        assert _track_error(cfg, poses, mask) == expect
+        assert _track_error(cfg, poses[:end], mask) == expect
 
 
 @pytest.mark.parametrize("model", ["ESKF", "p2o3", "p3o3"])
-def test_track_leaves_the_update_loops_filter_where_correct_refuses(model):
+def test_track_fails_as_the_update_loop_where_correct_refuses(model):
     # every pose and pair is within the tolerance, but tick 25 against the
     # state's quaternion, which keeps the first pose's norm, is not: the
     # correction's log map refuses it inside the loop that takes the
-    # stacked ticks, and the window still ends as update leaves it
+    # stacked ticks, and the update loop raises that error. The last tick,
+    # lost 1e102 s on, has an increment too large for the stacked exp,
+    # which must not refuse it first
     poses, mask = _spoiled_stream()
     poses[0].q *= 1.0 + 9e-7
     for z in poses[1:25]:
         z.q *= 1.0 - 5e-7
     poses[25].q *= 1.0 + 9e-7
+    poses[-1].t, mask[-1] = 1e102, False
     cfg = FilterConfig(model=model, dt=0.01, horizon_steps=5)
-    looped, tracked = (make_predictor(cfg, poses[0]) for _ in range(2))
-    expect = _outcome(looped, _update_loop(poses[1:], mask))
-    error, state = _outcome(tracked, lambda pred: pred.track(poses[1:], mask))
-    assert expect[0] == "quaternion norm 1.0000018 is not within 1e-6 of unit"
-    assert error == expect[0]
-    _assert_same(state, expect[1])
+    expect, _ = _outcome(make_predictor(cfg, poses[0]), _update_loop(poses[1:], mask))
+    assert expect == "quaternion norm 1.0000018 is not within 1e-6 of unit"
+    assert _track_error(cfg, poses, mask) == expect

@@ -12,6 +12,7 @@ and the filters' long-run health."""
 import functools
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from posecast import so3
+from posecast import filters, so3
 from posecast.filters import (
     MODEL_NAMES,
     FilterConfig,
@@ -33,8 +34,8 @@ from posecast.filters import (
     estimate_pseudo_derivatives,
     make_predictor,
     predict_horizon,
+    stream_forecasts,
 )
-from posecast.experiment import _group_picks
 from posecast.metrics import orientation_error, position_error
 from posecast.traces import Pose, Trace, generate_synthetic_trace
 
@@ -651,12 +652,10 @@ def tracked_streams(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(MODEL_NAMES), tracked_streams(), st.data())
-def test_track_is_the_update_loop_bit_for_bit(model, stream, data):
-    # every state track returns, and the filter it leaves, window included,
-    # is the update loop's; repr tells every float apart, -0.0 from 0.0
-    # too. The stream is tracked in two calls, so the second starts from a
-    # window that holds from one node to min_window
+@given(st.sampled_from(MODEL_NAMES), tracked_streams())
+def test_track_is_the_update_loop_bit_for_bit(model, stream):
+    # every state _track returns is the update loop's; repr tells every
+    # float apart, -0.0 from 0.0 too
     poses, mask = stream
     cfg = FilterConfig(model=model, dt=0.01, horizon_steps=3)
     looped, tracked = (make_predictor(cfg, poses[0]) for _ in range(2))
@@ -664,21 +663,19 @@ def test_track_is_the_update_loop_bit_for_bit(model, stream, data):
     for z, received in zip(poses[1:], mask):
         looped.update(z, received)
         expect.append(looped.x)
-    cut = data.draw(st.integers(1, len(poses)))
-    states = (tracked.track(poses[1:cut], mask[:cut - 1])
-              + tracked.track(poses[cut:], mask[cut - 1:]))
+    states = tracked._track(Ticks(poses[1:], poses[0]), mask)
     assert repr(states) == repr(expect)
-    assert repr(_predictor_state(tracked)) == repr(_predictor_state(looped))
 
 
 @settings(max_examples=30, deadline=None)
 @given(tracked_streams(), st.data())
 def test_a_group_of_draws_is_each_streams_update_loop_bit_for_bit(stream, data):
-    # every model tracks several masks of one trace over one Ticks, which
-    # shares its draws across masks and models, and rolls each group out
-    # in one forecasts call: each stream's forecasts are its update loop's
-    # rollouts and step's pose, and its refusal that loop's. The last mask
-    # receives a tick whose pose is off unit, so it stops there
+    # every model streams several masks of one trace through one
+    # stream_forecasts, which shares one Ticks's draws across masks and
+    # models and rolls each model's group out in one forecasts call: each
+    # stream's forecasts are its update loop's rollouts and step's pose,
+    # and its refusal that loop's. The last mask receives a tick whose
+    # pose is off unit, so it stops there
     poses, mask = stream
     n = len(poses)
     masks = [mask] + [data.draw(stream_masks(n - 1)) for _ in range(2)]
@@ -686,45 +683,54 @@ def test_a_group_of_draws_is_each_streams_update_loop_bit_for_bit(stream, data):
     poses[k].q = poses[k].q * 1.01
     masks.append([r or i == k - 1 for i, r in enumerate(data.draw(stream_masks(n - 1)))])
     steps = _kept_steps(data.draw)
-    ticks = Ticks(poses[1:], poses[0])
-    for model in MODEL_NAMES:
+    streams = list(stream_forecasts(MODEL_NAMES, 0.01, steps, poses, masks))
+    assert [(model, i) for model, i, _ in streams] == list(
+        itertools.product(MODEL_NAMES, range(len(masks))))
+    for model, i, picks in streams:
         cfg = FilterConfig(model=model, dt=0.01, horizon_steps=max(steps))
-        for m, picks in zip(masks, _group_picks(model, cfg.dt, steps, ticks, masks)):
-            pred, expect, refusal = make_predictor(cfg, poses[0]), [], None
-            try:
-                for z, received in zip(poses[1:], m):
-                    pub = pred.step(z, received)
-                    expect.append(_scalar_rollout(cfg, pred.x, max(steps)))
-                    assert expect[-1][-1] == (*pub.p, *pub.q)
-            except ValueError as e:
-                refusal = str(e)
-            if refusal:
-                assert isinstance(picks, ValueError) and str(picks) == refusal
-                continue
-            for n_steps, rows in zip(steps, picks):
-                assert rows.tobytes() == np.array([e[n_steps - 1] for e in expect]).tobytes()
+        pred, expect, refusal = make_predictor(cfg, poses[0]), [], None
+        try:
+            for z, received in zip(poses[1:], masks[i]):
+                pub = pred.step(z, received)
+                expect.append(_scalar_rollout(cfg, pred.x, max(steps)))
+                assert expect[-1][-1] == (*pub.p, *pub.q)
+        except ValueError as e:
+            refusal = str(e)
+        if refusal:
+            assert isinstance(picks, ValueError) and str(picks) == refusal
+            continue
+        for n_steps, rows in zip(steps, picks):
+            assert rows.tobytes() == np.array([e[n_steps - 1] for e in expect]).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
 @given(tracked_streams(), st.data())
 def test_a_draws_gain_chain_is_each_predictors_own(stream, data):
-    # the chain a draw runs once per size, the baseline's too, is after
-    # every tick each predictor's own chains as its update loop leaves them
+    # the gains k0, k1 a draw's chain of each size gives every received
+    # tick, the baseline's too, are those each predictor's update takes
     poses, mask = stream
     masks = [mask, data.draw(stream_masks(len(poses) - 1))]
     ticks = Ticks(poses[1:], poses[0])
+    update_gains = filters._chain_update
+
+    def recording(chain):
+        updated = update_gains(chain)
+        taken.append(updated[1:])
+        return updated
+
     for model, m in itertools.product(MODEL_NAMES, masks):
         cfg = FilterConfig(model=model, dt=0.01, horizon_steps=3)
-        pred = make_predictor(cfg, poses[0])
-        if model == "KF":
-            clock, own = ticks.kf_clock, lambda: (pred.chain,)
-        else:
-            clock, own = ticks.clock, lambda: (pred.chain, pred.att_chain)
-        sizes = (2,) if model == "KF" else (1 + cfg.ord_pos, 1 + cfg.ord_rot)
-        chains = [ticks.draw(m).gains(size, clock)[2] for size in sizes]
-        for i, (z, received) in enumerate(zip(poses[1:], m)):
-            pred.update(z, received)
-            assert repr(tuple(tuple(c[i].tolist()) for c in chains)) == repr(own())
+        clock = ticks.kf_clock if model == "KF" else ticks.clock
+        sizes = (2,) if model == "KF" else dict.fromkeys((1 + cfg.ord_pos, 1 + cfg.ord_rot))
+        # per received tick, update takes the position chain's gains, then
+        # the attitude chain's unless it is the same chain
+        gains = [zip(*ticks.draw(m).gains(size, clock)) for size in sizes]
+        expect = [pair for pairs in zip(*gains) for pair in pairs]
+        pred, taken = make_predictor(cfg, poses[0]), []
+        with mock.patch.object(filters, "_chain_update", recording):
+            for z, received in zip(poses[1:], m):
+                pred.update(z, received)
+        assert repr(taken) == repr(expect)
 
 
 @pytest.mark.parametrize("model", _ESKF_MODELS)
