@@ -72,9 +72,10 @@ refused tick leaves the filter as it was. `step` is update plus the
 forecast it publishes, and `forecasts` rolls many states out at once on
 a stack (predict_horizon takes a NominalState whose leaves are (m,)
 arrays, _chain then running so3._stacked_rotation_chain, and _cv_chain
-np.sqrt). stream_forecasts runs a group of whole streams, each a fresh
-predictor at the group's first pose whose _track returns every tick's
-state, bit for bit the update loop's, or raises that loop's error.
+np.sqrt). stream_forecasts runs a group of whole streams, one fresh
+predictor each at the group's first pose; per model one _track call of
+its class gives every stream's states, bit for bit its update loop's, or
+that loop's error, and one forecasts call rolls them all out.
 Of an error-state tick only a recurrence in (p, q) reads the state: add
 the position terms v c1, a c2, j c3 to p, set q to canonical(q
 exp(phi)), and on a received tick inject the pose (correct). The
@@ -83,18 +84,20 @@ only the poses, the losses and the clock (t + (z.t - t) on every tick),
 so _track computes them first: per draw of received flags once for every
 stream of the group (Ticks, _Draw: the pose checks, the window rates,
 one covariance chain per size, the baseline's gains among them), and per
-stream stacked over its ticks in numpy (EskfPredictor._recur). Where
-update would refuse a tick of the stream, the update loop runs it
-instead, so only a failing stream pays for both.
+model in one numpy pass over all of its streams' ticks, concatenated
+(EskfPredictor._recur); each stream's scalar loop then reads its own
+slice. A stream that pass would refuse runs its update loop alone, so
+only a failing stream pays for both, and no other stream's floats move.
 A FilterConfig is frozen, and resolves its model's predictor class and
 orders (_MODELS) once, when it is built; the kernels read them off it.
 """
 
+import copy
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain, combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -108,6 +111,11 @@ class DegeneracyError(RuntimeError):
     No built-in filter raises it: every update's S = s00 + 1 is at least 1.
     It is kept only because the benchmark's tracer (perfbench/tracer.py)
     imports it; the sweep does not catch it."""
+
+
+# the longest tick interval whose transition (error_transition_matrix's
+# dt^3 / 6) does not overflow, to a power of two
+_MAX_DT = 2.0 ** 341
 
 
 def canonical_model_name(name):
@@ -137,8 +145,8 @@ class FilterConfig:
                             ("ord_rot", ord_rot), ("min_window", max(ord_pos, ord_rot) + 1)):
             object.__setattr__(self, name, value)
         object.__setattr__(self, "dt", real_number("dt", self.dt))
-        if not (math.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        if not 0.0 < self.dt <= _MAX_DT:
+            raise ValueError(f"dt must be finite and positive, at most 2^341 s, got {self.dt!r}")
         object.__setattr__(self, "horizon_steps",
                            whole_number("horizon_steps", self.horizon_steps))
         if self.horizon_steps < 1:
@@ -219,9 +227,10 @@ def _chain(x, dt, n, ord_pos, ord_rot, rollout, rotation_chain=so3._rotation_cha
 def propagate_nominal(x, dt, config):
     """Advance the nominal state by dt using the variant's kinematic order.
 
-    Returns a new state of float tuples; x is left as it was."""
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    Returns a new state of float tuples; x is left as it was. ValueError
+    unless 0 < dt <= _MAX_DT."""
+    if not 0.0 < dt <= _MAX_DT:
+        raise ValueError(f"dt must be finite and positive, at most 2^341 s, got {dt!r}")
     return _chain(x, dt, 1, config.ord_pos, config.ord_rot, [])
 
 
@@ -234,14 +243,14 @@ def predict_horizon(x, dt, n, config, rollout=None):
     after each of the n steps are appended to it, of floats or of (m,)
     arrays; the published pose holds arrays of the last entry's, p (3,)
     and q (4,), or for a stack t (m,), p (m, 3) and q (m, 4). ValueError
-    unless dt is finite and positive and n a whole number of at least 1.
+    unless 0 < dt <= _MAX_DT and n is a whole number of at least 1.
     """
     if type(n) is not int:          # the per-tick call passes an int; skip the general check
         n = whole_number("n", n)
     if n < 1:
         raise ValueError("horizon must be at least 1 step")
-    if not 0.0 < dt < math.inf:
-        raise ValueError(f"dt must be finite and positive, got {dt!r}")
+    if not 0.0 < dt <= _MAX_DT:
+        raise ValueError(f"dt must be finite and positive, at most 2^341 s, got {dt!r}")
     poses = [] if rollout is None else rollout
     stacked = isinstance(x.t, np.ndarray)
     rotation_chain = so3._stacked_rotation_chain if stacked else so3._rotation_chain
@@ -454,11 +463,6 @@ def _check_pose(z):
     return p, q
 
 
-# the longest tick interval whose transition (error_transition_matrix's
-# dt^3 / 6) does not overflow, to a power of two
-_MAX_DT = 2.0 ** 341
-
-
 def _tick_interval(z, t, received):
     """Time from t to tick z, and z's (position, quaternion) floats when
     received, else None; ValueError for a tick no filter may take.
@@ -498,9 +502,10 @@ def _stack(rows, shape):
     return _leaves(_array(rows, shape))
 
 
-def _update_loop(pred, ticks, states):
-    """pred.update on each (pose, received) of ticks; appends the state x
-    after each to states and returns it."""
+def _update_loop(pred, ticks):
+    """pred.update on each (pose, received) of ticks; returns the list of
+    the states x after each."""
+    states = []
     for z, received in ticks:
         pred.update(z, received)
         states.append(pred.x)
@@ -521,7 +526,7 @@ class States(Sequence):
     """The NominalStates EskfPredictor._track returns, as arrays t (m,),
     pos (m, 4, 3), q (m, 4) and wvec (m, 3, 3), made into float tuples
     when read: a sweep builds no tuples per tick for the garbage
-    collector to walk. `+` joins two."""
+    collector to walk. A slice is States too."""
 
     def __init__(self, *arrays):
         self.arrays = arrays
@@ -535,11 +540,10 @@ class States(Sequence):
         return len(self.arrays[0])
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return States(*(a[i] for a in self.arrays))
         t, pos, q, wvec = (a[i].tolist() for a in self.arrays)
         return NominalState(t, _rows(pos), tuple(q), _rows(wvec))
-
-    def __add__(self, other):
-        return States(*map(np.concatenate, zip(self.arrays, other.arrays)))
 
     def __repr__(self):
         return repr(list(self))
@@ -660,18 +664,24 @@ class _Draw:
         return self._gains[key]
 
 
-def _carry(rows, c1, c2, order, pad):
-    """Rows (v, a, j), or (w, wd, wdd), (k, 3, 3), one lost tick of dt c1
-    on, as _chain (pad 0.0 at orders 1 and 2) or so3._rotation_chain
-    (pad -0.0, which adds nothing) advance them."""
-    v, a, j = rows[:, 0], rows[:, 1], rows[:, 2]
+# what _chain adds to (v, a) at orders 1 and 2, and so3._rotation_chain to (w, wd)
+_PADS = np.array([[0.0], [-0.0]])
+
+
+def _carry(rows, C, order, pad):
+    """Rows (v, a, j) or (w, wd, wdd), (k, 3, 3), or both halves' six rows
+    (k, 6, 3) when their orders are equal, one lost tick on, at each row's
+    error_transition_matrix entries C (k, 3), as _chain or
+    so3._rotation_chain advance them; pad holds each half's pad (_PADS)."""
+    v, a, j = np.moveaxis(rows.reshape(len(rows), len(pad), 3, 3), 2, 0)   # (k, halves, 3) each
+    c1, c2 = C[:, None, :1], C[:, None, 1:2]
     if order == 3:
         v, a = v + a * c1 + j * c2, a + j * c1
     elif order == 2:
         v, a = v + pad + (a + pad) * c1, a + pad
     else:
         v, a = v + pad, a + pad
-    return np.stack((v, a, j), axis=1)
+    return np.stack((v, a, j), axis=2).reshape(rows.shape)
 
 
 class EskfPredictor:
@@ -739,90 +749,132 @@ class EskfPredictor:
             x = NominalState(x.t, (p, *pos_d), q, rot_d)
         self.x, self.chain, self.att_chain, self.window = x, chain, att_chain, window
 
-    def _track(self, ticks, received):
-        """update on each of ticks, a Ticks at whose first pose the filter
-        is fresh, received iff its flag is; returns each tick's x as
-        States, bit for bit the update loop's, or raises that loop's
-        error. update takes the ticks until the window holds
-        min_window - 1 nodes, and _recur all the rest; where _recur
-        cannot, update takes them. The filter is left at no defined tick."""
-        if ticks.floats is None:
-            return States.of(_update_loop(self, zip(ticks, received), []))
-        draw = ticks.draw(received)
-        flags, recv, u = draw.flags, draw.recv, self.config.min_window - 2
-        s = len(flags) if u > len(recv) else int(recv[u - 1]) + 1 if u else 0
-        states = States.of(_update_loop(self, zip(ticks[:s], flags[:s]), []))
-        rest = self._recur(ticks, draw, s, u) if s < len(flags) else States.of([])
-        if rest is None:
-            rest = States.of(_update_loop(self, zip(ticks[s:], flags[s:]), []))
-        return states + rest
+    @staticmethod
+    def _track(preds, ticks, masks):
+        """The streams of preds, predictors fresh at the first pose of
+        ticks (a Ticks), over ticks under masks: the States of those that
+        ran, joined, and per stream None or the ValueError that stopped
+        it, each stream bit for bit its update loop. update takes a
+        stream's ticks until its window holds min_window - 1 nodes, and one
+        stacked pass over the group (_recur) all the rest; a stream that
+        pass or its ramp-up cannot take runs its update loop whole."""
+        n, u, x = len(ticks), preds[0].config.min_window - 2, preds[0].x
+        T = np.empty((len(preds), n))
+        R = np.empty((len(preds), n + 1, 7, 3))     # [p v a j w wd wdd] before tick 0, after each
+        Q = np.empty((len(preds), n + 1, 4))
+        R[:, 0], Q[:, 0] = (*x.pos, *x.wvec), x.q
+        failed, group, whole = [None] * len(preds), [], []
 
-    def _recur(self, ticks, draw, s, u):
-        """The States of _track's ticks s on, received ones from recv[u],
-        or None where update would refuse one of them or its increment is
-        infinite; the filter is not moved. In numpy first: the
-        pseudo-derivatives, the rows after each tick (carried through
-        coasts a depth at a time), and from the rows before it each tick's
-        position terms and exp(phi). The loop then runs the (p, q)
-        recurrence, every float in update's order."""
-        cfg, x, mw = self.config, self.x, self.config.min_window
-        if len(ticks.clock[0]) < len(ticks) or not draw.poses_ok or draw.window is None:
-            return None
-        m, C, (nt, nP, nW) = len(ticks) - s, ticks.clock[2][s:], draw.window
-        got = draw.recv[u:] - s + 1
-        F = len(got)
-        R = np.empty((m + 1, 7, 3))     # rows [p v a j w wd wdd] before tick s, after each
-        R[0, 1:] = (*x.pos[1:], *x.wvec)
-        flags = np.array(draw.flags[s:])
-        lost = np.flatnonzero(~flags) + 1
-        known = np.maximum.accumulate(np.where(flags, np.arange(1, m + 1), 0))[lost - 1]
+        def write(j, states):
+            t, pos, q, wvec = States.of(states).arrays
+            k = len(t) + 1
+            T[j, :k - 1], R[j, 1:k, :4], Q[j, 1:k], R[j, 1:k, 4:] = t, pos, q, wvec
+
+        stacks = ticks.floats is not None and len(ticks.clock[0]) == n
+        for j, mask in enumerate(masks):
+            draw, s = ticks.draw(mask) if stacks else None, n
+            if draw and draw.poses_ok and draw.window is not None:
+                recv = draw.recv
+                s = n if u > len(recv) else int(recv[u - 1]) + 1 if u else 0
+            if s < n:
+                try:
+                    write(j, _update_loop(copy.copy(preds[j]), zip(ticks[:s], draw.flags[:s])))
+                    T[j] = ticks.clock[0]
+                    group.append((j, draw, s))
+                    continue
+                except ValueError:      # the whole loop raises it again
+                    pass
+            whole.append(j)
+        for j in whole + (preds[0]._recur(ticks, R, Q, group) if group else []):
+            try:
+                write(j, _update_loop(preds[j], zip(ticks, masks[j])))
+            except ValueError as e:
+                failed[j] = e
+        ok = [j for j, e in enumerate(failed) if e is None]
+        return States(T[ok].reshape(-1), R[ok, 1:, :4].reshape(-1, 4, 3), Q[ok, 1:].reshape(-1, 4),
+                      R[ok, 1:, 4:].reshape(-1, 3, 3)), failed
+
+    def _recur(self, ticks, R, Q, group):
+        """_track's stacked pass over the streams (j, draw, s) of group:
+        from each one's row before tick s, its rows after every tick on
+        into R[j] and Q[j]; returns those it cannot take, where update
+        would refuse a tick or an increment is infinite. In numpy, once
+        over all of their ticks: the pseudo-derivatives, the rows after
+        each tick (through coasts a depth at a time), and from the rows
+        before it each tick's position terms and exp(phi). Then per stream
+        the loop runs the (p, q) recurrence, every float in update's order."""
+        cfg, n, mw, Cs = self.config, len(ticks), self.config.min_window, ticks.clock[2]
+        u, refused, Rf = mw - 2, np.zeros(len(group), bool), R.reshape(-1, 7, 3)
+        js, draws, starts = zip(*group)
+        flags = np.array([d.flags for d in draws])
+        ticked = np.arange(n) >= np.array(starts)[:, None]       # each stream's ticks from s on
+        at = np.array(js)[:, None] * (n + 1) + np.arange(1, n + 1)      # the rows after them
+        who, tick = np.nonzero(ticked)
+        fixed, coast = ticked & flags, ticked & ~flags
+        rows, got, lost = at[ticked], at[fixed], at[coast]
+        known = np.maximum.accumulate(np.where(flags, at, at[:, :1] - 1), axis=1)[coast]
         by = np.argsort(lost - known, kind="stable")        # by depth into the coast
         deep = np.split(lost[by], np.flatnonzero(np.diff((lost - known)[by])) + 1)
+        # each received tick's window: the nodes [first pose, received...] from recv[c - u]
+        nt, nP, nW = (np.concatenate(a) for a in zip(*(d.window for d in draws)))
+        nodes = np.cumsum([0] + [len(d.recv) + 1 for d in draws])[:-1, None]
+        first = (nodes + np.cumsum(flags, axis=1) - 1 - u)[fixed]
         with np.errstate(all="ignore"):
-            windows = [(nt[i:i + F], tuple(nP[i:i + F].T), None, tuple(nW[i:i + F].T))
+            windows = [(nt[first + i], tuple(nP[first + i].T), None, tuple(nW[first + i].T))
                        for i in range(mw)]
             # update refuses a window two of whose nodes' offsets from the newest round to one
             us = [w[0] - windows[-1][0] for w in windows]
-            if not all((a != b).all() for a, b in combinations(us, 2)):
-                return None
+            clash = np.any([a == b for a, b in combinations(us, 2)], axis=0)
+            refused[np.nonzero(fixed)[0][clash]] = True
             for r, row in enumerate(chain(*estimate_pseudo_derivatives(windows, cfg)), start=1):
-                R[got, r, 0], R[got, r, 1], R[got, r, 2] = row
-            for h, order, pad in ((1, cfg.ord_pos, 0.0), (4, cfg.ord_rot, -0.0)):
+                Rf[got, r, 0], Rf[got, r, 1], Rf[got, r, 2] = row
+            halves = ([(slice(1, 7), cfg.ord_pos, _PADS)] if cfg.ord_pos == cfg.ord_rot else [
+                (slice(1, 4), cfg.ord_pos, _PADS[:1]), (slice(4, 7), cfg.ord_rot, _PADS[1:])])
+            for h, order, pad in halves:
                 for i, prev in [(lost, known)] if order == 1 else [(i, i - 1) for i in deep]:
-                    R[i, h:h + 3] = _carry(R[prev, h:h + 3], C[i - 1, :1], C[i - 1, 1:2], order, pad)
-            V, A, J, W, WD, WDD = np.moveaxis(R[:-1, 1:], 1, 0)
+                    Rf[i, h] = _carry(Rf[prev, h], Cs[i % (n + 1) - 1], order, pad)
+            V, A, J, W, WD, WDD = np.moveaxis(Rf[rows - 1, 1:], 1, 0)
+            C = Cs[tick]
             c1, c2, c3 = C[:, :1], C[:, 1:2], C[:, 2:]
             # at orders 1 and 2, _chain's 0.0 added to p goes into the first term,
             # after which adding a 0.0 term leaves p as it is
-            terms = np.zeros((3, m, 3))
+            terms = np.zeros((3, len(rows), 3))
             terms[:cfg.ord_pos] = ((V * c1, A * c2, J * c3) if cfg.ord_pos == 3
                                    else (V * c1 + 0.0, A * c2)[:cfg.ord_pos])
             phi = so3._stacked_increments(W.T, WD.T, WDD.T, C[:, 0], cfg.ord_rot)
-            if np.isinf(phi[0] * phi[0] + phi[1] * phi[1] + phi[2] * phi[2]).any():
-                return None
-            incs = [e.tolist() for e in so3._stacked_exp(*phi)]
-        (k0, _), (att_k0, _) = (draw.gains(size, ticks.clock) for size in self._sizes)
-        fixes = zip(*(z[u:] for z in draw.z), k0[u:], att_k0[u:])
-        (p0, p1, p2), (qw, qx, qy, qz), ps, qs = x.pos[0], x.q, [], []
-        try:
-            for (d0, d1, d2, e0, e1, e2, f0, f1, f2, ew, ex, ey, ez, r) in zip(
-                    *terms.transpose(0, 2, 1).reshape(9, m).tolist(), *incs, flags.tolist()):
-                p0, p1, p2 = p0 + d0 + e0 + f0, p1 + d1 + e1 + f1, p2 + d2 + e2 + f2
-                rw = qw * ew - qx * ex - qy * ey - qz * ez
-                rx = qw * ex + qx * ew + qy * ez - qz * ey
-                ry = qw * ey - qx * ez + qy * ew + qz * ex
-                rz = qw * ez + qx * ey - qy * ex + qz * ew
-                q = (-rw, -rx, -ry, -rz) if rw < 0.0 else (rw, rx, ry, rz)
-                if r:
-                    z0, z1, z2, zw, zx, zy, zz, g, kq = next(fixes)
-                    (p0, p1, p2), q = correct((p0, p1, p2), q, (z0, z1, z2), (zw, zx, zy, zz), g, kq)
-                qw, qx, qy, qz = q
-                ps.append((p0, p1, p2))
-                qs.append(q)
-        except ValueError:      # correct refuses the tick
-            return None
-        R[1:, 0] = ps
-        return States(ticks.clock[0][s:], R[1:, :4], np.array(qs), R[1:, 4:])
+            refused[who[np.isinf(phi[0] * phi[0] + phi[1] * phi[1] + phi[2] * phi[2])]] = True
+            if refused.any():       # so that _stacked_exp takes the other streams' increments
+                phi = [np.where(refused[who], 0.0, e) for e in phi]
+            lists = terms.transpose(0, 2, 1).reshape(9, -1).tolist()
+            lists += [e.tolist() for e in so3._stacked_exp(*phi)]
+        unstacked, end = [j for (j, _, _), r in zip(group, refused) if r], 0
+        for (j, draw, s), refuse in zip(group, refused.tolist()):
+            begin, end = end, end + n - s
+            if refuse:
+                continue
+            (k0, _), (att_k0, _) = (draw.gains(size, ticks.clock) for size in self._sizes)
+            fixes = zip(*(z[u:] for z in draw.z), k0[u:], att_k0[u:])
+            (p0, p1, p2), (qw, qx, qy, qz), ps, qs = R[j, s, 0].tolist(), Q[j, s].tolist(), [], []
+            try:
+                for (d0, d1, d2, e0, e1, e2, f0, f1, f2, ew, ex, ey, ez, r) in zip(
+                        *(a[begin:end] for a in lists), draw.flags[s:]):
+                    p0, p1, p2 = p0 + d0 + e0 + f0, p1 + d1 + e1 + f1, p2 + d2 + e2 + f2
+                    rw = qw * ew - qx * ex - qy * ey - qz * ez
+                    rx = qw * ex + qx * ew + qy * ez - qz * ey
+                    ry = qw * ey - qx * ez + qy * ew + qz * ex
+                    rz = qw * ez + qx * ey - qy * ex + qz * ew
+                    q = (-rw, -rx, -ry, -rz) if rw < 0.0 else (rw, rx, ry, rz)
+                    if r:
+                        z0, z1, z2, zw, zx, zy, zz, g, kq = next(fixes)
+                        (p0, p1, p2), q = correct((p0, p1, p2), q, (z0, z1, z2), (zw, zx, zy, zz),
+                                                  g, kq)
+                    qw, qx, qy, qz = q
+                    ps.append((p0, p1, p2))
+                    qs.append(q)
+                R[j, s + 1:, 0], Q[j, s + 1:] = ps, qs
+            except ValueError:      # correct refuses the tick
+                unstacked.append(j)
+        return unstacked
 
     def step(self, z, received=True):
         """Advance one tick to measurement z; returns the published pose."""
@@ -926,10 +978,23 @@ class KfBaseline:
             x = _kf_correct(x, *zpq, g0, g1)
         self.x, self.chain, self.t = x, chain, z.t
 
-    def _track(self, ticks, received):
-        """As EskfPredictor._track, returning a list: the update loop with
-        the gains read off the draw (_Draw.gains, the ESKF's size-2
-        chain), or where update would refuse a tick, that loop itself."""
+    @staticmethod
+    def _track(preds, ticks, masks):
+        """As EskfPredictor._track, the states joined in one list: per
+        stream the update loop with the gains read off the draw
+        (_Draw.gains, the ESKF's size-2 chain), or where update would
+        refuse a tick, that loop itself."""
+        states, failed = [], []
+        for pred, mask in zip(preds, masks):
+            try:
+                states += pred._float_loop(ticks, mask)
+                failed.append(None)
+            except ValueError as e:
+                failed.append(e)
+        return states, failed
+
+    def _float_loop(self, ticks, received):
+        """One stream of _track."""
         if ticks.floats is not None:
             draw, clock = ticks.draw(received), ticks.kf_clock
             if len(clock[1]) == len(ticks) and draw.poses_ok:
@@ -946,7 +1011,7 @@ class KfBaseline:
                     return states
                 except ArithmeticError:     # a quaternion of zero norm: update raises it again
                     pass
-        return _update_loop(self, zip(ticks, received), [])
+        return _update_loop(self, zip(ticks, received))
 
     def step(self, z, received=True):
         self.update(z, received)
@@ -988,37 +1053,37 @@ def stream_forecasts(models, dt, steps, poses, masks):
 
     The masks go in groups of at most GROUP_TICKS ticks. A group's streams
     share one Ticks, which does once for every model and mask the work
-    that reads only the poses and the losses, and each model's streams of
-    a group roll out in one forecasts call (_roll). Every predictor is
-    built at the longest horizon (make_predictor) and run by its _track.
+    that reads only the poses and the losses. Each model's streams of a
+    group run in one _track call of its predictor class and roll out in
+    one forecasts call (_roll). Every predictor is built at the longest
+    horizon (make_predictor).
     """
     size = max(1, GROUP_TICKS // max(1, len(poses) - 1))
     for g in range(0, len(masks), size):
-        ticks = Ticks(poses[1:], poses[0])
+        ticks, group = Ticks(poses[1:], poses[0]), masks[g:g + size]
         for model in models:
             cfg = FilterConfig(model=model, dt=dt, horizon_steps=max(steps))
-            runs, pred = [], None
-            for mask in masks[g:g + size]:
-                try:
-                    pred = make_predictor(cfg, ticks.first)
-                    runs.append(pred._track(ticks, mask))
-                except ValueError as e:
-                    runs.append(e)
-            rolled = iter(_roll(pred, [run for run in runs if not isinstance(run, ValueError)],
-                                steps))
-            for i, run in enumerate(runs, start=g):
-                yield model, i, run if isinstance(run, ValueError) else next(rolled)
+            try:
+                preds = [make_predictor(cfg, ticks.first) for _ in group]
+                states, failed = type(preds[0])._track(preds, ticks, group)
+                rolled = iter(_roll(preds[0], states, failed.count(None), steps))
+            except ValueError as e:     # no predictor takes the first pose
+                failed = [e] * len(group)
+            for i, error in enumerate(failed, start=g):
+                yield model, i, error or next(rolled)
 
 
-def _roll(pred, runs, steps):
-    """pred.forecasts of the runs' states joined, split back per run.
-    Where it refuses a state, each run is rolled out alone, so only a run
-    that holds one fails, with that ValueError for its arrays."""
-    if not runs:
+def _roll(pred, states, k, steps):
+    """pred.forecasts of k runs of equal length, joined in states, split
+    back per run. Where it refuses a state, each run is rolled out alone,
+    so only a run that holds one fails, with that ValueError for its
+    arrays."""
+    if not k:
         return []
     try:
-        rolled = pred.forecasts(sum(runs[1:], runs[0]), steps)
+        rolled = pred.forecasts(states, steps)
     except ValueError as e:
-        return [e] if len(runs) == 1 else [_roll(pred, [run], steps)[0] for run in runs]
-    ends = list(accumulate(map(len, runs)))[:-1]
-    return list(map(list, zip(*(np.split(rows, ends) for rows in rolled))))
+        n = len(states) // k
+        return [e] if k == 1 else [_roll(pred, states[i * n:(i + 1) * n], 1, steps)[0]
+                                   for i in range(k)]
+    return list(map(list, zip(*(np.split(rows, k) for rows in rolled))))

@@ -13,6 +13,9 @@ from posecast.experiment import (
     SAMPLES_COLUMNS,
     ExperimentConfig,
     _cell_rng,
+    _pool_cell,
+    _pool_stats,
+    _score_streams,
     _stream_plan,
     emit_report,
     horizon_steps,
@@ -307,7 +310,8 @@ class TestRunExperiment:
 
     def test_degenerate_filter_recorded_not_raised(self, monkeypatch):
         class _Boom:
-            def _track(self, ticks, received):
+            @staticmethod
+            def _track(preds, ticks, masks):
                 raise ValueError("innovation covariance is degenerate")
 
         monkeypatch.setattr("posecast.filters.make_predictor",
@@ -686,12 +690,14 @@ class _RecordingPredictor:
         self.received = []
         log.append(self)
 
-    def _track(self, ticks, received):
+    @staticmethod
+    def _track(preds, ticks, masks):
         states = []
-        for z, r in zip(ticks, received):
-            self.received.append(bool(r))
-            states.append((z.p, z.q))
-        return states
+        for pred, received in zip(preds, masks):
+            for z, r in zip(ticks, received):
+                pred.received.append(bool(r))
+                states.append((z.p, z.q))
+        return states, [None] * len(preds)
 
     def forecasts(self, states, steps):
         return [np.array([(*p, *q) for p, q in states]).reshape(-1, 7) for _ in steps]
@@ -847,10 +853,12 @@ class TestSharedStreams:
             def __getattr__(self, name):
                 return getattr(self.inner, name)
 
-            def _track(self, ticks, received):
+            @staticmethod
+            def _track(preds, ticks, masks):
                 if any(z.t >= 4.5 for z in ticks):
                     raise ValueError("innovation covariance is degenerate")
-                return self.inner._track(ticks, received)
+                inner = [pred.inner for pred in preds]
+                return type(inner[0])._track(inner, ticks, masks)
 
         def breaking(config, first_pose):
             pred = make_predictor(config, first_pose)
@@ -1019,10 +1027,12 @@ class TestScoredTicksOnly:
             def __getattr__(self, name):
                 return getattr(self.inner, name)
 
-            def _track(self, ticks, received):
+            @staticmethod
+            def _track(preds, ticks, masks):
                 if any(z.t >= 4.5 for z in ticks):
                     raise ValueError("innovation covariance is degenerate")
-                return self.inner._track(ticks, received)
+                inner = [pred.inner for pred in preds]
+                return type(inner[0])._track(inner, ticks, masks)
 
         traces = [generate_synthetic_trace("medium", 5.0, seed=1)]
         cfg = ExperimentConfig(models=("p2o2",), horizons_ms=(20, 60),
@@ -1071,6 +1081,72 @@ class TestScorePicks:
         assert [p.shape for p in picks] == [(0, 7), (0, 7)]
         assert score_picks(picks, steps, truth) == [([], []), ([], [])]
         assert score_picks(picks[:1], steps[:1], truth) == [([], [])]
+
+
+    def test_a_groups_streams_scored_in_one_call_are_each_scored_alone(self, monkeypatch):
+        # _stream_trace scores every stream of a trace in one call of each
+        # metric: each stream's errors are, bit for bit, what score_picks
+        # gives it alone, an empty stream's and a short one's too. A stream
+        # with an off-unit forecast fails alone, with score_picks' error
+        trace = generate_synthetic_trace("hard", 2.5, seed=4)
+        dt, steps, _, poses, truth = prepare_trace(trace, (20, 60, 100))
+        n = len(poses) - 1
+        streams = [stream_picks(model, dt, steps, poses, [k % m != 0 for k in range(1, n + 1)], end)
+                   for model, m, end in (("KF", 2, n + 1), ("p3o3", 3, n - 40), ("ESKF", 5, 1),
+                                         ("p2o3", 4, 100))]
+        assert [len(p) for p in streams[2]] == [0, 0, 0]
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return position_error(*args)
+
+        monkeypatch.setattr("posecast.experiment.position_error", counted)
+        scored = _score_streams(streams, steps, truth)
+        assert len(calls) == 1
+        assert repr(scored) == repr([score_picks(picks, steps, truth) for picks in streams])
+        off = [p.copy() for p in streams[1]]
+        off[1][7, 3:] *= 1.01
+        with pytest.raises(ValueError, match="not within 1e-6 of unit") as refused:
+            score_picks(off, steps, truth)
+        scored = _score_streams(streams[:2] + [off] + streams[2:], steps, truth)
+        assert str(scored[2]) == str(refused.value)
+        assert repr(scored[:2] + scored[3:]) == repr(
+            [score_picks(picks, steps, truth) for picks in streams])
+
+
+class TestPoolStats:
+    def test_stacked_statistics_are_each_cells_own(self):
+        # _pool_stats stacks every class of every cell with one sample count
+        # and takes one np.median and one np.mean along the rows: each row's
+        # floats are what the calls on its samples alone give, on ragged
+        # counts (1, 2, odd, even, repeated across cells and classes),
+        # pooled from two traces beside one that failed
+        rng = np.random.default_rng(3)
+
+        def stream(counts):
+            # one horizon's segments, one per class, of these tick counts
+            return [{cls: (list(range(1, m + 1)), rng.gamma(2.0, 30.0, m).tolist(),
+                           rng.gamma(2.0, 5.0, m).tolist())
+                     for cls, m in zip(MotionClass, counts) if m}]
+
+        failed = ValueError("pose at t = 1.5 is not finite")
+        cells = []
+        for first, second in (((1, 2, 0), (0, 0, 0)), ((7, 8, 1), (0, 0, 1)),
+                              ((199, 0, 0), (1, 2, 0)), ((200, 2, 4), (0, 0, 3)),
+                              ((3, 5, 1), (4, 3, 1)), ((1, 1, 1), (1, 1, 1))):
+            a, b = stream(first), stream(second)
+            cells.append(_pool_cell([a, failed, b], [a, failed, b], 0))
+        got = _pool_stats([classes for classes, _, _ in cells])
+        for (classes, fails, _), stats in zip(cells, got):
+            assert fails == [(1, str(failed))]
+            expect = [(cls, float(np.median(e_pos)), float(np.mean(e_pos)),
+                       float(np.median(e_ori)), float(np.mean(e_ori)), len(e_pos))
+                      for cls, e_pos, e_ori in classes]
+            assert repr(stats) == repr(expect)
+        counts = sorted(len(e_pos) for classes, _, _ in cells for _, e_pos, _ in classes)
+        assert {1, 2, 7, 8, 200}.issubset(counts) and len(set(counts)) < len(counts)
+        assert _pool_stats([]) == [] and _pool_stats([[]]) == [[]]
 
 
 class TestAggregateLookup:

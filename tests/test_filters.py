@@ -95,6 +95,21 @@ class TestFilterConfig:
         with pytest.raises(ValueError):
             FilterConfig(horizon_steps=0)
 
+    @pytest.mark.parametrize("model", ["KF", "ESKF", "p2o2", "p2o3", "p3o3"])
+    def test_rejects_a_dt_too_long_for_the_transition(self, model):
+        # past 2^341 s a step's dt^3 overflows: FilterConfig("p3o3", dt=1e200)
+        # was accepted, and its first step raised OverflowError from _chain
+        for dt in (1e200, np.nextafter(2.0 ** 341, np.inf)):
+            with pytest.raises(ValueError, match=r"at most 2\^341 s"):
+                FilterConfig(model, dt=dt, horizon_steps=2)
+        trace = generate_synthetic_trace("medium", 0.3, seed=4)
+        pred = make_predictor(FilterConfig(model, dt=2.0 ** 341, horizon_steps=2), trace.pose(0))
+        for k in range(1, 5):
+            try:
+                pred.step(trace.pose(k))
+            except ValueError as e:     # an increment math.sin refuses, as update refuses it
+                assert str(e) == "math domain error"
+
     @pytest.mark.parametrize("dt", ["0.01", b"1", None, True])
     def test_rejects_dt_that_is_not_a_real_number(self, dt):
         # Python counts a bool as a number: dt=True used to give dt 1.0
@@ -207,6 +222,17 @@ class TestNominalPropagation:
             propagate_nominal(x, dt, cfg)
         with pytest.raises(ValueError, match="finite and positive"):
             predict_horizon(x, dt, 3, cfg)
+
+    @pytest.mark.parametrize("dt", [1e200, np.nextafter(2.0 ** 341, np.inf), 2.0 ** 1023])
+    def test_a_dt_too_long_for_the_transition_is_refused_not_overflowed(self, dt):
+        # the bound update puts on a tick interval: dt^3 / 6 overflows past it
+        x = nominal(0.0, pos=[[0.0] * 3, [1.0, 0.0, 0.0], [0.0] * 3, [0.0] * 3])
+        cfg = FilterConfig(model="p3o3")
+        with pytest.raises(ValueError, match=r"at most 2\^341 s"):
+            propagate_nominal(x, dt, cfg)
+        with pytest.raises(ValueError, match=r"at most 2\^341 s"):
+            predict_horizon(x, dt, 3, cfg)
+        assert predict_horizon(x, 2.0 ** 341, 3, cfg).t == 3 * 2.0 ** 341
 
     @pytest.mark.parametrize("n", [2.5, "3", 3 + 0j, None])
     def test_horizon_refuses_a_step_count_that_is_not_whole(self, n):
@@ -791,8 +817,13 @@ def _outcome(pred, run):
 
 
 def _tracked(cfg, poses, mask):
-    """A fresh predictor's _track over the poses after the first."""
-    return make_predictor(cfg, poses[0])._track(Ticks(poses[1:], poses[0]), mask)
+    """A fresh predictor's stream over the poses after the first, a group
+    of one of its class's _track: its states, or the ValueError raised."""
+    pred = make_predictor(cfg, poses[0])
+    states, (error,) = type(pred)._track([pred], Ticks(poses[1:], poses[0]), [mask])
+    if error:
+        raise error
+    return states
 
 
 def _track_error(cfg, poses, mask):
@@ -942,6 +973,38 @@ def test_track_stops_where_update_divides_by_zero_or_meets_an_infinite_rate(mode
         expect, _ = _outcome(make_predictor(cfg, poses[0]), _update_loop(poses[1:], mask))
         assert _track_error(cfg, poses, mask) == expect
         assert _track_error(cfg, poses[:end], mask) == expect
+
+
+@pytest.mark.parametrize("model", ["KF", "ESKF", "p2o2", "p2o3", "p3o3"])
+def test_a_draw_the_stacked_pass_refuses_moves_no_other_draw(model):
+    # the last tick lies 1e102 s on: at order 2 and up, a draw that
+    # received poses carries rates whose increment over it is infinite,
+    # which update refuses, while an all-lost draw rests at the first pose
+    # and takes it. One _track runs the group, the refused draws around
+    # the all-lost ones: each draw is its own update loop, states or error
+    trace = generate_synthetic_trace("medium", 0.6, seed=4)
+    poses = [trace.pose(k) for k in range(len(trace))]
+    poses[-1].t = 1e102
+    n = len(poses) - 1
+    masks = [[True] * (n - 1) + [False], [False] * n, [k % 2 == 0 for k in range(n)],
+             [False] * n, [k < 3 for k in range(n)]]
+    cfg = FilterConfig(model=model, dt=0.01, horizon_steps=5)
+    preds = [make_predictor(cfg, poses[0]) for _ in masks]
+    states, failed = type(preds[0])._track(preds, Ticks(poses[1:], poses[0]), masks)
+    ran = []
+    for mask, error in zip(masks, failed):
+        pred, expect = make_predictor(cfg, poses[0]), []
+        try:
+            for z, received in zip(poses[1:], mask):
+                pred.update(z, received)
+                expect.append(pred.x)
+            ran.extend(expect)
+        except ValueError as e:
+            expect = str(e)
+        assert (str(error) if error else None) == (expect if type(expect) is str else None)
+    assert repr(list(states)) == repr(ran)
+    assert [e is None for e in failed] == [model in ("KF", "ESKF"), True] * 2 + [
+        model in ("KF", "ESKF")]
 
 
 @pytest.mark.parametrize("model", ["ESKF", "p2o3", "p3o3"])

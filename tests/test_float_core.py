@@ -663,7 +663,8 @@ def test_track_is_the_update_loop_bit_for_bit(model, stream):
     for z, received in zip(poses[1:], mask):
         looped.update(z, received)
         expect.append(looped.x)
-    states = tracked._track(Ticks(poses[1:], poses[0]), mask)
+    states, failed = type(tracked)._track([tracked], Ticks(poses[1:], poses[0]), [mask])
+    assert failed == [None]
     assert repr(states) == repr(expect)
 
 
@@ -701,6 +702,47 @@ def test_a_group_of_draws_is_each_streams_update_loop_bit_for_bit(stream, data):
             continue
         for n_steps, rows in zip(steps, picks):
             assert rows.tobytes() == np.array([e[n_steps - 1] for e in expect]).tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(tracked_streams(), st.integers(6, 10), st.data())
+def test_many_draws_in_one_stacked_pass_are_each_draws_update_loop_bit_for_bit(
+        stream, size, data):
+    # 6 to 10 masks of one trace go through one _track per model, whose
+    # stacked pass carries every draw's coasts depth by depth: an all-lost
+    # mask and a long coast set the deepest coasts apart. Tick k's pose is
+    # off unit, and only the draw in the middle receives it, so the stacked
+    # pass refuses that draw alone; every draw's states are its own update
+    # loop's, and the refused draw's error that loop's
+    poses, mask = stream
+    n = len(poses) - 1
+    k = data.draw(st.integers(1, n))
+    poses[k].q = poses[k].q * 1.01
+    a, b = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    masks = [[False] * n, mask[:a] + [False] * (b - a) + mask[b:], mask]
+    masks += [data.draw(stream_masks(n)) for _ in range(size - 3)]
+    masks = [[r and i != k - 1 for i, r in enumerate(m)] for m in masks]
+    masks.insert(size // 2, [r or i == k - 1 for i, r in enumerate(data.draw(stream_masks(n)))])
+    ticks = Ticks(poses[1:], poses[0])
+    for model in MODEL_NAMES:
+        cfg = FilterConfig(model=model, dt=0.01, horizon_steps=3)
+        preds = [make_predictor(cfg, poses[0]) for _ in masks]
+        states, failed = type(preds[0])._track(preds, ticks, masks)
+        ran = 0
+        for m, error in zip(masks, failed):
+            pred, expect = make_predictor(cfg, poses[0]), []
+            try:
+                for z, received in zip(poses[1:], m):
+                    pred.update(z, received)
+                    expect.append(pred.x)
+            except ValueError as e:
+                assert str(error) == str(e)
+                continue
+            assert error is None
+            assert repr(states[ran * n:(ran + 1) * n]) == repr(expect)
+            ran += 1
+        assert isinstance(failed[size // 2], ValueError)
+        assert len(states) == ran * n
 
 
 @settings(max_examples=30, deadline=None)
