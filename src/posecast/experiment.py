@@ -13,11 +13,11 @@ example. So wherever chunks are labelled (label_chunks), the labels are
 those of the poses the filters stream. Every stream, also in `posecast
 predict` and the demos, runs through filters.stream_forecasts and
 score_picks, and scores every horizon from one rollout: filter state
-never depends on the horizon. A sweep hands stream_forecasts every draw
-of a trace at once, which shares the work that reads only the poses and
-the losses among all models and draws, and rolls each model's states out
-in one forecasts call, into a (ticks, 7) array of poses per horizon;
-stream_picks is a group of one.
+never depends on the horizon. A sweep hands every draw of a trace to
+filters.forecast_groups at once, which shares the work that reads only
+the poses and the losses among all models and draws of a group, and
+rolls each model's states out in one forecasts call, into a (ticks, 7)
+array of poses per horizon; stream_picks is a group of one.
 Two rules share streams, each decided once as data: a draw of drop masks
 names the repeats it serves (drop_masks), and the plan names the two
 streams each model's errors come from (_stream_plan).
@@ -32,13 +32,13 @@ A stream's errors are score_picks' flat lists: one (e_pos, e_ori) pair
 per horizon, from tick 1, as predict prints them. score_picks stacks
 every horizon's poses against their targets in the truth arrays, calls
 each metric once and splits the result back per horizon; _stream_trace
-scores every stream of a trace in one such call (_score_streams).
+scores every stream of a group of draws in one such call
+(_score_streams), so no more than a group's forecasts are held at once.
 It cuts each horizon's lists once, where the stream stops, into one
 (ticks, e_pos, e_ori) segment per class; every cell the stream feeds
-pools those same segments (_pool_cell) and keeps them, and one stacked
-call per sample count gives every pooled class its median and mean
-(_pool_stats). Every repeat a draw serves files the same segments, and
-emit_report formats each segment once.
+pools those same segments (_pool_cell) and keeps them. Every repeat a
+draw serves files the same segments, and emit_report formats each
+segment once.
 """
 
 import math
@@ -51,7 +51,8 @@ from itertools import accumulate, product
 import numpy as np
 
 from .classifier import MotionClass, classify, discretize_chunk, lz_entropy
-from .filters import MODEL_NAMES, FilterConfig, canonical_model_name, stream_forecasts
+from .filters import (MODEL_NAMES, FilterConfig, canonical_model_name, forecast_groups,
+                      stream_forecasts)
 from .metrics import orientation_error, position_error, summarize
 from .preprocess import CHUNK_LEN, chunk_trace, design_butterworth_lowpass, filter_trace
 from .so3 import UNIT_NORM_TOL, off_unit_message
@@ -384,15 +385,14 @@ def run_experiment(config, traces):
     # per trace, model and draw: the stream's segments, or the error that stopped it
     streams = [_stream_trace(streamed, prep, [masks[ti] for masks in draws.values()])
                for ti, prep in enumerate(prepared)]
-    pooled = {(model, h_ms, drop, repeats): _pool_cell([s[pos][d] for s in streams],
-                                                       [s[rot][d] for s in streams], hi)
-              for d, (drop, repeats) in enumerate(draws) for model, (pos, rot) in plan
-              for hi, h_ms in enumerate(config.horizons_ms)}
     cells = {}
-    for (model, h_ms, drop, repeats), stats, (_, failed, kept) in zip(
-            pooled, _pool_stats([classes for classes, _, _ in pooled.values()]), pooled.values()):
-        cell = stats, failed, (kept if config.keep_samples else [])
-        cells.update(((model, h_ms, drop, r), cell) for r in repeats)
+    for d, (drop, repeats) in enumerate(draws):
+        for model, (pos, rot) in plan:
+            for hi, h_ms in enumerate(config.horizons_ms):
+                stats, failed, kept = _pool_cell([s[pos][d] for s in streams],
+                                                 [s[rot][d] for s in streams], hi)
+                cell = stats, failed, (kept if config.keep_samples else [])
+                cells.update(((model, h_ms, drop, r), cell) for r in repeats)
 
     per_repeat, failures, segments, groups = [], [], [], {}
     for model, h_ms, drop, r in product(config.models, config.horizons_ms,
@@ -458,20 +458,20 @@ def _stream_trace(models, prepared, masks):
     holding them in tick order. The streams end at the last tick any
     horizon scores: ticks past the labelled chunks, or too close to the
     end for the shortest horizon, are never filtered, so a filter that
-    would break there fails no cell. filters.stream_forecasts runs the
-    streams.
+    would break there fails no cell. filters.forecast_groups runs the
+    streams, a group of masks at a time.
     """
     dt, steps, poses, truth, labels = prepared
     if isinstance(labels, ValueError):
         return {model: [labels] * len(masks) for model in models}
     end = min(len(labels) * CHUNK_LEN, len(poses) - min(steps))
-    runs = list(stream_forecasts(models, dt, steps, poses[:end], masks))
-    scored = iter(_score_streams([picks for *_, picks in runs if not isinstance(picks, ValueError)],
-                                 steps, truth))
     streams = {model: [None] * len(masks) for model in models}
-    for model, i, picks in runs:
-        run = picks if isinstance(picks, ValueError) else next(scored)
-        streams[model][i] = run if isinstance(run, ValueError) else _cut(run, labels)
+    for runs in forecast_groups(models, dt, steps, poses[:end], masks):
+        scored = iter(_score_streams([picks for *_, picks in runs
+                                      if not isinstance(picks, ValueError)], steps, truth))
+        for model, i, picks in runs:
+            run = picks if isinstance(picks, ValueError) else next(scored)
+            streams[model][i] = run if isinstance(run, ValueError) else _cut(run, labels)
     return streams
 
 
@@ -508,9 +508,9 @@ def _pool_cell(pos_streams, rot_streams, hi):
     """Pool horizon hi into a cell, by class: per trace, the position
     errors of one stream's segments and the orientation errors of the
     other's, which hold the same classes and ticks. A trace fails with the
-    error of the first of its two streams that failed. Returns each
-    class's pooled errors (class, e_pos, e_ori) as arrays, for _pool_stats,
-    the failed traces (trace, reason) and the segments
+    error of the first of its two streams that failed. Returns the
+    per-class statistics (class, pos median, pos mean, ori median, ori
+    mean, ticks), the failed traces (trace, reason) and the segments
     (class, trace, (ticks, e_pos, e_ori)) they were read off.
     """
     failed, segments = [], []
@@ -521,26 +521,13 @@ def _pool_cell(pos_streams, rot_streams, hi):
             continue
         segments.extend((cls, ti, (ticks, e_pos, rot[hi][cls][2]))
                         for cls, (ticks, e_pos, _) in pos[hi].items())
-    classes = [(cls, *(np.concatenate([seg[i] for c, _, seg in segments if c == cls])
-                       for i in (1, 2)))
-               for cls in sorted({cls for cls, _, _ in segments})]
-    return classes, failed, segments
-
-
-def _pool_stats(cells):
-    """Per cell, the statistics (class, pos median, pos mean, ori median,
-    ori mean, ticks) of each class _pool_cell pooled: one np.median and
-    one np.mean call along the rows of all samples of one length stacked,
-    which gives each row the floats a call on it alone gives."""
-    samples = [x for classes in cells for _, e_pos, e_ori in classes for x in (e_pos, e_ori)]
-    stats = {}
-    for m in {len(x) for x in samples}:
-        ks = [k for k, x in enumerate(samples) if len(x) == m]
-        X = np.array([samples[k] for k in ks])
-        stats.update(zip(ks, zip(np.median(X, axis=1).tolist(), np.mean(X, axis=1).tolist())))
-    read = (stats[k] for k in range(len(samples)))
-    return [[(cls, *next(read), *next(read), len(e_pos)) for cls, e_pos, _ in classes]
-            for classes in cells]
+    stats = []
+    for cls in sorted({cls for cls, _, _ in segments}):
+        eps, eos = (np.concatenate([seg[i] for c, _, seg in segments if c == cls])
+                    for i in (1, 2))
+        stats.append((cls, float(np.median(eps)), float(np.mean(eps)),
+                      float(np.median(eos)), float(np.mean(eos)), len(eps)))
+    return stats, failed, segments
 
 
 def _aggregate_row(group):

@@ -845,8 +845,9 @@ class EskfPredictor:
             refused[who[np.isinf(phi[0] * phi[0] + phi[1] * phi[1] + phi[2] * phi[2])]] = True
             if refused.any():       # so that _stacked_exp takes the other streams' increments
                 phi = [np.where(refused[who], 0.0, e) for e in phi]
-            lists = terms.transpose(0, 2, 1).reshape(9, -1).tolist()
-            lists += [e.tolist() for e in so3._stacked_exp(*phi)]
+            # each draw's loop makes its own floats: lists of the whole group's, alive
+            # through every draw's loop, made the collector's passes longer
+            cols = [*terms.transpose(0, 2, 1).reshape(9, -1), *so3._stacked_exp(*phi)]
         unstacked, end = [j for (j, _, _), r in zip(group, refused) if r], 0
         for (j, draw, s), refuse in zip(group, refused.tolist()):
             begin, end = end, end + n - s
@@ -857,7 +858,7 @@ class EskfPredictor:
             (p0, p1, p2), (qw, qx, qy, qz), ps, qs = R[j, s, 0].tolist(), Q[j, s].tolist(), [], []
             try:
                 for (d0, d1, d2, e0, e1, e2, f0, f1, f2, ew, ex, ey, ez, r) in zip(
-                        *(a[begin:end] for a in lists), draw.flags[s:]):
+                        *(a[begin:end].tolist() for a in cols), draw.flags[s:]):
                     p0, p1, p2 = p0 + d0 + e0 + f0, p1 + d1 + e1 + f1, p2 + d2 + e2 + f2
                     rw = qw * ew - qx * ex - qy * ey - qz * ez
                     rx = qw * ex + qx * ew + qy * ez - qz * ey
@@ -1058,9 +1059,15 @@ def stream_forecasts(models, dt, steps, poses, masks):
     one forecasts call (_roll). Every predictor is built at the longest
     horizon (make_predictor).
     """
+    return chain.from_iterable(forecast_groups(models, dt, steps, poses, masks))
+
+
+def forecast_groups(models, dt, steps, poses, masks):
+    """stream_forecasts' triples, one list per group of masks, so that a
+    caller can take up a group's streams together and let them go."""
     size = max(1, GROUP_TICKS // max(1, len(poses) - 1))
     for g in range(0, len(masks), size):
-        ticks, group = Ticks(poses[1:], poses[0]), masks[g:g + size]
+        ticks, group, runs = Ticks(poses[1:], poses[0]), masks[g:g + size], []
         for model in models:
             cfg = FilterConfig(model=model, dt=dt, horizon_steps=max(steps))
             try:
@@ -1069,8 +1076,8 @@ def stream_forecasts(models, dt, steps, poses, masks):
                 rolled = iter(_roll(preds[0], states, failed.count(None), steps))
             except ValueError as e:     # no predictor takes the first pose
                 failed = [e] * len(group)
-            for i, error in enumerate(failed, start=g):
-                yield model, i, error or next(rolled)
+            runs += [(model, i, error or next(rolled)) for i, error in enumerate(failed, start=g)]
+        yield runs
 
 
 def _roll(pred, states, k, steps):

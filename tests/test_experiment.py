@@ -14,11 +14,12 @@ from posecast.experiment import (
     ExperimentConfig,
     _cell_rng,
     _pool_cell,
-    _pool_stats,
     _score_streams,
+    _stream_trace,
     _stream_plan,
     emit_report,
     horizon_steps,
+    label_chunks,
     prepare_trace,
     run_experiment,
     score_picks,
@@ -1084,7 +1085,7 @@ class TestScorePicks:
 
 
     def test_a_groups_streams_scored_in_one_call_are_each_scored_alone(self, monkeypatch):
-        # _stream_trace scores every stream of a trace in one call of each
+        # _stream_trace scores every stream of a group in one call of each
         # metric: each stream's errors are, bit for bit, what score_picks
         # gives it alone, an empty stream's and a short one's too. A stream
         # with an off-unit forecast fails alone, with score_picks' error
@@ -1114,39 +1115,28 @@ class TestScorePicks:
         assert repr(scored[:2] + scored[3:]) == repr(
             [score_picks(picks, steps, truth) for picks in streams])
 
+    def test_a_trace_is_scored_a_group_at_a_time(self, monkeypatch):
+        # _stream_trace scores each group of masks forecast_groups hands it
+        # as it comes, so no more than one group's forecasts are held at
+        # once: with groups of two masks, five masks take three calls of
+        # each metric, and every stream's segments are those of one group
+        trace = generate_synthetic_trace("hard", 2.5, seed=4)
+        dt, steps, filtered, poses, truth = prepare_trace(trace, (20, 100))
+        prepared = dt, steps, poses, truth, [cls for _, cls in label_chunks(filtered)]
+        n = len(poses) - 1
+        masks = [[k % m != 0 for k in range(n)] for m in (1, 2, 3, 5, 7)]
+        models = ["KF", "p2o2", "p3o3"]
+        whole = _stream_trace(models, prepared, masks)
+        calls = []
 
-class TestPoolStats:
-    def test_stacked_statistics_are_each_cells_own(self):
-        # _pool_stats stacks every class of every cell with one sample count
-        # and takes one np.median and one np.mean along the rows: each row's
-        # floats are what the calls on its samples alone give, on ragged
-        # counts (1, 2, odd, even, repeated across cells and classes),
-        # pooled from two traces beside one that failed
-        rng = np.random.default_rng(3)
+        def counted(*args):
+            calls.append(args)
+            return position_error(*args)
 
-        def stream(counts):
-            # one horizon's segments, one per class, of these tick counts
-            return [{cls: (list(range(1, m + 1)), rng.gamma(2.0, 30.0, m).tolist(),
-                           rng.gamma(2.0, 5.0, m).tolist())
-                     for cls, m in zip(MotionClass, counts) if m}]
-
-        failed = ValueError("pose at t = 1.5 is not finite")
-        cells = []
-        for first, second in (((1, 2, 0), (0, 0, 0)), ((7, 8, 1), (0, 0, 1)),
-                              ((199, 0, 0), (1, 2, 0)), ((200, 2, 4), (0, 0, 3)),
-                              ((3, 5, 1), (4, 3, 1)), ((1, 1, 1), (1, 1, 1))):
-            a, b = stream(first), stream(second)
-            cells.append(_pool_cell([a, failed, b], [a, failed, b], 0))
-        got = _pool_stats([classes for classes, _, _ in cells])
-        for (classes, fails, _), stats in zip(cells, got):
-            assert fails == [(1, str(failed))]
-            expect = [(cls, float(np.median(e_pos)), float(np.mean(e_pos)),
-                       float(np.median(e_ori)), float(np.mean(e_ori)), len(e_pos))
-                      for cls, e_pos, e_ori in classes]
-            assert repr(stats) == repr(expect)
-        counts = sorted(len(e_pos) for classes, _, _ in cells for _, e_pos, _ in classes)
-        assert {1, 2, 7, 8, 200}.issubset(counts) and len(set(counts)) < len(counts)
-        assert _pool_stats([]) == [] and _pool_stats([[]]) == [[]]
+        monkeypatch.setattr("posecast.experiment.position_error", counted)
+        monkeypatch.setattr("posecast.filters.GROUP_TICKS", 2 * n)
+        assert repr(_stream_trace(models, prepared, masks)) == repr(whole)
+        assert len(calls) == 3
 
 
 class TestAggregateLookup:

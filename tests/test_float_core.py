@@ -745,6 +745,37 @@ def test_many_draws_in_one_stacked_pass_are_each_draws_update_loop_bit_for_bit(
         assert len(states) == ran * n
 
 
+def test_signed_zero_rates_coast_in_the_stacked_pass_as_in_the_update_loop():
+    # the position stands still and the orientation steps between two
+    # identity quaternions, the second with signed zeros, so received
+    # pairs give exactly zero position rates, and some body rates of -0.0. At
+    # orders 1 and 2 a coast pads the position rows with 0.0 and the rate
+    # rows with -0.0 (_PADS), as _chain and so3._rotation_chain do, so
+    # each draw's coasted states are its update loop's; repr tells -0.0
+    # from 0.0
+    n = 60
+    t = (np.arange(n + 1) * 0.01 + np.random.default_rng(7).uniform(-0.003, 0.003, n + 1)).tolist()
+    qs = np.array([1.0, 0.0, 0.0, 0.0]), np.array([1.0, -0.0, -0.0, 0.0])
+    poses = [Pose(t[k], np.array([0.25, -1.5, 0.0]), qs[k % 2].copy()) for k in range(n + 1)]
+    masks = [[True] * 10 + [False] * 25 + [True] * 25, [k % 3 == 0 for k in range(n)],
+             [True] * 4 + [False] * (n - 4)]
+    ticks = Ticks(poses[1:], poses[0])
+    for model in MODEL_NAMES:
+        cfg = FilterConfig(model=model, dt=0.01, horizon_steps=3)
+        preds = [make_predictor(cfg, poses[0]) for _ in masks]
+        states, failed = type(preds[0])._track(preds, ticks, masks)
+        assert failed == [None] * len(masks)
+        expect = []
+        for m in masks:
+            pred = make_predictor(cfg, poses[0])
+            for z, received in zip(poses[1:], m):
+                pred.update(z, received)
+                expect.append(pred.x)
+        assert model == "KF" or "-0.0" in repr(expect)
+        got = [x for i in range(len(masks)) for x in states[i * n:(i + 1) * n]]
+        assert repr(got) == repr(expect)
+
+
 @settings(max_examples=30, deadline=None)
 @given(tracked_streams(), st.data())
 def test_a_draws_gain_chain_is_each_predictors_own(stream, data):
